@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -37,18 +36,9 @@ from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cr
 from .verify import run_suite
 
 
-def thread_cap() -> int:
-    """Requested parallelism cap from TENSOR_WALKS_THREADS (0 = auto).  All
-    computations here are deterministic and single-threaded, which trivially
-    respects any cap; the variable is validated so misconfiguration is loud."""
-    raw = os.environ.get("TENSOR_WALKS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SpecError(f"TENSOR_WALKS_THREADS must be an integer, got {raw!r}") from exc
+def _require_nonnegative(option: str, value: int) -> None:
     if value < 0:
-        raise SpecError("TENSOR_WALKS_THREADS must be nonnegative")
-    return value or 1
+        raise SpecError(f"{option} must be nonnegative, got {value}")
 
 
 def emit(payload) -> None:
@@ -117,6 +107,7 @@ def _closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str
 
 
 def cmd_walks(args) -> int:
+    _require_nonnegative("--k", args.k)
     spec = _parse_group(args.group)
     frm = _node_index(spec, args.frm)
     to = _node_index(spec, args.to)
@@ -156,6 +147,7 @@ def cmd_walks(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    _require_nonnegative("--k", args.k)
     spec = _parse_group(args.group)
     g, v = spec.group, spec.module
     if g.tier != FULL:
@@ -173,6 +165,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    _require_nonnegative("--k", args.k)
     spec = _parse_group(args.group)
     g, v = spec.group, spec.module
     counts = []
@@ -218,6 +211,7 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_egf(args) -> int:
+    _require_nonnegative("--order", args.order)
     spec = _parse_group(args.group)
     if spec.kind == "wreath":
         egf = cf.wreath_invariants_egf(spec.params["r"], spec.params["n"], args.order)
@@ -387,7 +381,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -52,12 +52,14 @@ def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 def _norm_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
 
-def _reduce_mod_phi(coeffs: list, n: int) -> tuple:
+def reduce_mod_phi(coeffs: list, n: int) -> tuple:
     """Reduce a raw power-basis coefficient list modulo Phi_n."""
     deg = euler_phi(n)
     if len(coeffs) > n:  # fold exponents mod n first (z^n = 1 holds mod Phi_n)
@@ -89,7 +91,7 @@ class CycNum:
             raise ValueError("conductor must be positive")
         object.__setattr__(self, "conductor", conductor)
         if reduce:
-            coeffs = _reduce_mod_phi(list(coeffs), conductor)
+            coeffs = reduce_mod_phi(list(coeffs), conductor)
         else:
             coeffs = tuple(coeffs)
             if len(coeffs) != euler_phi(conductor):

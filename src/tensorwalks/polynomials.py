@@ -12,6 +12,8 @@ from fractions import Fraction
 
 
 def _norm(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -113,6 +115,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("polynomial exponent must be nonnegative")
         result = Polynomial((1,))
         base = self
         while k:
@@ -197,13 +201,13 @@ class Polynomial:
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
+    if type(c) is int or isinstance(c, Fraction):
         return c == 0
     return c.is_zero()
 
 
 def _is_negative(c) -> bool:
-    return isinstance(c, (int, Fraction)) and c < 0
+    return (type(c) is int or isinstance(c, Fraction)) and c < 0
 
 
 def _invert(c):

@@ -4,11 +4,14 @@ by character sums, centralizer-algebra dimensions, and Bratteli diagrams."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, reduce_mod_phi
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
+from .numbertheory import euler_phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +61,8 @@ def mat_mul(a, b):
 
 
 def mat_pow(a, k: int):
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     n = len(a)
     result = identity_matrix(n)
     base = [list(r) for r in a]
@@ -77,29 +82,78 @@ def _require_full(g: GroupData, what: str):
             "invariant-only data (only the 0 -> 0 walk count is available)")
 
 
+def _integer_coeffs(values, conductor: int) -> list[list[tuple[int, ...]]]:
+    """Power-basis coefficients over Q(zeta_conductor) of a matrix of
+    character-derived values, which must be algebraic integers."""
+    out = []
+    for i, row in enumerate(values):
+        coeff_row = []
+        for mu, x in enumerate(row):
+            coeffs = x.embed(conductor).coeffs
+            if any(type(c) is not int for c in coeffs):
+                raise ConsistencyError(
+                    f"non-integer coefficient in {x.to_text()} at ({i},{mu}); bad table data")
+            coeff_row.append(coeffs)
+        out.append(coeff_row)
+    return out
+
+
+def _pack(coeffs, width: int) -> int:
+    """Kronecker substitution: sum_i coeffs[i] * 2^(width*i), signed digits."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def _unpack(total: int, width: int, count: int) -> list[int]:
+    """The `count` balanced base-2^width digits of `total`, lowest first."""
+    half, full, mask = 1 << (width - 1), 1 << width, (1 << width) - 1
+    digits = []
+    for _ in range(count):
+        d = total & mask
+        if d >= half:
+            d -= full
+        digits.append(d)
+        total = (total - d) >> width
+    if total:
+        raise ConsistencyError("packed character sum overflowed its digit width")
+    return digits
+
+
 def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
     """Matrix with (nu, lam) entry (1/|G|) sum_mu weights[mu] * chi_nu(mu) *
-    conj(chi_lam(mu)), asserted to be nonnegative integers.
+    conj(chi_lam(mu)), checked to be nonnegative integers.
 
-    Computed as (X * diag(weights)) * conj(X)^T so the cost is two dense
-    CycNum matrix products rather than one character sum per entry."""
+    Every value is packed into one int by Kronecker substitution, so each
+    entry's sum over classes is n plain integer products.  The digit width
+    bounds every coefficient of the summed, unreduced polynomial product, so
+    the digits unpack exactly; they are then reduced modulo Phi_N once."""
     table = g.char_table
     n = g.n_classes
     scaled = [[table[nu][mu] * weights[mu] for mu in range(n)] for nu in range(n)]
     conj = [[table[lam][mu].conj() for mu in range(n)] for lam in range(n)]
+    conductor = math.lcm(*(x.conductor for row in scaled + conj for x in row))
+    deg = euler_phi(conductor)
+    scaled = _integer_coeffs(scaled, conductor)
+    conj = _integer_coeffs(conj, conductor)
+    bound = (n * deg
+             * max(abs(c) for row in scaled for x in row for c in x)
+             * max(abs(c) for row in conj for x in row for c in x))
+    width = bound.bit_length() + 2
+    packed_rows = [[_pack(x, width) for x in row] for row in scaled]
+    packed_conj = [[_pack(x, width) for x in row] for row in conj]
     out = []
-    for nu in range(n):
+    for nu, prow in enumerate(packed_rows):
         row = []
-        for lam in range(n):
-            acc = CycNum.zero(1)
-            srow, crow = scaled[nu], conj[lam]
-            for mu in range(n):
-                acc = acc + srow[mu] * crow[mu]
-            value = (acc / g.order).as_rational()
-            if value is None or value.denominator != 1 or value < 0:
+        for lam, pconj in enumerate(packed_conj):
+            total = sum(map(int.__mul__, prow, pconj))
+            value, *rest = reduce_mod_phi(_unpack(total, width, 2 * deg - 1), conductor)
+            if any(rest) or value < 0 or value % g.order:
+                shown = None if any(rest) else Fraction(value, g.order)
                 raise ConsistencyError(
-                    f"character sum gave {value} at ({nu},{lam}); bad table data")
-            row.append(int(value))
+                    f"character sum gave {shown} at ({nu},{lam}); bad table data")
+            row.append(value // g.order)
         out.append(row)
     return out
 
@@ -112,14 +166,14 @@ def mckay_adjacency(g: GroupData, v: ModuleChar) -> WalkMatrix:
 
 
 def walk_count_matrix(a: WalkMatrix, k: int, frm: int, to: int) -> int:
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
     return mat_pow(a.rows(), k)[frm][to]
 
 
 def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
     """All (from, to) k-step walk counts at once, by character sums."""
     _require_full(g, "character_walk_counts")
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     weights = [g.classes[mu].size * v.values[mu] ** k for mu in range(g.n_classes)]
     return _weighted_sum_matrix(g, weights)
 

@@ -169,10 +169,11 @@ def test_json_round_trip(capsys):
     assert json.dumps(parsed, indent=2) + "\n" == out
 
 
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("TENSOR_WALKS_THREADS", "bogus")
-    code, _, err = run(capsys, "walks", "--group", "Z10", "--k", "1")
-    assert code == 2 and "TENSOR_WALKS_THREADS" in err
-    monkeypatch.setenv("TENSOR_WALKS_THREADS", "4")
-    doc = run_json(capsys, "walks", "--group", "Z10", "--k", "2")
-    assert doc["count"] == "2"
+def test_negative_counts_are_usage_errors(capsys):
+    # each of these used to loop forever or print an empty list with exit 0
+    for argv in (("walks", "--group", "Z10", "--k", "-1"),
+                 ("dims", "--group", "Z10", "--k", "-1"),
+                 ("invariants", "--group", "Z10", "--k", "-1"),
+                 ("egf", "--group", "Z4xZ2", "--order", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "nonnegative" in err, argv

@@ -81,3 +81,8 @@ def test_to_text():
     assert Polynomial((Fraction(1, 2), 1)).to_text() == "(1/2) + t"
     assert Polynomial((0, -1)).to_text() == "-t"
     assert Polynomial().to_text() == "0"
+
+
+def test_negative_power_is_rejected():
+    with pytest.raises(ValueError):
+        Polynomial((1, 1)) ** -1

@@ -8,6 +8,7 @@ from tensorwalks.groups import (
     circulant_module,
     coordinate_module,
     monomial_module,
+    parse_spec_full,
     permutation_module,
     standard_module_cyclic,
 )
@@ -25,7 +26,7 @@ from tensorwalks.quiver import (
     walk_count_character,
     walk_count_matrix,
 )
-from tensorwalks.registry import builtin_modules
+from tensorwalks.registry import builtin_fulltable_pairs, builtin_modules
 
 
 def s4_setup():
@@ -78,6 +79,10 @@ def test_walk_matrix_power_basics():
     assert walk_count_matrix(a, 12, 0, 0) == 948
     with pytest.raises(ValueError):
         walk_count_matrix(a, -1, 0, 0)
+    with pytest.raises(ValueError):
+        mat_pow(a.rows(), -1)
+    with pytest.raises(ValueError):
+        character_walk_counts(v.group, v, -1)
 
 
 def test_matrix_equals_character_for_all_builtins():
@@ -229,3 +234,41 @@ def test_paley_directed_quiver():
     assert not mod.self_dual
     dot = quiver_dot(mod.group, a)
     assert "dir=none" not in dot
+
+
+def literal_sums(mod, k):
+    n = mod.group.n_classes
+    return [[walk_count_character(mod.group, mod, k, nu, lam) for lam in range(n)]
+            for nu in range(n)]
+
+
+def test_packed_adjacency_equals_literal_character_sums():
+    mods = [mod for _, mod in builtin_fulltable_pairs()]
+    mods += [parse_spec_full(s).module for s in ("S6", "Z12", "paley(13)", "hypercube(4)")]
+    for mod in mods:
+        a = mckay_adjacency(mod.group, mod)
+        assert [list(r) for r in a.entries] == literal_sums(mod, 1), mod.group.name
+
+
+def test_packed_walk_counts_with_wide_digits():
+    # k = 40 makes the packed digits far wider than the adjacency build's
+    for spec in ("Z12", "paley(13)"):
+        mod = parse_spec_full(spec).module
+        for k in (0, 1, 7, 40):
+            assert character_walk_counts(mod.group, mod, k) == literal_sums(mod, k), (spec, k)
+
+
+def test_fraction_coefficient_is_bad_table_data():
+    from fractions import Fraction
+
+    from tensorwalks.cyclotomic import CycNum
+    from tensorwalks.groups import GroupData, ModuleChar
+
+    g = build_cyclic(3)
+    bad_table = [list(row) for row in g.char_table]
+    bad_table[2][1] = bad_table[2][1] * CycNum.from_rational(Fraction(1, 2))
+    bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
+                    g.irreps, tuple(tuple(r) for r in bad_table))
+    v = standard_module_cyclic(3)
+    with pytest.raises(ConsistencyError, match=r"\(2,1\)"):
+        mckay_adjacency(bad, ModuleChar(bad, v.values))
