@@ -20,12 +20,11 @@ from .groups import (
     coordinate_module,
     monomial_module,
     paley_module,
-    parse_spec,
     permutation_module,
     standard_module_cyclic,
 )
 from .polynomials import Polynomial, poly_det
-from .quadratic import QuadNum, quad_pow
+from .quadratic import QuadNum
 from .quiver import (
     BratteliDiagram,
     WalkMatrix,

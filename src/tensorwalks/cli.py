@@ -8,7 +8,6 @@ disagreed -- never ignored).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -16,14 +15,7 @@ from fractions import Fraction
 from . import closedforms as cf
 from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
-from .groups import (
-    FULL,
-    ParsedSpec,
-    both_modules_gl2,
-    both_modules_sl2,
-    group_to_json,
-    parse_spec_full,
-)
+from .groups import FULL, ParsedSpec, group_to_json, parse_spec_full, steinberg_spec
 from .quiver import (
     bratteli,
     bratteli_dot,
@@ -31,6 +23,7 @@ from .quiver import (
     mckay_adjacency,
     quiver_dot,
     walk_count_character,
+    walk_count_matrix,
 )
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
@@ -50,10 +43,6 @@ def emit_csv(rows) -> None:
         sys.stdout.write(",".join(str(x) for x in row) + "\n")
 
 
-def _parse_group(text: str) -> ParsedSpec:
-    return parse_spec_full(text)
-
-
 def _node_index(spec: ParsedSpec, token: str) -> int:
     g = spec.group
     try:
@@ -70,7 +59,13 @@ def _node_index(spec: ParsedSpec, token: str) -> int:
 
 
 def _abelian_element(radii, index: int) -> tuple[int, ...]:
-    return list(itertools.product(*(range(r) for r in radii)))[index]
+    """Element number `index` of Z_r1 x ... x Z_rn in the order of the
+    character table (the last coordinate varies fastest)."""
+    digits = []
+    for r in reversed(radii):
+        index, digit = divmod(index, r)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def _closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str, int]]:
@@ -106,49 +101,47 @@ def _closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str
     return out
 
 
-def cmd_walks(args) -> int:
-    _require_nonnegative("--k", args.k)
-    spec = _parse_group(args.group)
-    frm = _node_index(spec, args.frm)
-    to = _node_index(spec, args.to)
+ROUTES = ("matrix", "character", "closed")
+
+
+def _walk_routes(spec: ParsedSpec, k: int, frm: int, to: int, methods) -> list[tuple[str, int]]:
+    """Run each route in `methods` that applies and check that they agree.
+
+    The matrix power needs a full character table; the character sum needs
+    one too unless the walk is 0 -> 0; "closed" runs every family closed form
+    that applies.  Returns (route label, count) pairs in the order above."""
     g, v = spec.group, spec.module
     results: list[tuple[str, int]] = []
-    methods = args.method
-    if methods == "auto":
-        if g.tier == FULL:
-            a = mckay_adjacency(g, v)
-            results.append(("matrix", mat_pow(a.rows(), args.k)[frm][to]))
-            results.append(("character", walk_count_character(g, v, args.k, frm, to)))
-        elif frm == 0 and to == 0:
-            results.append(("character", walk_count_character(g, v, args.k, 0, 0)))
-        results.extend(_closed_walks(spec, args.k, frm, to))
-        if not results:
-            raise UnsupportedQueryError(
-                f"no applicable method for {g.name} from {frm} to {to}")
-        counts = {c for _, c in results}
-        if len(counts) != 1:
-            raise ConsistencyError(f"methods disagree: {results}")
-    elif methods == "matrix":
-        a = mckay_adjacency(g, v)
-        results.append(("matrix", mat_pow(a.rows(), args.k)[frm][to]))
-    elif methods == "character":
-        results.append(("character", walk_count_character(g, v, args.k, frm, to)))
-    else:  # closed
-        results = _closed_walks(spec, args.k, frm, to)
-        if not results:
-            raise UnsupportedQueryError(
-                f"no closed form for {g.name} from node {frm} to {to}")
-        if len({c for _, c in results}) != 1:
-            raise ConsistencyError(f"closed forms disagree: {results}")
-    count = results[0][1]
-    emit({"group": g.name, "k": args.k, "from": frm, "to": to,
-          "count": str(count), "methods": [m for m, _ in results]})
+    if "matrix" in methods and g.tier == FULL:
+        results.append(("matrix", walk_count_matrix(mckay_adjacency(g, v), k, frm, to)))
+    if "character" in methods and (g.tier == FULL or frm == to == 0):
+        results.append(("character", walk_count_character(g, v, k, frm, to)))
+    if "closed" in methods:
+        results.extend(_closed_walks(spec, k, frm, to))
+    if not results:
+        raise UnsupportedQueryError(
+            f"no route among {', '.join(methods)} applies to {g.name} "
+            f"({g.tier} tier) from node {frm} to {to}")
+    if len({c for _, c in results}) != 1:
+        raise ConsistencyError(f"routes disagree at k={k}: {results}")
+    return results
+
+
+def cmd_walks(args) -> int:
+    _require_nonnegative("--k", args.k)
+    spec = parse_spec_full(args.group)
+    frm = _node_index(spec, args.frm)
+    to = _node_index(spec, args.to)
+    methods = ROUTES if args.method == "auto" else (args.method,)
+    results = _walk_routes(spec, args.k, frm, to, methods)
+    emit({"group": spec.group.name, "k": args.k, "from": frm, "to": to,
+          "count": str(results[0][1]), "methods": [m for m, _ in results]})
     return 0
 
 
 def cmd_dims(args) -> int:
     _require_nonnegative("--k", args.k)
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     g, v = spec.group, spec.module
     if g.tier != FULL:
         raise UnsupportedQueryError(
@@ -166,29 +159,23 @@ def cmd_dims(args) -> int:
 
 def cmd_invariants(args) -> int:
     _require_nonnegative("--k", args.k)
-    spec = _parse_group(args.group)
-    g, v = spec.group, spec.module
-    counts = []
-    for k in range(args.k + 1):
-        routes = [walk_count_character(g, v, k, 0, 0)]
-        routes.extend(c for _, c in _closed_walks(spec, k, 0, 0))
-        if len(set(routes)) != 1:
-            raise ConsistencyError(f"invariant routes disagree at k={k}: {routes}")
-        counts.append(routes[0])
+    spec = parse_spec_full(args.group)
+    # no matrix route: it would build and power an adjacency matrix for every k
+    counts = [_walk_routes(spec, k, 0, 0, ("character", "closed"))[0][1]
+              for k in range(args.k + 1)]
     if args.csv:
         emit_csv([("k", "count")] + list(enumerate(counts)))
     else:
-        emit({"group": g.name, "counts": [str(c) for c in counts]})
+        emit({"group": spec.group.name, "counts": [str(c) for c in counts]})
     return 0
 
 
 def cmd_poincare(args) -> int:
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     if args.module == "steinberg" and not spec.steinberg:
         if spec.kind not in ("gl2", "sl2"):
             raise UnsupportedQueryError("--module steinberg applies only to GL2/SL2")
-        pair = both_modules_gl2(spec.params["q"]) if spec.kind == "gl2" else both_modules_sl2(spec.params["q"])
-        spec = ParsedSpec(spec.kind, spec.params, spec.group, pair[1], True)
+        spec = steinberg_spec(spec)
     g, v = spec.group, spec.module
     lam = _node_index(spec, args.lam)
     if args.method == "cramer":
@@ -212,37 +199,39 @@ def cmd_poincare(args) -> int:
 
 def cmd_egf(args) -> int:
     _require_nonnegative("--order", args.order)
-    spec = _parse_group(args.group)
-    if spec.kind == "wreath":
-        egf = cf.wreath_invariants_egf(spec.params["r"], spec.params["n"], args.order)
-    elif spec.kind == "abelian":
+    spec = parse_spec_full(args.group)
+    if spec.kind == "abelian":
         radii = spec.params["radii"]
-        target = _parse_target(args.target, len(radii)) if args.target else (0,) * len(radii)
-        for t, r in zip(target, radii):
-            if not 0 <= t < r:
-                raise SpecError(f"target component {t} out of range for Z{r}")
+        target = _parse_target(args.target, radii) if args.target else (0,) * len(radii)
         egf = egf_product([egf_hyperbolic(1 + c, r, args.order)
                            for c, r in zip(target, radii)])
+    elif spec.kind == "wreath" and not args.target:
+        egf = cf.wreath_invariants_egf(spec.params["r"], spec.params["n"], args.order)
     else:
         raise UnsupportedQueryError(
-            "EGFs are defined here for abelian and wreath-product groups")
+            "EGFs are defined here for abelian groups and, without --target, "
+            "wreath-product groups")
     emit({"group": spec.group.name, "order": egf.order,
           "coeffs": [str(c) for c in egf.coeffs]})
     return 0
 
 
-def _parse_target(text: str, n: int) -> tuple[int, ...]:
+def _parse_target(text: str, radii) -> tuple[int, ...]:
+    """An element of Z_r1 x ... x Z_rn given as comma-separated components."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise SpecError(f"bad target {text!r}; expected comma-separated integers") from exc
-    if len(parts) != n:
-        raise SpecError(f"target needs {n} components, got {len(parts)}")
+    if len(parts) != len(radii):
+        raise SpecError(f"target needs {len(radii)} components, got {len(parts)}")
+    for t, r in zip(parts, radii):
+        if not 0 <= t < r:
+            raise SpecError(f"target component {t} out of range for Z{r}")
     return parts
 
 
 def cmd_bratteli(args) -> int:
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     bd = bratteli(spec.group, spec.module, args.levels)
     if args.format == "dot":
         sys.stdout.write(bratteli_dot(bd) + "\n")
@@ -252,7 +241,7 @@ def cmd_bratteli(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     a = mckay_adjacency(spec.group, spec.module)
     if args.format == "dot":
         sys.stdout.write(quiver_dot(spec.group, a) + "\n")
@@ -263,19 +252,19 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_group(args) -> int:
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     sys.stdout.write(group_to_json(spec.group, spec.module) + "\n")
     return 0
 
 
 def cmd_diagalg(args) -> int:
-    spec = _parse_group(args.group)
+    spec = parse_spec_full(args.group)
     if spec.kind != "abelian":
         raise UnsupportedQueryError(
             "the diagram basis is defined for abelian groups with the "
             "coordinate module (use ZaxZb... or hypercube(n))")
     radii = spec.params["radii"]
-    target = _parse_target(args.target, len(radii)) if args.target else None
+    target = _parse_target(args.target, radii) if args.target else None
     if args.list:
         elements = enumerate_basis(radii, args.k, target)
         emit({"group": spec.group.name, "k": args.k,
@@ -318,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--from", dest="frm", default="0")
     p.add_argument("--to", dest="to", default="0")
-    p.add_argument("--method", choices=("auto", "matrix", "character", "closed"),
-                   default="auto")
+    p.add_argument("--method", choices=("auto",) + ROUTES, default="auto")
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("dims", help="multiplicities of every irrep at tensor depth k")

@@ -55,18 +55,38 @@ def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
     return sum(comb(k, l) for l in range(k + 1) if (k - 2 * l - (c - a)) % r == 0)
 
 
+def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials modulo x^r - 1, r = len(a) = len(b)."""
+    r = len(a)
+    out = [0] * r
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % r] += x * y
+    return out
+
+
 def circulant_walks(r: int, connection, k: int, c: int) -> int:
     """Walks of k steps from 0 to c on the circulant graph over Z_r with the
-    given connection residues: multinomials over step-type compositions."""
+    given connection residues: the coefficient of x^c in the multinomial
+    expansion of (sum_{s in S} x^s)^k modulo x^r - 1, by repeated squaring."""
     conn = list(connection)
     for s in conn:
         if not 1 <= s <= r - 1:
             raise ValueError(f"connection residue {s} out of range")
-    total = 0
-    for parts in compositions(k, len(conn)):
-        if sum(s * l for s, l in zip(conn, parts)) % r == c % r:
-            total += multinomial(k, parts)
-    return total
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
+    step = [0] * r
+    for s in conn:
+        step[s] += 1
+    power = [1] + [0] * (r - 1)
+    while k:
+        if k & 1:
+            power = _cyclic_mul(power, step)
+        k >>= 1
+        if k:
+            step = _cyclic_mul(step, step)
+    return power[c % r]
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,19 @@ def is_valid(e: DiagramElement) -> bool:
 
 
 def basis_counts(radii, k: int) -> dict[tuple[int, ...], int]:
-    """Number of words of length k per target vector."""
+    """Number of words of length k per target vector, counted one letter at
+    a time (letter j adds 1 to coordinate j) without listing the words."""
     radii = tuple(radii)
-    counts: dict[tuple[int, ...], int] = {}
-    for word in itertools.product(range(1, len(radii) + 1), repeat=k):
-        t = word_target(radii, word)
-        counts[t] = counts.get(t, 0) + 1
+    if k < 0:
+        raise ValueError("word length must be nonnegative")
+    counts = {(0,) * len(radii): 1}
+    for _ in range(k):
+        step: dict[tuple[int, ...], int] = {}
+        for t, m in counts.items():
+            for j, r in enumerate(radii):
+                u = t[:j] + ((t[j] + 1) % r,) + t[j + 1:]
+                step[u] = step.get(u, 0) + m
+        counts = step
     return counts
 
 

@@ -338,10 +338,7 @@ def _expand_rows(name: str, order: int, rows: list[_Row]) -> tuple[GroupData, tu
 
 
 def build_gl2(q: int) -> GroupData:
-    _check_odd_prime_power(q)
-    order = q * (q + 1) * (q - 1) ** 2
-    g, _, _ = _expand_rows(f"GL2({q})", order, _gl2_rows(q))
-    return g
+    return both_modules_gl2(q)[0].group
 
 
 def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
@@ -353,10 +350,7 @@ def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 
 def build_sl2(q: int) -> GroupData:
-    _check_odd_prime_power(q)
-    order = q * (q - 1) * (q + 1)
-    g, _, _ = _expand_rows(f"SL2({q})", order, _sl2_rows(q))
-    return g
+    return both_modules_sl2(q)[0].group
 
 
 def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
@@ -421,10 +415,6 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def try_word(self, word: str) -> bool:
         self.skip_ws()
         if self.text.startswith(word, self.pos):
@@ -470,9 +460,15 @@ def parse_spec_full(text: str) -> ParsedSpec:
     if steinberg:
         if spec.kind not in ("gl2", "sl2"):
             raise SpecError("@steinberg applies only to GL2/SL2 specs")
-        modules = both_modules_gl2(spec.params["q"]) if spec.kind == "gl2" else both_modules_sl2(spec.params["q"])
-        return ParsedSpec(spec.kind, spec.params, spec.group, modules[1], True)
+        return steinberg_spec(spec)
     return spec
+
+
+def steinberg_spec(spec: ParsedSpec) -> ParsedSpec:
+    """A GL2/SL2 spec with the q-dimensional Steinberg module in place of
+    the induced one."""
+    both = both_modules_gl2 if spec.kind == "gl2" else both_modules_sl2
+    return ParsedSpec(spec.kind, spec.params, spec.group, both(spec.params["q"])[1], True)
 
 
 def _parse_body(cur: _Cursor) -> ParsedSpec:
@@ -540,8 +536,3 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         module = coordinate_module(tuple(radii))
         return ParsedSpec("abelian", {"radii": tuple(radii)}, module.group, module)
     raise SpecError("unrecognized group spec", cur.pos)
-
-
-def parse_spec(text: str) -> tuple[GroupData, ModuleChar]:
-    parsed = parse_spec_full(text)
-    return parsed.group, parsed.module

@@ -35,10 +35,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial((c,))
-
-    @staticmethod
     def t() -> "Polynomial":
         return Polynomial((0, 1))
 
@@ -126,12 +122,6 @@ class Polynomial:
             if k:
                 base = base * base
         return result
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Polynomial((0,) * k + self.coeffs)
 
     def divmod(self, den: "Polynomial"):
         """Quotient and remainder over the fraction field of the coefficients."""

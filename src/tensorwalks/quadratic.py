@@ -113,8 +113,3 @@ class QuadNum:
 
     def __repr__(self):
         return f"QuadNum(d={self.d}, {self.a}, {self.b})"
-
-
-def quad_pow(x: QuadNum, k: int) -> QuadNum:
-    """Exact k-th power by repeated squaring (k >= 0)."""
-    return x ** k

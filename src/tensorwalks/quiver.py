@@ -181,24 +181,20 @@ def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]
 def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
     """k-step walk count from irrep `frm` to irrep `to` by one character sum.
 
-    Invariant-tier groups support only frm = to = 0 (the invariant dimension)."""
+    Invariant-tier groups support only frm = to = 0 (the invariant dimension),
+    where both characters are the trivial one, 1 on every class."""
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    if g.tier != FULL:
-        if frm != 0 or to != 0:
-            raise UnsupportedQueryError(
-                f"group {g.name} carries invariant-only data; only the "
-                "trivial-to-trivial walk count is defined")
-        acc = CycNum.zero(1)
-        for mu in range(g.n_classes):
-            acc = acc + g.classes[mu].size * v.values[mu] ** k
-        value = (acc / g.order).as_rational()
-        if value is None or value.denominator != 1 or value < 0:
-            raise ConsistencyError(f"invariant dimension came out {value}")
-        return int(value)
+    full = g.tier == FULL
+    if not full and (frm != 0 or to != 0):
+        raise UnsupportedQueryError(
+            f"group {g.name} carries invariant-only data; only the "
+            "trivial-to-trivial walk count is defined")
     acc = CycNum.zero(1)
     for mu in range(g.n_classes):
-        term = g.chi(frm, mu) * (v.values[mu] ** k) * g.chi(to, mu).conj()
+        term = v.values[mu] ** k
+        if full:
+            term = g.chi(frm, mu) * term * g.chi(to, mu).conj()
         acc = acc + g.classes[mu].size * term
     value = (acc / g.order).as_rational()
     if value is None or value.denominator != 1 or value < 0:

@@ -326,7 +326,6 @@ def suite_generic() -> list[CheckResult]:
                 det_factorization_check(g, mod, a))
         ok_eig, bad = eigen_check(g, mod, a)
         s.check(f"{name}: adjacency eigenvalue identity", ok_eig, f"failed at {bad}")
-        walks = mat_pow(a.rows(), 0)
         series_ok, detail = True, ""
         powers = [mat_pow(a.rows(), k) for k in range(13)]
         for lam in range(g.n_classes):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tensorwalks.cli import main
 
 
@@ -38,6 +40,70 @@ def test_walks_paley_auto(capsys):
     doc = run_json(capsys, "walks", "--group", "paley(13)", "--k", "2", "--to", "1")
     assert doc["count"] == "2"
     assert "closed:gauss-sum" in doc["methods"]
+
+
+# (spec, from, to, count at k = 5, routes run by --method auto); matrix and
+# character each run alone, closed runs the "closed:" routes of auto
+ROUTE_CASES = [
+    ("Z10", "0", "3", "5", ["matrix", "character", "closed:binomial"]),
+    ("Z4xZ3", "1", "7", "10", ["matrix", "character", "closed:multinomial"]),
+    ("hypercube(3)", "2", "5", "60", ["matrix", "character", "closed:multinomial"]),
+    ("circulant(10;1,3,7,9)", "0", "4", "0", ["matrix", "character", "closed:multinomial"]),
+    ("paley(13)", "0", "1", "610",
+     ["matrix", "character", "closed:multinomial", "closed:gauss-sum"]),
+    ("S4", "0", "2", "85", ["matrix", "character", "closed:stirling-kostka"]),
+    ("S4", "1", "2", "256", ["matrix", "character"]),
+    ("GL2(3)", "0", "0", "51", ["character", "closed:linear-group"]),
+    ("SL2(5)@steinberg", "0", "0", "52", ["character", "closed:linear-group"]),
+    ("Z2wrS3", "0", "0", "0", ["character", "closed:wreath"]),
+    ("Z2wrS3", "0", "1", None, []),
+]
+
+
+@pytest.mark.parametrize("method", ("auto", "matrix", "character", "closed"))
+@pytest.mark.parametrize("spec,frm,to,count,auto", ROUTE_CASES,
+                         ids=[f"{c[0]}:{c[1]}->{c[2]}" for c in ROUTE_CASES])
+def test_walks_route_selection(capsys, method, spec, frm, to, count, auto):
+    if method == "auto":
+        want = auto
+    elif method == "closed":
+        want = [m for m in auto if m.startswith("closed:")]
+    else:
+        want = [m for m in auto if m == method]
+    code, out, err = run(capsys, "walks", "--group", spec, "--k", "5",
+                         "--from", frm, "--to", to, "--method", method)
+    if not want:
+        assert code == 3 and out == "", err
+        return
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["methods"] == want and doc["count"] == count
+
+
+@pytest.mark.parametrize("spec,counts", [
+    ("Z10", ["1", "0", "2", "0", "6", "0", "20"]),        # full tier
+    ("GL2(3)", ["1", "1", "2", "5", "15", "51", "187"]),   # invariant tier
+])
+def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
+    import tensorwalks.cli as cli_mod
+
+    def forbidden(*args):
+        raise AssertionError("invariants ran the matrix route")
+
+    monkeypatch.setattr(cli_mod, "mckay_adjacency", forbidden)
+    monkeypatch.setattr(cli_mod, "mat_pow", forbidden)
+    doc = run_json(capsys, "invariants", "--group", spec, "--k", "6")
+    assert doc["counts"] == counts
+
+
+def test_paley_closed_forms_finish(capsys):
+    # there are C(k + |S| - 1, |S| - 1) step-type compositions, about 10^11 for
+    # paley(31) at k = 30: the multinomial route must not enumerate them
+    doc = run_json(capsys, "walks", "--group", "paley(31)", "--k", "30")
+    assert doc["count"] == "6185518039770454408641257522196000"
+    assert doc["methods"] == ["matrix", "character", "closed:multinomial", "closed:gauss-sum"]
+    doc = run_json(capsys, "invariants", "--group", "paley(29)", "--k", "16")
+    assert doc["counts"][-3:] == ["383172654703034", "5364417070649084", "75101839291178266"]
 
 
 def test_invariants_wreath(capsys):
@@ -125,6 +191,22 @@ def test_diagalg(capsys):
     assert {"bottom": [1, 1], "top": [1, 1]} in doc["elements"]
 
 
+def test_diagalg_counts_without_listing_words(capsys):
+    # 5^12 words; the count is sum_j C(5, j) (5 - 2j)^24 / 32
+    doc = run_json(capsys, "diagalg", "--group", "hypercube(5)", "--k", "12")
+    assert doc["count"] == "3725378557692065"
+    code, out, err = run(capsys, "diagalg", "--group", "hypercube(5)", "--k", "-1")
+    assert code == 2 and out == "" and "word length must be nonnegative" in err
+
+
+def test_target_validation(capsys):
+    code, out, err = run(capsys, "egf", "--group", "Z2wrS2", "--order", "4", "--target", "1")
+    assert code == 3 and out == "", err
+    for verb, extra in (("diagalg", ("--k", "2")), ("egf", ("--order", "2"))):
+        code, out, err = run(capsys, verb, "--group", "Z4xZ2", *extra, "--target", "5,0")
+        assert code == 2 and out == "" and "out of range" in err, verb
+
+
 def test_verify_verb(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gauss")
     assert code == 0
@@ -160,6 +242,14 @@ def test_exit_code_consistency_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "walks", "--group", "Z10", "--k", "6",
                        "--from", "0", "--to", "8")
     assert code == 4 and "disagree" in err
+
+
+def test_invariants_consistency_failure(capsys, monkeypatch):
+    import tensorwalks.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.cf, "wreath_invariants", lambda r, n, k: 10**6)
+    code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "3")
+    assert code == 4 and out == "" and "disagree" in err
 
 
 def test_json_round_trip(capsys):

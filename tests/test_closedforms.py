@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from tensorwalks import closedforms as cf
-from tensorwalks.combinatorics import partitions_of
+from tensorwalks.combinatorics import compositions, multinomial, partitions_of
 from tensorwalks.groups import (
     both_modules_gl2,
     both_modules_sl2,
@@ -35,6 +35,16 @@ def test_circulant_walks():
             assert cf.circulant_walks(7, [1, 6], k, c) == cf.cyclic_walks(7, k, 0, c)
     with pytest.raises(ValueError):
         cf.circulant_walks(5, [0], 2, 0)
+    with pytest.raises(ValueError):
+        cf.circulant_walks(5, [1, 4], -1, 0)
+    # against the multinomial sum over step-type compositions, repeated
+    # residues included
+    for r, conn in ((6, [1, 1, 5]), (9, [2, 4, 5, 7]), (12, [1, 5, 7, 11, 6])):
+        for k in range(8):
+            for c in range(r):
+                want = sum(multinomial(k, parts) for parts in compositions(k, len(conn))
+                           if sum(s * l for s, l in zip(conn, parts)) % r == c)
+                assert cf.circulant_walks(r, conn, k, c) == want, (r, conn, k, c)
 
 
 def test_paley_targets():

@@ -21,7 +21,6 @@ from tensorwalks.groups import (
     monomial_module,
     murnaghan_nakayama,
     paley_module,
-    parse_spec,
     parse_spec_full,
     permutation_module,
     standard_module_cyclic,
@@ -256,56 +255,56 @@ def test_circulant_and_paley_modules():
 
 
 def test_parser_valid_specs():
-    g, v = parse_spec("Z4xZ2")
-    assert g.name == "Z4xZ2" and v.dim == 2
-    g, v = parse_spec(" Z10 ")
-    assert g.name == "Z10" and v.dim == 2
+    spec = parse_spec_full("Z4xZ2")
+    assert spec.group.name == "Z4xZ2" and spec.module.dim == 2
+    spec = parse_spec_full(" Z10 ")
+    assert spec.group.name == "Z10" and spec.module.dim == 2
     spec = parse_spec_full("SL2(3)@steinberg")
     assert spec.steinberg and spec.module.dim == 3
-    g, v = parse_spec("hypercube(3)")
-    assert g.order == 8 and v.dim == 3
-    g, v = parse_spec("Z2wrS2")
-    assert g.order == 8
-    g, v = parse_spec("circulant(10; 1, 9)")
-    assert v.dim == 2
-    g, v = parse_spec("paley(13)")
-    assert v.dim == 6
-    g, v = parse_spec("GL2(3)")
-    assert v.dim == 4
-    g, v = parse_spec("S4")
-    assert g.order == 24
+    spec = parse_spec_full("hypercube(3)")
+    assert spec.group.order == 8 and spec.module.dim == 3
+    spec = parse_spec_full("Z2wrS2")
+    assert spec.group.order == 8
+    spec = parse_spec_full("circulant(10; 1, 9)")
+    assert spec.module.dim == 2
+    spec = parse_spec_full("paley(13)")
+    assert spec.module.dim == 6
+    spec = parse_spec_full("GL2(3)")
+    assert spec.module.dim == 4
+    spec = parse_spec_full("S4")
+    assert spec.group.order == 24
 
 
 def test_parser_whitespace_insensitive():
-    g1, _ = parse_spec("Z4xZ2")
-    g2, _ = parse_spec("Z 4 x Z 2")
+    g1 = parse_spec_full("Z4xZ2").group
+    g2 = parse_spec_full("Z 4 x Z 2").group
     assert g1.name == g2.name
 
 
 def test_parser_errors_carry_positions():
     with pytest.raises(SpecError) as exc:
-        parse_spec("Z4yZ2")
+        parse_spec_full("Z4yZ2")
     assert exc.value.position == 2
     with pytest.raises(SpecError):
-        parse_spec("paley(9)")
+        parse_spec_full("paley(9)")
     with pytest.raises(SpecError):
-        parse_spec("bogus")
+        parse_spec_full("bogus")
     with pytest.raises(SpecError):
-        parse_spec("S4@steinberg")
+        parse_spec_full("S4@steinberg")
     with pytest.raises(SpecError):
-        parse_spec("GL2(4)")
+        parse_spec_full("GL2(4)")
     with pytest.raises(SpecError):
-        parse_spec("circulant(5;7)")
+        parse_spec_full("circulant(5;7)")
     with pytest.raises(SpecError) as exc:
-        parse_spec("Z4xZ2 trailing")
+        parse_spec_full("Z4xZ2 trailing")
     assert exc.value.position is not None
 
 
 def test_group_serialization_roundtrip():
     import json
 
-    g, v = parse_spec("Z4xZ2")
-    doc = json.loads(group_to_json(g, v))
+    spec = parse_spec_full("Z4xZ2")
+    doc = json.loads(group_to_json(spec.group, spec.module))
     assert doc["name"] == "Z4xZ2"
     assert doc["order"] == "8"
     assert len(doc["classes"]) == 8

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from tensorwalks.errors import ConsistencyError
-from tensorwalks.quadratic import QuadNum, quad_pow
+from tensorwalks.quadratic import QuadNum
 
 
 def test_powers():
-    assert quad_pow(QuadNum(13, 1, 1), 2) == QuadNum(13, 14, 2)
-    assert quad_pow(QuadNum(-7, 1, 1), 3) == QuadNum(-7, -20, -4)
-    assert quad_pow(QuadNum(5, 2, -3), 0) == QuadNum(5, 1)
+    assert QuadNum(13, 1, 1) ** 2 == QuadNum(13, 14, 2)
+    assert QuadNum(-7, 1, 1) ** 3 == QuadNum(-7, -20, -4)
+    assert QuadNum(5, 2, -3) ** 0 == QuadNum(5, 1)
 
 
 def test_norm_identity():
