@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success; 2 parse/usage error; 3 unsupported combination for the
-group's data tier; 4 internal consistency failure (cross-checking routes
-disagreed -- never ignored).
+group's data tier, or a `diagalg --list` too large to write out; 4 internal
+consistency failure (cross-checking routes gave different counts -- never
+ignored).
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ def _node_index(spec: ParsedSpec, token: str) -> int:
         if g.irreps is None:
             raise UnsupportedQueryError(
                 f"group {g.name} has no irrep labels; use index 0")
-        return g.irrep_index(token)
+        try:
+            return g.irrep_index(token)
+        except KeyError:
+            raise SpecError(f"unknown irrep label {token!r} for {g.name}") from None
     n = g.n_classes
     if not 0 <= idx < n:
         raise SpecError(f"node index {idx} out of range 0..{n - 1}")
@@ -143,9 +147,6 @@ def cmd_dims(args) -> int:
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
     g, v = spec.group, spec.module
-    if g.tier != FULL:
-        raise UnsupportedQueryError(
-            f"dims needs a full character table; {g.name} is invariant-only")
     a = mckay_adjacency(g, v)
     row = mat_pow(a.rows(), args.k)[0]
     labels = [i.label for i in g.irreps]
@@ -257,6 +258,10 @@ def cmd_group(args) -> int:
     return 0
 
 
+# most words, and most basis elements, that `diagalg --list` writes out
+LIST_LIMIT = 10**6
+
+
 def cmd_diagalg(args) -> int:
     spec = parse_spec_full(args.group)
     if spec.kind != "abelian":
@@ -266,6 +271,14 @@ def cmd_diagalg(args) -> int:
     radii = spec.params["radii"]
     target = _parse_target(args.target, radii) if args.target else None
     if args.list:
+        n = len(radii)
+        # n^k words, with k capped exactly: for n >= 2, n^k > LIST_LIMIT
+        # once k reaches its bit length; a negative k fails in basis_count
+        words = n ** min(max(args.k, 0), LIST_LIMIT.bit_length())
+        if words > LIST_LIMIT or basis_count(radii, args.k, target) > LIST_LIMIT:
+            raise UnsupportedQueryError(
+                f"--list lists at most {LIST_LIMIT} words and {LIST_LIMIT} elements; "
+                f"{n}^{args.k} words or their basis exceed that (omit --list to count)")
         elements = enumerate_basis(radii, args.k, target)
         emit({"group": spec.group.name, "k": args.k,
               "count": str(len(elements)),

@@ -20,13 +20,10 @@ from math import comb, factorial
 from .combinatorics import (
     compositions,
     even_block_partitions,
-    fixed_point_count,
     kostka_hook_content,
     multinomial,
-    multipartitions_of,
     rencontres,
     stirling2,
-    z_multipartition,
 )
 from .cyclotomic import CycNum, root_of_unity
 from .errors import ConsistencyError
@@ -206,11 +203,11 @@ def sn_irrep_dim_formula(n: int, k: int, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Wreath products: invariant dimensions three ways
+# Wreath products: invariant dimensions
 # ---------------------------------------------------------------------------
 
 
-def wreath_invariants_fixedpoint(r: int, n: int, k: int) -> int:
+def wreath_invariants(r: int, n: int, k: int) -> int:
     """Invariant dimension grouped by the number of fixed points of the
     underlying permutation: (1/n!) sum_m F_n(m) * (multinomials over step
     compositions with every part divisible by r).
@@ -238,34 +235,6 @@ def wreath_invariants_fixedpoint(r: int, n: int, k: int) -> int:
     if rem:
         raise ConsistencyError("wreath invariant dimension must be an integer")
     return q
-
-
-def wreath_invariants_classes(r: int, n: int, k: int) -> int:
-    """Invariant dimension as the exact class sum over multipartitions."""
-    if r < 2 or n < 1:
-        raise ValueError("need r >= 2 and n >= 1")
-    acc = CycNum.zero(r)
-    for alpha in multipartitions_of(n, r):
-        chi = CycNum.zero(r)
-        for i, part in enumerate(alpha):
-            f = fixed_point_count(part)
-            if f:
-                chi = chi + f * root_of_unity(r, i)
-        acc = acc + (chi**k) * Fraction(1, z_multipartition(alpha, r))
-    value = acc.as_rational()
-    if value is None or value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"wreath class sum came out {value}")
-    return int(value)
-
-
-def wreath_invariants(r: int, n: int, k: int) -> int:
-    """Both evaluators must agree; returns the common value."""
-    a = wreath_invariants_fixedpoint(r, n, k)
-    b = wreath_invariants_classes(r, n, k)
-    if a != b:
-        raise ConsistencyError(
-            f"wreath invariant evaluators disagree at r={r} n={n} k={k}: {a} vs {b}")
-    return a
 
 
 def wreath_invariants_bruteforce(r: int, n: int, k: int) -> int:

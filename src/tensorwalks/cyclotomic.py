@@ -9,10 +9,10 @@ hot loops stay in fast integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConsistencyError
-from .numbertheory import divisors, euler_phi, is_prime, lcm
+from .numbertheory import divisors, euler_phi, is_prime
 
 # Phi_N coefficient tuples (ascending, integer, monic).  Write-once per key;
 # recomputation races are benign because the value is deterministic.

@@ -11,7 +11,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .combinatorics import (
     fixed_point_count,
@@ -22,7 +22,7 @@ from .combinatorics import (
 )
 from .cyclotomic import CycNum, root_of_unity
 from .errors import SpecError
-from .numbertheory import is_prime, lcm, prime_power_base, quadratic_residues
+from .numbertheory import is_prime, prime_power_base, quadratic_residues
 
 FULL = "full"
 INVARIANT = "invariant"
@@ -152,12 +152,8 @@ def build_abelian(radii) -> GroupData:
         raise ValueError("need at least one cyclic factor")
     if any(r < 2 for r in radii):
         raise ValueError("each factor must have order at least 2")
-    order = 1
-    for r in radii:
-        order *= r
-    conductor = 1
-    for r in radii:
-        conductor = lcm(conductor, r)
+    order = prod(radii)
+    conductor = lcm(*radii)
     elements = _abelian_elements(radii)
     classes = tuple(ClassInfo(str(e), 1) for e in elements)
     irreps = tuple(IrrepInfo(str(e), 1) for e in elements)
@@ -467,23 +463,24 @@ def parse_spec_full(text: str) -> ParsedSpec:
 def steinberg_spec(spec: ParsedSpec) -> ParsedSpec:
     """A GL2/SL2 spec with the q-dimensional Steinberg module in place of
     the induced one."""
-    both = both_modules_gl2 if spec.kind == "gl2" else both_modules_sl2
-    return ParsedSpec(spec.kind, spec.params, spec.group, both(spec.params["q"])[1], True)
+    return ParsedSpec(spec.kind, spec.params, spec.group,
+                      _both_modules(spec.kind)(spec.params["q"])[1], True)
+
+
+def _both_modules(kind: str):
+    # looked up at call time, so a wrapper rebound onto these names sees the call
+    return both_modules_gl2 if kind == "gl2" else both_modules_sl2
 
 
 def _parse_body(cur: _Cursor) -> ParsedSpec:
-    if cur.try_word("GL2"):
-        cur.expect("(")
-        q = cur.integer()
-        cur.expect(")")
-        module = both_modules_gl2(q)[0]
-        return ParsedSpec("gl2", {"q": q}, module.group, module)
-    if cur.try_word("SL2"):
-        cur.expect("(")
-        q = cur.integer()
-        cur.expect(")")
-        module = both_modules_sl2(q)[0]
-        return ParsedSpec("sl2", {"q": q}, module.group, module)
+    for word in ("GL2", "SL2"):
+        if cur.try_word(word):
+            cur.expect("(")
+            q = cur.integer()
+            cur.expect(")")
+            kind = word.lower()
+            module = _both_modules(kind)(q)[0]
+            return ParsedSpec(kind, {"q": q}, module.group, module)
     if cur.try_word("paley"):
         cur.expect("(")
         p = cur.integer()

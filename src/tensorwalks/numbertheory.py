@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -71,7 +71,3 @@ def legendre_symbol(a: int, p: int) -> int:
 def quadratic_residues(p: int) -> list[int]:
     """Sorted nonzero quadratic residues modulo an odd prime p."""
     return sorted({x * x % p for x in range(1, (p + 1) // 2)})
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _norm(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from .cyclotomic import _norm_coeff
 
 
 class Polynomial:
@@ -26,7 +20,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [_norm(c) for c in coeffs]
+        coeffs = [_norm_coeff(c) for c in coeffs]
         while coeffs and _is_zero(coeffs[-1]):
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -135,7 +129,7 @@ class Polynomial:
             c = rem[i]
             if _is_zero(c):
                 continue
-            q = _norm(c * lead_inv)
+            q = _norm_coeff(c * lead_inv)
             out[i - dn] = q
             for j, dc in enumerate(den.coeffs):
                 rem[i - dn + j] = rem[i - dn + j] - q * dc

@@ -242,9 +242,10 @@ def suite_wreath() -> list[CheckResult]:
     ok, detail = True, ""
     for r in (2, 3, 4):
         for n in (1, 2, 3, 4):
+            mod = monomial_module(r, n)
             for k in range(9):
-                a = cf.wreath_invariants_fixedpoint(r, n, k)
-                b = cf.wreath_invariants_classes(r, n, k)
+                a = cf.wreath_invariants(r, n, k)
+                b = walk_count_character(mod.group, mod, k, 0, 0)
                 if a != b:
                     ok, detail = False, f"r={r} n={n} k={k}: {a} vs {b}"
     s.check("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", ok, detail)

@@ -199,6 +199,36 @@ def test_diagalg_counts_without_listing_words(capsys):
     assert code == 2 and out == "" and "word length must be nonnegative" in err
 
 
+def test_diagalg_list_size_guard(capsys, monkeypatch):
+    import time
+
+    import tensorwalks.cli as cli_mod
+
+    # 5^12 words to list, although the block for this target is empty
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diagalg", "--group", "hypercube(5)", "--k", "12",
+                         "--target", "1,0,0,0,0", "--list")
+    assert code == 3 and out == "" and "--list" in err
+    assert time.perf_counter() - start < 1.0
+    doc = run_json(capsys, "diagalg", "--group", "hypercube(3)", "--k", "5", "--list")
+    assert doc["count"] == "14763" and len(doc["elements"]) == 14763
+    # few words, too many elements: the guard counts the requested block
+    monkeypatch.setattr(cli_mod, "LIST_LIMIT", 1000)
+    code, out, err = run(capsys, "diagalg", "--group", "Z4xZ2", "--k", "6", "--list")
+    assert code == 3 and out == "", err
+    doc = run_json(capsys, "diagalg", "--group", "Z4xZ2", "--k", "6", "--target", "1,1",
+                   "--list")
+    assert doc["count"] == "144"
+
+
+def test_unknown_irrep_label_is_a_usage_error(capsys):
+    for argv in (("walks", "--group", "S4", "--k", "3", "--from", "foo"),
+                 ("poincare", "--group", "S4", "--lambda", "bar")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "unknown irrep label" in err and argv[-1] in err and "S4" in err, err
+
+
 def test_target_validation(capsys):
     code, out, err = run(capsys, "egf", "--group", "Z2wrS2", "--order", "4", "--target", "1")
     assert code == 3 and out == "", err

@@ -1,0 +1,39 @@
+"""Route-against-route property tests, drawn by hypothesis (skipped when it
+is not installed)."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from tensorwalks import closedforms as cf
+from tensorwalks.groups import circulant_module, monomial_module
+from tensorwalks.quiver import mckay_adjacency, walk_count_character, walk_count_matrix
+
+K_MAX = 12
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(2, 4), n=st.integers(1, 4), k=st.integers(0, K_MAX))
+def test_wreath_fixed_point_character_and_egf_agree(r, n, k):
+    v = monomial_module(r, n)
+    fixed_point = cf.wreath_invariants(r, n, k)
+    assert walk_count_character(v.group, v, k, 0, 0) == fixed_point
+    assert cf.wreath_invariants_egf(r, n, K_MAX).coefficient(k) == fixed_point
+
+
+@st.composite
+def circulant_queries(draw):
+    r = draw(st.integers(2, 16))
+    conn = sorted(draw(st.sets(st.integers(1, r - 1), min_size=1)))
+    return r, conn, draw(st.integers(0, K_MAX)), draw(st.integers(0, r - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(circulant_queries())
+def test_circulant_multinomial_character_and_matrix_agree(query):
+    r, conn, k, c = query
+    v = circulant_module(r, conn)
+    closed = cf.circulant_walks(r, conn, k, c)
+    assert walk_count_character(v.group, v, k, 0, c) == closed
+    assert walk_count_matrix(mckay_adjacency(v.group, v), k, 0, c) == closed
