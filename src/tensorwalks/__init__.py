@@ -24,7 +24,6 @@ from .groups import (
     standard_module_cyclic,
 )
 from .polynomials import Polynomial, poly_det
-from .quadratic import QuadNum
 from .quiver import (
     BratteliDiagram,
     WalkMatrix,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import closedforms as cf
 from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
-from .groups import FULL, ParsedSpec, group_to_json, parse_spec_full, steinberg_spec
+from .groups import FULL, ParsedSpec, group_to_json, parse_spec_full
 from .quiver import (
     bratteli,
     bratteli_dot,
@@ -173,10 +173,6 @@ def cmd_invariants(args) -> int:
 
 def cmd_poincare(args) -> int:
     spec = parse_spec_full(args.group)
-    if args.module == "steinberg" and not spec.steinberg:
-        if spec.kind not in ("gl2", "sl2"):
-            raise UnsupportedQueryError("--module steinberg applies only to GL2/SL2")
-        spec = steinberg_spec(spec)
     g, v = spec.group, spec.module
     lam = _node_index(spec, args.lam)
     if args.method == "cramer":
@@ -340,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="0")
     p.add_argument("--method", choices=("cramer", "character", "paper"),
                    default="character")
-    p.add_argument("--module", choices=("standard", "steinberg"), default="standard")
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("egf", help="exponential generating function coefficients")
@@ -381,6 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # counts are exact and printed in full, past Python's default cap of 4300
+    # digits on int -> str; the caller's cap is restored on return
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SpecError as exc:
@@ -395,6 +394,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

@@ -20,16 +20,16 @@ from math import comb, factorial
 from .combinatorics import (
     compositions,
     even_block_partitions,
+    group_ring_power,
     kostka_hook_content,
     multinomial,
     rencontres,
     stirling2,
 )
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, gauss_sum, root_of_unity
 from .errors import ConsistencyError
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
-from .quadratic import QuadNum
 from .quiver import mat_pow
 from .series import EgfTruncation, RatFunc, egf_hyperbolic, egf_pow
 
@@ -52,17 +52,6 @@ def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
     return sum(comb(k, l) for l in range(k + 1) if (k - 2 * l - (c - a)) % r == 0)
 
 
-def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two polynomials modulo x^r - 1, r = len(a) = len(b)."""
-    r = len(a)
-    out = [0] * r
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[(i + j) % r] += x * y
-    return out
-
-
 def circulant_walks(r: int, connection, k: int, c: int) -> int:
     """Walks of k steps from 0 to c on the circulant graph over Z_r with the
     given connection residues: the coefficient of x^c in the multinomial
@@ -71,19 +60,7 @@ def circulant_walks(r: int, connection, k: int, c: int) -> int:
     for s in conn:
         if not 1 <= s <= r - 1:
             raise ValueError(f"connection residue {s} out of range")
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    step = [0] * r
-    for s in conn:
-        step[s] += 1
-    power = [1] + [0] * (r - 1)
-    while k:
-        if k & 1:
-            power = _cyclic_mul(power, step)
-        k >>= 1
-        if k:
-            step = _cyclic_mul(step, step)
-    return power[c % r]
+    return group_ring_power((r,), [(s,) for s in conn], k).get((c % r,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +92,17 @@ def paley_target_of(p: int, c: int) -> PaleyTarget:
 
 
 def _paley_pieces(p: int):
-    d = p if p % 4 == 1 else -p  # s = sqrt(p) or i*sqrt(p)
-    s = QuadNum(d, 0, 1)
+    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Q(zeta_p)
     half = Fraction(1, 2)
     a_term = (s - 1) * half   # (xi*sqrt(p) - 1)/2, the chi_V value on residues
     b_term = (s + 1) * half   # (xi*sqrt(p) + 1)/2; chi_V on nonresidues is -b_term
-    base = QuadNum(d, Fraction(p - 1, 2))
+    base = Fraction(p - 1, 2)
     return s, a_term, b_term, base
 
 
 def paley_closed_form(target: PaleyTarget, k: int) -> int:
     """Exact k-step walk count from 0 on the Paley (di)graph, evaluated from
-    the split class sum in exact quadratic arithmetic."""
+    the split class sum in Q(zeta_p) through the quadratic Gauss sum."""
     p = target.p
     if k == 0:
         return 1 if target.kind == ZERO else 0
@@ -144,12 +120,12 @@ def paley_closed_form(target: PaleyTarget, k: int) -> int:
         f_c1, f_ac1 = (f_res1, f_non1) if target.kind == RESIDUE else (f_non1, f_res1)
         total = base**k - a_term**k * f_c1 - sign * b_term**k * f_ac1
     value = (total / p).as_rational()
-    if value.denominator != 1 or value < 0:
+    if value is None or value.denominator != 1 or value < 0:
         raise ConsistencyError(f"Paley walk count came out {value}")
     return int(value)
 
 
-def paley_printed_form(target: PaleyTarget, k: int) -> QuadNum:
+def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
     """The printed case formulas, transcribed as displayed (k >= 1).
 
     Kept only for the discrepancy report: for p = 3 (mod 4) the residue case
@@ -162,7 +138,7 @@ def paley_printed_form(target: PaleyTarget, k: int) -> QuadNum:
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
     s, _, _, _ = _paley_pieces(p)
-    pm1 = QuadNum(s.d, p - 1)
+    pm1 = p - 1
     scale = Fraction(1, 2 ** (k + 1) * p)
     if target.kind == RESIDUE:
         if p % 4 == 1:

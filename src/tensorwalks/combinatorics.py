@@ -1,5 +1,6 @@
-"""Partitions, multipartitions, Stirling/Kostka/rencontres numbers, and
-centralizer orders for symmetric and wreath-product groups."""
+"""Partitions, multipartitions, Stirling/Kostka/rencontres numbers,
+centralizer orders for symmetric and wreath-product groups, and powers in the
+integer group ring of a product of cyclic groups."""
 
 from __future__ import annotations
 
@@ -178,3 +179,54 @@ def even_block_partitions(k: int, s: int) -> int:
     value = Fraction(total, factorial(s) * 2 ** (s - 1))
     assert value.denominator == 1
     return int(value)
+
+
+def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
+    """The k-th power of the sum of `steps` in the integer group ring of
+    Z_r1 x ... x Z_rn, by repeated squaring: {element: coefficient} over the
+    elements that occur.  Elements are coordinate tuples; a repeated step
+    counts as often as it appears.
+
+    Inside, an element is one int in mixed radix with digit bases 2r - 1
+    (the last coordinate lowest), so the product of two elements is the sum
+    of their codes without carries, reduced once per distinct sum."""
+    radii = tuple(radii)
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
+
+    def decode(code: int) -> tuple[int, ...]:
+        digits = []
+        for r in reversed(radii):
+            code, d = divmod(code, 2 * r - 1)
+            digits.append(d % r)
+        return tuple(reversed(digits))
+
+    def encode(element) -> int:
+        code = 0
+        for d, r in zip(element, radii):
+            code = code * (2 * r - 1) + d % r
+        return code
+
+    def mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        sums: dict[int, int] = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                sums[u + v] = sums.get(u + v, 0) + x * y
+        out: dict[int, int] = {}
+        for w, z in sums.items():
+            w = encode(decode(w))
+            out[w] = out.get(w, 0) + z
+        return out
+
+    step: dict[int, int] = {}
+    for s in steps:
+        code = encode(s)
+        step[code] = step.get(code, 0) + 1
+    power = {0: 1}
+    while k:
+        if k & 1:
+            power = mul(power, step)
+        k >>= 1
+        if k:
+            step = mul(step, step)
+    return {decode(code): m for code, m in power.items()}

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .combinatorics import group_ring_power
+
 
 @dataclass(frozen=True)
 class DiagramElement:
@@ -44,20 +46,14 @@ def is_valid(e: DiagramElement) -> bool:
 
 
 def basis_counts(radii, k: int) -> dict[tuple[int, ...], int]:
-    """Number of words of length k per target vector, counted one letter at
-    a time (letter j adds 1 to coordinate j) without listing the words."""
+    """Number of words of length k per target vector, without listing the
+    words: the k-th power of the sum of the unit vectors (letter j adds 1 to
+    coordinate j) in the group ring."""
     radii = tuple(radii)
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    counts = {(0,) * len(radii): 1}
-    for _ in range(k):
-        step: dict[tuple[int, ...], int] = {}
-        for t, m in counts.items():
-            for j, r in enumerate(radii):
-                u = t[:j] + ((t[j] + 1) % r,) + t[j + 1:]
-                step[u] = step.get(u, 0) + m
-        counts = step
-    return counts
+    units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
+    return group_ring_power(radii, units, k)
 
 
 def basis_count(radii, k: int, target=None) -> int:

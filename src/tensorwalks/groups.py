@@ -448,28 +448,11 @@ def parse_spec_full(text: str) -> ParsedSpec:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(str(exc)) from exc
-    steinberg = False
     if cur.try_word("@steinberg"):
-        steinberg = True
+        raise SpecError("@steinberg applies only to GL2/SL2 specs")
     if not cur.at_end():
         raise SpecError("trailing input", cur.pos)
-    if steinberg:
-        if spec.kind not in ("gl2", "sl2"):
-            raise SpecError("@steinberg applies only to GL2/SL2 specs")
-        return steinberg_spec(spec)
     return spec
-
-
-def steinberg_spec(spec: ParsedSpec) -> ParsedSpec:
-    """A GL2/SL2 spec with the q-dimensional Steinberg module in place of
-    the induced one."""
-    return ParsedSpec(spec.kind, spec.params, spec.group,
-                      _both_modules(spec.kind)(spec.params["q"])[1], True)
-
-
-def _both_modules(kind: str):
-    # looked up at call time, so a wrapper rebound onto these names sees the call
-    return both_modules_gl2 if kind == "gl2" else both_modules_sl2
 
 
 def _parse_body(cur: _Cursor) -> ParsedSpec:
@@ -479,8 +462,12 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             q = cur.integer()
             cur.expect(")")
             kind = word.lower()
-            module = _both_modules(kind)(q)[0]
-            return ParsedSpec(kind, {"q": q}, module.group, module)
+            steinberg = cur.try_word("@steinberg")
+            # (induced, Steinberg); looked up at call time, so a wrapper
+            # rebound onto these names sees the call
+            both = both_modules_gl2 if kind == "gl2" else both_modules_sl2
+            module = both(q)[steinberg]
+            return ParsedSpec(kind, {"q": q}, module.group, module, steinberg)
     if cur.try_word("paley"):
         cur.expect("(")
         p = cur.integer()

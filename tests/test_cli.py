@@ -127,8 +127,7 @@ def test_dims(capsys):
 
 
 def test_poincare_paper_sl2_steinberg(capsys):
-    doc = run_json(capsys, "poincare", "--group", "SL2(3)", "--module", "steinberg",
-                   "--method", "paper")
+    doc = run_json(capsys, "poincare", "--group", "SL2(3)@steinberg", "--method", "paper")
     # the display form is reduced: at q = 3 the printed fraction shares (1 - t)
     assert doc["num"] == "1 - 2t - 2t^2"
     assert doc["den"] == "1 - 2t - 3t^2"
@@ -199,6 +198,23 @@ def test_diagalg_counts_without_listing_words(capsys):
     assert code == 2 and out == "" and "word length must be nonnegative" in err
 
 
+def test_counts_print_past_the_default_digit_cap(capsys):
+    import sys
+
+    cap = sys.get_int_max_str_digits()
+    counts = [run_json(capsys, "walks", "--group", "Z10", "--k", "15000", "--method", m)["count"]
+              for m in ("matrix", "character")]
+    assert counts[0] == counts[1] and len(counts[0]) == 4515
+    k = 100000
+    doc = run_json(capsys, "diagalg", "--group", "hypercube(2)", "--k", str(k))
+    assert sys.get_int_max_str_digits() == cap
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc["count"] == str(2 ** (2 * k - 1)) and len(doc["count"]) == 60206
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def test_diagalg_list_size_guard(capsys, monkeypatch):
     import time
 
@@ -256,8 +272,6 @@ def test_exit_code_unsupported(capsys):
     code, _, err = run(capsys, "dims", "--group", "Z2wrS2", "--k", "2")
     assert code == 3
     code, _, err = run(capsys, "walks", "--group", "Z2wrS2", "--k", "2", "--to", "1")
-    assert code == 3
-    code, _, err = run(capsys, "poincare", "--group", "S4", "--module", "steinberg")
     assert code == 3
     code, _, err = run(capsys, "diagalg", "--group", "S4", "--k", "2")
     assert code == 3

@@ -18,8 +18,7 @@ from tensorwalks.cyclotomic import (
     root_of_unity,
     sum_over_roots,
 )
-from tensorwalks.numbertheory import euler_phi
-from tensorwalks.quadratic import QuadNum
+from tensorwalks.numbertheory import euler_phi, legendre_symbol, quadratic_residues
 
 
 def numeric(x: CycNum) -> complex:
@@ -162,20 +161,12 @@ def test_gauss_sums():
         gauss_sum_check(8)
 
 
+
 @pytest.mark.parametrize("p", [5, 13, 7, 11])
-def test_quadratic_agrees_with_cyclotomic_embedding(p):
-    # sqrt(p) (or i*sqrt(p)) embeds as the Gauss sum; ring operations commute
-    # with the embedding.
-    d = p if p % 4 == 1 else -p
+def test_gauss_sum_gives_the_paley_character_values(p):
+    # the Paley closed forms take chi_V = (g - 1)/2 on residues and
+    # -(g + 1)/2 on nonresidues, with g = gauss_sum(p) = sqrt(p) or i*sqrt(p)
     g = gauss_sum(p)
-    rng = random.Random(p)
-
-    def embed(q: QuadNum) -> CycNum:
-        return q.a + q.b * g
-
-    for _ in range(10):
-        x = QuadNum(d, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))
-        y = QuadNum(d, rng.randint(-3, 3), rng.randint(-2, 2))
-        assert embed(x * y) == embed(x) * embed(y)
-        assert embed(x + y) == embed(x) + embed(y)
-        assert embed(x**3) == embed(x) ** 3
+    for c in range(1, p):
+        chi = sum((root_of_unity(p, c * r) for r in quadratic_residues(p)), CycNum.zero(p))
+        assert chi == ((g - 1) / 2 if legendre_symbol(c, p) == 1 else -(g + 1) / 2)

@@ -142,3 +142,9 @@ def test_rendering():
     assert dot.startswith("graph") and "--" in dot
     empty = render_text(DiagramElement((2,), (), ()))
     assert "top" in empty
+
+
+def test_basis_count_squares_instead_of_stepping():
+    # a million letters: 2^(2k - 1) elements, from about 20 squarings
+    assert basis_count((2, 2), 10**6) == 2 ** (2 * 10**6 - 1)
+    assert basis_count((2, 2), 10**6, (1, 1)) == 2 ** (2 * 10**6 - 2)

@@ -1,13 +1,17 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
+import itertools
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tensorwalks import closedforms as cf
-from tensorwalks.groups import circulant_module, monomial_module
+from tensorwalks.diagrams import basis_count
+from tensorwalks.groups import circulant_module, coordinate_module, monomial_module
+from tensorwalks.numbertheory import is_prime, quadratic_residues
 from tensorwalks.quiver import mckay_adjacency, walk_count_character, walk_count_matrix
 
 K_MAX = 12
@@ -37,3 +41,29 @@ def test_circulant_multinomial_character_and_matrix_agree(query):
     closed = cf.circulant_walks(r, conn, k, c)
     assert walk_count_character(v.group, v, k, 0, c) == closed
     assert walk_count_matrix(mckay_adjacency(v.group, v), k, 0, c) == closed
+
+
+ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES), k=st.integers(0, 40), data=st.data())
+def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
+    c = data.draw(st.integers(0, p - 1))
+    assert (cf.paley_closed_form(cf.paley_target_of(p, c), k)
+            == cf.circulant_walks(p, quadratic_residues(p), k, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple),
+       k=st.integers(0, 10), data=st.data())
+def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
+    v = coordinate_module(radii)
+    c = tuple(data.draw(st.integers(0, r - 1)) for r in radii)
+    node = 0  # c's place in the character table: the last coordinate varies fastest
+    for ci, r in zip(c, radii):
+        node = node * r + ci
+    walks = cf.abelian_walks(radii, k, c)
+    assert walk_count_character(v.group, v, k, 0, node) == walks
+    targets = itertools.product(*(range(r) for r in radii))
+    assert basis_count(radii, k) == sum(cf.abelian_walks(radii, k, t) ** 2 for t in targets)
