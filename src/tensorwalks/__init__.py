@@ -3,7 +3,7 @@ multiplicities, centralizer-algebra dimensions, Poincare series, exponential
 generating functions, Bratteli diagrams, and the abelian diagram basis --
 every quantity computable by at least two independent routes."""
 
-from .cyclotomic import CycNum, gauss_sum, gauss_sum_check, root_of_unity, sum_over_roots
+from .cyclotomic import CycNum, gauss_sum, gauss_sum_check, root_of_unity
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
 from .groups import (
     GroupData,
@@ -30,7 +30,6 @@ from .quiver import (
     bratteli,
     centralizer_dim,
     eigen_check,
-    invariant_dim,
     mckay_adjacency,
     walk_count_character,
     walk_count_matrix,

@@ -23,8 +23,8 @@ from .quiver import (
     mat_pow,
     mckay_adjacency,
     quiver_dot,
-    walk_count_character,
     walk_count_matrix,
+    walk_counts_character,
 )
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
@@ -108,26 +108,31 @@ def _closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str
 ROUTES = ("matrix", "character", "closed")
 
 
-def _walk_routes(spec: ParsedSpec, k: int, frm: int, to: int, methods) -> list[tuple[str, int]]:
-    """Run each route in `methods` that applies and check that they agree.
+def _walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list[tuple[str, list[int]]]:
+    """Run each route in `methods` that applies over every k in `ks` and
+    check that their sequences agree.
 
     The matrix power needs a full character table; the character sum needs
     one too unless the walk is 0 -> 0; "closed" runs every family closed form
-    that applies.  Returns (route label, count) pairs in the order above."""
+    that applies.  Returns (route label, counts) pairs in the order above."""
     g, v = spec.group, spec.module
-    results: list[tuple[str, int]] = []
+    results: list[tuple[str, list[int]]] = []
     if "matrix" in methods and g.tier == FULL:
-        results.append(("matrix", walk_count_matrix(mckay_adjacency(g, v), k, frm, to)))
+        a = mckay_adjacency(g, v)
+        results.append(("matrix", [walk_count_matrix(a, k, frm, to) for k in ks]))
     if "character" in methods and (g.tier == FULL or frm == to == 0):
-        results.append(("character", walk_count_character(g, v, k, frm, to)))
+        results.append(("character", walk_counts_character(g, v, ks, frm, to)))
     if "closed" in methods:
-        results.extend(_closed_walks(spec, k, frm, to))
+        per_k = [_closed_walks(spec, k, frm, to) for k in ks]
+        results.extend((column[0][0], [c for _, c in column]) for column in zip(*per_k))
     if not results:
         raise UnsupportedQueryError(
             f"no route among {', '.join(methods)} applies to {g.name} "
             f"({g.tier} tier) from node {frm} to {to}")
-    if len({c for _, c in results}) != 1:
-        raise ConsistencyError(f"routes disagree at k={k}: {results}")
+    for i, k in enumerate(ks):
+        if len({counts[i] for _, counts in results}) != 1:
+            raise ConsistencyError(
+                f"routes disagree at k={k}: {[(label, counts[i]) for label, counts in results]}")
     return results
 
 
@@ -137,9 +142,9 @@ def cmd_walks(args) -> int:
     frm = _node_index(spec, args.frm)
     to = _node_index(spec, args.to)
     methods = ROUTES if args.method == "auto" else (args.method,)
-    results = _walk_routes(spec, args.k, frm, to, methods)
+    results = _walk_routes(spec, range(args.k, args.k + 1), frm, to, methods)
     emit({"group": spec.group.name, "k": args.k, "from": frm, "to": to,
-          "count": str(results[0][1]), "methods": [m for m, _ in results]})
+          "count": str(results[0][1][0]), "methods": [m for m, _ in results]})
     return 0
 
 
@@ -161,9 +166,9 @@ def cmd_dims(args) -> int:
 def cmd_invariants(args) -> int:
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
-    # no matrix route: it would build and power an adjacency matrix for every k
-    counts = [_walk_routes(spec, k, 0, 0, ("character", "closed"))[0][1]
-              for k in range(args.k + 1)]
+    # the character sum against the closed forms only: the matrix route would
+    # build an n^3-cost adjacency matrix to read one entry of each power
+    counts = _walk_routes(spec, range(args.k + 1), 0, 0, ("character", "closed"))[0][1]
     if args.csv:
         emit_csv([("k", "count")] + list(enumerate(counts)))
     else:

@@ -366,21 +366,6 @@ def root_of_unity(n: int, m: int) -> CycNum:
     return CycNum(n, [0] * m + [1])
 
 
-def sum_over_roots(r: int, m: int) -> int:
-    """Sum of zeta_r^(m*b) over b = 0..r-1: equals r if r | m, else 0.
-
-    Computed inside Q(zeta_r) and asserted rational."""
-    if r < 1:
-        raise ValueError("order must be positive")
-    total = CycNum.zero(r)
-    for b in range(r):
-        total = total + root_of_unity(r, m * b)
-    value = total.as_rational()
-    if value is None or value.denominator != 1:
-        raise ConsistencyError("root-of-unity sum must be a rational integer")
-    return int(value)
-
-
 def gauss_sum(p: int) -> CycNum:
     """g(1) = sum_x zeta_p^(x^2) in Q(zeta_p), for an odd prime p."""
     if p % 2 == 0 or not is_prime(p):

@@ -96,48 +96,3 @@ def compose(e1: DiagramElement, e2: DiagramElement) -> DiagramElement | None:
     if e2.top != e1.bottom:
         return None
     return DiagramElement(e1.radii, e2.bottom, e1.top)
-
-
-def action_on_tensor(e: DiagramElement, word) -> tuple[int, ...] | None:
-    """Apply to a basis tensor labeled by `word`: the top word when the input
-    matches the bottom word, else zero (None)."""
-    word = tuple(word)
-    if len(word) != e.k:
-        raise ValueError("word length mismatch")
-    return e.top if word == e.bottom else None
-
-
-def render_text(e: DiagramElement) -> str:
-    """Fixed-width two-row picture plus the blocks of equal-label nodes."""
-    width = max((len(str(x)) for x in e.top + e.bottom), default=1)
-    top = " ".join(str(x).rjust(width) for x in e.top)
-    bottom = " ".join(str(x).rjust(width) for x in e.bottom)
-    lines = [f"top:    {top}", f"bottom: {bottom}"]
-    for letter in range(1, len(e.radii) + 1):
-        members = [f"t{i + 1}" for i, x in enumerate(e.top) if x == letter]
-        members += [f"b{i + 1}" for i, x in enumerate(e.bottom) if x == letter]
-        if members:
-            lines.append(f"label {letter}: " + " ".join(members))
-    return "\n".join(lines)
-
-
-def render_dot(e: DiagramElement) -> str:
-    """DOT rendering; within each label class the nodes are joined along one
-    canonical chain (edge routing is immaterial, connectivity is the point)."""
-    lines = ["graph diagram {", "  rankdir=TB;"]
-    k = e.k
-    tops = " ".join(f"t{i}" for i in range(1, k + 1))
-    bots = " ".join(f"b{i}" for i in range(1, k + 1))
-    lines.append(f"  {{ rank=same; {tops} }}")
-    lines.append(f"  {{ rank=same; {bots} }}")
-    for i, x in enumerate(e.top, start=1):
-        lines.append(f'  t{i} [label="{x}"];')
-    for i, x in enumerate(e.bottom, start=1):
-        lines.append(f'  b{i} [label="{x}"];')
-    for letter in range(1, len(e.radii) + 1):
-        chain = [f"t{i}" for i, x in enumerate(e.top, start=1) if x == letter]
-        chain += [f"b{i}" for i, x in enumerate(e.bottom, start=1) if x == letter]
-        for a, b in zip(chain, chain[1:]):
-            lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -178,33 +178,48 @@ def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]
     return _weighted_sum_matrix(g, weights)
 
 
-def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
-    """k-step walk count from irrep `frm` to irrep `to` by one character sum.
+def spectral_form(g: GroupData, v: ModuleChar, frm: int, to: int) -> list[tuple[CycNum, CycNum | int]]:
+    """The distinct values x of chi_V, each with its summed weight
+    w_x = sum over the classes c with chi_V(c) = x of |c| chi_frm(c) conj(chi_to(c)).
 
-    Invariant-tier groups support only frm = to = 0 (the invariant dimension),
-    where both characters are the trivial one, 1 on every class."""
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
+    Walk counts are (1/|G|) sum_x w_x x^k and the Poincare series is
+    (1/|G|) sum_x w_x / (1 - x t).  Values are grouped by their coefficients
+    in Q(zeta_conductor), where every module value lives.  Invariant-tier
+    groups support only frm = to = 0, where both characters are 1."""
     full = g.tier == FULL
     if not full and (frm != 0 or to != 0):
         raise UnsupportedQueryError(
             f"group {g.name} carries invariant-only data; only the "
-            "trivial-to-trivial walk count is defined")
-    acc = CycNum.zero(1)
-    for mu in range(g.n_classes):
-        term = v.values[mu] ** k
-        if full:
-            term = g.chi(frm, mu) * term * g.chi(to, mu).conj()
-        acc = acc + g.classes[mu].size * term
-    value = (acc / g.order).as_rational()
-    if value is None or value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"walk count came out {value}")
-    return int(value)
+            "trivial-to-trivial walk count and Poincare series are defined")
+    form: dict[tuple, list] = {}
+    for mu, cls in enumerate(g.classes):
+        x = v.values[mu]
+        w = cls.size * g.chi(frm, mu) * g.chi(to, mu).conj() if full else cls.size
+        form.setdefault(x.embed(g.conductor).coeffs, [x, 0])[1] += w
+    return [(x, w) for x, w in form.values()]
 
 
-def invariant_dim(g: GroupData, v: ModuleChar, k: int) -> int:
-    """dim of the invariant subspace of the k-th tensor power (0 -> 0 walks)."""
-    return walk_count_character(g, v, k, 0, 0)
+def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: int) -> list[int]:
+    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`, from
+    one spectral form with the powers of each value carried from k to k."""
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    form = spectral_form(g, v, frm, to)
+    terms = [w * x ** ks.start for x, w in form]
+    steps = [x ** ks.step for x, _ in form]
+    counts = []
+    for _ in ks:
+        value = (sum(terms, CycNum.zero(1)) / g.order).as_rational()
+        if value is None or value.denominator != 1 or value < 0:
+            raise ConsistencyError(f"walk count came out {value}")
+        counts.append(int(value))
+        terms = [t * s for t, s in zip(terms, steps)]
+    return counts
+
+
+def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
+    """k-step walk count from irrep `frm` to irrep `to` by the character sum."""
+    return walk_counts_character(g, v, range(k, k + 1), frm, to)[0]
 
 
 def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:

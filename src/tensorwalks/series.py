@@ -15,7 +15,7 @@ from .cyclotomic import CycNum
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, poly_det, poly_gcd
-from .quiver import WalkMatrix
+from .quiver import WalkMatrix, spectral_form
 
 
 class RatFunc:
@@ -126,47 +126,16 @@ def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:
 
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
-    """Poincare series as an exact class sum of geometric terms, combined
-    over a common denominator.  Full-table groups support any lam; invariant
-    tier only lam = 0."""
-    if g.tier != FULL:
-        if lam != 0:
-            raise UnsupportedQueryError(
-                f"group {g.name} carries invariant-only data; only the "
-                "invariant Poincare series (lam = 0) is defined")
-        conj_chi = [CycNum.from_rational(1)] * g.n_classes
-    else:
-        conj_chi = [g.chi(lam, mu).conj() for mu in range(g.n_classes)]
-
-    # Group classes by their chi_V value; repeated values only add weights.
-    values: list[CycNum] = []
-    weights: list[CycNum] = []
-    for mu in range(g.n_classes):
-        val = v.values[mu]
-        w = g.classes[mu].size * conj_chi[mu]
-        for i, known in enumerate(values):
-            if known == val:
-                weights[i] = weights[i] + w
-                break
-        else:
-            values.append(val)
-            weights.append(w)
-
-    factors = [Polynomial((CycNum.from_rational(1), -val)) for val in values]
-    den = Polynomial((CycNum.from_rational(1),))
-    for f in factors:
-        den = den * f
+    """Poincare series of walks from the trivial node to `lam`: the spectral
+    form's geometric terms sum_x w_x / (1 - x t) over one denominator."""
+    form = spectral_form(g, v, 0, lam)
+    den = Polynomial((1,))
+    for x, _ in form:
+        den = den * Polynomial((1, -x))
     num = Polynomial()
-    for i, w in enumerate(weights):
-        term = Polynomial((w,))
-        for j, f in enumerate(factors):
-            if j != i:
-                term = term * f
-        num = num + term
-
-    num_q = _rational_poly(num) * Fraction(1, g.order)
-    den_q = _rational_poly(den)
-    return RatFunc(num_q, den_q)
+    for x, w in form:
+        num = num + Polynomial((w,)) * den.exact_div(Polynomial((1, -x)))
+    return RatFunc(_rational_poly(num) * Fraction(1, g.order), _rational_poly(den))
 
 
 def _rational_poly(p: Polynomial) -> Polynomial:

@@ -96,6 +96,22 @@ def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
     assert doc["counts"] == counts
 
 
+def test_invariants_build_one_spectral_form(capsys, monkeypatch):
+    import tensorwalks.quiver as quiver_mod
+
+    calls = []
+    real = quiver_mod.spectral_form
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(quiver_mod, "spectral_form", counting)
+    doc = run_json(capsys, "invariants", "--group", "Z4wrS5", "--k", "28")
+    assert len(doc["counts"]) == 29
+    assert calls == [(0, 0)]
+
+
 def test_paley_closed_forms_finish(capsys):
     # there are C(k + |S| - 1, |S| - 1) step-type compositions, about 10^11 for
     # paley(31) at k = 30: the multinomial route must not enumerate them
@@ -291,9 +307,15 @@ def test_exit_code_consistency_failure(capsys, monkeypatch):
 def test_invariants_consistency_failure(capsys, monkeypatch):
     import tensorwalks.cli as cli_mod
 
+    real = cli_mod.cf.wreath_invariants
     monkeypatch.setattr(cli_mod.cf, "wreath_invariants", lambda r, n, k: 10**6)
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "3")
     assert code == 4 and out == "" and "disagree" in err
+    # wrong at k = 2 alone: the sequences differ there first
+    monkeypatch.setattr(cli_mod.cf, "wreath_invariants",
+                        lambda r, n, k: real(r, n, k) + (k == 2))
+    code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
+    assert code == 4 and out == "" and "k=2" in err
 
 
 def test_json_round_trip(capsys):

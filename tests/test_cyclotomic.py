@@ -16,7 +16,6 @@ from tensorwalks.cyclotomic import (
     gauss_sum,
     gauss_sum_check,
     root_of_unity,
-    sum_over_roots,
 )
 from tensorwalks.numbertheory import euler_phi, legendre_symbol, quadratic_residues
 
@@ -43,17 +42,6 @@ def test_root_of_unity_basics():
     # periodicity in the exponent
     assert root_of_unity(7, 9) == root_of_unity(7, 2)
     assert root_of_unity(6, -1) == root_of_unity(6, 5)
-
-
-def test_sum_over_roots():
-    assert sum_over_roots(10, 0) == 10
-    assert sum_over_roots(10, 7) == 0
-    assert sum_over_roots(6, 12) == 6
-    # brute-force match for every r <= 30
-    for r in range(1, 31):
-        for m in range(-3, 2 * r + 2):
-            expected = r if m % r == 0 else 0
-            assert sum_over_roots(r, m) == expected
 
 
 def test_conjugation_and_rationality():

@@ -7,13 +7,10 @@ from tensorwalks.closedforms import abelian_walks
 from tensorwalks.cyclotomic import CycNum, root_of_unity
 from tensorwalks.diagrams import (
     DiagramElement,
-    action_on_tensor,
     basis_count,
     compose,
     enumerate_basis,
     is_valid,
-    render_dot,
-    render_text,
     word_target,
 )
 
@@ -46,16 +43,6 @@ def test_compose_zero_and_identity():
     assert compose(ident, lower) is None  # middle rows do not match
     with pytest.raises(ValueError):
         compose(lower, DiagramElement((2, 2), (1, 2), (2, 1)))
-
-
-def test_action_on_tensor():
-    e = DiagramElement(RADII, GAMMA, BETA)
-    assert action_on_tensor(e, GAMMA) == BETA
-    assert action_on_tensor(e, BETA) is None
-    ident = DiagramElement(RADII, GAMMA, GAMMA)
-    assert action_on_tensor(ident, GAMMA) == GAMMA
-    with pytest.raises(ValueError):
-        action_on_tensor(e, (1, 2))
 
 
 def test_basis_sizes():
@@ -131,17 +118,6 @@ def test_group_action_equivariance():
                     for j, r in enumerate(radii):
                         chi = chi * root_of_unity(r, a[j] * target[j])
                     assert phase == chi
-
-
-def test_rendering():
-    e = DiagramElement((2, 2), (1, 2, 1), (2, 1, 2))
-    text = render_text(e)
-    assert "top:    2 1 2" in text and "bottom: 1 2 1" in text
-    assert "label 1:" in text
-    dot = render_dot(e)
-    assert dot.startswith("graph") and "--" in dot
-    empty = render_text(DiagramElement((2,), (), ()))
-    assert "top" in empty
 
 
 def test_basis_count_squares_instead_of_stepping():

@@ -9,10 +9,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tensorwalks import closedforms as cf
+from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
-from tensorwalks.groups import circulant_module, coordinate_module, monomial_module
+from tensorwalks.groups import FULL, circulant_module, coordinate_module, monomial_module, parse_spec_full
 from tensorwalks.numbertheory import is_prime, quadratic_residues
-from tensorwalks.quiver import mckay_adjacency, walk_count_character, walk_count_matrix
+from tensorwalks.quiver import (
+    mckay_adjacency,
+    walk_count_character,
+    walk_count_matrix,
+    walk_counts_character,
+)
+from tensorwalks.series import poincare_character
 
 K_MAX = 12
 
@@ -67,3 +74,24 @@ def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
     assert walk_count_character(v.group, v, k, 0, node) == walks
     targets = itertools.product(*(range(r) for r in radii))
     assert basis_count(radii, k) == sum(cf.abelian_walks(radii, k, t) ** 2 for t in targets)
+
+
+# S_n on its permutation module, three registry modules, and two
+# invariant-tier groups, which serve only lambda = 0
+SPECTRAL_SPECS = [f"S{n}" for n in range(2, 8)] + ["Z12", "Z4xZ2", "paley(13)", "Z2wrS3", "GL2(3)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SPECTRAL_SPECS), big_k=st.integers(0, K_MAX), data=st.data())
+def test_spectral_form_consumers_agree(spec, big_k, data):
+    parsed = parse_spec_full(spec)
+    g, v = parsed.group, parsed.module
+    lam = data.draw(st.integers(0, g.n_classes - 1)) if g.tier == FULL else 0
+    ks = range(big_k + 1)
+    counts = walk_counts_character(g, v, ks, 0, lam)
+    assert counts == [walk_count_character(g, v, k, 0, lam) for k in ks]
+    assert poincare_character(g, v, lam).series(big_k) == counts
+    if parsed.kind == "symmetric":
+        n = parsed.params["n"]
+        shape = partitions_of(n)[lam]
+        assert counts == [cf.sn_irrep_dim_formula(n, k, shape) for k in ks]

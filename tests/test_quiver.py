@@ -19,7 +19,6 @@ from tensorwalks.quiver import (
     centralizer_dim,
     character_walk_counts,
     eigen_check,
-    invariant_dim,
     mat_pow,
     mckay_adjacency,
     quiver_dot,
@@ -103,7 +102,6 @@ def test_single_pair_character_sum_matches_batch():
 def test_invariant_tier_walks():
     v = monomial_module(2, 2)
     assert [walk_count_character(v.group, v, k, 0, 0) for k in range(7)] == [1, 0, 1, 0, 4, 0, 16]
-    assert invariant_dim(v.group, v, 4) == 4
     with pytest.raises(UnsupportedQueryError):
         walk_count_character(v.group, v, 2, 0, 1)
     with pytest.raises(UnsupportedQueryError):
