@@ -37,6 +37,7 @@ from .quiver import (
 from .series import (
     EgfTruncation,
     RatFunc,
+    cramer_numerators,
     det_factorization_check,
     dynkin_quotient,
     egf_hyperbolic,

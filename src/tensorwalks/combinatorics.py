@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 # A partition is a weakly decreasing tuple of positive ints; () is the
 # partition of 0.  A multipartition is a tuple of partitions.
@@ -183,13 +183,15 @@ def even_block_partitions(k: int, s: int) -> int:
 
 def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
     """The k-th power of the sum of `steps` in the integer group ring of
-    Z_r1 x ... x Z_rn, by repeated squaring: {element: coefficient} over the
-    elements that occur.  Elements are coordinate tuples; a repeated step
-    counts as often as it appears.
+    Z_r1 x ... x Z_rn: {element: coefficient} over the elements that occur.
+    Elements are coordinate tuples; a repeated step counts as often as it
+    appears.
 
     Inside, an element is one int in mixed radix with digit bases 2r - 1
     (the last coordinate lowest), so the product of two elements is the sum
-    of their codes without carries, reduced once per distinct sum."""
+    of their codes without carries, reduced once per distinct sum.  The power
+    is taken by k products with the step while k times the number of
+    distinct steps is below the group order, else by repeated squaring."""
     radii = tuple(radii)
     if k < 0:
         raise ValueError("step count must be nonnegative")
@@ -207,6 +209,23 @@ def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
             code = code * (2 * r - 1) + d % r
         return code
 
+    places = []  # (base 2r - 1, r, place value), lowest digit first
+    place = 1
+    for r in reversed(radii):
+        places.append((2 * r - 1, r, place))
+        place *= 2 * r - 1
+
+    def reduce(code: int) -> int:
+        """Bring every digit of a sum of two codes back below its radius."""
+        out = rest = code
+        for base, r, value in places:
+            rest, d = divmod(rest, base)
+            if d >= r:
+                out -= r * value
+        return out
+
+    reduced: dict[int, int] = {}  # sum -> reduced code, shared by all products
+
     def mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         sums: dict[int, int] = {}
         for u, x in a.items():
@@ -214,8 +233,10 @@ def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
                 sums[u + v] = sums.get(u + v, 0) + x * y
         out: dict[int, int] = {}
         for w, z in sums.items():
-            w = encode(decode(w))
-            out[w] = out.get(w, 0) + z
+            r = reduced.get(w)
+            if r is None:
+                r = reduced[w] = reduce(w)
+            out[r] = out.get(r, 0) + z
         return out
 
     step: dict[int, int] = {}
@@ -223,10 +244,16 @@ def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
         code = encode(s)
         step[code] = step.get(code, 0) + 1
     power = {0: 1}
-    while k:
-        if k & 1:
+    if k * len(step) < prod(radii):
+        # k products with the step cost at most k * len(step) * |G| term
+        # products, less than the |G|^2 of a single dense squaring.
+        for _ in range(k):
             power = mul(power, step)
-        k >>= 1
-        if k:
-            step = mul(step, step)
+    else:
+        while k:
+            if k & 1:
+                power = mul(power, step)
+            k >>= 1
+            if k:
+                step = mul(step, step)
     return {decode(code): m for code, m in power.items()}

@@ -1,14 +1,16 @@
 """Univariate polynomials over an exact coefficient ring, plus fraction-free
-determinants of polynomial matrices.
+determinants and linear solves of integer polynomial matrices.
 
 Coefficients may be int, Fraction, or CycNum -- anything with exact ring
 operations and equality against 0.  Rational-coefficient polys additionally
-support division and gcd.
+support division and gcd.  Determinants and solves run one elimination kernel
+on plain int coefficient lists and accept integer coefficients only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclotomic import _norm_coeff
 
@@ -201,39 +203,174 @@ def _invert(c):
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclidean)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over the rationals, by a primitive pseudo-remainder sequence
+    over Z[t]: denominators are cleared once and the content is divided out
+    after every pseudo-remainder, which keeps the coefficients from blowing
+    up as Euclid's remainders over Q do."""
+    a, b = _primitive(_integral(a)), _primitive(_integral(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return Polynomial(a).monic()
 
 
 def poly_det(matrix) -> Polynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Entries are Polynomials over an exact ring; every interior division is
-    exact, so integer-coefficient inputs stay integer throughout."""
-    m = [[e if isinstance(e, Polynomial) else Polynomial((e,)) for e in row]
-         for row in matrix]
+    """Exact determinant by fraction-free (Bareiss) elimination: the forward
+    pass of the elimination kernel.  Entries are Polynomials (or ints) with
+    integer coefficients."""
+    m = _int_rows(matrix)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
+    return Polynomial(_eliminate(m, n))
+
+
+def poly_solve(matrix, rhs) -> tuple[Polynomial, list[Polynomial]]:
+    """(det, [det * x_i]) for the square system matrix * x = rhs over Z[t],
+    by the forward pass of the elimination kernel on the augmented matrix and
+    fraction-free back substitution.  Each det * x_i is the determinant of the
+    matrix with column i replaced by rhs (Cramer's rule)."""
+    n = len(matrix)
+    if len(rhs) != n or any(len(row) != n for row in matrix):
+        raise ValueError("solve needs a square matrix and a matching right-hand side")
     if n == 0:
-        return Polynomial((1,))
+        return Polynomial((1,)), []
+    m = [row + [b] for row, b in zip(_int_rows(matrix), _int_rows([rhs])[0])]
+    det = _eliminate(m, n)
+    if not det:
+        raise ZeroDivisionError("singular polynomial matrix")
+    # Row k of the eliminated matrix reads sum_j m[k][j] x_j = m[k][n] for
+    # j >= k, and the last pivot p is +-det; y_i = p * x_i is a polynomial.
+    p = m[n - 1][n - 1]
+    y = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        acc = _mul(p, m[k][n])
+        for j in range(k + 1, n):
+            acc = _sub(acc, _mul(m[k][j], y[j]))
+        y[k] = _exact_div(acc, m[k][k])
+    if det != p:
+        y = [[-c for c in yi] for yi in y]
+    return Polynomial(det), [Polynomial(yi) for yi in y]
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel, on ascending int coefficient lists without trailing
+# zeros ([] is zero).
+# ---------------------------------------------------------------------------
+
+
+def _int_rows(matrix) -> list[list[list[int]]]:
+    rows = []
+    for row in matrix:
+        line = []
+        for e in row:
+            coeffs = (e if isinstance(e, Polynomial) else Polynomial((e,))).coeffs
+            if any(type(c) is not int for c in coeffs):
+                raise TypeError("the elimination kernel needs integer coefficients")
+            line.append(list(coeffs))
+        rows.append(line)
+    return rows
+
+
+def _eliminate(m: list[list[list[int]]], n: int) -> list[int]:
+    """Bareiss forward pass over the first n columns of the n-row matrix m,
+    in place, with row swaps for zero pivots; every column of m is carried
+    along.  Returns det of the leading n x n block."""
+    if n == 0:
+        return [1]
+    width = len(m[0])
     sign = 1
-    prev = Polynomial((1,))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+    prev = [1]
+    for k in range(n):
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return Polynomial()
+                return []
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        pivot = m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Polynomial()
-        prev = m[k][k]
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, width):
+                row[j] = _exact_div(_sub(_mul(row[j], pivot), _mul(lead, m[k][j])), prev)
+            row[k] = []
+        prev = pivot
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return det if sign > 0 else [-c for c in det]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[t]; raises ArithmeticError unless b divides a."""
+    if len(b) == 1 and b[0] == 1:
+        return a
+    if not a:
+        return []
+    db, lead = len(b) - 1, b[-1]
+    if len(a) <= db:
+        raise ArithmeticError("inexact polynomial division")
+    rem = list(a)
+    out = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out[i - db] = q
+            for j in range(db):
+                rem[i - db + j] -= q * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Primitive pseudo-remainder sequence for poly_gcd.
+# ---------------------------------------------------------------------------
+
+
+def _integral(p: Polynomial) -> list[int]:
+    """p times the lcm of its coefficients' denominators."""
+    scale = 1
+    for c in p.coeffs:
+        scale = lcm(scale, Fraction(c).denominator)
+    return [int(c * scale) for c in p.coeffs]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    content = gcd(*a)
+    return [c // content for c in a] if content > 1 else a
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b: lead(b)^e * a mod b, with no division."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    while len(rem) > db:
+        c, shift = rem[-1], len(rem) - 1 - db
+        rem = [x * lead for x in rem]
+        for j, y in enumerate(b, shift):
+            rem[j] -= c * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclotomic import CycNum
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
-from .polynomials import Polynomial, poly_det, poly_gcd
+from .polynomials import Polynomial, poly_det, poly_gcd, poly_solve
 from .quiver import WalkMatrix, spectral_form
 
 
@@ -117,6 +117,18 @@ def walk_generating_function(a, source: int, target: int) -> RatFunc:
     num = poly_det(m)
     den = poly_det(_identity_minus_t(rows, transpose=False))
     return RatFunc(num, den)
+
+
+def cramer_numerators(a, source: int = 0) -> tuple[Polynomial, list[Polynomial]]:
+    """(det(I - t A), [num_lam for every node lam]) with num_lam / det the
+    generating function of walks source -> lam: one fraction-free solve of
+    (I - t A^T) x = e_source gives every Cramer numerator det * x_lam."""
+    rows = _adjacency_rows(a)
+    n = len(rows)
+    if not 0 <= source < n:
+        raise ValueError("node index out of range")
+    rhs = [1 if i == source else 0 for i in range(n)]
+    return poly_solve(_identity_minus_t(rows, transpose=True), rhs)
 
 
 def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:

@@ -8,6 +8,7 @@ from tensorwalks.combinatorics import (
     compositions,
     derangements,
     even_block_partitions,
+    group_ring_power,
     kostka_hook_content,
     multinomial,
     multipartitions_of,
@@ -164,3 +165,18 @@ def test_compositions():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(2, 0)) == []
     assert len(list(compositions(5, 3))) == comb(7, 2)
+
+
+def test_group_ring_power_matches_one_step_products_on_both_sides_of_the_rule():
+    # Z5 x Z4 has 20 elements and there are 2 distinct steps: k < 10 takes
+    # one-step products, k >= 10 squares
+    radii, steps = (5, 4), [(1, 0), (1, 0), (4, 1)]
+    counts = {(0, 0): 1}
+    for k in range(16):
+        assert group_ring_power(radii, steps, k) == counts, k
+        nxt = {}
+        for (a, b), m in counts.items():
+            for s, t in steps:
+                key = ((a + s) % 5, (b + t) % 4)
+                nxt[key] = nxt.get(key, 0) + m
+        counts = nxt

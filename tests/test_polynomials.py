@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorwalks.polynomials import Polynomial, poly_det, poly_gcd
+from tensorwalks.polynomials import Polynomial, _exact_div, poly_det, poly_gcd, poly_solve
 
 
 def lin(c0, c1):
@@ -35,6 +35,30 @@ def test_gcd():
     g = poly_gcd(a, b)
     assert g == lin(1, -1).monic()
     assert poly_gcd(a, Polynomial((5,))) == Polynomial((1,))
+
+
+def test_gcd_of_planted_common_factors():
+    rng = random.Random(11)
+    for _ in range(40):
+        roots = rng.sample(range(-6, 7), 6)
+        common, only_a, only_b = roots[:2], roots[2:4], roots[4:]
+        g = Polynomial((1,))
+        for r in common[: rng.randint(0, 2)]:
+            g = g * lin(1, -r)
+        a, b = g, g
+        for r in only_a:
+            a = a * lin(1, -r)
+        for r in only_b[: rng.randint(0, 2)]:
+            b = b * lin(1, -r)
+        a = a * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        b = b * Fraction(-rng.randint(1, 9), rng.randint(1, 9))
+        assert poly_gcd(a, b) == g.monic()
+        assert poly_gcd(b, a) == g.monic()
+    p = lin(1, -2) * lin(Fraction(1, 3), 1)
+    assert poly_gcd(p, Polynomial()) == p.monic()
+    assert poly_gcd(Polynomial(), p) == p.monic()
+    assert poly_gcd(Polynomial(), Polynomial()).is_zero()
+    assert poly_gcd(Polynomial((Fraction(3, 7),)), p) == Polynomial((1,))
 
 
 def test_det_small_cases():
@@ -74,6 +98,43 @@ def test_det_needs_pivoting():
     one, t = Polynomial((1,)), Polynomial.t()
     m = [[Polynomial(), one], [t, Polynomial()]]
     assert poly_det(m) == -(t * one)
+
+
+def test_kernel_rejects_non_integer_coefficients():
+    t = Polynomial.t()
+    with pytest.raises(TypeError):
+        poly_det([[Polynomial((Fraction(1, 2),)), t], [t, Polynomial((1,))]])
+    with pytest.raises(TypeError):
+        poly_solve([[Polynomial((1,))]], [Fraction(1, 3)])
+    with pytest.raises(ArithmeticError):
+        _exact_div([1, 1, 1], [1, -1])
+    with pytest.raises(ArithmeticError):
+        _exact_div([0, 1], [0, 2])  # t / 2t is not in Z[t]
+
+
+def _replace_column(m, j, rhs):
+    return [row[:j] + [b] + row[j + 1 :] for row, b in zip(m, rhs)]
+
+
+def test_solve_gives_every_cramer_numerator():
+    rng = random.Random(5)
+    one, zero, t = Polynomial((1,)), Polynomial(), Polynomial.t()
+    cases = [([[zero, one], [t, zero]], [one, t])]  # needs a row swap
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        m = [[Polynomial((rng.randint(-2, 2), rng.randint(-2, 2))) for _ in range(n)]
+             for _ in range(n)]
+        cases.append((m, [Polynomial((rng.randint(-2, 2),)) for _ in range(n)]))
+    assert poly_solve([], []) == (Polynomial((1,)), [])
+    for m, rhs in cases:
+        det = _cofactor_det(m)
+        if det.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                poly_solve(m, rhs)
+            continue
+        got_det, nums = poly_solve(m, rhs)
+        assert got_det == det
+        assert nums == [_cofactor_det(_replace_column(m, j, rhs)) for j in range(len(m))]
 
 
 def test_to_text():

@@ -19,7 +19,8 @@ from tensorwalks.quiver import (
     walk_count_matrix,
     walk_counts_character,
 )
-from tensorwalks.series import poincare_character
+from tensorwalks.registry import builtin_modules
+from tensorwalks.series import RatFunc, cramer_numerators, poincare_character, walk_generating_function
 
 K_MAX = 12
 
@@ -95,3 +96,23 @@ def test_spectral_form_consumers_agree(spec, big_k, data):
         n = parsed.params["n"]
         shape = partitions_of(n)[lam]
         assert counts == [cf.sn_irrep_dim_formula(n, k, shape) for k in ks]
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+
+
+REGISTRY = [mckay_adjacency(g, v).rows() for _, g, v in builtin_modules()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.one_of(digraphs(), st.sampled_from(REGISTRY)), data=st.data())
+def test_cramer_numerators_equal_literal_cramer(rows, data):
+    n = len(rows)
+    sources = range(n) if n <= 6 else [data.draw(st.integers(0, n - 1))]
+    for source in sources:
+        den, nums = cramer_numerators(rows, source)
+        assert [RatFunc(num, den) for num in nums] == [
+            walk_generating_function(rows, source, lam) for lam in range(n)]

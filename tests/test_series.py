@@ -20,6 +20,7 @@ from tensorwalks.quiver import mat_pow, mckay_adjacency
 from tensorwalks.registry import builtin_modules
 from tensorwalks.series import (
     RatFunc,
+    cramer_numerators,
     det_factorization_check,
     dynkin_quotient,
     egf_from_ints,
@@ -87,6 +88,15 @@ def test_character_equals_cramer_everywhere():
         a = mckay_adjacency(g, v)
         for lam in range(g.n_classes):
             assert poincare_character(g, v, lam) == poincare_cramer(a, lam), (name, lam)
+
+
+def test_cramer_numerators_on_every_registry_module():
+    for name, g, v in builtin_modules():
+        a = mckay_adjacency(g, v)
+        den, nums = cramer_numerators(a)
+        assert len(nums) == g.n_classes
+        for lam, num in enumerate(nums):
+            assert RatFunc(num, den) == walk_generating_function(a, 0, lam), (name, lam)
 
 
 def test_character_series_for_invariant_tier():
