@@ -13,6 +13,7 @@ from math import gcd, lcm
 
 from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime
+from .polynomials import _exact_div, _norm_coeff
 
 # Phi_N coefficient tuples (ascending, integer, monic).  Write-once per key;
 # recomputation races are benign because the value is deterministic.
@@ -29,34 +30,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in divisors(n):
         if d < n:
-            num = _int_poly_exact_div(num, cyclotomic_polynomial(d))
+            num = _exact_div(num, cyclotomic_polynomial(d))
     phi = tuple(num)
     _PHI_CACHE[n] = phi
     return phi
-
-
-def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Long division of integer polynomials; divisor monic, remainder must vanish.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _norm_coeff(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def reduce_mod_phi(coeffs: list, n: int) -> tuple:
@@ -267,31 +244,6 @@ class CycNum:
             raise ConsistencyError(f"expected a rational integer, got {self}")
         return int(r)
 
-    def reduce_conductor(self) -> "CycNum":
-        """Rewrite over the smallest cyclotomic subfield Q(zeta_d) containing
-        the value.  Explicit normalization; arithmetic never calls this."""
-        n = self.conductor
-        for d in divisors(n):
-            if d == n:
-                break
-            down = self._try_express(d)
-            if down is not None:
-                return down
-        return self
-
-    def _try_express(self, d: int) -> "CycNum | None":
-        # Solve for the value in the embedded basis of Q(zeta_d) inside Q(zeta_N).
-        n = self.conductor
-        phi_d = euler_phi(d)
-        basis = [CycNum(d, [0] * i + [1]).embed(n) for i in range(phi_d)]
-        rows = len(self.coeffs)
-        mat = [[Fraction(basis[j].coeffs[i]) for j in range(phi_d)] + [Fraction(self.coeffs[i])]
-               for i in range(rows)]
-        sol = _solve_rational(mat, phi_d)
-        if sol is None:
-            return None
-        return CycNum(d, tuple(_norm_coeff(c) for c in sol), reduce=False)
-
     # -- equality, hashing, display ---------------------------------------------
 
     def __eq__(self, other):
@@ -323,36 +275,6 @@ class CycNum:
 
 def _inv_scalar(s) -> Fraction:
     return Fraction(1) / Fraction(s)
-
-
-def _solve_rational(mat: list[list[Fraction]], ncols: int) -> list[Fraction] | None:
-    """Gaussian elimination for an overdetermined system [A | b]; returns the
-    solution when consistent and uniquely determined, else None."""
-    rows = len(mat)
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if mat[i][ncols] != 0:
-            return None
-    if len(pivot_cols) < ncols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        sol[c] = mat[i][ncols]
-    return sol
 
 
 # -- module-level operations -------------------------------------------------

@@ -1,18 +1,16 @@
-"""Univariate polynomials over an exact coefficient ring, plus fraction-free
-determinants and linear solves of integer polynomial matrices.
+"""Univariate polynomials over Q, plus fraction-free determinants and linear
+solves of integer polynomial matrices.
 
-Coefficients may be int, Fraction, or CycNum -- anything with exact ring
-operations and equality against 0.  Rational-coefficient polys additionally
-support division and gcd.  Determinants and solves run one elimination kernel
-on plain int coefficient lists and accept integer coefficients only.
+Coefficients are int or Fraction, kept as int whenever integral; any other
+coefficient type raises TypeError.  Determinants and solves run one
+elimination kernel on plain int coefficient lists and accept integer
+coefficients only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .cyclotomic import _norm_coeff
 
 
 class Polynomial:
@@ -23,7 +21,7 @@ class Polynomial:
 
     def __init__(self, coeffs=()):
         coeffs = [_norm_coeff(c) for c in coeffs]
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -99,7 +97,7 @@ class Polynomial:
             return Polynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if not _is_zero(x):
+            if x:
                 for j, y in enumerate(b):
                     out[i + j] = out[i + j] + x * y
         return Polynomial(out)
@@ -120,16 +118,16 @@ class Polynomial:
         return result
 
     def divmod(self, den: "Polynomial"):
-        """Quotient and remainder over the fraction field of the coefficients."""
+        """Quotient and remainder over Q."""
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = _invert(den.leading())
+        lead_inv = Fraction(1) / den.leading()
         rem = list(self.coeffs)
         dn = den.degree()
         out = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
-            if _is_zero(c):
+            if not c:
                 continue
             q = _norm_coeff(c * lead_inv)
             out[i - dn] = q
@@ -146,7 +144,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        inv = _invert(self.leading())
+        inv = Fraction(1) / self.leading()
         return Polynomial(tuple(c * inv for c in self.coeffs))
 
     def __eq__(self, other):
@@ -168,10 +166,10 @@ class Polynomial:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
-            sign = "-" if _is_negative(c) else "+"
-            mag = -c if _is_negative(c) else c
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
             mag_s = f"({mag})" if isinstance(mag, Fraction) else str(mag)
             if i == 0:
                 term = mag_s
@@ -186,20 +184,12 @@ class Polynomial:
         return text
 
 
-def _is_zero(c) -> bool:
-    if type(c) is int or isinstance(c, Fraction):
-        return c == 0
-    return c.is_zero()
-
-
-def _is_negative(c) -> bool:
-    return (type(c) is int or isinstance(c, Fraction)) and c < 0
-
-
-def _invert(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / Fraction(c)
-    return c.inverse()  # CycNum
+def _norm_coeff(c):
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

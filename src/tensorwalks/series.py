@@ -1,8 +1,9 @@
 """Rational generating functions and exponential generating functions.
 
 Poincare series come from two independent routes: Cramer determinants over
-the polynomial ring (valid for any digraph adjacency), and exact character
-sums combined over a common denominator.
+the polynomial ring (valid for any digraph adjacency), and the character
+route's spectral form, whose denominator prod (1 - x t) over Q[t] comes from
+rational power sums by Newton's identities.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .cyclotomic import CycNum
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, poly_det, poly_gcd, poly_solve
-from .quiver import WalkMatrix, spectral_form
+from .quiver import WalkMatrix, spectral_form, walk_counts_character
 
 
 class RatFunc:
@@ -138,43 +139,44 @@ def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:
 
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
-    """Poincare series of walks from the trivial node to `lam`: the spectral
-    form's geometric terms sum_x w_x / (1 - x t) over one denominator."""
-    form = spectral_form(g, v, 0, lam)
-    den = Polynomial((1,))
-    for x, _ in form:
-        den = den * Polynomial((1, -x))
-    num = Polynomial()
-    for x, w in form:
-        num = num + Polynomial((w,)) * den.exact_div(Polynomial((1, -x)))
-    return RatFunc(_rational_poly(num) * Fraction(1, g.order), _rational_poly(den))
+    """Poincare series of walks from the trivial node to `lam`: over the
+    spectral form's d distinct values x, (1/|G|) sum_x w_x / (1 - x t) =
+    N / D with D = prod_x (1 - x t), so N is D times the walk counts for
+    k < d, truncated mod t^d."""
+    values = [x for x, _ in spectral_form(g, v, 0, lam)]
+    den = _linear_factor_product(values)
+    d = len(values)
+    counts = walk_counts_character(g, v, range(d), 0, lam)
+    num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
+    return RatFunc(Polynomial(num), den)
 
 
-def _rational_poly(p: Polynomial) -> Polynomial:
-    coeffs = []
-    for c in p.coeffs:
-        if isinstance(c, CycNum):
-            r = c.as_rational()
-            if r is None:
-                raise ConsistencyError(
-                    "irrational coefficient survived in a Poincare series; "
-                    "the class data must be Galois-incomplete")
-            coeffs.append(r)
-        else:
-            coeffs.append(Fraction(c))
+def _linear_factor_product(values: list[CycNum]) -> Polynomial:
+    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t]: the power
+    sums p_j = sum x^j are rational, and Newton's identities give the
+    coefficients, j c_j = -sum_{i=1..j} p_i c_{j-i}."""
+    coeffs = [Fraction(1)]
+    sums = []
+    powers = [CycNum.from_rational(1)] * len(values)
+    for j in range(1, len(values) + 1):
+        powers = [y * x for y, x in zip(powers, values)]
+        p = sum(powers, CycNum.zero(1)).as_rational()
+        if p is None:
+            raise ConsistencyError(
+                "irrational power sum of module character values; "
+                "the class data must be Galois-incomplete")
+        sums.append(p)
+        coeffs.append(-sum(sums[i] * coeffs[j - 1 - i] for i in range(j)) / j)
     return Polynomial(coeffs)
 
 
 def det_factorization_check(g: GroupData, v: ModuleChar, a: WalkMatrix) -> bool:
     """det(I - tA) over Q[t] must equal the product of (1 - chi_V(c_mu) t)
-    over all classes, expanded in cyclotomic arithmetic."""
+    over all classes, built from the power sums of the class values."""
     if g.tier != FULL:
         raise UnsupportedQueryError("det factorization needs a full table")
     det = poly_det(_identity_minus_t(a.rows(), transpose=False))
-    prod = Polynomial((CycNum.from_rational(1),))
-    for mu in range(g.n_classes):
-        prod = prod * Polynomial((CycNum.from_rational(1), -v.values[mu]))
-    return _rational_poly(det) == _rational_poly(prod)
+    return det == _linear_factor_product(list(v.values))
 
 
 def dynkin_quotient(a_full, remove: int) -> RatFunc:

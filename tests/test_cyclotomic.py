@@ -34,6 +34,14 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        expected = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+
+
 def test_root_of_unity_basics():
     assert root_of_unity(1, 0) == 1
     assert root_of_unity(4, 2) == -1
@@ -119,17 +127,6 @@ def test_embed_and_equality_across_conductors():
     assert root_of_unity(3, 0) == root_of_unity(5, 0)
     e = root_of_unity(3, 1).embed(12)
     assert e.conductor == 12 and e == root_of_unity(3, 1)
-
-
-def test_reduce_conductor():
-    x = root_of_unity(4, 2)  # -1, expressible with conductor 1
-    r = x.reduce_conductor()
-    assert r.conductor == 1 and r == -1
-    y = root_of_unity(12, 4)  # a primitive cube root
-    ry = y.reduce_conductor()
-    assert ry.conductor == 3 and ry == root_of_unity(3, 1)
-    z = root_of_unity(12, 1)
-    assert z.reduce_conductor().conductor == 12
 
 
 def test_text_rendering():

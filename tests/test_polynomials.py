@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorwalks.cyclotomic import root_of_unity
 from tensorwalks.polynomials import Polynomial, _exact_div, poly_det, poly_gcd, poly_solve
 
 
@@ -98,6 +99,11 @@ def test_det_needs_pivoting():
     one, t = Polynomial((1,)), Polynomial.t()
     m = [[Polynomial(), one], [t, Polynomial()]]
     assert poly_det(m) == -(t * one)
+
+
+def test_coefficients_are_rational():
+    with pytest.raises(TypeError):
+        Polynomial((root_of_unity(3, 1),))
 
 
 def test_kernel_rejects_non_integer_coefficients():

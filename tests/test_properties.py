@@ -20,7 +20,13 @@ from tensorwalks.quiver import (
     walk_counts_character,
 )
 from tensorwalks.registry import builtin_modules
-from tensorwalks.series import RatFunc, cramer_numerators, poincare_character, walk_generating_function
+from tensorwalks.series import (
+    RatFunc,
+    cramer_numerators,
+    poincare_character,
+    poincare_cramer,
+    walk_generating_function,
+)
 
 K_MAX = 12
 
@@ -49,6 +55,17 @@ def test_circulant_multinomial_character_and_matrix_agree(query):
     closed = cf.circulant_walks(r, conn, k, c)
     assert walk_count_character(v.group, v, k, 0, c) == closed
     assert walk_count_matrix(mckay_adjacency(v.group, v), k, 0, c) == closed
+
+
+@settings(max_examples=20, deadline=None)
+@given(circulant_queries())
+def test_circulant_character_series_equals_cramer(query):
+    # repeated, zero and zero-weight spectral values all occur here
+    r, conn, _, _ = query
+    v = circulant_module(r, conn)
+    a = mckay_adjacency(v.group, v)
+    for lam in range(r):
+        assert poincare_character(v.group, v, lam) == poincare_cramer(a, lam), (r, conn, lam)
 
 
 ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]

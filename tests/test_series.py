@@ -121,6 +121,14 @@ def test_det_factorization_for_builtins():
         assert det_factorization_check(g, v, a), name
 
 
+def test_det_factorization_rejects_a_perturbed_character():
+    v = permutation_module(4)
+    a = mckay_adjacency(v.group, v)
+    values = list(v.values)
+    values[1] = values[1] + 1
+    assert not det_factorization_check(v.group, ModuleChar(v.group, tuple(values)), a)
+
+
 def test_dynkin_quotient_matrix_level():
     assert dynkin_quotient([[0, 1], [1, 0]], 0) == RatFunc(
         Polynomial((1,)), Polynomial((1, 0, -1)))
