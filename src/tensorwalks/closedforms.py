@@ -13,7 +13,7 @@ for three or more letters); see the README notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -72,16 +72,17 @@ RESIDUE = "residue"
 NONRESIDUE = "nonresidue"
 
 
-@dataclass(frozen=True)
-class PaleyTarget:
-    p: int
-    kind: str  # zero | residue | nonresidue
+class PaleyTarget(namedtuple("PaleyTarget", "p kind")):
+    """A Paley target node: its prime and kind, zero | residue | nonresidue."""
 
-    def __post_init__(self):
-        if self.p % 2 == 0 or not is_prime(self.p):
+    __slots__ = ()
+
+    def __new__(cls, p: int, kind: str):
+        if p % 2 == 0 or not is_prime(p):
             raise ValueError("Paley parameter must be an odd prime")
-        if self.kind not in (ZERO, RESIDUE, NONRESIDUE):
-            raise ValueError(f"unknown target kind {self.kind!r}")
+        if kind not in (ZERO, RESIDUE, NONRESIDUE):
+            raise ValueError(f"unknown target kind {kind!r}")
+        return super().__new__(cls, p, kind)
 
 
 def paley_target_of(p: int, c: int) -> PaleyTarget:

@@ -57,6 +57,7 @@ def bell_number(m: int) -> int:
     return sum(stirling2(m, l) for l in range(m + 1))
 
 
+@lru_cache(maxsize=None)
 def kostka_hook_content(lam: Partition, l: int) -> int:
     """Number of semistandard tableaux of shape lam with n-l entries 0 and one
     entry each of 1..l (rows weakly increase, columns strictly increase).

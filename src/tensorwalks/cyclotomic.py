@@ -280,12 +280,20 @@ def _inv_scalar(s) -> Fraction:
 # -- module-level operations -------------------------------------------------
 
 
+# Shared root-of-unity instances (CycNum is immutable), keyed on (n, m mod n):
+# a character table of order r repeats each of its N roots about r^2 / N times.
+_ROOT_CACHE: dict[tuple[int, int], CycNum] = {}
+
+
 def root_of_unity(n: int, m: int) -> CycNum:
     """zeta_n^m as a canonical CycNum with conductor n."""
     if n < 1:
         raise ValueError("order must be positive")
-    m %= n
-    return CycNum(n, [0] * m + [1])
+    key = (n, m % n)
+    root = _ROOT_CACHE.get(key)
+    if root is None:
+        root = _ROOT_CACHE[key] = CycNum(n, [0] * key[1] + [1])
+    return root
 
 
 def gauss_sum(p: int) -> CycNum:

@@ -11,16 +11,15 @@ worked product keeps e2's bottom with e1's top."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import group_ring_power
 
 
-@dataclass(frozen=True)
-class DiagramElement:
-    radii: tuple[int, ...]
-    bottom: tuple[int, ...]  # gamma
-    top: tuple[int, ...]     # beta
+class DiagramElement(namedtuple("DiagramElement", "radii bottom top")):
+    """Bottom word gamma and top word beta over the letters 1..len(radii)."""
+
+    __slots__ = ()
 
     @property
     def k(self) -> int:

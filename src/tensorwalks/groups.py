@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, lcm, prod
 
@@ -28,28 +28,32 @@ FULL = "full"
 INVARIANT = "invariant"
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    label: str
-    size: int
-    family: str | None = None  # table-row tag when one row expands into many classes
+# one class of a group; `family` tags the table row when one row expands
+# into many classes
+ClassInfo = namedtuple("ClassInfo", "label size family", defaults=(None,))
+IrrepInfo = namedtuple("IrrepInfo", "label dim")
 
 
-@dataclass(frozen=True)
-class IrrepInfo:
-    label: str
-    dim: int
-
-
-@dataclass(frozen=True, eq=False)
 class GroupData:
-    name: str
-    order: int
-    tier: str
-    classes: tuple[ClassInfo, ...]
-    conductor: int  # all stored character values live in Q(zeta_conductor)
-    irreps: tuple[IrrepInfo, ...] | None = None
-    char_table: tuple[tuple[CycNum, ...], ...] | None = None
+    """Classes, conductor (all stored character values live in
+    Q(zeta_conductor)) and, on the full tier, irreps and character table.
+    Immutable; equal only to itself."""
+
+    __slots__ = ("name", "order", "tier", "classes", "conductor", "irreps", "char_table")
+
+    def __init__(self, name: str, order: int, tier: str, classes: tuple[ClassInfo, ...],
+                 conductor: int, irreps: tuple[IrrepInfo, ...] | None = None,
+                 char_table: tuple[tuple[CycNum, ...], ...] | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "tier", tier)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "irreps", irreps)
+        object.__setattr__(self, "char_table", char_table)
+
+    def __setattr__(self, *args):
+        raise AttributeError("GroupData is immutable")
 
     @property
     def n_classes(self) -> int:
@@ -71,13 +75,19 @@ class GroupData:
         raise KeyError(label)
 
 
-@dataclass(frozen=True, eq=False)
 class ModuleChar:
-    """Character of a module: one value per conjugacy class."""
+    """Character of a module: one value per conjugacy class.  Immutable;
+    equal only to itself."""
 
-    group: GroupData
-    values: tuple[CycNum, ...]
-    name: str = "V"
+    __slots__ = ("group", "values", "name")
+
+    def __init__(self, group: GroupData, values: tuple[CycNum, ...], name: str = "V"):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ModuleChar is immutable")
 
     @property
     def dim(self) -> int:
@@ -292,13 +302,7 @@ def _check_odd_prime_power(q: int) -> None:
         raise ValueError("field sizes above 13 not supported at desk scale")
 
 
-@dataclass(frozen=True)
-class _Row:
-    family: str
-    count: int
-    size: int
-    chi_v: int
-    chi_st: int
+_Row = namedtuple("_Row", "family count size chi_v chi_st")
 
 
 def _gl2_rows(q: int) -> list[_Row]:
@@ -393,13 +397,22 @@ def group_to_json(g: GroupData, module: ModuleChar | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class ParsedSpec:
-    kind: str  # cyclic | abelian | symmetric | wreath | gl2 | sl2 | paley | circulant
-    params: dict
-    group: GroupData
-    module: ModuleChar
-    steinberg: bool = False
+    """A parsed spec string; `kind` is one of cyclic, abelian, symmetric,
+    wreath, gl2, sl2, paley, circulant.  Immutable; equal only to itself."""
+
+    __slots__ = ("kind", "params", "group", "module", "steinberg")
+
+    def __init__(self, kind: str, params: dict, group: GroupData, module: ModuleChar,
+                 steinberg: bool = False):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "steinberg", steinberg)
+
+    def __setattr__(self, *args):
+        raise AttributeError("ParsedSpec is immutable")
 
 
 class _Cursor:

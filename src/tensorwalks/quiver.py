@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycNum, reduce_mod_phi
@@ -14,24 +13,31 @@ from .groups import FULL, GroupData, ModuleChar
 from .numbertheory import euler_phi
 
 
-@dataclass(frozen=True, eq=False)
 class WalkMatrix:
-    """Adjacency matrix of a quiver over the irreducibles; exact integers."""
+    """Adjacency matrix of a quiver over the irreducibles; exact integers.
+    Immutable; equal to any WalkMatrix with the same entries."""
 
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
+    def __init__(self, dim: int, entries: tuple[tuple[int, ...], ...]):
+        if len(entries) != dim or any(len(r) != dim for r in entries):
             raise ValueError("adjacency matrix must be square")
-        if any(e < 0 for row in self.entries for e in row):
+        if any(e < 0 for row in entries for e in row):
             raise ConsistencyError("adjacency entries must be nonnegative")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *args):
+        raise AttributeError("WalkMatrix is immutable")
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
     def __eq__(self, other):
         return isinstance(other, WalkMatrix) and self.entries == other.entries
+
+    def __repr__(self):
+        return f"WalkMatrix(dim={self.dim!r}, entries={self.entries!r})"
 
     def to_json(self, labels=None) -> str:
         doc = {"dim": self.dim,
@@ -209,12 +215,17 @@ def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: 
     steps = [x ** ks.step for x, _ in form]
     counts = []
     for _ in ks:
-        value = (sum(terms, CycNum.zero(1)) / g.order).as_rational()
-        if value is None or value.denominator != 1 or value < 0:
-            raise ConsistencyError(f"walk count came out {value}")
-        counts.append(int(value))
+        counts.append(_walk_count(sum(terms, CycNum.zero(1)), g.order))
         terms = [t * s for t, s in zip(terms, steps)]
     return counts
+
+
+def _walk_count(total: CycNum, order: int) -> int:
+    """total / |G|, checked to be a nonnegative integer."""
+    value = (total / order).as_rational()
+    if value is None or value.denominator != 1 or value < 0:
+        raise ConsistencyError(f"walk count came out {value}")
+    return int(value)
 
 
 def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
@@ -232,16 +243,24 @@ def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:
     return walk_count_character(g, v, 2 * k, 0, 0)
 
 
-@dataclass(frozen=True, eq=False)
 class BratteliDiagram:
     """Levels 0..K of the branching diagram: per level the (irrep index,
     multiplicity) pairs with nonzero multiplicity, the connecting edge
-    multiplicities, and the per-level centralizer dimension."""
+    multiplicities as (from irrep, to irrep, count), and the per-level
+    centralizer dimension.  Immutable; equal only to itself."""
 
-    group: GroupData
-    levels: tuple[tuple[tuple[int, int], ...], ...]
-    edges: tuple[tuple[tuple[int, int, int], ...], ...]  # (from irrep, to irrep, count)
-    algebra_dims: tuple[int, ...]
+    __slots__ = ("group", "levels", "edges", "algebra_dims")
+
+    def __init__(self, group: GroupData, levels: tuple[tuple[tuple[int, int], ...], ...],
+                 edges: tuple[tuple[tuple[int, int, int], ...], ...],
+                 algebra_dims: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "algebra_dims", algebra_dims)
+
+    def __setattr__(self, *args):
+        raise AttributeError("BratteliDiagram is immutable")
 
     def to_json(self) -> str:
         labels = [i.label for i in self.group.irreps]

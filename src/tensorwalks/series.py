@@ -9,14 +9,14 @@ rational power sums by Newton's identities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import CycNum
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, poly_det, poly_gcd, poly_solve
-from .quiver import WalkMatrix, spectral_form, walk_counts_character
+from .quiver import WalkMatrix, _walk_count, spectral_form
 
 
 class RatFunc:
@@ -142,30 +142,46 @@ def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
     """Poincare series of walks from the trivial node to `lam`: over the
     spectral form's d distinct values x, (1/|G|) sum_x w_x / (1 - x t) =
     N / D with D = prod_x (1 - x t), so N is D times the walk counts for
-    k < d, truncated mod t^d."""
-    values = [x for x, _ in spectral_form(g, v, 0, lam)]
-    den = _linear_factor_product(values)
-    d = len(values)
-    counts = walk_counts_character(g, v, range(d), 0, lam)
+    k < d, truncated mod t^d.  One pass of powers x^k feeds both the walk
+    counts and the power sums behind D."""
+    form = spectral_form(g, v, 0, lam)
+    d = len(form)
+    powers = [CycNum.from_rational(1)] * d
+    counts, sums = [], []
+    for _ in range(d):
+        counts.append(_walk_count(sum((w * y for (_, w), y in zip(form, powers)),
+                                      CycNum.zero(1)), g.order))
+        powers = [y * x for y, (x, _) in zip(powers, form)]
+        sums.append(_rational_sum(powers))
+    den = _newton_product(sums)
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
     return RatFunc(Polynomial(num), den)
 
 
 def _linear_factor_product(values: list[CycNum]) -> Polynomial:
-    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t]: the power
-    sums p_j = sum x^j are rational, and Newton's identities give the
-    coefficients, j c_j = -sum_{i=1..j} p_i c_{j-i}."""
-    coeffs = [Fraction(1)]
-    sums = []
+    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t]."""
     powers = [CycNum.from_rational(1)] * len(values)
-    for j in range(1, len(values) + 1):
+    sums = []
+    for _ in values:
         powers = [y * x for y, x in zip(powers, values)]
-        p = sum(powers, CycNum.zero(1)).as_rational()
-        if p is None:
-            raise ConsistencyError(
-                "irrational power sum of module character values; "
-                "the class data must be Galois-incomplete")
-        sums.append(p)
+        sums.append(_rational_sum(powers))
+    return _newton_product(sums)
+
+
+def _rational_sum(powers: list[CycNum]) -> Fraction:
+    p = sum(powers, CycNum.zero(1)).as_rational()
+    if p is None:
+        raise ConsistencyError(
+            "irrational power sum of module character values; "
+            "the class data must be Galois-incomplete")
+    return p
+
+
+def _newton_product(sums: list[Fraction]) -> Polynomial:
+    """prod (1 - x t) over d values from their power sums p_1..p_d, by
+    Newton's identities j c_j = -sum_{i=1..j} p_i c_{j-i}."""
+    coeffs = [Fraction(1)]
+    for j in range(1, len(sums) + 1):
         coeffs.append(-sum(sums[i] * coeffs[j - 1 - i] for i in range(j)) / j)
     return Polynomial(coeffs)
 
@@ -197,14 +213,15 @@ def dynkin_quotient(a_full, remove: int) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EgfTruncation:
-    order: int
-    coeffs: tuple[Fraction, ...]
+class EgfTruncation(namedtuple("EgfTruncation", "order coeffs")):
+    """Coefficients c_0..c_order of t^k / k!, a tuple of Fractions."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != order + 1:
             raise ValueError("need exactly order + 1 coefficients")
+        return super().__new__(cls, order, coeffs)
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import closedforms as cf
@@ -52,11 +52,7 @@ from .series import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
 class Suite:

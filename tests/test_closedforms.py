@@ -55,6 +55,14 @@ def test_paley_targets():
         cf.PaleyTarget(9, cf.ZERO)
     with pytest.raises(ValueError):
         cf.PaleyTarget(13, "edge")
+    with pytest.raises(ValueError):
+        cf.PaleyTarget(p=9, kind=cf.ZERO)
+    target = cf.paley_target_of(13, 3)
+    assert target == cf.PaleyTarget(13, cf.RESIDUE) == cf.PaleyTarget(p=13, kind=cf.RESIDUE)
+    assert hash(target) == hash(cf.PaleyTarget(13, cf.RESIDUE))
+    assert target != cf.PaleyTarget(13, cf.NONRESIDUE)
+    with pytest.raises(AttributeError):
+        target.kind = cf.ZERO
 
 
 def test_paley_closed_form_examples():

@@ -118,6 +118,21 @@ def test_kernel_rejects_non_integer_coefficients():
         _exact_div([0, 1], [0, 2])  # t / 2t is not in Z[t]
 
 
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for _ in range(3):
+            coeffs = [[[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(3)]
+                       for _ in range(n)] for _ in range(n)]
+            expected = sympy.Poly(
+                sympy.Matrix([[sum(c * t**i for i, c in enumerate(e)) for e in row]
+                              for row in coeffs]).det(), t)
+            got = poly_det([[Polynomial(e) for e in row] for row in coeffs])
+            assert got == Polynomial([int(c) for c in reversed(expected.all_coeffs())]), coeffs
+
+
 def _replace_column(m, j, rhs):
     return [row[:j] + [b] + row[j + 1 :] for row, b in zip(m, rhs)]
 

@@ -188,6 +188,12 @@ def test_walkmatrix_validation():
         WalkMatrix(2, ((0, -1), (1, 0)))
     with pytest.raises(ValueError):
         WalkMatrix(3, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError):
+        WalkMatrix(dim=2, entries=((0, 1), (1,)))
+    a = WalkMatrix(2, ((0, 1), (1, 0)))
+    assert a == WalkMatrix(dim=2, entries=((0, 1), (1, 0))) != WalkMatrix(2, ((1, 0), (0, 1)))
+    with pytest.raises(AttributeError):
+        a.dim = 3
 
 
 def test_bad_table_is_a_loud_diagnostic():

@@ -1,0 +1,84 @@
+"""The record and holder classes: construction, immutability, equality, and
+an import path that stays free of `dataclasses` and `inspect`, since every
+CLI query starts a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tensorwalks.cyclotomic import CycNum
+from tensorwalks.diagrams import DiagramElement
+from tensorwalks.groups import (
+    INVARIANT,
+    ClassInfo,
+    GroupData,
+    IrrepInfo,
+    ModuleChar,
+    parse_spec_full,
+)
+from tensorwalks.series import EgfTruncation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, tensorwalks.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _trivial_group() -> GroupData:
+    return GroupData("G", 1, INVARIANT, (ClassInfo("1", 1),), 1)
+
+
+def test_holders_are_immutable():
+    spec = parse_spec_full("S3")
+    for obj, field in ((spec.group, "order"), (spec.module, "name"), (spec, "kind"),
+                       (spec.group.classes[0], "size")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+
+
+def test_holders_are_equal_only_to_themselves():
+    g, h = _trivial_group(), _trivial_group()
+    assert g == g and g != h
+    one = (CycNum.from_rational(1),)
+    assert ModuleChar(g, one) != ModuleChar(g, one)
+
+
+def test_value_records_compare_and_hash_by_value():
+    pairs = [
+        (ClassInfo("a(1)", 3, family="a"), ClassInfo("a(1)", 3, "a")),
+        (IrrepInfo("(2, 1)", 2), IrrepInfo(label="(2, 1)", dim=2)),
+        (DiagramElement((2, 2), (1, 2), (2, 1)), DiagramElement((2, 2), (1, 2), (2, 1))),
+        (EgfTruncation(1, (Fraction(1), Fraction(1, 2))),
+         EgfTruncation(order=1, coeffs=(Fraction(1), Fraction(1, 2)))),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert ClassInfo("1", 1) != ClassInfo("1", 1, family="a")
+
+
+def test_keyword_construction_keeps_defaults():
+    assert ClassInfo("1", 1).family is None
+    assert ClassInfo("c(2)", 5, family="c").family == "c"
+    g = _trivial_group()
+    assert g.irreps is None and g.char_table is None
+    one = (CycNum.from_rational(1),)
+    assert ModuleChar(g, one).name == "V"
+    assert ModuleChar(g, one, name="induced").name == "induced"
+    assert DiagramElement((3,), (1, 1), (1, 1)).k == 2
+
+
+def test_egf_truncation_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        EgfTruncation(2, (Fraction(1),))
+    with pytest.raises(ValueError):
+        EgfTruncation(order=0, coeffs=())
