@@ -16,16 +16,9 @@ from fractions import Fraction
 from . import closedforms as cf
 from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
-from .groups import FULL, ParsedSpec, group_to_json, parse_spec_full
-from .quiver import (
-    bratteli,
-    bratteli_dot,
-    mat_pow,
-    mckay_adjacency,
-    quiver_dot,
-    walk_count_matrix,
-    walk_counts_character,
-)
+from .groups import ParsedSpec, group_to_json, parse_spec_full
+from .quiver import bratteli, bratteli_dot, mat_pow, mckay_adjacency, quiver_dot
+from .routes import ROUTES, walk_routes
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
 
@@ -40,8 +33,9 @@ def emit(payload) -> None:
 
 
 def emit_csv(rows) -> None:
-    for row in rows:
-        sys.stdout.write(",".join(str(x) for x in row) + "\n")
+    import csv  # only --csv pays for the import
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _node_index(spec: ParsedSpec, token: str) -> int:
@@ -62,87 +56,13 @@ def _node_index(spec: ParsedSpec, token: str) -> int:
     return idx
 
 
-def _abelian_element(radii, index: int) -> tuple[int, ...]:
-    """Element number `index` of Z_r1 x ... x Z_rn in the order of the
-    character table (the last coordinate varies fastest)."""
-    digits = []
-    for r in reversed(radii):
-        index, digit = divmod(index, r)
-        digits.append(digit)
-    return tuple(reversed(digits))
-
-
-def _closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str, int]]:
-    """All applicable family-specific closed-form evaluations."""
-    out = []
-    kind, params = spec.kind, spec.params
-    if kind == "cyclic":
-        out.append(("closed:binomial", cf.cyclic_walks(params["r"], k, frm, to)))
-    elif kind == "abelian":
-        radii = params["radii"]
-        a = _abelian_element(radii, frm)
-        c = _abelian_element(radii, to)
-        diff = tuple((ci - ai) % ri for ai, ci, ri in zip(a, c, radii))
-        out.append(("closed:multinomial", cf.abelian_walks(radii, k, diff)))
-    elif kind in ("circulant", "paley"):
-        r = params.get("r") or params.get("p")
-        conn = params["connection"]
-        out.append(("closed:multinomial", cf.circulant_walks(r, conn, k, (to - frm) % r)))
-        if kind == "paley":
-            out.append(("closed:gauss-sum",
-                        cf.paley_closed_form(cf.paley_target_of(params["p"], (to - frm) % params["p"]), k)))
-    elif kind == "symmetric" and frm == 0:
-        from .combinatorics import partitions_of
-
-        lam = partitions_of(params["n"])[to]
-        out.append(("closed:stirling-kostka", cf.sn_irrep_dim_formula(params["n"], k, lam)))
-    elif kind == "wreath" and frm == 0 and to == 0:
-        out.append(("closed:wreath", cf.wreath_invariants(params["r"], params["n"], k)))
-    elif kind in ("gl2", "sl2") and frm == 0 and to == 0:
-        which = cf.STEINBERG if spec.steinberg else cf.INDUCED
-        dims = cf.gl2_dims if kind == "gl2" else cf.sl2_dims
-        out.append(("closed:linear-group", dims(params["q"], k, which)))
-    return out
-
-
-ROUTES = ("matrix", "character", "closed")
-
-
-def _walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list[tuple[str, list[int]]]:
-    """Run each route in `methods` that applies over every k in `ks` and
-    check that their sequences agree.
-
-    The matrix power needs a full character table; the character sum needs
-    one too unless the walk is 0 -> 0; "closed" runs every family closed form
-    that applies.  Returns (route label, counts) pairs in the order above."""
-    g, v = spec.group, spec.module
-    results: list[tuple[str, list[int]]] = []
-    if "matrix" in methods and g.tier == FULL:
-        a = mckay_adjacency(g, v)
-        results.append(("matrix", [walk_count_matrix(a, k, frm, to) for k in ks]))
-    if "character" in methods and (g.tier == FULL or frm == to == 0):
-        results.append(("character", walk_counts_character(g, v, ks, frm, to)))
-    if "closed" in methods:
-        per_k = [_closed_walks(spec, k, frm, to) for k in ks]
-        results.extend((column[0][0], [c for _, c in column]) for column in zip(*per_k))
-    if not results:
-        raise UnsupportedQueryError(
-            f"no route among {', '.join(methods)} applies to {g.name} "
-            f"({g.tier} tier) from node {frm} to {to}")
-    for i, k in enumerate(ks):
-        if len({counts[i] for _, counts in results}) != 1:
-            raise ConsistencyError(
-                f"routes disagree at k={k}: {[(label, counts[i]) for label, counts in results]}")
-    return results
-
-
 def cmd_walks(args) -> int:
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
     frm = _node_index(spec, args.frm)
     to = _node_index(spec, args.to)
     methods = ROUTES if args.method == "auto" else (args.method,)
-    results = _walk_routes(spec, range(args.k, args.k + 1), frm, to, methods)
+    results = walk_routes(spec, range(args.k, args.k + 1), frm, to, methods)
     emit({"group": spec.group.name, "k": args.k, "from": frm, "to": to,
           "count": str(results[0][1][0]), "methods": [m for m, _ in results]})
     return 0
@@ -168,7 +88,7 @@ def cmd_invariants(args) -> int:
     spec = parse_spec_full(args.group)
     # the character sum against the closed forms only: the matrix route would
     # build an n^3-cost adjacency matrix to read one entry of each power
-    counts = _walk_routes(spec, range(args.k + 1), 0, 0, ("character", "closed"))[0][1]
+    counts = walk_routes(spec, range(args.k + 1), 0, 0, ("character", "closed"))[0][1]
     if args.csv:
         emit_csv([("k", "count")] + list(enumerate(counts)))
     else:

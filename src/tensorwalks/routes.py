@@ -1,0 +1,84 @@
+"""The route engine: runs the walk-counting routes that apply to a parsed
+spec and checks that their sequences agree.  The CLI's `walks` and
+`invariants` verbs and the `verify` suites all count through it."""
+
+from __future__ import annotations
+
+from . import closedforms as cf
+from .errors import ConsistencyError, UnsupportedQueryError
+from .groups import FULL, ParsedSpec
+from .quiver import mckay_adjacency, walk_count_matrix, walk_counts_character
+
+
+def _abelian_element(radii, index: int) -> tuple[int, ...]:
+    """Element number `index` of Z_r1 x ... x Z_rn in the order of the
+    character table (the last coordinate varies fastest)."""
+    digits = []
+    for r in reversed(radii):
+        index, digit = divmod(index, r)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str, int]]:
+    """All applicable family-specific closed-form evaluations."""
+    out = []
+    kind, params = spec.kind, spec.params
+    if kind == "cyclic":
+        out.append(("closed:binomial", cf.cyclic_walks(params["r"], k, frm, to)))
+    elif kind == "abelian":
+        radii = params["radii"]
+        a = _abelian_element(radii, frm)
+        c = _abelian_element(radii, to)
+        diff = tuple((ci - ai) % ri for ai, ci, ri in zip(a, c, radii))
+        out.append(("closed:multinomial", cf.abelian_walks(radii, k, diff)))
+    elif kind in ("circulant", "paley"):
+        r = params.get("r") or params.get("p")
+        conn = params["connection"]
+        out.append(("closed:multinomial", cf.circulant_walks(r, conn, k, (to - frm) % r)))
+        if kind == "paley":
+            out.append(("closed:gauss-sum",
+                        cf.paley_closed_form(cf.paley_target_of(params["p"], (to - frm) % params["p"]), k)))
+    elif kind == "symmetric" and frm == 0:
+        from .combinatorics import partitions_of
+
+        lam = partitions_of(params["n"])[to]
+        out.append(("closed:stirling-kostka", cf.sn_irrep_dim_formula(params["n"], k, lam)))
+    elif kind == "wreath" and frm == 0 and to == 0:
+        out.append(("closed:wreath", cf.wreath_invariants(params["r"], params["n"], k)))
+    elif kind in ("gl2", "sl2") and frm == 0 and to == 0:
+        which = cf.STEINBERG if spec.steinberg else cf.INDUCED
+        dims = cf.gl2_dims if kind == "gl2" else cf.sl2_dims
+        out.append(("closed:linear-group", dims(params["q"], k, which)))
+    return out
+
+
+ROUTES = ("matrix", "character", "closed")
+
+
+def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list[tuple[str, list[int]]]:
+    """Run each route in `methods` that applies over every k in `ks` and
+    check that their sequences agree.
+
+    The matrix power needs a full character table; the character sum needs
+    one too unless the walk is 0 -> 0; "closed" runs every family closed form
+    that applies.  Returns (route label, counts) pairs in the order above."""
+    g, v = spec.group, spec.module
+    results: list[tuple[str, list[int]]] = []
+    if "matrix" in methods and g.tier == FULL:
+        a = mckay_adjacency(g, v)
+        results.append(("matrix", [walk_count_matrix(a, k, frm, to) for k in ks]))
+    if "character" in methods and (g.tier == FULL or frm == to == 0):
+        results.append(("character", walk_counts_character(g, v, ks, frm, to)))
+    if "closed" in methods:
+        per_k = [closed_walks(spec, k, frm, to) for k in ks]
+        results.extend((column[0][0], [c for _, c in column]) for column in zip(*per_k))
+    if not results:
+        raise UnsupportedQueryError(
+            f"no route among {', '.join(methods)} applies to {g.name} "
+            f"({g.tier} tier) from node {frm} to {to}")
+    for i, k in enumerate(ks):
+        if len({counts[i] for _, counts in results}) != 1:
+            raise ConsistencyError(
+                f"routes disagree at k={k}: {[(label, counts[i]) for label, counts in results]}")
+    return results

@@ -1,6 +1,8 @@
 """Cross-validation suites: every headline quantity computed by at least two
 independent routes and compared exactly.  The CLI `verify` verb and the
-acceptance tests both run these."""
+acceptance tests both run these.  Walk counts go through the route engine
+that `walks` and `invariants` run, `routes.walk_routes`, on parsed spec
+strings."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import closedforms as cf
-from .combinatorics import bell_number, partitions_of
+from .combinatorics import bell_number
 from .cyclotomic import CycNum, gauss_sum, gauss_sum_check
 from .diagrams import (
     DiagramElement,
@@ -19,26 +21,17 @@ from .diagrams import (
     enumerate_basis,
     is_valid,
 )
+from .errors import ConsistencyError
 from .groups import (
     GroupData,
-    both_modules_gl2,
-    both_modules_sl2,
     coordinate_module,
     monomial_module,
+    parse_spec_full,
     permutation_module,
-    standard_module_cyclic,
 )
-from .quiver import (
-    bratteli,
-    centralizer_dim,
-    character_walk_counts,
-    eigen_check,
-    mat_pow,
-    mckay_adjacency,
-    walk_count_character,
-    walk_count_matrix,
-)
+from .quiver import bratteli, centralizer_dim, eigen_check, mat_pow, mckay_adjacency
 from .registry import builtin_modules
+from .routes import ROUTES, walk_routes
 from .polynomials import Polynomial
 from .series import (
     RatFunc,
@@ -65,20 +58,36 @@ class Suite:
     def equal(self, name: str, got, expected):
         self.check(name, got == expected, f"got {got}, expected {expected}")
 
+    def routes(self, name: str, body):
+        """Check `name` by calling `body`, which counts walks with
+        `walk_routes` and returns a detail for a count that misses its
+        reference, or nothing.  A ConsistencyError, which the engine raises
+        at the first k where its routes differ, fails the check with its
+        message."""
+        try:
+            detail = body()
+        except ConsistencyError as exc:
+            detail = str(exc)
+        self.check(name, not detail, detail)
+
 
 # -- 1. cyclic fixtures -------------------------------------------------------
 
 
 def suite_z10() -> list[CheckResult]:
     s = Suite()
-    mod = standard_module_cyclic(10)
-    a = mckay_adjacency(mod.group, mod)
+    spec = parse_spec_full("Z10")
+
+    def count(k, frm, to, method, expected):
+        got = walk_routes(spec, range(k, k + 1), frm, to, (method,))[0][1][0]
+        return "" if got == expected else f"got {got}, expected {expected}"
+
     for (k, frm, to, expected) in [(6, 0, 8, 15), (12, 0, 0, 948)]:
-        s.equal(f"Z10 matrix ({k},{frm}->{to})", walk_count_matrix(a, k, frm, to), expected)
-        s.equal(f"Z10 character ({k},{frm}->{to})",
-                walk_count_character(mod.group, mod, k, frm, to), expected)
-        s.equal(f"Z10 binomial ({k},{frm}->{to})", cf.cyclic_walks(10, k, frm, to), expected)
-    s.equal("Z10 centralizer dim at depth 6", centralizer_dim(mod.group, mod, 6), 948)
+        for method, label in (("matrix", "matrix"), ("character", "character"),
+                              ("closed", "binomial")):
+            s.routes(f"Z10 {label} ({k},{frm}->{to})",
+                     lambda: count(k, frm, to, method, expected))
+    s.equal("Z10 centralizer dim at depth 6", centralizer_dim(spec.group, spec.module, 6), 948)
     return s.results
 
 
@@ -87,10 +96,9 @@ def suite_z10() -> list[CheckResult]:
 
 def suite_z4xz2() -> list[CheckResult]:
     s = Suite()
-    radii = (4, 2)
-    mod = coordinate_module(radii)
-    g = mod.group
-    bd = bratteli(g, mod, 6)
+    spec = parse_spec_full("Z4xZ2")
+    g = spec.group
+    bd = bratteli(g, spec.module, 6)
     labels = [i.label for i in g.irreps]
     level6 = {labels[i]: m for i, m in bd.levels[6]}
     s.equal("level-6 multiplicities", level6,
@@ -99,18 +107,12 @@ def suite_z4xz2() -> list[CheckResult]:
     s.check("dims follow 2^(k-1) + 4^(k-1)",
             all(bd.algebra_dims[k] == 2 ** (k - 1) + 4 ** (k - 1) for k in range(1, 7)),
             str(bd.algebra_dims))
-    a = mckay_adjacency(g, mod)
-    elements = list(itertools.product(range(4), range(2)))
-    ok = True
-    detail = ""
-    for k in range(7):
-        ak = mat_pow(a.rows(), k)
-        chark = character_walk_counts(g, mod, k)
-        for idx, c in enumerate(elements):
-            expected = cf.abelian_walks(radii, k, c)
-            if not (ak[0][idx] == chark[0][idx] == expected):
-                ok, detail = False, f"k={k} c={c}: {ak[0][idx]}, {chark[0][idx]}, {expected}"
-    s.check("three routes agree for every target, k <= 6", ok, detail)
+
+    def every_target():
+        for to in range(g.n_classes):
+            walk_routes(spec, range(7), 0, to, ROUTES)
+
+    s.routes("three routes agree for every target, k <= 6", every_target)
     return s.results
 
 
@@ -138,31 +140,28 @@ def suite_s4() -> list[CheckResult]:
     from .combinatorics import stirling2
 
     s = Suite()
-    v = permutation_module(4)
-    g = v.group
+    spec = parse_spec_full("S4")
+    g = spec.group
     table_ok = all(
         tuple(g.chi(i, j).as_integer() for j in range(5)) == _S4_TABLE[info.label]
         for i, info in enumerate(g.irreps)
     )
     s.check("character table matches the reference entry-for-entry", table_ok)
     s.equal("class sizes", tuple(g.class_sizes()), (1, 6, 3, 8, 6))
-    a = mckay_adjacency(g, v)
-    ok, detail = True, ""
-    for k in range(1, 11):
-        ak = mat_pow(a.rows(), k)
-        chark = character_walk_counts(g, v, k)
+
+    def forms():
+        # the engine compares matrix, character and Stirling-Kostka
+        ks = range(1, 11)
         for i, info in enumerate(g.irreps):
             closed, stir = _S4_FORMS[info.label]
-            want = closed(k)
-            stirling_form = sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
-            kostka_form = cf.sn_irrep_dim_formula(4, k, partitions_of(4)[i])
-            if not (want == ak[0][i] == chark[0][i] == stirling_form == kostka_form):
-                ok = False
-                detail = (f"k={k} lam={info.label}: closed {want}, matrix {ak[0][i]}, "
-                          f"character {chark[0][i]}, stirling {stirling_form}, "
-                          f"kostka {kostka_form}")
-    s.check("five closed forms == matrix == character == Stirling/Kostka, k <= 10",
-            ok, detail)
+            for k, count in zip(ks, walk_routes(spec, ks, 0, i, ROUTES)[0][1]):
+                want = closed(k)
+                stirling_form = sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
+                if not want == count == stirling_form:
+                    return (f"k={k} lam={info.label}: closed {want}, routes {count}, "
+                            f"stirling {stirling_form}")
+
+    s.routes("five closed forms == matrix == character == Stirling/Kostka, k <= 10", forms)
     return s.results
 
 
@@ -171,18 +170,14 @@ def suite_s4() -> list[CheckResult]:
 
 def suite_sn() -> list[CheckResult]:
     s = Suite()
-    ok, detail = True, ""
-    for n in (2, 3, 4, 5):
-        v = permutation_module(n)
-        g = v.group
-        for k in range(7):
-            counts = character_walk_counts(g, v, k)
-            for i, lam in enumerate(partitions_of(n)):
-                rhs = cf.sn_irrep_dim_formula(n, k, lam)
-                if counts[0][i] != rhs:
-                    ok = False
-                    detail = f"n={n} k={k} lam={lam}: {counts[0][i]} vs {rhs}"
-    s.check("character sums equal Stirling-Kostka sums (n <= 5, k <= 6)", ok, detail)
+
+    def stirling_kostka():
+        for n in (2, 3, 4, 5):
+            spec = parse_spec_full(f"S{n}")
+            for to in range(spec.group.n_classes):
+                walk_routes(spec, range(7), 0, to, ("character", "closed"))
+
+    s.routes("character sums equal Stirling-Kostka sums (n <= 5, k <= 6)", stirling_kostka)
     s.equal("Bell numbers", (bell_number(2), bell_number(4)), (2, 15))
     ok, detail = True, ""
     for n in (2, 3, 4, 5):
@@ -235,16 +230,14 @@ def suite_wreath() -> list[CheckResult]:
     from math import factorial
 
     s = Suite()
-    ok, detail = True, ""
-    for r in (2, 3, 4):
-        for n in (1, 2, 3, 4):
-            mod = monomial_module(r, n)
-            for k in range(9):
-                a = cf.wreath_invariants(r, n, k)
-                b = walk_count_character(mod.group, mod, k, 0, 0)
-                if a != b:
-                    ok, detail = False, f"r={r} n={n} k={k}: {a} vs {b}"
-    s.check("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", ok, detail)
+
+    def evaluators():
+        for r in (2, 3, 4):
+            for n in (1, 2, 3, 4):
+                spec = parse_spec_full(f"Z{r}wrS{n}")
+                walk_routes(spec, range(9), 0, 0, ("character", "closed"))
+
+    s.routes("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", evaluators)
 
     ok, detail = True, ""
     for r in (2, 3, 4):
@@ -287,27 +280,24 @@ def suite_wreath() -> list[CheckResult]:
 
 def suite_gl2sl2() -> list[CheckResult]:
     s = Suite()
-    ok, detail = True, ""
-    for q in (3, 5, 7):
-        for build, dims, poin, gname in (
-            (both_modules_gl2, cf.gl2_dims, cf.gl2_poincare, "GL2"),
-            (both_modules_sl2, cf.sl2_dims, cf.sl2_poincare, "SL2"),
-        ):
-            induced, steinberg = build(q)
-            g = induced.group
-            if sum(g.class_sizes()) != g.order:
-                ok, detail = False, f"{gname}({q}): class sizes do not sum to the order"
-            for which, mod in ((cf.INDUCED, induced), (cf.STEINBERG, steinberg)):
-                series = poin(q, which).series(12)
-                for k in range(13):
-                    want = dims(q, k, which)
-                    if series[k] != want:
-                        ok, detail = False, f"{gname}({q}) {which} k={k} series"
-                    if k <= 8:
-                        got = walk_count_character(g, mod, k, 0, 0)
-                        if got != want:
-                            ok, detail = False, f"{gname}({q}) {which} k={k}: {got} vs {want}"
-    s.check("closed forms == character sums == Poincare coefficients", ok, detail)
+
+    def closed_forms():
+        for q in (3, 5, 7):
+            for gname, dims, poin in (("GL2", cf.gl2_dims, cf.gl2_poincare),
+                                      ("SL2", cf.sl2_dims, cf.sl2_poincare)):
+                for which, suffix in ((cf.INDUCED, ""), (cf.STEINBERG, "@steinberg")):
+                    spec = parse_spec_full(f"{gname}({q}){suffix}")
+                    g = spec.group
+                    if sum(g.class_sizes()) != g.order:
+                        return f"{gname}({q}): class sizes do not sum to the order"
+                    # the engine compares the closed forms with the character sums
+                    walk_routes(spec, range(9), 0, 0, ("character", "closed"))
+                    series = poin(q, which).series(12)
+                    for k in range(13):
+                        if series[k] != dims(q, k, which):
+                            return f"{gname}({q}) {which} k={k} series"
+
+    s.routes("closed forms == character sums == Poincare coefficients", closed_forms)
     return s.results
 
 

@@ -85,15 +85,18 @@ def test_walks_route_selection(capsys, method, spec, frm, to, count, auto):
     ("GL2(3)", ["1", "1", "2", "5", "15", "51", "187"]),   # invariant tier
 ])
 def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
-    import tensorwalks.cli as cli_mod
+    import tensorwalks.routes as routes_mod
 
     def forbidden(*args):
-        raise AssertionError("invariants ran the matrix route")
+        raise AssertionError("the matrix route ran")
 
-    monkeypatch.setattr(cli_mod, "mckay_adjacency", forbidden)
-    monkeypatch.setattr(cli_mod, "mat_pow", forbidden)
+    monkeypatch.setattr(routes_mod, "mckay_adjacency", forbidden)
+    monkeypatch.setattr(routes_mod, "walk_count_matrix", forbidden)
     doc = run_json(capsys, "invariants", "--group", spec, "--k", "6")
     assert doc["counts"] == counts
+    # the stubs sit where the matrix route calls them
+    with pytest.raises(AssertionError):
+        main(["walks", "--group", "Z10", "--k", "6", "--method", "matrix"])
 
 
 def test_invariants_build_one_spectral_form(capsys, monkeypatch):
@@ -133,13 +136,25 @@ def test_invariants_csv(capsys):
     assert out.splitlines() == ["k,count", "0,1", "1,0", "2,1", "3,0", "4,4"]
 
 
+def test_dims_csv_quotes_labels(capsys):
+    import csv
+
+    for spec in ("S4", "Z4xZ2"):
+        doc = run_json(capsys, "dims", "--group", spec, "--k", "2")
+        code, out, _ = run(capsys, "dims", "--group", spec, "--k", "2", "--csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert all(len(row) == 2 for row in rows)
+        assert rows == [["label", "count"]] + [[d["label"], d["count"]] for d in doc["dims"]]
+
+
 def test_dims(capsys):
     doc = run_json(capsys, "dims", "--group", "S4", "--k", "2")
     by_label = {d["label"]: d["count"] for d in doc["dims"]}
     assert by_label == {"(4,)": "2", "(3, 1)": "3", "(2, 2)": "1",
                         "(2, 1, 1)": "1", "(1, 1, 1, 1)": "0"}
     code, out, _ = run(capsys, "dims", "--group", "Z3", "--k", "2", "--csv")
-    assert code == 0 and out.splitlines()[0] == "label,count"
+    assert code == 0 and out == "label,count\n0,2\n1,1\n2,1\n"
 
 
 def test_poincare_paper_sl2_steinberg(capsys):
@@ -275,6 +290,39 @@ def test_verify_verb(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_runs_the_cli_routes(capsys, monkeypatch):
+    # a fault in the character route of walks off the trivial irrep on S_n,
+    # and a closed form wrong at k = 2 alone, must fail verify
+    import tensorwalks.closedforms as cf_mod
+    import tensorwalks.quiver as quiver_mod
+    from tensorwalks.verify import run_suite
+
+    real_form = quiver_mod.spectral_form
+
+    def faulty_form(g, v, frm, to):
+        form = real_form(g, v, frm, to)
+        if to != 0 and g.name.startswith("S"):
+            x, w = form[0]
+            form[0] = (x, w + g.order)
+        return form
+
+    def failures(suite):
+        return [r.detail for r in run_suite(suite) if not r.ok]
+
+    monkeypatch.setattr(quiver_mod, "spectral_form", faulty_form)
+    for suite in ("s4", "sn"):
+        assert any("routes disagree" in d for d in failures(suite)), suite
+    code, out, _ = run(capsys, "verify", "--suite", "sn")
+    assert code == 4 and "FAIL" in out
+    monkeypatch.setattr(quiver_mod, "spectral_form", real_form)
+
+    real_wreath = cf_mod.wreath_invariants
+    monkeypatch.setattr(cf_mod, "wreath_invariants",
+                        lambda r, n, k: real_wreath(r, n, k) + (k == 2))
+    failed = {r.name: r.detail for r in run_suite("wreath") if not r.ok}
+    assert "k=2" in failed["fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)"]
 
 
 def test_exit_code_parse_error(capsys):
