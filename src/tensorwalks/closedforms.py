@@ -38,7 +38,7 @@ STEINBERG = "steinberg"
 
 
 # ---------------------------------------------------------------------------
-# Cyclic and circulant graphs
+# Cyclic groups and group-ring walks
 # ---------------------------------------------------------------------------
 
 
@@ -52,15 +52,19 @@ def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
     return sum(comb(k, l) for l in range(k + 1) if (k - 2 * l - (c - a)) % r == 0)
 
 
-def circulant_walks(r: int, connection, k: int, c: int) -> int:
-    """Walks of k steps from 0 to c on the circulant graph over Z_r with the
-    given connection residues: the coefficient of x^c in the multinomial
-    expansion of (sum_{s in S} x^s)^k modulo x^r - 1, by repeated squaring."""
-    conn = list(connection)
-    for s in conn:
-        if not 1 <= s <= r - 1:
-            raise ValueError(f"connection residue {s} out of range")
-    return group_ring_power((r,), [(s,) for s in conn], k).get((c % r,), 0)
+def group_ring_walks(radii, steps, ks: range, c) -> list[int]:
+    """Walks of k steps from 0 to c, for each k in `ks`, on the Cayley graph
+    of Z_r1 x ... x Z_rn with the given steps: the coefficient of c in
+    (sum of the steps)^k in the integer group ring.  Unit steps give products
+    of cyclic groups and hypercubes; one factor gives circulant and Paley
+    graphs.  A repeated step counts as often as it appears."""
+    radii, c, steps = tuple(radii), tuple(c), [tuple(s) for s in steps]
+    for x in (c, *steps):
+        if len(x) != len(radii) or not all(0 <= xi < ri for xi, ri in zip(x, radii)):
+            raise ValueError(f"{x} is not an element of {radii}")
+    if not all(any(s) for s in steps):
+        raise ValueError("a step is the zero element")
+    return [power.get(c, 0) for power in group_ring_power(radii, steps, ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +329,3 @@ def sl2_poincare(q: int, which: str) -> RatFunc:
     else:
         raise ValueError(f"unknown module {which!r}")
     return RatFunc(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Finite abelian groups
-# ---------------------------------------------------------------------------
-
-
-def abelian_walks(radii, k: int, c) -> int:
-    """Walks of k steps from 0 to c on the quiver of a product of cyclic
-    groups with the coordinate module: multinomials over compositions with
-    part i congruent to c_i mod r_i."""
-    radii = tuple(radii)
-    c = tuple(c)
-    if len(c) != len(radii):
-        raise ValueError("target must have one component per factor")
-    if any(not 0 <= ci < ri for ci, ri in zip(c, radii)):
-        raise ValueError("target component out of range")
-    total = 0
-    for parts in compositions(k, len(radii)):
-        if all((l - ci) % ri == 0 for l, ci, ri in zip(parts, c, radii)):
-            total += multinomial(k, parts)
-    return total

@@ -182,19 +182,21 @@ def even_block_partitions(k: int, s: int) -> int:
     return int(value)
 
 
-def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
-    """The k-th power of the sum of `steps` in the integer group ring of
-    Z_r1 x ... x Z_rn: {element: coefficient} over the elements that occur.
+def group_ring_power(radii, steps, ks: range) -> list[dict[tuple[int, ...], int]]:
+    """The k-th powers of the sum of `steps` in the integer group ring of
+    Z_r1 x ... x Z_rn for each k in the step-1 range `ks`: one
+    {element: coefficient} dict per k, over the elements that occur.
     Elements are coordinate tuples; a repeated step counts as often as it
     appears.
 
     Inside, an element is one int in mixed radix with digit bases 2r - 1
     (the last coordinate lowest), so the product of two elements is the sum
     of their codes without carries, reduced once per distinct sum.  The power
-    is taken by k products with the step while k times the number of
-    distinct steps is below the group order, else by repeated squaring."""
+    at ks.start is taken by products with the step while ks.start times the
+    number of distinct steps is below the group order, else by repeated
+    squaring; each later k is one product with the step."""
     radii = tuple(radii)
-    if k < 0:
+    if ks.start < 0:
         raise ValueError("step count must be nonnegative")
 
     def decode(code: int) -> tuple[int, ...]:
@@ -244,7 +246,7 @@ def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
     for s in steps:
         code = encode(s)
         step[code] = step.get(code, 0) + 1
-    power = {0: 1}
+    power, k, square = {0: 1}, ks.start, step
     if k * len(step) < prod(radii):
         # k products with the step cost at most k * len(step) * |G| term
         # products, less than the |G|^2 of a single dense squaring.
@@ -253,8 +255,13 @@ def group_ring_power(radii, steps, k: int) -> dict[tuple[int, ...], int]:
     else:
         while k:
             if k & 1:
-                power = mul(power, step)
+                power = mul(power, square)
             k >>= 1
             if k:
-                step = mul(step, step)
-    return {decode(code): m for code, m in power.items()}
+                square = mul(square, square)
+    out = []
+    for k in ks:
+        if k > ks.start:
+            power = mul(power, step)
+        out.append({decode(code): m for code, m in power.items()})
+    return out

@@ -48,11 +48,10 @@ def basis_counts(radii, k: int) -> dict[tuple[int, ...], int]:
     """Number of words of length k per target vector, without listing the
     words: the k-th power of the sum of the unit vectors (letter j adds 1 to
     coordinate j) in the group ring."""
-    radii = tuple(radii)
     if k < 0:
         raise ValueError("word length must be nonnegative")
     units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
-    return group_ring_power(radii, units, k)
+    return group_ring_power(radii, units, range(k, k + 1))[0]
 
 
 def basis_count(radii, k: int, target=None) -> int:

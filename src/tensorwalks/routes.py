@@ -5,6 +5,7 @@ spec and checks that their sequences agree.  The CLI's `walks` and
 from __future__ import annotations
 
 from . import closedforms as cf
+from .combinatorics import partitions_of
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, ParsedSpec
 from .quiver import mckay_adjacency, walk_count_matrix, walk_counts_character
@@ -20,36 +21,35 @@ def _abelian_element(radii, index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def closed_walks(spec: ParsedSpec, k: int, frm: int, to: int) -> list[tuple[str, int]]:
-    """All applicable family-specific closed-form evaluations."""
+def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[str, list[int]]]:
+    """Every family closed form that applies, as (label, counts over ks)."""
     out = []
     kind, params = spec.kind, spec.params
     if kind == "cyclic":
-        out.append(("closed:binomial", cf.cyclic_walks(params["r"], k, frm, to)))
+        out.append(("closed:binomial", [cf.cyclic_walks(params["r"], k, frm, to) for k in ks]))
     elif kind == "abelian":
         radii = params["radii"]
         a = _abelian_element(radii, frm)
         c = _abelian_element(radii, to)
+        units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
         diff = tuple((ci - ai) % ri for ai, ci, ri in zip(a, c, radii))
-        out.append(("closed:multinomial", cf.abelian_walks(radii, k, diff)))
+        out.append(("closed:multinomial", cf.group_ring_walks(radii, units, ks, diff)))
     elif kind in ("circulant", "paley"):
         r = params.get("r") or params.get("p")
-        conn = params["connection"]
-        out.append(("closed:multinomial", cf.circulant_walks(r, conn, k, (to - frm) % r)))
+        steps = [(s,) for s in params["connection"]]
+        out.append(("closed:multinomial", cf.group_ring_walks((r,), steps, ks, ((to - frm) % r,))))
         if kind == "paley":
-            out.append(("closed:gauss-sum",
-                        cf.paley_closed_form(cf.paley_target_of(params["p"], (to - frm) % params["p"]), k)))
+            target = cf.paley_target_of(r, to - frm)
+            out.append(("closed:gauss-sum", [cf.paley_closed_form(target, k) for k in ks]))
     elif kind == "symmetric" and frm == 0:
-        from .combinatorics import partitions_of
-
         lam = partitions_of(params["n"])[to]
-        out.append(("closed:stirling-kostka", cf.sn_irrep_dim_formula(params["n"], k, lam)))
+        out.append(("closed:stirling-kostka", [cf.sn_irrep_dim_formula(params["n"], k, lam) for k in ks]))
     elif kind == "wreath" and frm == 0 and to == 0:
-        out.append(("closed:wreath", cf.wreath_invariants(params["r"], params["n"], k)))
+        out.append(("closed:wreath", [cf.wreath_invariants(params["r"], params["n"], k) for k in ks]))
     elif kind in ("gl2", "sl2") and frm == 0 and to == 0:
         which = cf.STEINBERG if spec.steinberg else cf.INDUCED
         dims = cf.gl2_dims if kind == "gl2" else cf.sl2_dims
-        out.append(("closed:linear-group", dims(params["q"], k, which)))
+        out.append(("closed:linear-group", [dims(params["q"], k, which) for k in ks]))
     return out
 
 
@@ -71,8 +71,7 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     if "character" in methods and (g.tier == FULL or frm == to == 0):
         results.append(("character", walk_counts_character(g, v, ks, frm, to)))
     if "closed" in methods:
-        per_k = [closed_walks(spec, k, frm, to) for k in ks]
-        results.extend((column[0][0], [c for _, c in column]) for column in zip(*per_k))
+        results.extend(closed_walks(spec, ks, frm, to))
     if not results:
         raise UnsupportedQueryError(
             f"no route among {', '.join(methods)} applies to {g.name} "

@@ -29,7 +29,14 @@ from .groups import (
     parse_spec_full,
     permutation_module,
 )
-from .quiver import bratteli, centralizer_dim, eigen_check, mat_pow, mckay_adjacency
+from .quiver import (
+    bratteli,
+    centralizer_dim,
+    eigen_check,
+    mat_pow,
+    mckay_adjacency,
+    walk_counts_character,
+)
 from .registry import builtin_modules
 from .routes import ROUTES, walk_routes
 from .polynomials import Polynomial
@@ -201,16 +208,15 @@ def suite_paley() -> list[CheckResult]:
     s = Suite()
     ok, detail = True, ""
     for p in (5, 7, 11, 13, 17):
-        conn = quadratic_residues(p)
+        steps = [(s,) for s in quadratic_residues(p)]
         if p <= 13:
             targets = range(p)
         else:
             targets = (0, 1, 3)  # one representative per kind
-        for k in range(9):
-            for c in targets:
+        for c in targets:
+            for k, multi in enumerate(cf.group_ring_walks((p,), steps, range(9), (c,))):
                 brute = cf.paley_bruteforce(p, k, c)
                 closed = cf.paley_closed_form(cf.paley_target_of(p, c), k)
-                multi = cf.circulant_walks(p, conn, k, c)
                 if not (brute == closed == multi):
                     ok = False
                     detail = f"p={p} k={k} c={c}: brute {brute}, closed {closed}, multinomial {multi}"
@@ -374,11 +380,13 @@ def suite_genfnc() -> list[CheckResult]:
         a = mckay_adjacency(mod.group, mod)
         powers = [mat_pow(a.rows(), k) for k in range(11)]
         elements = list(itertools.product(*(range(r) for r in radii)))
+        units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
         for idx, c in enumerate(elements):
             egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
+            walks = cf.group_ring_walks(radii, units, range(11), c)
             for k in range(11):
                 want = powers[k][0][idx]
-                if egf.coefficient(k) != want or cf.abelian_walks(radii, k, c) != want:
+                if egf.coefficient(k) != want or walks[k] != want:
                     ok, detail = False, f"radii={radii} c={c} k={k}"
     s.check("EGF products equal walk counts for every target (k <= 10)", ok, detail)
 
@@ -407,9 +415,12 @@ def suite_diagram() -> list[CheckResult]:
     s = Suite()
     ok, detail = True, ""
     for radii in ((2,), (4,), (2, 2), (4, 2), (2, 3), (2, 2, 2), (4, 4)):
-        elements = list(itertools.product(*(range(r) for r in radii)))
+        # the character route, not the group ring that basis_count uses
+        mod = coordinate_module(radii)
+        multiplicities = [walk_counts_character(mod.group, mod, range(7), 0, to)
+                          for to in range(mod.group.n_classes)]
         for k in range(7):
-            want = sum(cf.abelian_walks(radii, k, c) ** 2 for c in elements)
+            want = sum(m[k] ** 2 for m in multiplicities)
             if basis_count(radii, k) != want:
                 ok, detail = False, f"radii={radii} k={k}"
     s.check("basis cardinality equals the sum of squared multiplicities", ok, detail)

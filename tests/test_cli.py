@@ -125,6 +125,23 @@ def test_paley_closed_forms_finish(capsys):
     assert doc["counts"][-3:] == ["383172654703034", "5364417070649084", "75101839291178266"]
 
 
+def test_abelian_closed_route_enumerates_no_compositions(capsys, monkeypatch):
+    # the closed route is one group-ring power; a sum over step-type
+    # compositions would take C(2003, 3) terms at hypercube(4), k = 2000
+    import tensorwalks.closedforms as cf_mod
+    import tensorwalks.combinatorics as comb_mod
+
+    def refuse(*args):
+        raise AssertionError("compositions enumerated")
+
+    monkeypatch.setattr(cf_mod, "compositions", refuse)
+    monkeypatch.setattr(comb_mod, "compositions", refuse)
+    counts = [run_json(capsys, "walks", "--group", "hypercube(4)", "--k", "2000",
+                       "--method", method)["count"] for method in ("closed", "character")]
+    assert counts[0] == counts[1]
+    assert len(run_json(capsys, "invariants", "--group", "Z4xZ2", "--k", "12")["counts"]) == 13
+
+
 def test_invariants_wreath(capsys):
     doc = run_json(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
     assert doc["counts"] == ["1", "0", "1", "0", "4", "0", "16"]

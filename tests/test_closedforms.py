@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -27,24 +28,33 @@ def test_cyclic_walks():
 
 
 def test_circulant_walks():
-    conn13 = [1, 3, 4, 9, 10, 12]
-    assert cf.circulant_walks(13, conn13, 2, 0) == 6
-    assert cf.circulant_walks(13, conn13, 2, 1) == 2
-    for k in range(9):
-        for c in range(7):
-            assert cf.circulant_walks(7, [1, 6], k, c) == cf.cyclic_walks(7, k, 0, c)
+    conn13 = [(s,) for s in (1, 3, 4, 9, 10, 12)]
+    assert cf.group_ring_walks((13,), conn13, range(2, 3), (0,)) == [6]
+    assert cf.group_ring_walks((13,), conn13, range(2, 3), (1,)) == [2]
+    for c in range(7):
+        assert (cf.group_ring_walks((7,), [(1,), (6,)], range(9), (c,))
+                == [cf.cyclic_walks(7, k, 0, c) for k in range(9)])
+    for bad_steps in ([(0,)], [(5,)], [(1, 0)]):
+        with pytest.raises(ValueError):
+            cf.group_ring_walks((5,), bad_steps, range(2, 3), (0,))
     with pytest.raises(ValueError):
-        cf.circulant_walks(5, [0], 2, 0)
-    with pytest.raises(ValueError):
-        cf.circulant_walks(5, [1, 4], -1, 0)
+        cf.group_ring_walks((5,), [(1,), (4,)], range(-1, 0), (0,))
     # against the multinomial sum over step-type compositions, repeated
-    # residues included
-    for r, conn in ((6, [1, 1, 5]), (9, [2, 4, 5, 7]), (12, [1, 5, 7, 11, 6])):
-        for k in range(8):
-            for c in range(r):
-                want = sum(multinomial(k, parts) for parts in compositions(k, len(conn))
-                           if sum(s * l for s, l in zip(conn, parts)) % r == c)
-                assert cf.circulant_walks(r, conn, k, c) == want, (r, conn, k, c)
+    # steps included, on one to three factors
+    for radii, steps in (((6,), [(1,), (1,), (5,)]),
+                         ((9,), [(2,), (4,), (5,), (7,)]),
+                         ((12,), [(1,), (5,), (7,), (11,), (6,)]),
+                         ((4, 2), [(1, 0), (0, 1), (1, 0)]),
+                         ((5, 3), [(1, 0), (0, 2), (4, 1)]),
+                         ((3, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)])):
+        def reached(parts):  # the element reached by parts[j] copies of step j
+            return tuple(sum(s[i] * l for s, l in zip(steps, parts)) % r
+                         for i, r in enumerate(radii))
+
+        for c in itertools.product(*(range(r) for r in radii)):
+            want = [sum(multinomial(k, parts) for parts in compositions(k, len(steps))
+                        if reached(parts) == c) for k in range(8)]
+            assert cf.group_ring_walks(radii, steps, range(8), c) == want, (radii, steps, c)
 
 
 def test_paley_targets():
@@ -75,12 +85,12 @@ def test_paley_closed_form_examples():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_paley_three_routes_agree(p):
-    conn = quadratic_residues(p)
+    conn = [(s,) for s in quadratic_residues(p)]
     for k in range(9):
         for c in range(p):
             brute = cf.paley_bruteforce(p, k, c)
             assert cf.paley_closed_form(cf.paley_target_of(p, c), k) == brute, (p, k, c)
-            assert cf.circulant_walks(p, conn, k, c) == brute, (p, k, c)
+            assert cf.group_ring_walks((p,), conn, range(k, k + 1), (c,)) == [brute], (p, k, c)
 
 
 def test_paley_printed_form_discrepancies():
@@ -214,10 +224,11 @@ def test_gl2_sl2_poincare():
 
 
 def test_abelian_walks():
-    assert cf.abelian_walks([4, 2], 6, (2, 0)) == 16
-    assert cf.abelian_walks([4, 2], 6, (1, 1)) == 12
-    assert cf.abelian_walks([2, 2], 2, (0, 0)) == 2
+    units = [(1, 0), (0, 1)]
+    assert cf.group_ring_walks([4, 2], units, range(6, 7), (2, 0)) == [16]
+    assert cf.group_ring_walks([4, 2], units, range(6, 7), (1, 1)) == [12]
+    assert cf.group_ring_walks([2, 2], units, range(2, 3), (0, 0)) == [2]
     with pytest.raises(ValueError):
-        cf.abelian_walks([4, 2], 3, (1,))
+        cf.group_ring_walks([4, 2], units, range(3, 4), (1,))
     with pytest.raises(ValueError):
-        cf.abelian_walks([4, 2], 3, (4, 0))
+        cf.group_ring_walks([4, 2], units, range(3, 4), (4, 0))

@@ -169,14 +169,19 @@ def test_compositions():
 
 def test_group_ring_power_matches_one_step_products_on_both_sides_of_the_rule():
     # Z5 x Z4 has 20 elements and there are 2 distinct steps: k < 10 takes
-    # one-step products, k >= 10 squares
+    # one-step products, k >= 10 squares; a range is reached at its start
+    # by that rule and carried on by one product per k
     radii, steps = (5, 4), [(1, 0), (1, 0), (4, 1)]
     counts = {(0, 0): 1}
+    expected = []
     for k in range(16):
-        assert group_ring_power(radii, steps, k) == counts, k
+        assert group_ring_power(radii, steps, range(k, k + 1)) == [counts], k
+        expected.append(counts)
         nxt = {}
         for (a, b), m in counts.items():
             for s, t in steps:
                 key = ((a + s) % 5, (b + t) % 4)
                 nxt[key] = nxt.get(key, 0) + m
         counts = nxt
+    for a in (0, 1, 9, 10, 11, 15, 16):
+        assert group_ring_power(radii, steps, range(a, 16)) == expected[a:], a

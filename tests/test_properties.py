@@ -1,8 +1,6 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
-import itertools
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -52,7 +50,7 @@ def circulant_queries(draw):
 def test_circulant_multinomial_character_and_matrix_agree(query):
     r, conn, k, c = query
     v = circulant_module(r, conn)
-    closed = cf.circulant_walks(r, conn, k, c)
+    closed, = cf.group_ring_walks((r,), [(s,) for s in conn], range(k, k + 1), (c,))
     assert walk_count_character(v.group, v, k, 0, c) == closed
     assert walk_count_matrix(mckay_adjacency(v.group, v), k, 0, c) == closed
 
@@ -75,8 +73,9 @@ ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]
 @given(p=st.sampled_from(ODD_PRIMES), k=st.integers(0, 40), data=st.data())
 def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
     c = data.draw(st.integers(0, p - 1))
-    assert (cf.paley_closed_form(cf.paley_target_of(p, c), k)
-            == cf.circulant_walks(p, quadratic_residues(p), k, c))
+    steps = [(s,) for s in quadratic_residues(p)]
+    assert ([cf.paley_closed_form(cf.paley_target_of(p, c), k)]
+            == cf.group_ring_walks((p,), steps, range(k, k + 1), (c,)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,10 +87,13 @@ def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
     node = 0  # c's place in the character table: the last coordinate varies fastest
     for ci, r in zip(c, radii):
         node = node * r + ci
-    walks = cf.abelian_walks(radii, k, c)
+    units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
+    walks, = cf.group_ring_walks(radii, units, range(k, k + 1), c)
     assert walk_count_character(v.group, v, k, 0, node) == walks
-    targets = itertools.product(*(range(r) for r in radii))
-    assert basis_count(radii, k) == sum(cf.abelian_walks(radii, k, t) ** 2 for t in targets)
+    # basis_count runs the same group-ring kernel, so its reference is the
+    # character route over every target
+    multiplicities = (walk_count_character(v.group, v, k, 0, t) for t in range(v.group.n_classes))
+    assert basis_count(radii, k) == sum(m * m for m in multiplicities)
 
 
 # S_n on its permutation module, three registry modules, and two
