@@ -18,7 +18,7 @@ from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
 from .groups import ParsedSpec, group_to_json, parse_spec_full
 from .quiver import bratteli, bratteli_dot, mat_pow, mckay_adjacency, quiver_dot
-from .routes import ROUTES, walk_routes
+from .routes import ROUTES, linear_group_forms, walk_routes
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
 
@@ -108,8 +108,8 @@ def cmd_poincare(args) -> int:
         if spec.kind not in ("gl2", "sl2") or lam != 0:
             raise UnsupportedQueryError(
                 "--method paper provides only the GL2/SL2 invariant series")
-        which = cf.STEINBERG if spec.steinberg else cf.INDUCED
-        rf = (cf.gl2_poincare if spec.kind == "gl2" else cf.sl2_poincare)(spec.params["q"], which)
+        _, poincare, which = linear_group_forms(spec)
+        rf = poincare(spec.params["q"], which)
     num, den = rf.display_pair()
     emit({"group": g.name, "lambda": lam, "method": args.method,
           "num": num.to_text(), "den": den.to_text(),

@@ -14,6 +14,7 @@ import itertools
 from collections import namedtuple
 
 from .combinatorics import group_ring_power
+from .groups import unit_steps
 
 
 class DiagramElement(namedtuple("DiagramElement", "radii bottom top")):
@@ -50,8 +51,7 @@ def basis_counts(radii, k: int) -> dict[tuple[int, ...], int]:
     coordinate j) in the group ring."""
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
-    return group_ring_power(radii, units, range(k, k + 1))[0]
+    return group_ring_power(radii, unit_steps(radii), range(k, k + 1))[0]
 
 
 def basis_count(radii, k: int, target=None) -> int:

@@ -1,8 +1,8 @@
 """Conjugacy-class and character data for the supported group families.
 
-Two tiers: "full" groups carry a complete character table; "invariant"
-groups carry only class sizes and the module character, which is all the
-invariant-dimension formulas consume.  All character values are CycNum.
+Two tiers: "full" groups carry a character table, each row built when first
+read; "invariant" groups carry only class sizes and the module character,
+which is all the invariant-dimension formulas consume.  Values are CycNum.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import mul
 
 from .combinatorics import (
     fixed_point_count,
@@ -22,7 +24,7 @@ from .combinatorics import (
 )
 from .cyclotomic import CycNum, root_of_unity
 from .errors import SpecError
-from .numbertheory import is_prime, prime_power_base, quadratic_residues
+from .numbertheory import euler_phi, is_prime, prime_power_base, quadratic_residues
 
 FULL = "full"
 INVARIANT = "invariant"
@@ -35,22 +37,23 @@ IrrepInfo = namedtuple("IrrepInfo", "label dim")
 
 
 class GroupData:
-    """Classes, conductor (all stored character values live in
-    Q(zeta_conductor)) and, on the full tier, irreps and character table.
+    """Classes, conductor (all character values live in Q(zeta_conductor))
+    and, on the full tier, irreps and `row`: irrep index -> the tuple of that
+    irrep's values over the classes, built on first use and cached per group.
     Immutable; equal only to itself."""
 
-    __slots__ = ("name", "order", "tier", "classes", "conductor", "irreps", "char_table")
+    __slots__ = ("name", "order", "tier", "classes", "conductor", "irreps", "row")
 
     def __init__(self, name: str, order: int, tier: str, classes: tuple[ClassInfo, ...],
                  conductor: int, irreps: tuple[IrrepInfo, ...] | None = None,
-                 char_table: tuple[tuple[CycNum, ...], ...] | None = None):
+                 row: Callable[[int], tuple[CycNum, ...]] | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "tier", tier)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "irreps", irreps)
-        object.__setattr__(self, "char_table", char_table)
+        object.__setattr__(self, "row", None if row is None else lru_cache(maxsize=None)(row))
 
     def __setattr__(self, *args):
         raise AttributeError("GroupData is immutable")
@@ -63,9 +66,9 @@ class GroupData:
         return [c.size for c in self.classes]
 
     def chi(self, irrep: int, cls: int) -> CycNum:
-        if self.char_table is None:
+        if self.row is None:
             raise ValueError("no character table on an invariant-tier group")
-        return self.char_table[irrep][cls]
+        return self.row(irrep)[cls]
 
     def irrep_index(self, label: str) -> int:
         assert self.irreps is not None
@@ -99,61 +102,70 @@ class ModuleChar:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic groups
+# Finite abelian groups Z_r1 x ... x Z_rn with the modules that step by a
+# multiset of elements: cyclic, product, hypercube, circulant and Paley specs
 # ---------------------------------------------------------------------------
+
+# Most integers in the elements and the module character of an abelian spec,
+# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds both.
+ABELIAN_LIMIT = 2**21
+
+
+def check_abelian_size(radii) -> tuple[int, ...]:
+    """`radii` (orders >= 2) as a tuple, or ValueError when the group is
+    above ABELIAN_LIMIT; a lazy iterable is read only as far as that needs."""
+    radii = tuple(itertools.islice(radii, ABELIAN_LIMIT.bit_length() + 1))
+    order = prod(radii)
+    if order > ABELIAN_LIMIT or order * (euler_phi(lcm(*radii)) + len(radii)) > ABELIAN_LIMIT:
+        raise ValueError(f"abelian group too large to enumerate: |G| * (phi(lcm of the "
+                         f"orders) + number of factors) must be at most {ABELIAN_LIMIT}")
+    return radii
+
+
+def abelian_elements(radii) -> tuple[tuple[int, ...], ...]:
+    """The elements of Z_r1 x ... x Z_rn, last coordinate fastest: the order
+    of the classes, the irreps and the quiver nodes of every abelian spec."""
+    return tuple(itertools.product(*(range(r) for r in radii)))
+
+
+def unit_steps(radii) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii)))
+
+
+def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
+    """chi_a(b) = zeta_N^<a,b>, <a,b> = sum a_i b_i N / r_i, N = lcm(radii)."""
+    radii = check_abelian_size(radii)
+    conductor = lcm(*radii)
+    scales = [conductor // r for r in radii]
+    elements = abelian_elements(radii)
+
+    def row(i):
+        a = [ai * s for ai, s in zip(elements[i], scales)]
+        return tuple(root_of_unity(conductor, sum(map(mul, a, b))) for b in elements)
+
+    classes = tuple(ClassInfo(label(e), 1) for e in elements)
+    irreps = tuple(IrrepInfo(label(e), 1) for e in elements)
+    return GroupData(name, prod(radii), FULL, classes, conductor, irreps, row)
+
+
+def _step_module(g: GroupData, radii: tuple[int, ...], steps, name: str = "V") -> ModuleChar:
+    """chi_V(b) = sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver
+    steps from b to b + s; the exponents are counted mod N, then reduced once."""
+    n = g.conductor
+    scaled = [[si * (n // r) for si, r in zip(s, radii)] for s in steps]
+    values = []
+    for b in abelian_elements(radii):
+        counts = [0] * n
+        for s in scaled:
+            counts[sum(map(mul, s, b)) % n] += 1
+        values.append(CycNum(n, counts))
+    return ModuleChar(g, tuple(values), name)
 
 
 def build_cyclic(r: int) -> GroupData:
     if r < 2:
         raise ValueError("cyclic order must be at least 2")
-    classes = tuple(ClassInfo(str(b), 1) for b in range(r))
-    irreps = tuple(IrrepInfo(str(a), 1) for a in range(r))
-    table = tuple(
-        tuple(root_of_unity(r, a * b) for b in range(r)) for a in range(r)
-    )
-    return GroupData(f"Z{r}", r, FULL, classes, r, irreps, table)
-
-
-def standard_module_cyclic(r: int) -> ModuleChar:
-    """The two-character module whose quiver is the circular graph on r nodes."""
-    g = build_cyclic(r)
-    values = tuple(root_of_unity(r, b) + root_of_unity(r, -b) for b in range(r))
-    return ModuleChar(g, values)
-
-
-def circulant_module(r: int, connection, group: GroupData | None = None) -> ModuleChar:
-    """Module over Z_r summing the characters in `connection`."""
-    conn = list(connection)
-    if not conn:
-        raise ValueError("connection set must be nonempty")
-    for s in conn:
-        if not 1 <= s <= r - 1:
-            raise ValueError(f"connection residue {s} out of range 1..{r - 1}")
-    g = group if group is not None else build_cyclic(r)
-    values = []
-    for b in range(r):
-        acc = CycNum.zero(r)
-        for s in conn:
-            acc = acc + root_of_unity(r, s * b)
-        values.append(acc)
-    return ModuleChar(g, tuple(values), name=f"circulant{tuple(sorted(conn))}")
-
-
-def paley_module(p: int) -> ModuleChar:
-    """Module over Z_p whose quiver is the Paley (di)graph on p nodes."""
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"Paley parameter must be an odd prime, got {p}")
-    m = circulant_module(p, quadratic_residues(p))
-    return ModuleChar(m.group, m.values, name="paley")
-
-
-# ---------------------------------------------------------------------------
-# Finite abelian groups
-# ---------------------------------------------------------------------------
-
-
-def _abelian_elements(radii) -> list[tuple[int, ...]]:
-    return list(itertools.product(*(range(r) for r in radii)))
+    return _abelian_group(f"Z{r}", (r,), lambda e: str(e[0]))
 
 
 def build_abelian(radii) -> GroupData:
@@ -162,33 +174,37 @@ def build_abelian(radii) -> GroupData:
         raise ValueError("need at least one cyclic factor")
     if any(r < 2 for r in radii):
         raise ValueError("each factor must have order at least 2")
-    order = prod(radii)
-    conductor = lcm(*radii)
-    elements = _abelian_elements(radii)
-    classes = tuple(ClassInfo(str(e), 1) for e in elements)
-    irreps = tuple(IrrepInfo(str(e), 1) for e in elements)
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            exponent = sum(ai * bi * (conductor // r) for ai, bi, r in zip(a, b, radii))
-            row.append(root_of_unity(conductor, exponent))
-        table.append(tuple(row))
-    name = "x".join(f"Z{r}" for r in radii)
-    return GroupData(name, order, FULL, classes, conductor, irreps, tuple(table))
+    return _abelian_group("x".join(f"Z{r}" for r in radii), radii, str)
+
+
+def standard_module_cyclic(r: int) -> ModuleChar:
+    """The two-character module whose quiver is the circular graph on r nodes."""
+    return _step_module(build_cyclic(r), (r,), ((1,), (r - 1,)))
+
+
+def circulant_module(r: int, connection) -> ModuleChar:
+    """Module over Z_r summing the characters in `connection`."""
+    conn = list(connection)
+    if not conn:
+        raise ValueError("connection set must be nonempty")
+    for s in conn:
+        if not 1 <= s <= r - 1:
+            raise ValueError(f"connection residue {s} out of range 1..{r - 1}")
+    return _step_module(build_cyclic(r), (r,), [(s,) for s in conn],
+                        f"circulant{tuple(sorted(conn))}")
+
+
+def paley_module(p: int) -> ModuleChar:
+    """Module over Z_p whose quiver is the Paley (di)graph on p nodes."""
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"Paley parameter must be an odd prime, got {p}")
+    return _step_module(build_cyclic(p), (p,), [(s,) for s in quadratic_residues(p)], "paley")
 
 
 def coordinate_module(radii) -> ModuleChar:
     """V = direct sum of the n coordinate characters of Z_r1 x ... x Z_rn."""
     radii = tuple(radii)
-    g = build_abelian(radii)
-    values = []
-    for b in _abelian_elements(radii):
-        acc = CycNum.zero(g.conductor)
-        for bj, r in zip(b, radii):
-            acc = acc + root_of_unity(g.conductor, bj * (g.conductor // r))
-        values.append(acc)
-    return ModuleChar(g, tuple(values))
+    return _step_module(build_abelian(radii), radii, unit_steps(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +240,18 @@ def murnaghan_nakayama(lam: tuple, mu: tuple) -> int:
 def build_symmetric(n: int) -> GroupData:
     if not 2 <= n <= 12:
         raise ValueError("symmetric group supported for 2 <= n <= 12")
-    parts = partitions_of(n)
-    irrep_order = parts  # reverse-lex: (n) = trivial first
+    parts = partitions_of(n)  # irreps, reverse-lex: (n) = trivial first
     class_order = tuple(reversed(parts))  # (1^n) = identity first
     order = factorial(n)
     classes = tuple(
         ClassInfo(str(mu), order // z_lambda(mu)) for mu in class_order
     )
-    table = []
-    irreps = []
-    for lam in irrep_order:
-        row = [murnaghan_nakayama(lam, mu) for mu in class_order]
-        irreps.append(IrrepInfo(str(lam), row[0]))
-        table.append(tuple(CycNum.from_rational(v) for v in row))
-    return GroupData(f"S{n}", order, FULL, classes, 1, tuple(irreps), tuple(table))
+    irreps = tuple(IrrepInfo(str(lam), murnaghan_nakayama(lam, class_order[0])) for lam in parts)
+
+    def row(i):
+        return tuple(CycNum.from_rational(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
+
+    return GroupData(f"S{n}", order, FULL, classes, 1, irreps, row)
 
 
 def permutation_module(n: int) -> ModuleChar:
@@ -370,14 +384,12 @@ def validate_group(g: GroupData) -> None:
     assert sum(g.class_sizes()) == g.order, "class sizes must sum to the order"
     assert g.classes[0].size == 1, "identity class must come first with size 1"
     if g.tier == FULL:
-        assert g.irreps is not None and g.char_table is not None
+        assert g.irreps is not None and g.row is not None
         assert len(g.irreps) == g.n_classes, "need as many irreps as classes"
         assert sum(i.dim**2 for i in g.irreps) == g.order, "sum of squared dims"
-        trivial = g.char_table[0]
-        assert all(v == 1 for v in trivial), "irrep 0 must be the trivial character"
-        assert all(
-            g.char_table[i][0] == g.irreps[i].dim for i in range(g.n_classes)
-        ), "identity column must carry the dimensions"
+        assert all(v == 1 for v in g.row(0)), "irrep 0 must be the trivial character"
+        assert all(g.chi(i, 0) == info.dim for i, info in enumerate(g.irreps)), \
+            "identity column must carry the dimensions"
 
 
 def group_to_json(g: GroupData, module: ModuleChar | None = None) -> str:
@@ -485,9 +497,8 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         cur.expect("(")
         p = cur.integer()
         cur.expect(")")
-        module = paley_module(p)
-        return ParsedSpec("paley", {"p": p, "connection": quadratic_residues(p)},
-                          module.group, module)
+        steps = [(s,) for s in quadratic_residues(p)]
+        return _step_spec("paley", paley_module(p), (p,), steps, p=p)
     if cur.try_word("circulant"):
         cur.expect("(")
         r = cur.integer()
@@ -498,20 +509,15 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         cur.expect(")")
         if r < 2:
             raise SpecError("circulant modulus must be at least 2")
-        for s in conn:
-            if not 1 <= s <= r - 1:
-                raise SpecError(f"connection residue {s} out of range 1..{r - 1}")
-        module = circulant_module(r, conn)
-        return ParsedSpec("circulant", {"r": r, "connection": conn}, module.group, module)
+        return _step_spec("circulant", circulant_module(r, conn), (r,), [(s,) for s in conn])
     if cur.try_word("hypercube"):
         cur.expect("(")
         n = cur.integer()
         cur.expect(")")
         if n < 1:
             raise SpecError("hypercube dimension must be positive")
-        radii = (2,) * n
-        module = coordinate_module(radii)
-        return ParsedSpec("abelian", {"radii": radii}, module.group, module)
+        radii = check_abelian_size(2 for _ in range(n))
+        return _step_spec("abelian", coordinate_module(radii), radii, unit_steps(radii))
     if cur.try_word("S"):
         n = cur.integer()
         module = permutation_module(n)
@@ -528,8 +534,13 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             cur.expect("Z")
             radii.append(cur.integer())
         if len(radii) == 1:
-            module = standard_module_cyclic(r)
-            return ParsedSpec("cyclic", {"r": r}, module.group, module)
-        module = coordinate_module(tuple(radii))
-        return ParsedSpec("abelian", {"radii": tuple(radii)}, module.group, module)
+            return _step_spec("cyclic", standard_module_cyclic(r), (r,), [(1,), (r - 1,)], r=r)
+        radii = tuple(radii)
+        return _step_spec("abelian", coordinate_module(radii), radii, unit_steps(radii))
     raise SpecError("unrecognized group spec", cur.pos)
+
+
+def _step_spec(kind: str, module: ModuleChar, radii, steps, **params) -> ParsedSpec:
+    """A spec of the abelian family; its params carry the radii and the steps."""
+    params.update(radii=radii, steps=tuple(steps))
+    return ParsedSpec(kind, params, module.group, module)

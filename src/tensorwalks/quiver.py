@@ -135,10 +135,10 @@ def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
     entry's sum over classes is n plain integer products.  The digit width
     bounds every coefficient of the summed, unreduced polynomial product, so
     the digits unpack exactly; they are then reduced modulo Phi_N once."""
-    table = g.char_table
     n = g.n_classes
-    scaled = [[table[nu][mu] * weights[mu] for mu in range(n)] for nu in range(n)]
-    conj = [[table[lam][mu].conj() for mu in range(n)] for lam in range(n)]
+    rows = [g.row(nu) for nu in range(n)]
+    scaled = [[x * w for x, w in zip(row, weights)] for row in rows]
+    conj = [[x.conj() for x in row] for row in rows]
     conductor = math.lcm(*(x.conductor for row in scaled + conj for x in row))
     deg = euler_phi(conductor)
     scaled = _integer_coeffs(scaled, conductor)

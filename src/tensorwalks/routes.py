@@ -7,18 +7,15 @@ from __future__ import annotations
 from . import closedforms as cf
 from .combinatorics import partitions_of
 from .errors import ConsistencyError, UnsupportedQueryError
-from .groups import FULL, ParsedSpec
+from .groups import FULL, ParsedSpec, abelian_elements
 from .quiver import mckay_adjacency, walk_count_matrix, walk_counts_character
 
 
-def _abelian_element(radii, index: int) -> tuple[int, ...]:
-    """Element number `index` of Z_r1 x ... x Z_rn in the order of the
-    character table (the last coordinate varies fastest)."""
-    digits = []
-    for r in reversed(radii):
-        index, digit = divmod(index, r)
-        digits.append(digit)
-    return tuple(reversed(digits))
+def linear_group_forms(spec: ParsedSpec):
+    """(dims, poincare, which): the closed forms of a GL2 or SL2 spec, and
+    the module, induced or Steinberg, that it names."""
+    forms = (cf.gl2_dims, cf.gl2_poincare) if spec.kind == "gl2" else (cf.sl2_dims, cf.sl2_poincare)
+    return (*forms, cf.STEINBERG if spec.steinberg else cf.INDUCED)
 
 
 def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[str, list[int]]]:
@@ -27,19 +24,13 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[s
     kind, params = spec.kind, spec.params
     if kind == "cyclic":
         out.append(("closed:binomial", [cf.cyclic_walks(params["r"], k, frm, to) for k in ks]))
-    elif kind == "abelian":
+    elif kind in ("abelian", "circulant", "paley"):
         radii = params["radii"]
-        a = _abelian_element(radii, frm)
-        c = _abelian_element(radii, to)
-        units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
-        diff = tuple((ci - ai) % ri for ai, ci, ri in zip(a, c, radii))
-        out.append(("closed:multinomial", cf.group_ring_walks(radii, units, ks, diff)))
-    elif kind in ("circulant", "paley"):
-        r = params.get("r") or params.get("p")
-        steps = [(s,) for s in params["connection"]]
-        out.append(("closed:multinomial", cf.group_ring_walks((r,), steps, ks, ((to - frm) % r,))))
+        elements = abelian_elements(radii)
+        diff = tuple((c - a) % r for a, c, r in zip(elements[frm], elements[to], radii))
+        out.append(("closed:multinomial", cf.group_ring_walks(radii, params["steps"], ks, diff)))
         if kind == "paley":
-            target = cf.paley_target_of(r, to - frm)
+            target = cf.paley_target_of(params["p"], to - frm)
             out.append(("closed:gauss-sum", [cf.paley_closed_form(target, k) for k in ks]))
     elif kind == "symmetric" and frm == 0:
         lam = partitions_of(params["n"])[to]
@@ -47,8 +38,7 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[s
     elif kind == "wreath" and frm == 0 and to == 0:
         out.append(("closed:wreath", [cf.wreath_invariants(params["r"], params["n"], k) for k in ks]))
     elif kind in ("gl2", "sl2") and frm == 0 and to == 0:
-        which = cf.STEINBERG if spec.steinberg else cf.INDUCED
-        dims = cf.gl2_dims if kind == "gl2" else cf.sl2_dims
+        dims, _, which = linear_group_forms(spec)
         out.append(("closed:linear-group", [dims(params["q"], k, which) for k in ks]))
     return out
 

@@ -6,7 +6,6 @@ strings."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -24,10 +23,12 @@ from .diagrams import (
 from .errors import ConsistencyError
 from .groups import (
     GroupData,
+    abelian_elements,
     coordinate_module,
     monomial_module,
     parse_spec_full,
     permutation_module,
+    unit_steps,
 )
 from .quiver import (
     bratteli,
@@ -379,11 +380,9 @@ def suite_genfnc() -> list[CheckResult]:
         mod = coordinate_module(radii)
         a = mckay_adjacency(mod.group, mod)
         powers = [mat_pow(a.rows(), k) for k in range(11)]
-        elements = list(itertools.product(*(range(r) for r in radii)))
-        units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
-        for idx, c in enumerate(elements):
+        for idx, c in enumerate(abelian_elements(radii)):
             egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
-            walks = cf.group_ring_walks(radii, units, range(11), c)
+            walks = cf.group_ring_walks(radii, unit_steps(radii), range(11), c)
             for k in range(11):
                 want = powers[k][0][idx]
                 if egf.coefficient(k) != want or walks[k] != want:
@@ -397,8 +396,7 @@ def suite_genfnc() -> list[CheckResult]:
     cosh = egf_hyperbolic(1, 2, 10)
     sinh = egf_hyperbolic(2, 2, 10)
     ok, detail = True, ""
-    elements = list(itertools.product(range(2), repeat=5))
-    for idx, c in enumerate(elements):
+    for idx, c in enumerate(abelian_elements(radii)):
         h = sum(c)
         egf = egf_product([egf_pow(cosh, 5 - h), egf_pow(sinh, h)] if h else [egf_pow(cosh, 5)])
         for k in range(11):

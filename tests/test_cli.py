@@ -142,6 +142,57 @@ def test_abelian_closed_route_enumerates_no_compositions(capsys, monkeypatch):
     assert len(run_json(capsys, "invariants", "--group", "Z4xZ2", "--k", "12")["counts"]) == 13
 
 
+def test_character_rows_are_built_on_first_use(capsys, monkeypatch):
+    # a row of characters is built when a route first reads it, once per
+    # group: egf and diagalg read none, invariants row 0 at most, a character
+    # walk 0 -> c rows 0 and c, and the adjacency build every row
+    from tensorwalks.groups import GroupData
+
+    built = []
+    real_init = GroupData.__init__
+
+    def recording_init(self, name, order, tier, classes, conductor, irreps=None, row=None):
+        def recorded(i):
+            built.append(i)
+            return row(i)
+        real_init(self, name, order, tier, classes, conductor, irreps, row and recorded)
+
+    monkeypatch.setattr(GroupData, "__init__", recording_init)
+
+    def rows_read(*argv):
+        built.clear()
+        run_json(capsys, *argv)
+        assert len(built) == len(set(built)), built
+        return sorted(built)
+
+    assert rows_read("walks", "--group", "S12", "--k", "10", "--to", "40",
+                     "--method", "character") == [0, 40]
+    assert rows_read("walks", "--group", "hypercube(12)", "--k", "10", "--to", "5",
+                     "--method", "character") == [0, 5]
+    assert rows_read("egf", "--group", "hypercube(10)", "--order", "10") == []
+    assert rows_read("diagalg", "--group", "hypercube(10)", "--k", "12") == []
+    assert rows_read("invariants", "--group", "hypercube(12)", "--k", "4") in ([], [0])
+    assert rows_read("walks", "--group", "S6", "--k", "4", "--to", "3") == list(range(11))
+
+
+def test_abelian_specs_too_large_to_enumerate_are_usage_errors(capsys):
+    import time
+
+    from tensorwalks.groups import ABELIAN_LIMIT, check_abelian_size
+
+    for spec in ("hypercube(40)", "Z1000003", "paley(1000003)", "circulant(1000003; 1)",
+                 "Z2048xZ2048", "hypercube(17)", f"hypercube({10**30})", f"Z{10**30}xZ2"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "walks", "--group", spec, "--k", "2", "--method", "closed")
+        assert code == 2 and "too large" in err, (spec, err)
+        assert time.perf_counter() - start < 1, spec
+    # |G| (phi(N) + factors) against the limit: 2^16 * 17 is under it, 2^17 * 18 over
+    assert check_abelian_size((2,) * 16) == (2,) * 16
+    assert 2**16 * 17 <= ABELIAN_LIMIT < 2**17 * 18
+    doc = run_json(capsys, "invariants", "--group", "hypercube(12)", "--k", "4")
+    assert doc["counts"] == ["1", "0", "12", "0", "408"]  # 3n^2 - 2n closed 4-walks
+
+
 def test_invariants_wreath(capsys):
     doc = run_json(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
     assert doc["counts"] == ["1", "0", "1", "0", "4", "0", "16"]

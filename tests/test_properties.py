@@ -1,6 +1,8 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
+from math import prod
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,7 +11,19 @@ from hypothesis import given, settings, strategies as st
 from tensorwalks import closedforms as cf
 from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
-from tensorwalks.groups import FULL, circulant_module, coordinate_module, monomial_module, parse_spec_full
+from tensorwalks.cyclotomic import CycNum
+from tensorwalks.groups import (
+    FULL,
+    _step_module,
+    abelian_elements,
+    build_abelian,
+    build_cyclic,
+    circulant_module,
+    coordinate_module,
+    monomial_module,
+    parse_spec_full,
+    validate_group,
+)
 from tensorwalks.numbertheory import is_prime, quadratic_residues
 from tensorwalks.quiver import (
     mckay_adjacency,
@@ -18,6 +32,7 @@ from tensorwalks.quiver import (
     walk_counts_character,
 )
 from tensorwalks.registry import builtin_modules
+from tensorwalks.verify import _orthogonality_ok
 from tensorwalks.series import (
     RatFunc,
     cramer_numerators,
@@ -36,6 +51,28 @@ def test_wreath_fixed_point_character_and_egf_agree(r, n, k):
     fixed_point = cf.wreath_invariants(r, n, k)
     assert walk_count_character(v.group, v, k, 0, 0) == fixed_point
     assert cf.wreath_invariants_egf(r, n, K_MAX).coefficient(k) == fixed_point
+
+
+@st.composite
+def abelian_step_sets(draw):
+    radii = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4)
+                 .filter(lambda radii: prod(radii) <= 64))
+    steps = draw(st.lists(st.sampled_from(abelian_elements(radii)), min_size=1, max_size=6))
+    return tuple(radii), steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(abelian_step_sets())
+def test_abelian_rows_are_characters_and_modules_sum_them(query):
+    radii, steps = query
+    g = build_cyclic(radii[0]) if len(radii) == 1 else build_abelian(radii)
+    validate_group(g)
+    # the orthogonality sums are |G|^3 exact products: 10 to 28 s at |G| = 64
+    assert len(g.classes) > 24 or _orthogonality_ok(g)
+    index = {e: i for i, e in enumerate(abelian_elements(radii))}
+    v = _step_module(g, radii, steps)
+    for b, value in zip(index, v.values):
+        assert value == sum((g.chi(index[s], index[b]) for s in steps), CycNum.zero(1))
 
 
 @st.composite

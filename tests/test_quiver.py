@@ -196,16 +196,24 @@ def test_walkmatrix_validation():
         a.dim = 3
 
 
+def corrupted_row(g, irrep, cls, change):
+    """A row function for `g` with the value at (irrep, cls) changed."""
+    def row(i):
+        values = list(g.row(i))
+        if i == irrep:
+            values[cls] = change(values[cls])
+        return tuple(values)
+    return row
+
+
 def test_bad_table_is_a_loud_diagnostic():
     # corrupting one character value must make the integrality assertion fail
     # rather than silently rounding
     from tensorwalks.groups import GroupData, ModuleChar
 
     g = build_cyclic(3)
-    bad_table = [list(row) for row in g.char_table]
-    bad_table[1][1] = bad_table[1][1] + 1
     bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
-                    g.irreps, tuple(tuple(r) for r in bad_table))
+                    g.irreps, corrupted_row(g, 1, 1, lambda x: x + 1))
     v = standard_module_cyclic(3)
     bad_v = ModuleChar(bad, v.values)
     with pytest.raises(ConsistencyError):
@@ -269,10 +277,9 @@ def test_fraction_coefficient_is_bad_table_data():
     from tensorwalks.groups import GroupData, ModuleChar
 
     g = build_cyclic(3)
-    bad_table = [list(row) for row in g.char_table]
-    bad_table[2][1] = bad_table[2][1] * CycNum.from_rational(Fraction(1, 2))
+    half = CycNum.from_rational(Fraction(1, 2))
     bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
-                    g.irreps, tuple(tuple(r) for r in bad_table))
+                    g.irreps, corrupted_row(g, 2, 1, lambda x: x * half))
     v = standard_module_cyclic(3)
     with pytest.raises(ConsistencyError, match=r"\(2,1\)"):
         mckay_adjacency(bad, ModuleChar(bad, v.values))

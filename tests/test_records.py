@@ -70,7 +70,7 @@ def test_keyword_construction_keeps_defaults():
     assert ClassInfo("1", 1).family is None
     assert ClassInfo("c(2)", 5, family="c").family == "c"
     g = _trivial_group()
-    assert g.irreps is None and g.char_table is None
+    assert g.irreps is None and g.row is None
     one = (CycNum.from_rational(1),)
     assert ModuleChar(g, one).name == "V"
     assert ModuleChar(g, one, name="induced").name == "induced"
