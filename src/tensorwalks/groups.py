@@ -111,17 +111,6 @@ class ModuleChar:
 ABELIAN_LIMIT = 2**21
 
 
-def check_abelian_size(radii) -> tuple[int, ...]:
-    """`radii` (orders >= 2) as a tuple, or ValueError when the group is
-    above ABELIAN_LIMIT; a lazy iterable is read only as far as that needs."""
-    radii = tuple(itertools.islice(radii, ABELIAN_LIMIT.bit_length() + 1))
-    order = prod(radii)
-    if order > ABELIAN_LIMIT or order * (euler_phi(lcm(*radii)) + len(radii)) > ABELIAN_LIMIT:
-        raise ValueError(f"abelian group too large to enumerate: |G| * (phi(lcm of the "
-                         f"orders) + number of factors) must be at most {ABELIAN_LIMIT}")
-    return radii
-
-
 def abelian_elements(radii) -> tuple[tuple[int, ...], ...]:
     """The elements of Z_r1 x ... x Z_rn, last coordinate fastest: the order
     of the classes, the irreps and the quiver nodes of every abelian spec."""
@@ -133,9 +122,12 @@ def unit_steps(radii) -> tuple[tuple[int, ...], ...]:
 
 
 def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
-    """chi_a(b) = zeta_N^<a,b>, <a,b> = sum a_i b_i N / r_i, N = lcm(radii)."""
-    radii = check_abelian_size(radii)
-    conductor = lcm(*radii)
+    """chi_a(b) = zeta_N^<a,b>, <a,b> = sum a_i b_i N / r_i, N = lcm(radii);
+    ValueError above ABELIAN_LIMIT, before any element is built."""
+    order, conductor = prod(radii), lcm(*radii)
+    if order > ABELIAN_LIMIT or order * (euler_phi(conductor) + len(radii)) > ABELIAN_LIMIT:
+        raise ValueError(f"abelian group too large to enumerate: |G| * (phi(lcm of the "
+                         f"orders) + number of factors) must be at most {ABELIAN_LIMIT}")
     scales = [conductor // r for r in radii]
     elements = abelian_elements(radii)
 
@@ -145,21 +137,7 @@ def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
 
     classes = tuple(ClassInfo(label(e), 1) for e in elements)
     irreps = tuple(IrrepInfo(label(e), 1) for e in elements)
-    return GroupData(name, prod(radii), FULL, classes, conductor, irreps, row)
-
-
-def _step_module(g: GroupData, radii: tuple[int, ...], steps, name: str = "V") -> ModuleChar:
-    """chi_V(b) = sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver
-    steps from b to b + s; the exponents are counted mod N, then reduced once."""
-    n = g.conductor
-    scaled = [[si * (n // r) for si, r in zip(s, radii)] for s in steps]
-    values = []
-    for b in abelian_elements(radii):
-        counts = [0] * n
-        for s in scaled:
-            counts[sum(map(mul, s, b)) % n] += 1
-        values.append(CycNum(n, counts))
-    return ModuleChar(g, tuple(values), name)
+    return GroupData(name, order, FULL, classes, conductor, irreps, row)
 
 
 def build_cyclic(r: int) -> GroupData:
@@ -177,34 +155,70 @@ def build_abelian(radii) -> GroupData:
     return _abelian_group("x".join(f"Z{r}" for r in radii), radii, str)
 
 
-def standard_module_cyclic(r: int) -> ModuleChar:
-    """The two-character module whose quiver is the circular graph on r nodes."""
-    return _step_module(build_cyclic(r), (r,), ((1,), (r - 1,)))
+def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, name: str = "V",
+               **params) -> ParsedSpec:
+    """A spec of the abelian family: `group` with the module chi_V(b) =
+    sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps from b to
+    b + s (the exponents are counted mod N, then reduced once); the params
+    carry the radii and the steps."""
+    steps = tuple(steps)
+    n = group.conductor
+    scaled = [[si * (n // r) for si, r in zip(s, radii)] for s in steps]
+    values = []
+    for b in abelian_elements(radii):
+        counts = [0] * n
+        for s in scaled:
+            counts[sum(map(mul, s, b)) % n] += 1
+        values.append(CycNum(n, counts))
+    params.update(radii=radii, steps=steps)
+    return ParsedSpec(kind, params, group, ModuleChar(group, tuple(values), name))
 
 
-def circulant_module(r: int, connection) -> ModuleChar:
-    """Module over Z_r summing the characters in `connection`."""
+def _cyclic_spec(r: int) -> ParsedSpec:
+    return _step_spec("cyclic", build_cyclic(r), (r,), ((1,), (r - 1,)), r=r)
+
+
+def _circulant_spec(r: int, connection) -> ParsedSpec:
     conn = list(connection)
     if not conn:
         raise ValueError("connection set must be nonempty")
     for s in conn:
         if not 1 <= s <= r - 1:
             raise ValueError(f"connection residue {s} out of range 1..{r - 1}")
-    return _step_module(build_cyclic(r), (r,), [(s,) for s in conn],
-                        f"circulant{tuple(sorted(conn))}")
+    return _step_spec("circulant", build_cyclic(r), (r,), [(s,) for s in conn],
+                      f"circulant{tuple(sorted(conn))}")
+
+
+def _paley_spec(p: int) -> ParsedSpec:
+    # build_cyclic applies the size limit before the sqrt(p) primality test
+    group = build_cyclic(p) if p % 2 and p > 1 else None
+    if group is None or not is_prime(p):
+        raise ValueError(f"Paley parameter must be an odd prime, got {p}")
+    return _step_spec("paley", group, (p,), [(s,) for s in quadratic_residues(p)], "paley", p=p)
+
+
+def _product_spec(radii: tuple[int, ...]) -> ParsedSpec:
+    return _step_spec("abelian", build_abelian(radii), radii, unit_steps(radii))
+
+
+def standard_module_cyclic(r: int) -> ModuleChar:
+    """The two-character module whose quiver is the circular graph on r nodes."""
+    return _cyclic_spec(r).module
+
+
+def circulant_module(r: int, connection) -> ModuleChar:
+    """Module over Z_r summing the characters in `connection`."""
+    return _circulant_spec(r, connection).module
 
 
 def paley_module(p: int) -> ModuleChar:
     """Module over Z_p whose quiver is the Paley (di)graph on p nodes."""
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"Paley parameter must be an odd prime, got {p}")
-    return _step_module(build_cyclic(p), (p,), [(s,) for s in quadratic_residues(p)], "paley")
+    return _paley_spec(p).module
 
 
 def coordinate_module(radii) -> ModuleChar:
     """V = direct sum of the n coordinate characters of Z_r1 x ... x Z_rn."""
-    radii = tuple(radii)
-    return _step_module(build_abelian(radii), radii, unit_steps(radii))
+    return _product_spec(tuple(radii)).module
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +511,7 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         cur.expect("(")
         p = cur.integer()
         cur.expect(")")
-        steps = [(s,) for s in quadratic_residues(p)]
-        return _step_spec("paley", paley_module(p), (p,), steps, p=p)
+        return _paley_spec(p)
     if cur.try_word("circulant"):
         cur.expect("(")
         r = cur.integer()
@@ -509,15 +522,15 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         cur.expect(")")
         if r < 2:
             raise SpecError("circulant modulus must be at least 2")
-        return _step_spec("circulant", circulant_module(r, conn), (r,), [(s,) for s in conn])
+        return _circulant_spec(r, conn)
     if cur.try_word("hypercube"):
         cur.expect("(")
         n = cur.integer()
         cur.expect(")")
         if n < 1:
             raise SpecError("hypercube dimension must be positive")
-        radii = check_abelian_size(2 for _ in range(n))
-        return _step_spec("abelian", coordinate_module(radii), radii, unit_steps(radii))
+        # past ABELIAN_LIMIT.bit_length() factors the order alone is above the limit
+        return _product_spec((2,) * min(n, ABELIAN_LIMIT.bit_length()))
     if cur.try_word("S"):
         n = cur.integer()
         module = permutation_module(n)
@@ -534,13 +547,7 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             cur.expect("Z")
             radii.append(cur.integer())
         if len(radii) == 1:
-            return _step_spec("cyclic", standard_module_cyclic(r), (r,), [(1,), (r - 1,)], r=r)
-        radii = tuple(radii)
-        return _step_spec("abelian", coordinate_module(radii), radii, unit_steps(radii))
+            return _cyclic_spec(r)
+        return _product_spec(tuple(radii))
     raise SpecError("unrecognized group spec", cur.pos)
 
-
-def _step_spec(kind: str, module: ModuleChar, radii, steps, **params) -> ParsedSpec:
-    """A spec of the abelian family; its params carry the radii and the steps."""
-    params.update(radii=radii, steps=tuple(steps))
-    return ParsedSpec(kind, params, module.group, module)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from . import closedforms as cf
 from .combinatorics import bell_number
@@ -30,6 +31,7 @@ from .groups import (
     permutation_module,
     unit_steps,
 )
+from .numbertheory import euler_phi
 from .quiver import (
     bratteli,
     centralizer_dim,
@@ -204,12 +206,10 @@ def suite_sn() -> list[CheckResult]:
 
 
 def suite_paley() -> list[CheckResult]:
-    from .numbertheory import quadratic_residues
-
     s = Suite()
     ok, detail = True, ""
     for p in (5, 7, 11, 13, 17):
-        steps = [(s,) for s in quadratic_residues(p)]
+        steps = parse_spec_full(f"paley({p})").params["steps"]
         if p <= 13:
             targets = range(p)
         else:
@@ -349,23 +349,33 @@ def suite_generic() -> list[CheckResult]:
     return s.results
 
 
+def _sum_of_products(xs, ys) -> CycNum:
+    """sum_i xs[i] * ys[i]; the products are added unreduced, then reduced once."""
+    n = lcm(*(x.conductor for x in (*xs, *ys)))
+    raw = [0] * (2 * euler_phi(n) - 1)
+    for x, y in zip(xs, ys):
+        terms = [(j, c) for j, c in enumerate(y.embed(n).coeffs) if c]
+        for i, a in enumerate(x.embed(n).coeffs):
+            if a:
+                for j, c in terms:
+                    raw[i + j] += a * c
+    return CycNum(n, raw)
+
+
 def _orthogonality_ok(g: GroupData) -> bool:
     n = g.n_classes
     sizes = g.class_sizes()
+    rows = [g.row(nu) for nu in range(n)]
+    conj = [[x.conj() for x in row] for row in rows]
     for nu in range(n):
+        weighted = [size * x for size, x in zip(sizes, rows[nu])]
         for lam in range(n):
-            acc = CycNum.zero(1)
-            for mu in range(n):
-                acc = acc + sizes[mu] * g.chi(nu, mu) * g.chi(lam, mu).conj()
-            if acc != (g.order if nu == lam else 0):
+            if _sum_of_products(weighted, conj[lam]) != (g.order if nu == lam else 0):
                 return False
-    for mu in range(n):
-        for nu in range(n):
-            acc = CycNum.zero(1)
-            for lam in range(n):
-                acc = acc + g.chi(lam, mu) * g.chi(lam, nu).conj()
+    for mu, col in enumerate(zip(*rows)):
+        for nu, conj_col in enumerate(zip(*conj)):
             want = Fraction(g.order, sizes[mu]) if mu == nu else 0
-            if acc != CycNum.from_rational(want):
+            if _sum_of_products(col, conj_col) != want:
                 return False
     return True
 

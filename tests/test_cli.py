@@ -178,16 +178,21 @@ def test_character_rows_are_built_on_first_use(capsys, monkeypatch):
 def test_abelian_specs_too_large_to_enumerate_are_usage_errors(capsys):
     import time
 
-    from tensorwalks.groups import ABELIAN_LIMIT, check_abelian_size
+    from tensorwalks.groups import ABELIAN_LIMIT, build_abelian
 
-    for spec in ("hypercube(40)", "Z1000003", "paley(1000003)", "circulant(1000003; 1)",
-                 "Z2048xZ2048", "hypercube(17)", f"hypercube({10**30})", f"Z{10**30}xZ2"):
+    too_large = ("hypercube(40)", "Z1000003", "paley(1000003)", "paley(1000000007)",
+                 "circulant(1000003; 1)", "Z2048xZ2048", "hypercube(17)",
+                 f"hypercube({10**30})", f"Z{10**30}xZ2", f"paley({10**30 + 1})")
+    for spec, message in [(s, "too large") for s in too_large] + [(f"paley({10**12})",
+                                                                   "odd prime")]:
         start = time.perf_counter()
         code, _, err = run(capsys, "walks", "--group", spec, "--k", "2", "--method", "closed")
-        assert code == 2 and "too large" in err, (spec, err)
+        assert code == 2 and message in err, (spec, err)
         assert time.perf_counter() - start < 1, spec
     # |G| (phi(N) + factors) against the limit: 2^16 * 17 is under it, 2^17 * 18 over
-    assert check_abelian_size((2,) * 16) == (2,) * 16
+    assert build_abelian((2,) * 16).order == 2**16
+    with pytest.raises(ValueError, match="too large"):
+        build_abelian((2,) * 17)
     assert 2**16 * 17 <= ABELIAN_LIMIT < 2**17 * 18
     doc = run_json(capsys, "invariants", "--group", "hypercube(12)", "--k", "4")
     assert doc["counts"] == ["1", "0", "12", "0", "408"]  # 3n^2 - 2n closed 4-walks
