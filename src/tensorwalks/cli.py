@@ -179,6 +179,30 @@ def cmd_group(args) -> int:
     return 0
 
 
+def emit_basis(name: str, k: int, elements) -> None:
+    """Write what `emit` writes for the `diagalg --list` payload, byte for
+    byte, without building it: each distinct word is rendered once."""
+    words: dict[tuple[int, ...], str] = {}
+
+    def word(w):
+        text = words.get(w)
+        if text is None:
+            text = words[w] = ("[\n        " + ",\n        ".join(map(str, w)) + "\n      ]"
+                               if w else "[]")
+        return text
+
+    out = sys.stdout
+    out.write(f'{{\n  "group": {json.dumps(name)},\n  "k": {k},\n'
+              f'  "count": "{len(elements)}",\n  "elements": ')
+    if not elements:
+        out.write("[]\n}\n")
+        return
+    out.write("[\n")
+    out.write(",\n".join(f'    {{\n      "bottom": {word(e.bottom)},\n'
+                          f'      "top": {word(e.top)}\n    }}' for e in elements))
+    out.write("\n  ]\n}\n")
+
+
 # most words, and most basis elements, that `diagalg --list` writes out
 LIST_LIMIT = 10**6
 
@@ -200,11 +224,7 @@ def cmd_diagalg(args) -> int:
             raise UnsupportedQueryError(
                 f"--list lists at most {LIST_LIMIT} words and {LIST_LIMIT} elements; "
                 f"{n}^{args.k} words or their basis exceed that (omit --list to count)")
-        elements = enumerate_basis(radii, args.k, target)
-        emit({"group": spec.group.name, "k": args.k,
-              "count": str(len(elements)),
-              "elements": [{"bottom": list(e.bottom), "top": list(e.top)}
-                           for e in elements]})
+        emit_basis(spec.group.name, args.k, enumerate_basis(radii, args.k, target))
     else:
         emit({"group": spec.group.name, "k": args.k,
               "count": str(basis_count(radii, args.k, target))})

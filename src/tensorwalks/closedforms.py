@@ -18,11 +18,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinatorics import (
-    compositions,
     even_block_partitions,
     group_ring_power,
     kostka_hook_content,
-    multinomial,
     rencontres,
     stirling2,
 )
@@ -30,7 +28,6 @@ from .cyclotomic import CycNum, gauss_sum, root_of_unity
 from .errors import ConsistencyError
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
-from .quiver import mat_pow
 from .series import EgfTruncation, RatFunc, egf_hyperbolic, egf_pow
 
 INDUCED = "induced"
@@ -96,38 +93,33 @@ def paley_target_of(p: int, c: int) -> PaleyTarget:
     return PaleyTarget(p, RESIDUE if legendre_symbol(c, p) == 1 else NONRESIDUE)
 
 
-def _paley_pieces(p: int):
-    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Q(zeta_p)
-    half = Fraction(1, 2)
-    a_term = (s - 1) * half   # (xi*sqrt(p) - 1)/2, the chi_V value on residues
-    b_term = (s + 1) * half   # (xi*sqrt(p) + 1)/2; chi_V on nonresidues is -b_term
-    base = Fraction(p - 1, 2)
-    return s, a_term, b_term, base
-
-
-def paley_closed_form(target: PaleyTarget, k: int) -> int:
-    """Exact k-step walk count from 0 on the Paley (di)graph, evaluated from
-    the split class sum in Q(zeta_p) through the quadratic Gauss sum."""
+def paley_closed_form(target: PaleyTarget, ks: range) -> list[int]:
+    """Exact k-step walk counts from 0 on the Paley (di)graph, for every k in
+    `ks`, evaluated from the split class sum in Q(zeta_p) through the
+    quadratic Gauss sum s.  The module character is (p-1)/2 at 0, (s - 1)/2
+    on the residues and -(s + 1)/2 on the nonresidues, so
+    p 2^(k+1) times the count is 2 (p-1)^k + c_u u^k + c_w w^k with
+    u = s - 1, w = -s - 1 and integral weights c_u, c_w set by the target's
+    kind; the two powers are carried from k to the next k."""
     p = target.p
-    if k == 0:
-        return 1 if target.kind == ZERO else 0
-    _, a_term, b_term, base = _paley_pieces(p)
-    sign = (-1) ** k
-    half_count = Fraction(p - 1, 2)
+    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Q(zeta_p)
+    roots = (s - 1, -s - 1)
     if target.kind == ZERO:
-        total = base**k + (a_term**k + sign * b_term**k) * half_count
-    elif p % 4 == 1:
-        f_res, f_non = a_term, -b_term
-        f_c, f_ac = (f_res, f_non) if target.kind == RESIDUE else (f_non, f_res)
-        total = base**k + a_term**k * f_c + sign * b_term**k * f_ac
+        weights = (p - 1, p - 1)
+    elif (target.kind == RESIDUE) == (p % 4 == 1):
+        weights = roots
     else:
-        f_res1, f_non1 = b_term, -a_term  # f(c) + 1 on residues / nonresidues
-        f_c1, f_ac1 = (f_res1, f_non1) if target.kind == RESIDUE else (f_non1, f_res1)
-        total = base**k - a_term**k * f_c1 - sign * b_term**k * f_ac1
-    value = (total / p).as_rational()
-    if value is None or value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"Paley walk count came out {value}")
-    return int(value)
+        weights = roots[::-1]
+    terms = [c * x ** ks.start for c, x in zip(weights, roots)]
+    steps = [x ** ks.step for x in roots]
+    counts = []
+    for k in ks:
+        value = ((2 * (p - 1) ** k + terms[0] + terms[1]) / (p * 2 ** (k + 1))).as_rational()
+        if value is None or value.denominator != 1 or value < 0:
+            raise ConsistencyError(f"Paley walk count came out {value}")
+        counts.append(int(value))
+        terms = [t * x for t, x in zip(terms, steps)]
+    return counts
 
 
 def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
@@ -142,7 +134,7 @@ def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
     p = target.p
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
-    s, _, _, _ = _paley_pieces(p)
+    s = gauss_sum(p)
     pm1 = p - 1
     scale = Fraction(1, 2 ** (k + 1) * p)
     if target.kind == RESIDUE:
@@ -162,11 +154,18 @@ def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
     return total * (scale * (p - 1))
 
 
-def paley_bruteforce(p: int, k: int, c: int) -> int:
-    """Oracle: k-th power of the explicit p-by-p adjacency matrix."""
+def paley_bruteforce(p: int, ks: range, c: int) -> list[int]:
+    """Oracle: entry c of row 0 of A^k, for every k in `ks`, for the explicit
+    p-by-p adjacency matrix A, by one pass of vector-matrix products."""
     res = set(quadratic_residues(p))
     a = [[1 if (j - i) % p in res else 0 for j in range(p)] for i in range(p)]
-    return mat_pow(a, k)[0][c % p]
+    row = [1] + [0] * (p - 1)
+    counts = []
+    for k in range(ks[-1] + 1 if ks else 0):
+        if k in ks:
+            counts.append(row[c % p])
+        row = [sum(x * a[i][j] for i, x in enumerate(row) if x) for j in range(p)]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,10 @@ def sn_irrep_dim_formula(n: int, k: int, lam) -> int:
 
 def wreath_invariants(r: int, n: int, k: int) -> int:
     """Invariant dimension grouped by the number of fixed points of the
-    underlying permutation: (1/n!) sum_m F_n(m) * (multinomials over step
-    compositions with every part divisible by r).
+    underlying permutation: (1/n!) sum_m F_n(m) f_m(k), with f_m(k) the
+    number of words of length k over m letters that use every letter a
+    multiple of r times, by the binomial convolution
+    f_m(rt) = sum_j C(rt, rj) f_{m-1}(r(t - j)).
 
     The published form carries the rencontres weight to the k-th power and an
     r^m/r^n prefactor; that version fails brute-force checking already for
@@ -202,16 +203,13 @@ def wreath_invariants(r: int, n: int, k: int) -> int:
         return 1
     if k % r:
         return 0
+    t = k // r
+    words = [1] + [0] * t  # f_0(r s) for s = 0..t
     total = 0
     for m in range(1, n + 1):
-        w = rencontres(n, m)
-        if w == 0:
-            continue
-        inner = sum(
-            multinomial(k, tuple(q * r for q in qs))
-            for qs in compositions(k // r, m)
-        )
-        total += w * inner
+        words = [sum(comb(r * s, r * j) * words[s - j] for j in range(s + 1))
+                 for s in range(t + 1)]
+        total += rencontres(n, m) * words[t]
     q, rem = divmod(total, factorial(n))
     if rem:
         raise ConsistencyError("wreath invariant dimension must be an integer")

@@ -8,11 +8,12 @@ hot loops stay in fast integer arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConsistencyError
-from .numbertheory import divisors, euler_phi, is_prime
+from .numbertheory import divisors, euler_phi, is_prime, unit_generators
 from .polynomials import _exact_div, _norm_coeff
 
 # Phi_N coefficient tuples (ascending, integer, monic).  Write-once per key;
@@ -312,3 +313,130 @@ def gauss_sum_check(p: int) -> bool:
     square = g * g
     expected = p if p % 4 == 1 else -p
     return square == CycNum.from_rational(expected)
+
+
+# -- certified evaluation: character sums as rational integers ----------------
+
+
+class CertifiedSums:
+    """A table of values in Z[zeta_N], checked so that every sum over its
+    columns the callers form is a rational integer, with the ring map that
+    evaluates those sums exactly.
+
+    `columns` holds one tuple of values (CycNum or int) per class.  The table
+    is interned: `coeffs` lists each distinct power-basis coefficient tuple
+    over Q(zeta_N) once, N the lcm of the values' conductors, `columns`
+    becomes the same shape of indices into it, and `l1` holds each value's
+    L1 norm, the sum of its coefficients' absolute values.
+
+    Certificate: every value must have integer coefficients, and for each a
+    in a generating set of (Z/N)^x, sigma_a: zeta_N -> zeta_N^a must map the
+    multiset of columns onto itself; otherwise ConsistencyError.  A sum over
+    all columns of one integer polynomial in a column's entries and their
+    complex conjugates is then fixed by every sigma_a, so it lies in
+    Z[zeta_N] and in Q, hence in Z.
+
+    The images sigma_a(x) are compared through a ring map h (see
+    `ring_map`) with 2^B - 1 > 2 max |x|_1: a nonzero z = sigma_a(x) - y has
+    0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) < M, while h(z) = 0 would make
+    M divide norm(z), so h(sigma_a(x)) = h(y) exactly when sigma_a(x) = y."""
+
+    __slots__ = ("conductor", "coeffs", "columns", "l1")
+
+    def __init__(self, columns):
+        columns = [tuple(col) for col in columns]
+        n = lcm(1, *(x.conductor for col in columns for x in col if isinstance(x, CycNum)))
+        zeros = (0,) * (euler_phi(n) - 1)
+        coeffs: list[tuple] = []
+        index: dict[tuple, int] = {}
+        by_id: dict[int, int] = {}  # the columns keep every value alive meanwhile
+        interned = []
+        for mu, col in enumerate(columns):
+            row = []
+            for i, x in enumerate(col):
+                j = by_id.get(id(x))
+                if j is None:
+                    c = (x,) + zeros if isinstance(x, int) else x.embed(n).coeffs
+                    j = index.get(c)
+                    if j is None:
+                        if any(type(a) is not int for a in c):
+                            raise ConsistencyError(
+                                f"non-integer coefficient in {x.to_text()} at ({i},{mu}); "
+                                "bad table data")
+                        j = index[c] = len(coeffs)
+                        coeffs.append(c)
+                    by_id[id(x)] = j
+                row.append(j)
+            interned.append(tuple(row))
+        self.conductor, self.coeffs, self.columns = n, coeffs, interned
+        self.l1 = [sum(map(abs, c)) for c in coeffs]
+        gens = unit_generators(n)
+        if not gens:
+            return
+        m, powers = _ring_map(n, (2 * max(self.l1) + 1).bit_length())
+        value_at = {_image(c, powers, 1, m): j for j, c in enumerate(coeffs)}
+        counts = Counter(interned)
+        for a in gens:
+            image = [value_at.get(_image(c, powers, a, m), -1) for c in coeffs]
+            if Counter(tuple(image[j] for j in col) for col in interned) != counts:
+                raise ConsistencyError(
+                    f"zeta -> zeta^{a} does not permute the classes of the character "
+                    f"data over Q(zeta_{n}); Galois-incomplete table, the sum is not rational")
+
+    def ring_map(self, bound: int) -> tuple[int, list[int], list[int]]:
+        """(M, [h(x)], [h(conj x)]) over the distinct values, for the ring map
+        h: Z[zeta_N] -> Z/M, zeta_N -> 2^B, M = Phi_N(2^B), with B the least
+        exponent such that (2^B - 1)^phi(N) > 2 * bound.  Every primitive root
+        zeta has |2^B - zeta| >= 2^B - 1, so M > 2 * bound and `lift` recovers
+        each certified sum of absolute value at most `bound`."""
+        n = self.conductor
+        deg = euler_phi(n)
+        b = max(1, (2 * bound).bit_length() // deg)
+        while (2**b - 1) ** deg <= 2 * bound:
+            b += 1
+        m, powers = _ring_map(n, b)
+        return (m, [_image(c, powers, 1, m) for c in self.coeffs],
+                [_image(c, powers, -1, m) for c in self.coeffs])
+
+
+def _ring_map(n: int, b: int) -> tuple[int, list[int]]:
+    """M = Phi_n(2^b) and the images 2^(b j) mod M of zeta_n^j, j < n."""
+    m = 0
+    for c in reversed(cyclotomic_polynomial(n)):
+        m = (m << b) + c
+    powers = [1 % m]
+    for _ in range(n - 1):
+        powers.append((powers[-1] << b) % m)
+    return m, powers
+
+
+def _image(coeffs, powers: list[int], a: int, m: int) -> int:
+    """h(sigma_a(x)) mod m for x with power-basis `coeffs`, given the images
+    `powers` of zeta^j under h, since sigma_a sends zeta^i to zeta^(a i)."""
+    n = len(powers)
+    return sum(c * powers[i * a % n] for i, c in enumerate(coeffs) if c) % m
+
+
+def lift(residue: int, modulus: int) -> int:
+    """The symmetric residue of `residue` mod `modulus`, in (-M/2, M/2]."""
+    residue %= modulus
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def weighted_power_sums(pairs, ks: range) -> list[int]:
+    """sum over `pairs` (x, w) of w * x^k, for every k in `ks`: rational
+    integers, certified and evaluated by CertifiedSums; each term's x^k is
+    carried mod M from k to the next k."""
+    table = CertifiedSums(pairs)
+    if not ks:
+        return []
+    l1 = table.l1
+    bound = sum(l1[w] * max(l1[x] ** ks[0], l1[x] ** ks[-1]) for x, w in table.columns)
+    m, images, _ = table.ring_map(bound)
+    terms = [images[w] * pow(images[x], ks.start, m) % m for x, w in table.columns]
+    steps = [pow(images[x], ks.step, m) for x, _ in table.columns]
+    sums = []
+    for _ in ks:
+        sums.append(lift(sum(terms), m))
+        terms = [t * s % m for t, s in zip(terms, steps)]
+    return sums

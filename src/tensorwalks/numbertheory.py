@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -47,6 +47,23 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+@lru_cache(maxsize=None)
+def unit_generators(n: int) -> tuple[int, ...]:
+    """A generating set of the unit group (Z/n)^x, chosen greedily: each
+    unit not yet in the subgroup generated so far joins the set."""
+    reached = {1 % n}
+    gens = []
+    for a in range(2, n):
+        if gcd(a, n) == 1 and a not in reached:
+            gens.append(a)
+            coset, power = set(reached), a
+            while power not in reached:  # add the cosets a^j H until a^j is in H
+                coset.update(power * h % n for h in reached)
+                power = power * a % n
+            reached = coset
+    return tuple(gens)
 
 
 def divisors(n: int) -> list[int]:

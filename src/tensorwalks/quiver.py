@@ -4,13 +4,12 @@ by character sums, centralizer-algebra dimensions, and Bratteli diagrams."""
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
+from operator import mul
 
-from .cyclotomic import CycNum, reduce_mod_phi
+from .cyclotomic import CertifiedSums, CycNum, lift, weighted_power_sums
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
-from .numbertheory import euler_phi
 
 
 class WalkMatrix:
@@ -88,77 +87,31 @@ def _require_full(g: GroupData, what: str):
             "invariant-only data (only the 0 -> 0 walk count is available)")
 
 
-def _integer_coeffs(values, conductor: int) -> list[list[tuple[int, ...]]]:
-    """Power-basis coefficients over Q(zeta_conductor) of a matrix of
-    character-derived values, which must be algebraic integers."""
-    out = []
-    for i, row in enumerate(values):
-        coeff_row = []
-        for mu, x in enumerate(row):
-            coeffs = x.embed(conductor).coeffs
-            if any(type(c) is not int for c in coeffs):
-                raise ConsistencyError(
-                    f"non-integer coefficient in {x.to_text()} at ({i},{mu}); bad table data")
-            coeff_row.append(coeffs)
-        out.append(coeff_row)
-    return out
-
-
-def _pack(coeffs, width: int) -> int:
-    """Kronecker substitution: sum_i coeffs[i] * 2^(width*i), signed digits."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << width) + c
-    return acc
-
-
-def _unpack(total: int, width: int, count: int) -> list[int]:
-    """The `count` balanced base-2^width digits of `total`, lowest first."""
-    half, full, mask = 1 << (width - 1), 1 << width, (1 << width) - 1
-    digits = []
-    for _ in range(count):
-        d = total & mask
-        if d >= half:
-            d -= full
-        digits.append(d)
-        total = (total - d) >> width
-    if total:
-        raise ConsistencyError("packed character sum overflowed its digit width")
-    return digits
-
-
 def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
     """Matrix with (nu, lam) entry (1/|G|) sum_mu weights[mu] * chi_nu(mu) *
     conj(chi_lam(mu)), checked to be nonnegative integers.
 
-    Every value is packed into one int by Kronecker substitution, so each
-    entry's sum over classes is n plain integer products.  The digit width
-    bounds every coefficient of the summed, unreduced polynomial product, so
-    the digits unpack exactly; they are then reduced modulo Phi_N once."""
+    The class columns (chi_0(mu), ..., chi_{n-1}(mu), weights[mu]) are
+    certified by CertifiedSums, so every entry is a rational integer; its
+    ring map turns each entry's sum over classes into n products of plain
+    integers mod M, and the bound sum_mu |w_mu|_1 max_nu |chi_nu(mu)|_1^2
+    from L1 norms makes the lift exact."""
     n = g.n_classes
-    rows = [g.row(nu) for nu in range(n)]
-    scaled = [[x * w for x, w in zip(row, weights)] for row in rows]
-    conj = [[x.conj() for x in row] for row in rows]
-    conductor = math.lcm(*(x.conductor for row in scaled + conj for x in row))
-    deg = euler_phi(conductor)
-    scaled = _integer_coeffs(scaled, conductor)
-    conj = _integer_coeffs(conj, conductor)
-    bound = (n * deg
-             * max(abs(c) for row in scaled for x in row for c in x)
-             * max(abs(c) for row in conj for x in row for c in x))
-    width = bound.bit_length() + 2
-    packed_rows = [[_pack(x, width) for x in row] for row in scaled]
-    packed_conj = [[_pack(x, width) for x in row] for row in conj]
+    table = CertifiedSums(zip(*(g.row(nu) for nu in range(n)), weights))
+    l1, cols = table.l1, table.columns
+    bound = sum(l1[c[n]] * max(l1[j] for j in c[:n]) ** 2 for c in cols)
+    m, images, conj_images = table.ring_map(bound)
+    scaled = [[images[c[nu]] * images[c[n]] % m for c in cols] for nu in range(n)]
+    conj = [[conj_images[c[lam]] for c in cols] for lam in range(n)]
     out = []
-    for nu, prow in enumerate(packed_rows):
+    for nu, srow in enumerate(scaled):
         row = []
-        for lam, pconj in enumerate(packed_conj):
-            total = sum(map(int.__mul__, prow, pconj))
-            value, *rest = reduce_mod_phi(_unpack(total, width, 2 * deg - 1), conductor)
-            if any(rest) or value < 0 or value % g.order:
-                shown = None if any(rest) else Fraction(value, g.order)
+        for lam, crow in enumerate(conj):
+            value = lift(sum(map(mul, srow, crow)), m)
+            if value < 0 or value % g.order:
                 raise ConsistencyError(
-                    f"character sum gave {shown} at ({nu},{lam}); bad table data")
+                    f"character sum gave {Fraction(value, g.order)} at ({nu},{lam}); "
+                    "bad table data")
             row.append(value // g.order)
         out.append(row)
     return out
@@ -206,26 +159,21 @@ def spectral_form(g: GroupData, v: ModuleChar, frm: int, to: int) -> list[tuple[
 
 
 def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: int) -> list[int]:
-    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`, from
-    one spectral form with the powers of each value carried from k to k."""
+    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`: the
+    spectral form's sums (1/|G|) sum_x w_x x^k, evaluated by
+    `weighted_power_sums`."""
     if min(ks, default=0) < 0:
         raise ValueError("step count must be nonnegative")
-    form = spectral_form(g, v, frm, to)
-    terms = [w * x ** ks.start for x, w in form]
-    steps = [x ** ks.step for x, _ in form]
-    counts = []
-    for _ in ks:
-        counts.append(_walk_count(sum(terms, CycNum.zero(1)), g.order))
-        terms = [t * s for t, s in zip(terms, steps)]
-    return counts
+    return [_walk_count(total, g.order)
+            for total in weighted_power_sums(spectral_form(g, v, frm, to), ks)]
 
 
-def _walk_count(total: CycNum, order: int) -> int:
+def _walk_count(total: int, order: int) -> int:
     """total / |G|, checked to be a nonnegative integer."""
-    value = (total / order).as_rational()
-    if value is None or value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"walk count came out {value}")
-    return int(value)
+    count, rem = divmod(total, order)
+    if rem or count < 0:
+        raise ConsistencyError(f"walk count came out {Fraction(total, order)}")
+    return count
 
 
 def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:

@@ -12,8 +12,8 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .cyclotomic import CycNum
-from .errors import ConsistencyError, UnsupportedQueryError
+from .cyclotomic import CycNum, weighted_power_sums
+from .errors import UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, poly_det, poly_gcd, poly_solve
 from .quiver import WalkMatrix, _walk_count, spectral_form
@@ -142,42 +142,23 @@ def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
     """Poincare series of walks from the trivial node to `lam`: over the
     spectral form's d distinct values x, (1/|G|) sum_x w_x / (1 - x t) =
     N / D with D = prod_x (1 - x t), so N is D times the walk counts for
-    k < d, truncated mod t^d.  One pass of powers x^k feeds both the walk
-    counts and the power sums behind D."""
+    k < d, truncated mod t^d."""
     form = spectral_form(g, v, 0, lam)
     d = len(form)
-    powers = [CycNum.from_rational(1)] * d
-    counts, sums = [], []
-    for _ in range(d):
-        counts.append(_walk_count(sum((w * y for (_, w), y in zip(form, powers)),
-                                      CycNum.zero(1)), g.order))
-        powers = [y * x for y, (x, _) in zip(powers, form)]
-        sums.append(_rational_sum(powers))
-    den = _newton_product(sums)
+    counts = [_walk_count(total, g.order) for total in weighted_power_sums(form, range(d))]
+    den = _linear_factor_product([x for x, _ in form])
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
     return RatFunc(Polynomial(num), den)
 
 
 def _linear_factor_product(values: list[CycNum]) -> Polynomial:
-    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t]."""
-    powers = [CycNum.from_rational(1)] * len(values)
-    sums = []
-    for _ in values:
-        powers = [y * x for y, x in zip(powers, values)]
-        sums.append(_rational_sum(powers))
-    return _newton_product(sums)
+    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t], from the
+    power sums p_1..p_d, which `weighted_power_sums` certifies."""
+    return _newton_product(weighted_power_sums([(x, 1) for x in values],
+                                               range(1, len(values) + 1)))
 
 
-def _rational_sum(powers: list[CycNum]) -> Fraction:
-    p = sum(powers, CycNum.zero(1)).as_rational()
-    if p is None:
-        raise ConsistencyError(
-            "irrational power sum of module character values; "
-            "the class data must be Galois-incomplete")
-    return p
-
-
-def _newton_product(sums: list[Fraction]) -> Polynomial:
+def _newton_product(sums: list[int]) -> Polynomial:
     """prod (1 - x t) over d values from their power sums p_1..p_d, by
     Newton's identities j c_j = -sum_{i=1..j} p_i c_{j-i}."""
     coeffs = [Fraction(1)]

@@ -208,6 +208,7 @@ def suite_sn() -> list[CheckResult]:
 def suite_paley() -> list[CheckResult]:
     s = Suite()
     ok, detail = True, ""
+    ks = range(9)
     for p in (5, 7, 11, 13, 17):
         steps = parse_spec_full(f"paley({p})").params["steps"]
         if p <= 13:
@@ -215,15 +216,16 @@ def suite_paley() -> list[CheckResult]:
         else:
             targets = (0, 1, 3)  # one representative per kind
         for c in targets:
-            for k, multi in enumerate(cf.group_ring_walks((p,), steps, range(9), (c,))):
-                brute = cf.paley_bruteforce(p, k, c)
-                closed = cf.paley_closed_form(cf.paley_target_of(p, c), k)
+            rows = zip(ks, cf.group_ring_walks((p,), steps, ks, (c,)),
+                       cf.paley_bruteforce(p, ks, c),
+                       cf.paley_closed_form(cf.paley_target_of(p, c), ks))
+            for k, multi, brute, closed in rows:
                 if not (brute == closed == multi):
                     ok = False
                     detail = f"p={p} k={k} c={c}: brute {brute}, closed {closed}, multinomial {multi}"
     s.check("derived closed form == multinomial sum == adjacency powers", ok, detail)
     printed = cf.paley_printed_form(cf.paley_target_of(7, 1), 1)
-    true_count = cf.paley_bruteforce(7, 1, 1)
+    true_count = cf.paley_bruteforce(7, range(1, 2), 1)[0]
     differs = (not printed.is_rational()) or printed.as_rational() != true_count
     s.check("discrepancy report: displayed residue case fails at p=7, k=1",
             differs, f"printed form gave {printed}, matching {true_count}")

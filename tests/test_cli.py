@@ -127,15 +127,18 @@ def test_paley_closed_forms_finish(capsys):
 
 def test_abelian_closed_route_enumerates_no_compositions(capsys, monkeypatch):
     # the closed route is one group-ring power; a sum over step-type
-    # compositions would take C(2003, 3) terms at hypercube(4), k = 2000
-    import tensorwalks.closedforms as cf_mod
-    import tensorwalks.combinatorics as comb_mod
+    # compositions would take C(2003, 3) terms at hypercube(4), k = 2000.
+    # Every loaded library module that binds the name gets the stub.
+    import sys
 
     def refuse(*args):
         raise AssertionError("compositions enumerated")
 
-    monkeypatch.setattr(cf_mod, "compositions", refuse)
-    monkeypatch.setattr(comb_mod, "compositions", refuse)
+    bound = [name for name, mod in list(sys.modules.items())
+             if name.startswith("tensorwalks") and hasattr(mod, "compositions")]
+    assert "tensorwalks.combinatorics" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "compositions", refuse)
     counts = [run_json(capsys, "walks", "--group", "hypercube(4)", "--k", "2000",
                        "--method", method)["count"] for method in ("closed", "character")]
     assert counts[0] == counts[1]
@@ -294,6 +297,24 @@ def test_diagalg(capsys):
     assert {"bottom": [1, 1], "top": [1, 1]} in doc["elements"]
 
 
+def test_diagalg_list_is_the_indented_json_of_its_payload(capsys):
+    # k = 0 with and without a target, empty bases, and longer words
+    from tensorwalks.diagrams import enumerate_basis
+
+    for group, radii, k, target, count in (
+            ("Z2xZ2", (2, 2), 0, None, 1), ("Z2xZ2", (2, 2), 0, "0,0", 1),
+            ("Z2xZ2", (2, 2), 0, "1,0", 0), ("Z4xZ2", (4, 2), 3, "1,1", 0),
+            ("Z4xZ2", (4, 2), 3, None, 20), ("Z2xZ3", (2, 3), 2, "1,1", 4)):
+        argv = ["diagalg", "--group", group, "--k", str(k), "--list"]
+        if target:
+            argv += ["--target", target]
+        elements = enumerate_basis(radii, k, target and tuple(map(int, target.split(","))))
+        payload = {"group": group, "k": k, "count": str(count),
+                   "elements": [{"bottom": list(e.bottom), "top": list(e.top)} for e in elements]}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n", argv
+
+
 def test_diagalg_counts_without_listing_words(capsys):
     # 5^12 words; the count is sum_j C(5, j) (5 - 2j)^24 / 32
     doc = run_json(capsys, "diagalg", "--group", "hypercube(5)", "--k", "12")
@@ -437,6 +458,25 @@ def test_invariants_consistency_failure(capsys, monkeypatch):
                         lambda r, n, k: real(r, n, k) + (k == 2))
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
     assert code == 4 and out == "" and "k=2" in err
+
+
+def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
+    # no route may turn a table whose sums are irrational into a count: Z5
+    # with chi_V(1) = zeta + 1, which zeta -> zeta^2 moves off the table
+    import tensorwalks.cli as cli_mod
+    from tensorwalks.cyclotomic import CycNum
+    from tensorwalks.groups import ModuleChar, ParsedSpec, parse_spec_full
+
+    spec = parse_spec_full("Z5")
+    values = (spec.module.values[0], CycNum(5, [1, 1, 0, 0]), *spec.module.values[2:])
+    planted = ParsedSpec(spec.kind, spec.params, spec.group, ModuleChar(spec.group, values))
+    monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: planted)
+    for argv in (("walks", "--group", "Z5", "--k", "3"),
+                 ("walks", "--group", "Z5", "--k", "3", "--method", "character"),
+                 ("poincare", "--group", "Z5"),
+                 ("poincare", "--group", "Z5", "--method", "cramer")):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "" and "Galois-incomplete" in err, argv
 
 
 def test_json_round_trip(capsys):

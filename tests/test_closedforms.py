@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from tensorwalks import closedforms as cf
-from tensorwalks.combinatorics import compositions, multinomial, partitions_of
+from tensorwalks.combinatorics import compositions, multinomial, partitions_of, rencontres
 from tensorwalks.groups import (
     both_modules_gl2,
     both_modules_sl2,
@@ -76,42 +76,48 @@ def test_paley_targets():
 
 
 def test_paley_closed_form_examples():
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), 2) == 2
-    assert cf.paley_closed_form(cf.PaleyTarget(7, cf.NONRESIDUE), 2) == 2
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.ZERO), 2) == 6
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.ZERO), 0) == 1
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), 0) == 0
+    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(2, 3)) == [2]
+    assert cf.paley_closed_form(cf.PaleyTarget(7, cf.NONRESIDUE), range(2, 3)) == [2]
+    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.ZERO), range(3)) == [1, 0, 6]
+    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(0, 3, 2)) == [0, 2]
+    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(0)) == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_paley_three_routes_agree(p):
     conn = [(s,) for s in quadratic_residues(p)]
-    for k in range(9):
-        for c in range(p):
-            brute = cf.paley_bruteforce(p, k, c)
-            assert cf.paley_closed_form(cf.paley_target_of(p, c), k) == brute, (p, k, c)
-            assert cf.group_ring_walks((p,), conn, range(k, k + 1), (c,)) == [brute], (p, k, c)
+    ks = range(9)
+    for c in range(p):
+        target = cf.paley_target_of(p, c)
+        brute = cf.paley_bruteforce(p, ks, c)
+        assert len(brute) == len(ks)
+        assert cf.paley_closed_form(target, ks) == brute, (p, c)
+        assert cf.group_ring_walks((p,), conn, ks, (c,)) == brute, (p, c)
+        # a sub-range, strided or not, starts its powers at its own start
+        for sub in (range(4, 5), range(3, 9, 2)):
+            want = brute[sub.start:sub.stop:sub.step]
+            assert cf.paley_closed_form(target, sub) == want == cf.paley_bruteforce(p, sub, c)
 
 
 def test_paley_printed_form_discrepancies():
     # residue case, p = 3 mod 4: printed sign fails at p=7, k=1
     printed = cf.paley_printed_form(cf.PaleyTarget(7, cf.RESIDUE), 1)
     assert printed.is_rational() and printed.as_rational() == Fraction(3, 7)
-    assert cf.paley_bruteforce(7, 1, 1) == 1
+    assert cf.paley_bruteforce(7, range(1, 2), 1) == [1]
     # nonresidue case, p = 1 mod 4: middle sign flips at p=13, k=1
     printed = cf.paley_printed_form(cf.PaleyTarget(13, cf.NONRESIDUE), 1)
     assert printed.is_rational() and printed.as_rational() != 0
-    assert cf.paley_bruteforce(13, 1, 2) == 0
+    assert cf.paley_bruteforce(13, range(1, 2), 2) == [0]
     # nonresidue case, p = 3 mod 4: repeated factor collapses the terms at k=2
     printed = cf.paley_printed_form(cf.PaleyTarget(7, cf.NONRESIDUE), 2)
     got = printed.as_rational() if printed.is_rational() else None
-    assert got != 2 and cf.paley_bruteforce(7, 2, 3) == 2
+    assert got != 2 and cf.paley_bruteforce(7, range(2, 3), 3) == [2]
     # the zero-target line is correct as printed
     for p in (5, 7, 13):
-        for k in range(1, 7):
+        for k, brute in zip(range(1, 7), cf.paley_bruteforce(p, range(1, 7), 0)):
             printed = cf.paley_printed_form(cf.PaleyTarget(p, cf.ZERO), k)
             assert printed.is_rational()
-            assert printed.as_rational() == cf.paley_bruteforce(p, k, 0)
+            assert printed.as_rational() == brute
 
 
 def test_sn_formula_examples():
@@ -141,6 +147,27 @@ def test_wreath_invariants_examples():
             assert cf.wreath_invariants(2, 2, k) == 0
         elif k >= 2:
             assert cf.wreath_invariants(2, 2, k) == max(2 ** (k - 2), 1)
+
+
+def wreath_composition_sum(r, n, k):
+    """Oracle: (1/n!) sum_m F_n(m) times the multinomials over the
+    compositions of k/r into m parts, each part scaled by r."""
+    if k == 0:
+        return 1
+    if k % r:
+        return 0
+    total = sum(rencontres(n, m) * sum(multinomial(k, tuple(q * r for q in qs))
+                                       for qs in compositions(k // r, m))
+                for m in range(1, n + 1))
+    q, rem = divmod(total, factorial(n))
+    assert rem == 0
+    return q
+
+
+def test_wreath_convolution_equals_composition_sum():
+    for r, n, top in ((2, 6, 20), (3, 6, 21), (4, 6, 16), (3, 5, 18), (2, 4, 20), (5, 2, 20)):
+        for k in range(top + 1):
+            assert cf.wreath_invariants(r, n, k) == wreath_composition_sum(r, n, k), (r, n, k)
 
 
 def test_wreath_evaluators_and_bruteforce():

@@ -11,12 +11,16 @@ from fractions import Fraction
 import pytest
 
 from tensorwalks.cyclotomic import (
+    CertifiedSums,
     CycNum,
     cyclotomic_polynomial,
     gauss_sum,
     gauss_sum_check,
+    lift,
     root_of_unity,
+    weighted_power_sums,
 )
+from tensorwalks.errors import ConsistencyError
 from tensorwalks.numbertheory import euler_phi, legendre_symbol, quadratic_residues
 
 
@@ -155,3 +159,62 @@ def test_gauss_sum_gives_the_paley_character_values(p):
     for c in range(1, p):
         chi = sum((root_of_unity(p, c * r) for r in quadratic_residues(p)), CycNum.zero(p))
         assert chi == ((g - 1) / 2 if legendre_symbol(c, p) == 1 else -(g + 1) / 2)
+
+
+def test_unit_generators_generate_the_unit_group():
+    from math import gcd
+
+    from tensorwalks.numbertheory import unit_generators
+
+    for n in range(1, 130):
+        units = {a for a in range(n) if gcd(a, n) == 1} if n > 1 else {0}
+        reached, frontier = {1 % n}, [1 % n]
+        while frontier:
+            x = frontier.pop()
+            for a in unit_generators(n):
+                if x * a % n not in reached:
+                    reached.add(x * a % n)
+                    frontier.append(x * a % n)
+        assert reached == units, n
+    assert unit_generators(1) == unit_generators(2) == ()
+
+
+def orbit(x, w):
+    """The pairs (sigma_a x, sigma_a w) over every unit a: a Galois-stable form."""
+    from math import gcd
+
+    n = x.conductor
+    return [(x.galois(a), w.galois(a)) for a in range(1, n) if gcd(a, n) == 1]
+
+
+def test_certified_sums_intern_and_certify():
+    x, w = CycNum(12, [1, -2, 0, 3]), CycNum(12, [2, 0, 1, 0])
+    table = CertifiedSums(orbit(x, w) + [(5, -1), (5, -1)])
+    assert table.conductor == 12 and len(table.columns) == 6
+    assert table.columns[-1] == table.columns[-2]
+    assert len(table.coeffs) == len({c for col in table.columns for c in col})
+    assert table.l1[table.columns[0][0]] == 6
+    m, images, conj = table.ring_map(10**6)
+    assert m > 2 * 10**6 and len(images) == len(conj) == len(table.coeffs)
+    # one missing Galois conjugate makes the sums irrational
+    with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+        CertifiedSums(orbit(x, w)[1:])
+    with pytest.raises(ConsistencyError, match=r"non-integer coefficient .* at \(1,2\)"):
+        CertifiedSums([(1, 1), (1, 1), (1, CycNum.from_rational(Fraction(1, 2)))])
+
+
+def test_weighted_power_sums_lift_exactly():
+    x, w = CycNum(15, [2, -1, 0, 1, 0, 0, 1, -3]), CycNum(15, [1, 1, 0, 0, 0, 0, 0, -1])
+    pairs = orbit(x, w) + [(-7, 3)]
+    ks = range(0, 25, 3)
+    want = [sum((b * a**k for a, b in pairs), CycNum.zero(1)).as_integer() for k in ks]
+    assert any(v < 0 for v in want)
+    assert weighted_power_sums(pairs, ks) == want
+    # weights far beyond any character degree: the bound is the L1 norms'
+    scale = 10**40
+    assert weighted_power_sums([(a, b * scale) for a, b in pairs], ks) == [v * scale for v in want]
+    assert weighted_power_sums(pairs, range(0)) == []
+
+
+def test_lift_is_the_symmetric_residue():
+    assert [lift(r, 7) for r in (0, 3, 4, 6, 7, -1, 10)] == [0, 3, -3, -1, 0, -1, 3]

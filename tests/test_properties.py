@@ -1,7 +1,7 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tensorwalks import closedforms as cf
 from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
-from tensorwalks.cyclotomic import CycNum
+from tensorwalks.cyclotomic import CycNum, weighted_power_sums
+from tensorwalks.errors import ConsistencyError
 from tensorwalks.groups import (
     FULL,
     _step_spec,
@@ -24,8 +25,9 @@ from tensorwalks.groups import (
     parse_spec_full,
     validate_group,
 )
-from tensorwalks.numbertheory import is_prime, quadratic_residues
+from tensorwalks.numbertheory import euler_phi, is_prime, quadratic_residues
 from tensorwalks.quiver import (
+    character_walk_counts,
     mckay_adjacency,
     walk_count_character,
     walk_count_matrix,
@@ -110,8 +112,9 @@ ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]
 def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
     c = data.draw(st.integers(0, p - 1))
     steps = [(s,) for s in quadratic_residues(p)]
-    assert ([cf.paley_closed_form(cf.paley_target_of(p, c), k)]
-            == cf.group_ring_walks((p,), steps, range(k, k + 1), (c,)))
+    ks = range(k, k + data.draw(st.integers(1, 4)))
+    assert (cf.paley_closed_form(cf.paley_target_of(p, c), ks)
+            == cf.group_ring_walks((p,), steps, ks, (c,)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,3 +174,45 @@ def test_cramer_numerators_equal_literal_cramer(rows, data):
         den, nums = cramer_numerators(rows, source)
         assert [RatFunc(num, den) for num in nums] == [
             walk_generating_function(rows, source, lam) for lam in range(n)]
+
+
+# -- the certified ring map against plain cyclotomic arithmetic ---------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(module=st.sampled_from(builtin_modules()), k=st.integers(0, 8))
+def test_ring_map_equals_plain_sums_on_registry_modules(module, k):
+    _, g, v = module
+    counts = character_walk_counts(g, v, k)
+    for nu in range(g.n_classes):
+        for lam in range(g.n_classes):
+            plain = sum((c.size * x**k * g.chi(nu, mu) * g.chi(lam, mu).conj()
+                         for mu, (c, x) in enumerate(zip(g.classes, v.values))), CycNum.zero(1))
+            assert plain.as_integer() == counts[nu][lam] * g.order, (nu, lam)
+            assert walk_count_character(g, v, k, nu, lam) == counts[nu][lam], (nu, lam)
+
+
+@st.composite
+def galois_stable_forms(draw):
+    """Pairs (x, w) in Z[zeta_n]: the Galois orbits of a few random pairs."""
+    n = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15]))
+    phi = euler_phi(n)
+    values = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi).map(lambda c: CycNum(n, c))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x, w = draw(values), draw(values)
+        pairs += [(x.galois(a), w.galois(a)) for a in range(1, n + 1) if gcd(a, n) == 1]
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=galois_stable_forms(), start=st.integers(0, 12), length=st.integers(0, 6))
+def test_ring_map_equals_plain_sums_on_galois_stable_forms(pairs, start, length):
+    ks = range(start, start + length)
+    plain = [sum((w * x**k for x, w in pairs), CycNum.zero(1)).as_integer() for k in ks]
+    assert weighted_power_sums(pairs, ks) == plain
+    # one more copy of an irrational pair leaves the form Galois-incomplete
+    extra = next(((x, w) for x, w in pairs if not (x.is_rational() and w.is_rational())), None)
+    if extra is not None:
+        with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+            weighted_power_sums(pairs + [extra], ks)

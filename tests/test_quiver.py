@@ -263,7 +263,8 @@ def test_packed_adjacency_equals_literal_character_sums():
 
 
 def test_packed_walk_counts_with_wide_digits():
-    # k = 40 makes the packed digits far wider than the adjacency build's
+    # k = 40 makes the sums, and so the ring map's modulus, far wider than
+    # the adjacency build's
     for spec in ("Z12", "paley(13)"):
         mod = parse_spec_full(spec).module
         for k in (0, 1, 7, 40):
@@ -283,3 +284,36 @@ def test_fraction_coefficient_is_bad_table_data():
     v = standard_module_cyclic(3)
     with pytest.raises(ConsistencyError, match=r"\(2,1\)"):
         mckay_adjacency(bad, ModuleChar(bad, v.values))
+
+
+def test_weights_scaled_by_huge_factors_lift_exactly():
+    # a bound from dim V would be exceeded 10^40 times over; the L1 norms of
+    # the weights themselves bound the sums
+    from tensorwalks.quiver import _weighted_sum_matrix
+
+    scale = 10**40
+    for spec in ("S5", "Z12", "paley(13)", "Z4xZ2"):
+        v = parse_spec_full(spec).module
+        g = v.group
+        weights = [c.size * x * scale for c, x in zip(g.classes, v.values)]
+        want = [[e * scale for e in row] for row in mckay_adjacency(g, v).entries]
+        assert _weighted_sum_matrix(g, weights) == want, spec
+
+
+def test_galois_incomplete_table_is_a_consistency_failure():
+    # Z5 with chi_V(1) = zeta + 1 in place of zeta + zeta^4: every value is
+    # an algebraic integer, but zeta -> zeta^2 moves zeta + 1 off the table
+    from tensorwalks.cyclotomic import CycNum
+    from tensorwalks.groups import ModuleChar
+    from tensorwalks.series import det_factorization_check, poincare_character
+
+    sound = standard_module_cyclic(5)
+    g = sound.group
+    v = ModuleChar(g, (sound.values[0], CycNum(5, [1, 1, 0, 0]), *sound.values[2:]))
+    for call in (lambda: mckay_adjacency(g, v),
+                 lambda: character_walk_counts(g, v, 3),
+                 lambda: walk_count_character(g, v, 3, 0, 2),
+                 lambda: poincare_character(g, v, 0),
+                 lambda: det_factorization_check(g, v, mckay_adjacency(g, sound))):
+        with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+            call()
