@@ -216,26 +216,39 @@ def wreath_invariants(r: int, n: int, k: int) -> int:
     return q
 
 
-def wreath_invariants_bruteforce(r: int, n: int, k: int) -> int:
-    """Oracle: average chi_V(g)^k over the explicit monomial group; only for
-    group orders up to 200."""
+def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
+    """Oracle: the average of chi_V(g)^k over the explicit monomial group,
+    for every k in `ks`; only for group orders up to 200.  The group is
+    enumerated once: its distinct values chi_V(g) are kept with their
+    multiplicities, and their powers carried from k to k + 1."""
     from itertools import permutations, product
 
     order = r**n * factorial(n)
     if order > 200:
         raise ValueError("brute force limited to group order <= 200")
-    acc = CycNum.zero(r)
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    values: dict[tuple, list] = {}
     for sigma in permutations(range(n)):
         fixed = [i for i in range(n) if sigma[i] == i]
         for signs in product(range(r), repeat=n):
             chi = CycNum.zero(r)
             for i in fixed:
                 chi = chi + root_of_unity(r, signs[i])
-            acc = acc + chi**k
-    value = (acc / order).as_rational()
-    if value is None or value.denominator != 1:
-        raise ConsistencyError("brute-force average must be an integer")
-    return int(value)
+            values.setdefault(chi.coeffs, [chi, 0])[1] += 1
+    powers = [(CycNum.from_rational(1), x, m) for x, m in values.values()]
+    counts = {}
+    for k in range(max(ks) + 1 if ks else 0):
+        if k in ks:
+            acc = CycNum.zero(r)
+            for power, _, m in powers:
+                acc = acc + m * power
+            value = (acc / order).as_rational()
+            if value is None or value.denominator != 1:
+                raise ConsistencyError("brute-force average must be an integer")
+            counts[k] = int(value)
+        powers = [(power * x, x, m) for power, x, m in powers]
+    return [counts[k] for k in ks]
 
 
 def wreath_invariants_egf(r: int, n: int, order: int) -> EgfTruncation:

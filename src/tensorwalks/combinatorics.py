@@ -184,20 +184,24 @@ def even_block_partitions(k: int, s: int) -> int:
 
 def group_ring_power(radii, steps, ks: range) -> list[dict[tuple[int, ...], int]]:
     """The k-th powers of the sum of `steps` in the integer group ring of
-    Z_r1 x ... x Z_rn for each k in the step-1 range `ks`: one
-    {element: coefficient} dict per k, over the elements that occur.
-    Elements are coordinate tuples; a repeated step counts as often as it
-    appears.
+    Z_r1 x ... x Z_rn for each k in the range `ks`, in its order and with its
+    stride: one {element: coefficient} dict per k, over the elements that
+    occur.  Elements are coordinate tuples; a repeated step counts as often
+    as it appears.
 
     Inside, an element is one int in mixed radix with digit bases 2r - 1
     (the last coordinate lowest), so the product of two elements is the sum
     of their codes without carries, reduced once per distinct sum.  The power
-    at ks.start is taken by products with the step while ks.start times the
-    number of distinct steps is below the group order, else by repeated
-    squaring; each later k is one product with the step."""
+    at the least k in `ks` is taken by products with the step while that k
+    times the number of distinct steps is below the group order, else by
+    repeated squaring; each later k up to the largest in `ks` is one product
+    with the step."""
     radii = tuple(radii)
-    if ks.start < 0:
+    if min(ks, default=0) < 0:
         raise ValueError("step count must be nonnegative")
+    if not ks:
+        return []
+    lo, hi = min(ks), max(ks)
 
     def decode(code: int) -> tuple[int, ...]:
         digits = []
@@ -246,7 +250,7 @@ def group_ring_power(radii, steps, ks: range) -> list[dict[tuple[int, ...], int]
     for s in steps:
         code = encode(s)
         step[code] = step.get(code, 0) + 1
-    power, k, square = {0: 1}, ks.start, step
+    power, k, square = {0: 1}, lo, step
     if k * len(step) < prod(radii):
         # k products with the step cost at most k * len(step) * |G| term
         # products, less than the |G|^2 of a single dense squaring.
@@ -259,9 +263,10 @@ def group_ring_power(radii, steps, ks: range) -> list[dict[tuple[int, ...], int]
             k >>= 1
             if k:
                 square = mul(square, square)
-    out = []
-    for k in ks:
-        if k > ks.start:
+    out = {}
+    for k in range(lo, hi + 1):
+        if k > lo:
             power = mul(power, step)
-        out.append({decode(code): m for code, m in power.items()})
-    return out
+        if k in ks:
+            out[k] = {decode(code): m for code, m in power.items()}
+    return [out[k] for k in ks]

@@ -2,15 +2,16 @@
 solves of integer polynomial matrices.
 
 Coefficients are int or Fraction, kept as int whenever integral; any other
-coefficient type raises TypeError.  Determinants and solves run one
-elimination kernel on plain int coefficient lists and accept integer
-coefficients only.
+coefficient type raises TypeError.  Determinants and solves accept integer
+coefficients only and run one kernel: the matrix evaluated at t = 2^B, one
+Bareiss elimination over the integers, and the results read back as signed
+base-2^B digits, with B set by a Hadamard bound on every minor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class Polynomial:
@@ -117,30 +118,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def divmod(self, den: "Polynomial"):
-        """Quotient and remainder over Q."""
-        if den.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = Fraction(1) / den.leading()
-        rem = list(self.coeffs)
-        dn = den.degree()
-        out = [0] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = _norm_coeff(c * lead_inv)
-            out[i - dn] = q
-            for j, dc in enumerate(den.coeffs):
-                rem[i - dn + j] = rem[i - dn + j] - q * dc
-        return Polynomial(out), Polynomial(rem[:dn] if dn > 0 else [])
-
-    def exact_div(self, den: "Polynomial") -> "Polynomial":
-        q, r = self.divmod(den)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -197,23 +174,34 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     over Z[t]: denominators are cleared once and the content is divided out
     after every pseudo-remainder, which keeps the coefficients from blowing
     up as Euclid's remainders over Q do."""
-    a, b = _primitive(_integral(a)), _primitive(_integral(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return Polynomial(a).monic()
+    return Polynomial(_primitive_gcd(_integral(a)[0], _integral(b)[0])).monic()
+
+
+def lowest_terms(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num / den with gcd(num, den) = 1 and den monic.  Both sides are
+    cleared of denominators and divided exactly over Z by their primitive gcd
+    (by Gauss's lemma a primitive factor over Q of an integer polynomial is
+    one over Z), then scaled to a monic denominator once."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    a, a_scale = _integral(num)
+    b, b_scale = _integral(den)
+    g = _primitive_gcd(a, b)
+    a, b = _exact_div(a, g), _exact_div(b, g)
+    s = Fraction(b_scale, a_scale * b[-1])
+    return Polynomial([c * s for c in a]), Polynomial([Fraction(c, b[-1]) for c in b])
 
 
 def poly_det(matrix) -> Polynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination: the forward
-    pass of the elimination kernel.  Entries are Polynomials (or ints) with
-    integer coefficients."""
-    m = _int_rows(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square matrix over Z[t]: the forward pass of
+    the elimination kernel.  Entries are Polynomials, ints or sequences of
+    int coefficients (ascending), all with integer coefficients."""
+    rows = _coefficient_rows(matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    return Polynomial(_eliminate(m, n))
+    b, m = _evaluate(rows)
+    return Polynomial(_decode(_eliminate(m, n), b))
 
 
 def poly_solve(matrix, rhs) -> tuple[Polynomial, list[Polynomial]]:
@@ -226,87 +214,112 @@ def poly_solve(matrix, rhs) -> tuple[Polynomial, list[Polynomial]]:
         raise ValueError("solve needs a square matrix and a matching right-hand side")
     if n == 0:
         return Polynomial((1,)), []
-    m = [row + [b] for row, b in zip(_int_rows(matrix), _int_rows([rhs])[0])]
+    rows = [row + [c] for row, c in zip(_coefficient_rows(matrix), _coefficient_rows([rhs])[0])]
+    b, m = _evaluate(rows)
     det = _eliminate(m, n)
     if not det:
         raise ZeroDivisionError("singular polynomial matrix")
     # Row k of the eliminated matrix reads sum_j m[k][j] x_j = m[k][n] for
-    # j >= k, and the last pivot p is +-det; y_i = p * x_i is a polynomial.
+    # j >= k, and the last pivot p is +-det; y_i = p * x_i is +-(det * x_i),
+    # a minor of the augmented matrix, so the kernel's bound covers it.
     p = m[n - 1][n - 1]
-    y = [[] for _ in range(n)]
+    y = [0] * n
     for k in range(n - 1, -1, -1):
-        acc = _mul(p, m[k][n])
-        for j in range(k + 1, n):
-            acc = _sub(acc, _mul(m[k][j], y[j]))
-        y[k] = _exact_div(acc, m[k][k])
+        row = m[k]
+        acc = p * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))
+        y[k], r = divmod(acc, row[k])
+        if r:
+            raise ArithmeticError("inexact division in the elimination kernel")
     if det != p:
-        y = [[-c for c in yi] for yi in y]
-    return Polynomial(det), [Polynomial(yi) for yi in y]
+        y = [-v for v in y]
+    return Polynomial(_decode(det, b)), [Polynomial(_decode(v, b)) for v in y]
 
 
 # ---------------------------------------------------------------------------
-# The elimination kernel, on ascending int coefficient lists without trailing
-# zeros ([] is zero).
+# The elimination kernel: one integer Bareiss elimination of the matrix at
+# t = 2^B, read back exactly.  Every Bareiss intermediate, the determinant
+# and every Cramer numerator is (up to sign) a minor of the matrix, and B is
+# chosen so that 2^(B-1) exceeds a bound on every coefficient of every minor.
+# Evaluation is a ring map Z[t] -> Z, so the integer elimination follows the
+# one over Z[t] step for step, and a minor is zero exactly when its value at
+# 2^B is: the zero tests on pivots, hence the row swaps, agree too.
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(matrix) -> list[list[list[int]]]:
-    rows = []
-    for row in matrix:
-        line = []
-        for e in row:
-            coeffs = (e if isinstance(e, Polynomial) else Polynomial((e,))).coeffs
-            if any(type(c) is not int for c in coeffs):
-                raise TypeError("the elimination kernel needs integer coefficients")
-            line.append(list(coeffs))
-        rows.append(line)
+def _coefficient_rows(matrix) -> list[list]:
+    """Each entry as its int coefficients, ascending."""
+    rows = [[e.coeffs if isinstance(e, Polynomial) else e if isinstance(e, (tuple, list))
+             else (e,) for e in row] for row in matrix]
+    if not {type(c) for row in rows for e in row for c in e} <= {int}:
+        raise TypeError("the elimination kernel needs integer coefficients")
     return rows
 
 
-def _eliminate(m: list[list[list[int]]], n: int) -> list[int]:
-    """Bareiss forward pass over the first n columns of the n-row matrix m,
-    in place, with row swaps for zero pivots; every column of m is carried
-    along.  Returns det of the leading n x n block."""
+def _evaluate(rows) -> tuple[int, list[list[int]]]:
+    """(B, the rows at t = 2^B) with 2^(B-1) > H, the Hadamard bound
+    H = prod_i max(1, ceil(sqrt(sum_j L1(m_ij)^2))).  On |t| = 1 each entry
+    is at most its L1 norm in size, so H bounds every minor there (Hadamard),
+    and so every coefficient of every minor (Cauchy's estimate)."""
+    h = 1
+    for row in rows:
+        s = sum(sum(map(abs, e)) ** 2 for e in row)
+        if s:
+            h *= isqrt(s - 1) + 1
+    b = h.bit_length() + 1
+    out = []
+    for row in rows:
+        line = []
+        for e in row:
+            v = 0
+            for c in reversed(e):
+                v = (v << b) + c
+            line.append(v)
+        out.append(line)
+    return b, out
+
+
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Bareiss forward pass over the first n columns of the n-row integer
+    matrix m, in place, with row swaps for zero pivots; every column of m is
+    carried along.  Returns det of the leading n x n block."""
     if n == 0:
-        return [1]
+        return 1
     width = len(m[0])
-    sign = 1
-    prev = [1]
+    sign, prev = 1, 1
     for k in range(n):
         if not m[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return []
+                return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        pivot = m[k][k]
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
+            row = m[i]
+            lead = row[k]
             for j in range(k + 1, width):
-                row[j] = _exact_div(_sub(_mul(row[j], pivot), _mul(lead, m[k][j])), prev)
-            row[k] = []
+                row[j], r = divmod(row[j] * pivot - lead * top[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in the elimination kernel")
+            row[k] = 0
         prev = pivot
     det = m[n - 1][n - 1]
-    return det if sign > 0 else [-c for c in det]
+    return det if sign > 0 else -det
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
+def _decode(v: int, b: int) -> list[int]:
+    """Ascending coefficients of the polynomial whose value at 2^b is v and
+    whose coefficients are each below 2^(b-1) in size: the signed base-2^b
+    digits of v."""
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> b
     return out
 
 
@@ -340,12 +353,20 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _integral(p: Polynomial) -> list[int]:
-    """p times the lcm of its coefficients' denominators."""
-    scale = 1
-    for c in p.coeffs:
-        scale = lcm(scale, Fraction(c).denominator)
-    return [int(c * scale) for c in p.coeffs]
+def _integral(p: Polynomial) -> tuple[list[int], int]:
+    """(p * scale, scale) with scale the lcm of p's coefficients' denominators."""
+    scale = lcm(*(c.denominator for c in p.coeffs if type(c) is not int))
+    return [int(c * scale) for c in p.coeffs], scale
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Z[t] of two int coefficient lists, primitive and up to sign."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def _primitive(a: list[int]) -> list[int]:

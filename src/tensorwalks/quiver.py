@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .cyclotomic import CertifiedSums, CycNum, lift, weighted_power_sums
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
+from .numbertheory import euler_phi
 
 
 class WalkMatrix:
@@ -78,6 +80,17 @@ def mat_pow(a, k: int):
         if k:
             base = mat_mul(base, base)
     return result
+
+
+def power_rows(a, frm: int, top: int) -> list[list[int]]:
+    """Row `frm` of A^k for k = 0..top, by top vector-matrix products."""
+    cols = list(zip(*a))
+    row = [1 if j == frm else 0 for j in range(len(a))]
+    out = [row]
+    for _ in range(top):
+        row = [sum(map(mul, row, col)) for col in cols]
+        out.append(row)
+    return out
 
 
 def _require_full(g: GroupData, what: str):
@@ -259,18 +272,25 @@ def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
 
 def eigen_check(g: GroupData, v: ModuleChar, a: WalkMatrix):
     """Verify sum_lam a[nu][lam] chi_lam(c_mu) = chi_V(c_mu) chi_nu(c_mu) for
-    all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu))."""
+    all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu)).
+    The left side's terms are added unreduced in the power basis of the
+    column's field, then reduced once."""
     _require_full(g, "eigen_check")
     n = g.n_classes
+    columns = []
+    for mu in range(n):
+        col = [g.chi(lam, mu) for lam in range(n)]
+        m = lcm(*(x.conductor for x in col))
+        columns.append((m, col, [x.embed(m).coeffs for x in col]))
     for nu in range(n):
         row = a.entries[nu]
-        for mu in range(n):
-            lhs = CycNum.zero(1)
-            for lam in range(n):
-                if row[lam]:
-                    lhs = lhs + row[lam] * g.chi(lam, mu)
-            rhs = v.values[mu] * g.chi(nu, mu)
-            if lhs != rhs:
+        for mu, (m, col, coeffs) in enumerate(columns):
+            raw = [0] * euler_phi(m)
+            for e, xs in zip(row, coeffs):
+                if e:
+                    for i, x in enumerate(xs):
+                        raw[i] += e * x
+            if CycNum(m, raw) != v.values[mu] * col[nu]:
                 return False, (nu, mu)
     return True, None
 

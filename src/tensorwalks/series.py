@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cyclotomic import CycNum, weighted_power_sums
 from .errors import UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
-from .polynomials import Polynomial, poly_det, poly_gcd, poly_solve
+from .polynomials import Polynomial, _integral, lowest_terms, poly_det, poly_solve
 from .quiver import WalkMatrix, _walk_count, spectral_form
 
 
@@ -28,15 +28,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead_inv = Fraction(1) / Fraction(den.leading())
-        num = num * lead_inv
-        den = den * lead_inv
+        num, den = lowest_terms(num, den)
         if den.coefficient(0) == 0:
             raise ValueError("denominator vanishes at t = 0; no power series")
         object.__setattr__(self, "num", num)
@@ -45,15 +37,26 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
-    def series(self, order: int) -> list[Fraction]:
-        """Maclaurin coefficients c_0..c_order."""
-        d0 = Fraction(self.den.coefficient(0))
-        out: list[Fraction] = []
+    def series(self, order: int) -> list:
+        """Maclaurin coefficients c_0..c_order: ints, and a Fraction only
+        where a coefficient is not integral.  The recurrence runs on num and
+        den cleared of denominators, so an integral series never leaves the
+        integers."""
+        num, scale = _integral(self.num)
+        den, den_scale = _integral(self.den)
+        den = [c * scale for c in den]
+        num = [c * den_scale for c in num]
+        d0, top = den[0], len(den) - 1
+        out: list = []
         for k in range(order + 1):
-            acc = Fraction(self.num.coefficient(k))
-            for j in range(1, min(k, self.den.degree()) + 1):
-                acc -= Fraction(self.den.coefficient(j)) * out[k - j]
-            out.append(acc / d0)
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, top) + 1):
+                acc -= den[j] * out[k - j]
+            if type(acc) is int and not acc % d0:
+                out.append(acc // d0)
+            else:
+                c = Fraction(acc, d0)
+                out.append(int(c) if c.denominator == 1 else c)
         return out
 
     def display_pair(self) -> tuple[Polynomial, Polynomial]:
@@ -91,17 +94,12 @@ def _adjacency_rows(a) -> list[list[int]]:
     return [list(r) for r in a]
 
 
-def _identity_minus_t(rows, transpose: bool) -> list[list[Polynomial]]:
-    n = len(rows)
-    out = []
-    for i in range(n):
-        line = []
-        for j in range(n):
-            entry = rows[j][i] if transpose else rows[i][j]
-            const = 1 if i == j else 0
-            line.append(Polynomial((const, -entry)))
-        out.append(line)
-    return out
+def _identity_minus_t(rows, transpose: bool) -> list[list[tuple[int, int]]]:
+    """I - tA (or I - tA^T) as int coefficient pairs, the kernel's input."""
+    if transpose:
+        rows = zip(*rows)
+    return [[(1 if i == j else 0, -entry) for j, entry in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def walk_generating_function(a, source: int, target: int) -> RatFunc:
@@ -114,7 +112,7 @@ def walk_generating_function(a, source: int, target: int) -> RatFunc:
         raise ValueError("node index out of range")
     m = _identity_minus_t(rows, transpose=True)
     for i in range(n):
-        m[i][target] = Polynomial((1,)) if i == source else Polynomial()
+        m[i][target] = (1,) if i == source else ()
     num = poly_det(m)
     den = poly_det(_identity_minus_t(rows, transpose=False))
     return RatFunc(num, den)

@@ -34,6 +34,8 @@ def test_circulant_walks():
     for c in range(7):
         assert (cf.group_ring_walks((7,), [(1,), (6,)], range(9), (c,))
                 == [cf.cyclic_walks(7, k, 0, c) for k in range(9)])
+    # a strided range is honoured: row 0 of A^k on the 5-cycle, k = 3, 5, 7
+    assert cf.group_ring_walks((5,), [(1,), (4,)], range(3, 9, 2), (0,)) == [0, 2, 14]
     for bad_steps in ([(0,)], [(5,)], [(1, 0)]):
         with pytest.raises(ValueError):
             cf.group_ring_walks((5,), bad_steps, range(2, 3), (0,))
@@ -174,14 +176,17 @@ def test_wreath_evaluators_and_bruteforce():
     for r in (2, 3, 4):
         for n in (1, 2, 3, 4):
             v = monomial_module(r, n)
+            dims = [cf.wreath_invariants(r, n, k) for k in range(9)]
             for k in range(9):
-                a = cf.wreath_invariants(r, n, k)
-                b = walk_count_character(v.group, v, k, 0, 0)
-                assert a == b, (r, n, k)
-                if r**n * factorial(n) <= 200:
-                    assert a == cf.wreath_invariants_bruteforce(r, n, k), (r, n, k)
+                assert dims[k] == walk_count_character(v.group, v, k, 0, 0), (r, n, k)
+            if r**n * factorial(n) <= 200:
+                assert cf.wreath_invariants_bruteforce(r, n, range(9)) == dims, (r, n)
+                assert (cf.wreath_invariants_bruteforce(r, n, range(8, 0, -3))
+                        == dims[8:0:-3]), (r, n)
     with pytest.raises(ValueError):
-        cf.wreath_invariants_bruteforce(4, 3, 2)  # order 384 > 200
+        cf.wreath_invariants_bruteforce(4, 3, range(2, 3))  # order 384 > 200
+    with pytest.raises(ValueError):
+        cf.wreath_invariants_bruteforce(2, 2, range(-1, 3))
 
 
 def test_wreath_matches_group_model_character_route():

@@ -185,3 +185,8 @@ def test_group_ring_power_matches_one_step_products_on_both_sides_of_the_rule():
         counts = nxt
     for a in (0, 1, 9, 10, 11, 15, 16):
         assert group_ring_power(radii, steps, range(a, 16)) == expected[a:], a
+    # strided and descending ranges keep their order and stride
+    for ks in (range(3, 16, 4), range(11, 16, 2), range(15, 0, -3), range(0, 16, 5)):
+        assert group_ring_power(radii, steps, ks) == [expected[k] for k in ks], ks
+    with pytest.raises(ValueError):
+        group_ring_power(radii, steps, range(2, -3, -2))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -24,10 +25,7 @@ def test_arithmetic():
     assert p == Polynomial((1, 0, -1))
     assert p(2) == -3
     assert (t**3).coeffs == (0, 0, 0, 1)
-    q, r = Polynomial((1, 0, -1)).divmod(lin(1, -1))
-    assert q == lin(1, 1) and r.is_zero()
-    with pytest.raises(ArithmeticError):
-        Polynomial((1, 1, 1)).exact_div(lin(1, -1))
+    assert _exact_div([1, 0, -1], [1, -1]) == [1, 1]
 
 
 def test_gcd():
@@ -101,6 +99,49 @@ def test_det_needs_pivoting():
     assert poly_det(m) == -(t * one)
 
 
+def _hadamard_bound(m):
+    bound = 1
+    for row in m:
+        s = sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row)
+        bound *= max(1, isqrt(s - 1) + 1 if s else 1)
+    return bound
+
+
+def test_determinant_at_the_hadamard_bound():
+    # Sylvester's Hadamard matrix of order 4 on monomials t^(i+j): the
+    # determinant, +-16 t^12, reaches the bound 4^4 / 4^2 = 16 exactly
+    h2 = [[1, 1], [1, -1]]
+    h4 = [[a * b for a in ra for b in rb] for ra in h2 for rb in h2]
+    t = Polynomial.t()
+    m = [[h4[i][j] * t ** (i + j) for j in range(4)] for i in range(4)]
+    assert _hadamard_bound(m) == 16
+    assert poly_det(m) == Polynomial((0,) * 12 + (16,))
+    m[2] = [-e for e in m[2]]
+    assert poly_det(m) == Polynomial((0,) * 12 + (-16,))
+    # one entry of size 2^40 - 1: its digit is as large as the decode allows
+    for c in (2**40 - 1, -(2**40 - 1)):
+        assert poly_det([[Polynomial((0, 0, 0, c))]]) == Polynomial((0, 0, 0, c))
+        assert poly_det([[Polynomial((c, c))]]) == Polynomial((c, c))
+
+
+def test_all_negative_coefficients():
+    rng = random.Random(7)
+    for n in range(1, 5):
+        m = [[Polynomial([-rng.randint(1, 10**6) for _ in range(3)]) for _ in range(n)]
+             for _ in range(n)]
+        rhs = [Polynomial([-rng.randint(1, 10**6) for _ in range(2)]) for _ in range(n)]
+        det = _cofactor_det(m)
+        assert poly_det(m) == det
+        if not det.is_zero():
+            assert poly_solve(m, rhs) == (
+                det, [_cofactor_det(_replace_column(m, j, rhs)) for j in range(n)])
+    # -(1 + t)^n times the identity: det (-1)^n (1 + t)^n, every digit negative for odd n
+    for n in (1, 3, 5):
+        e = Polynomial((-1, -1))
+        m = [[e if i == j else Polynomial() for j in range(n)] for i in range(n)]
+        assert poly_det(m) == e**n
+
+
 def test_coefficients_are_rational():
     with pytest.raises(TypeError):
         Polynomial((root_of_unity(3, 1),))
@@ -112,6 +153,10 @@ def test_kernel_rejects_non_integer_coefficients():
         poly_det([[Polynomial((Fraction(1, 2),)), t], [t, Polynomial((1,))]])
     with pytest.raises(TypeError):
         poly_solve([[Polynomial((1,))]], [Fraction(1, 3)])
+    with pytest.raises(TypeError):
+        poly_det([[(1, Fraction(1, 2))]])  # coefficient sequences are checked too
+    with pytest.raises(TypeError):
+        poly_det([[True]])
     with pytest.raises(ArithmeticError):
         _exact_div([1, 1, 1], [1, -1])
     with pytest.raises(ArithmeticError):
@@ -135,6 +180,20 @@ def test_det_matches_sympy():
 
 def _replace_column(m, j, rhs):
     return [row[:j] + [b] + row[j + 1 :] for row, b in zip(m, rhs)]
+
+
+def test_kernel_error_cases():
+    one, zero, t = Polynomial((1,)), Polynomial(), Polynomial.t()
+    with pytest.raises(ValueError):
+        poly_det([[one, t]])
+    with pytest.raises(ValueError):
+        poly_solve([[one, t], [t, one]], [one])
+    for singular in ([[one, t], [zero, zero]], [[t, t], [t, t]], [[one - t, one], [one - t, one]]):
+        assert poly_det(singular).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            poly_solve(singular, [one, one])
+    # entries may be ints or int coefficient sequences as well as Polynomials
+    assert poly_det([[(1, -2), 3], [[0, 1], ()]]) == Polynomial((0, -3))
 
 
 def test_solve_gives_every_cramer_numerator():

@@ -1,6 +1,7 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
+from itertools import permutations
 from math import gcd, prod
 
 import pytest
@@ -26,6 +27,7 @@ from tensorwalks.groups import (
     validate_group,
 )
 from tensorwalks.numbertheory import euler_phi, is_prime, quadratic_residues
+from tensorwalks.polynomials import Polynomial, poly_det, poly_solve
 from tensorwalks.quiver import (
     character_walk_counts,
     mckay_adjacency,
@@ -174,6 +176,55 @@ def test_cramer_numerators_equal_literal_cramer(rows, data):
         den, nums = cramer_numerators(rows, source)
         assert [RatFunc(num, den) for num in nums] == [
             walk_generating_function(rows, source, lam) for lam in range(n)]
+
+
+# -- the elimination kernel against the Leibniz expansion ---------------------
+
+
+def leibniz_det(m):
+    """Oracle: sum over permutations of sign * product, over Z[t]."""
+    total = Polynomial()
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = Polynomial((-1 if inversions % 2 else 1,))
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def polynomial_systems(draw):
+    """(matrix, rhs) over Z[t]: n <= 5, degree <= 3, coefficients up to
+    +-10^12 or small enough to cancel, with a zero row or a first column that
+    forces row swaps drawn on purpose."""
+    n = draw(st.integers(1, 5))
+    size = draw(st.sampled_from((2, 10**12)))
+    entry = st.lists(st.integers(-size, size), max_size=4).map(Polynomial)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(entry) for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "zero row", "swaps")))
+    if shape == "zero row":
+        m[draw(st.integers(0, n - 1))] = [Polynomial()] * n
+    elif shape == "swaps":
+        for row in m[:-1]:
+            row[0] = Polynomial()
+    return m, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_systems())
+def test_kernel_equals_leibniz_expansion(system):
+    m, rhs = system
+    det = leibniz_det(m)
+    assert poly_det(m) == det
+    if det.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            poly_solve(m, rhs)
+        return
+    nums = [leibniz_det([row[:j] + [b] + row[j + 1:] for row, b in zip(m, rhs)])
+            for j in range(len(m))]
+    assert poly_solve(m, rhs) == (det, nums)
 
 
 # -- the certified ring map against plain cyclotomic arithmetic ---------------

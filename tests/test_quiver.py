@@ -21,6 +21,7 @@ from tensorwalks.quiver import (
     eigen_check,
     mat_pow,
     mckay_adjacency,
+    power_rows,
     quiver_dot,
     walk_count_character,
     walk_count_matrix,
@@ -89,6 +90,13 @@ def test_matrix_equals_character_for_all_builtins():
         a = mckay_adjacency(g, v)
         for k in range(13):
             assert character_walk_counts(g, v, k) == mat_pow(a.rows(), k), (name, k)
+
+
+def test_power_rows_are_rows_of_matrix_powers():
+    digraph = [[0, 2, 1], [1, 0, 0], [0, 3, 1]]
+    for frm in range(3):
+        assert power_rows(digraph, frm, 9) == [mat_pow(digraph, k)[frm] for k in range(10)]
+    assert power_rows(digraph, 1, 0) == [[0, 1, 0]]
 
 
 def test_single_pair_character_sum_matches_batch():
@@ -180,7 +188,15 @@ def test_eigen_check():
     rows[0][0] += 1
     bad = WalkMatrix(5, tuple(tuple(r) for r in rows))
     ok, failure = eigen_check(mod.group, mod, bad)
-    assert not ok and failure is not None
+    assert not ok and failure == (0, 0)
+    # moving an edge keeps every row sum, so class 0 passes and the first
+    # failing class is located by its irrational characters
+    rows = a.rows()
+    target = rows[2].index(1)
+    rows[2][target] -= 1
+    rows[2][(target + 2) % 5] += 1
+    bad = WalkMatrix(5, tuple(tuple(r) for r in rows))
+    assert eigen_check(mod.group, mod, bad) == (False, (2, 1))
 
 
 def test_walkmatrix_validation():

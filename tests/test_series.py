@@ -11,12 +11,13 @@ from tensorwalks.groups import (
     ModuleChar,
     coordinate_module,
     monomial_module,
+    parse_spec_full,
     permutation_module,
     standard_module_cyclic,
 )
 from tensorwalks.cyclotomic import CycNum
 from tensorwalks.polynomials import Polynomial
-from tensorwalks.quiver import mat_pow, mckay_adjacency
+from tensorwalks.quiver import mat_pow, mckay_adjacency, power_rows
 from tensorwalks.registry import builtin_modules
 from tensorwalks.series import (
     RatFunc,
@@ -50,6 +51,11 @@ def test_ratfunc_normalization():
     assert rf.den.leading() == 1
     num, den = rf.display_pair()
     assert den.coefficient(0) == 1
+    # rational coefficients, and a common factor 1 + t under non-unit content
+    rf = RatFunc(Polynomial((Fraction(2, 3),)) * lin(2, -4) * lin(1, 1), lin(6, -3) * lin(3, 3))
+    assert (rf.num, rf.den) == (Polynomial((Fraction(-4, 27), Fraction(8, 27))), lin(-2, 1))
+    rf = RatFunc(Polynomial(), lin(2, 6))
+    assert (rf.num, rf.den) == (Polynomial(), Polynomial((1,)))
     with pytest.raises(ValueError):
         RatFunc(Polynomial((1,)), Polynomial((0, 1)))
     with pytest.raises(ZeroDivisionError):
@@ -88,6 +94,34 @@ def test_character_equals_cramer_everywhere():
         a = mckay_adjacency(g, v)
         for lam in range(g.n_classes):
             assert poincare_character(g, v, lam) == poincare_cramer(a, lam), (name, lam)
+
+
+def test_cramer_numerators_on_s10_equal_walk_counts():
+    spec = parse_spec_full("S10")
+    g = spec.group
+    a = mckay_adjacency(g, spec.module)
+    den, nums = cramer_numerators(a)
+    assert len(nums) == g.n_classes == 42
+    walks = power_rows(a.entries, 0, 15)
+    for lam, num in enumerate(nums):
+        assert RatFunc(num, den).series(15) == [w[lam] for w in walks], lam
+
+
+def test_series_leaves_the_integers_only_where_a_coefficient_is_not_integral():
+    # 1 / (2 - t) = sum t^k / 2^(k+1)
+    rf = RatFunc(Polynomial((1,)), Polynomial((2, -1)))
+    assert rf.series(5) == [Fraction(1, 2 ** (k + 1)) for k in range(6)]
+    # (1/2 + t/2) / (1 - t) = 1/2 + t + t^2 + ...: integral after the first
+    coeffs = RatFunc(Polynomial((Fraction(1, 2), Fraction(1, 2))), Polynomial((1, -1))).series(4)
+    assert coeffs == [Fraction(1, 2), 1, 1, 1, 1]
+    assert [type(c) for c in coeffs] == [Fraction, int, int, int, int]
+    # (3 - t) / (3 - 3t): 1 then 2/3 forever
+    coeffs = RatFunc(Polynomial((3, -1)), Polynomial((3, -3))).series(3)
+    assert coeffs == [1, Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)]
+    assert type(coeffs[0]) is int
+    # an integral series stays in the integers
+    assert all(type(c) is int for c in RatFunc(Polynomial((1, 0, -3)),
+                                                Polynomial((1, 0, -4))).series(8))
 
 
 def test_cramer_numerators_on_every_registry_module():
