@@ -118,12 +118,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        inv = Fraction(1) / self.leading()
-        return Polynomial(tuple(c * inv for c in self.coeffs))
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -169,27 +163,26 @@ def _norm_coeff(c):
     raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals, by a primitive pseudo-remainder sequence
-    over Z[t]: denominators are cleared once and the content is divided out
-    after every pseudo-remainder, which keeps the coefficients from blowing
-    up as Euclid's remainders over Q do."""
-    return Polynomial(_primitive_gcd(_integral(a)[0], _integral(b)[0])).monic()
+def integral_pair(num: Polynomial, den: Polynomial) -> tuple[list[int], list[int]]:
+    """num and den as int coefficient lists (ascending), both multiplied by
+    the lcm of every coefficient denominator in either: the same ratio over
+    Z[t]."""
+    scale = lcm(*(c.denominator for p in (num, den) for c in p.coeffs if type(c) is not int))
+    return [int(c * scale) for c in num.coeffs], [int(c * scale) for c in den.coeffs]
 
 
 def lowest_terms(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num / den with gcd(num, den) = 1 and den monic.  Both sides are
-    cleared of denominators and divided exactly over Z by their primitive gcd
-    (by Gauss's lemma a primitive factor over Q of an integer polynomial is
-    one over Z), then scaled to a monic denominator once."""
+    """num / den with gcd(num, den) = 1 and den monic.  The integral pair is
+    divided exactly over Z by its primitive gcd (by Gauss's lemma a primitive
+    factor over Q of an integer polynomial is one over Z), then scaled to a
+    monic denominator once."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    a, a_scale = _integral(num)
-    b, b_scale = _integral(den)
+    a, b = integral_pair(num, den)
     g = _primitive_gcd(a, b)
     a, b = _exact_div(a, g), _exact_div(b, g)
-    s = Fraction(b_scale, a_scale * b[-1])
-    return Polynomial([c * s for c in a]), Polynomial([Fraction(c, b[-1]) for c in b])
+    lead = b[-1]
+    return Polynomial([Fraction(c, lead) for c in a]), Polynomial([Fraction(c, lead) for c in b])
 
 
 def poly_det(matrix) -> Polynomial:
@@ -247,11 +240,15 @@ def poly_solve(matrix, rhs) -> tuple[Polynomial, list[Polynomial]]:
 
 
 def _coefficient_rows(matrix) -> list[list]:
-    """Each entry as its int coefficients, ascending."""
+    """Each entry as its int coefficients, ascending.  Scalars and sequences
+    are normalized as Polynomial normalizes them, so an integral Fraction
+    counts as an int."""
     rows = [[e.coeffs if isinstance(e, Polynomial) else e if isinstance(e, (tuple, list))
              else (e,) for e in row] for row in matrix]
     if not {type(c) for row in rows for e in row for c in e} <= {int}:
-        raise TypeError("the elimination kernel needs integer coefficients")
+        rows = [[[_norm_coeff(c) for c in e] for e in row] for row in rows]
+        if not {type(c) for row in rows for e in row for c in e} <= {int}:
+            raise TypeError("the elimination kernel needs integer coefficients")
     return rows
 
 
@@ -349,14 +346,8 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Primitive pseudo-remainder sequence for poly_gcd.
+# Primitive pseudo-remainder sequence: the gcd behind lowest_terms.
 # ---------------------------------------------------------------------------
-
-
-def _integral(p: Polynomial) -> tuple[list[int], int]:
-    """(p * scale, scale) with scale the lcm of p's coefficients' denominators."""
-    scale = lcm(*(c.denominator for c in p.coeffs if type(c) is not int))
-    return [int(c * scale) for c in p.coeffs], scale
 
 
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cyclotomic import CycNum, weighted_power_sums
 from .errors import UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
-from .polynomials import Polynomial, _integral, lowest_terms, poly_det, poly_solve
+from .polynomials import Polynomial, integral_pair, lowest_terms, poly_det, poly_solve
 from .quiver import WalkMatrix, _walk_count, spectral_form
 
 
@@ -42,10 +42,7 @@ class RatFunc:
         where a coefficient is not integral.  The recurrence runs on num and
         den cleared of denominators, so an integral series never leaves the
         integers."""
-        num, scale = _integral(self.num)
-        den, den_scale = _integral(self.den)
-        den = [c * scale for c in den]
-        num = [c * den_scale for c in num]
+        num, den = integral_pair(self.num, self.den)
         d0, top = den[0], len(den) - 1
         out: list = []
         for k in range(order + 1):

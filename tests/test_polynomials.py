@@ -5,7 +5,15 @@ from math import isqrt
 import pytest
 
 from tensorwalks.cyclotomic import root_of_unity
-from tensorwalks.polynomials import Polynomial, _exact_div, poly_det, poly_gcd, poly_solve
+from tensorwalks.polynomials import (
+    Polynomial,
+    _exact_div,
+    _primitive_gcd,
+    integral_pair,
+    lowest_terms,
+    poly_det,
+    poly_solve,
+)
 
 
 def lin(c0, c1):
@@ -28,12 +36,22 @@ def test_arithmetic():
     assert _exact_div([1, 0, -1], [1, -1]) == [1, 1]
 
 
+def monic(p):
+    return Polynomial([Fraction(c, p.leading()) for c in p.coeffs]) if p.coeffs else p
+
+
+def gcd_over_q(a, b):
+    """Monic gcd over Q, from the primitive gcd over Z of the integral pair."""
+    return monic(Polynomial(_primitive_gcd(*integral_pair(a, b))))
+
+
 def test_gcd():
     a = lin(1, -1) * lin(1, -2)
     b = lin(1, -1) * lin(1, -3)
-    g = poly_gcd(a, b)
-    assert g == lin(1, -1).monic()
-    assert poly_gcd(a, Polynomial((5,))) == Polynomial((1,))
+    assert gcd_over_q(a, b) == monic(lin(1, -1))
+    assert gcd_over_q(a, Polynomial((5,))) == Polynomial((1,))
+    # (1 - 2t) / (1 - 3t), scaled so the denominator is monic
+    assert lowest_terms(a, b) == (lin(Fraction(-1, 3), Fraction(2, 3)), lin(Fraction(-1, 3), 1))
 
 
 def test_gcd_of_planted_common_factors():
@@ -51,13 +69,17 @@ def test_gcd_of_planted_common_factors():
             b = b * lin(1, -r)
         a = a * Fraction(rng.randint(1, 9), rng.randint(1, 9))
         b = b * Fraction(-rng.randint(1, 9), rng.randint(1, 9))
-        assert poly_gcd(a, b) == g.monic()
-        assert poly_gcd(b, a) == g.monic()
+        assert gcd_over_q(a, b) == monic(g)
+        assert gcd_over_q(b, a) == monic(g)
+        num, den = lowest_terms(a, b)  # the same ratio, reduced, monic below
+        assert num * b == den * a
+        assert den.leading() == 1
+        assert gcd_over_q(num, den) == Polynomial((1,))
     p = lin(1, -2) * lin(Fraction(1, 3), 1)
-    assert poly_gcd(p, Polynomial()) == p.monic()
-    assert poly_gcd(Polynomial(), p) == p.monic()
-    assert poly_gcd(Polynomial(), Polynomial()).is_zero()
-    assert poly_gcd(Polynomial((Fraction(3, 7),)), p) == Polynomial((1,))
+    assert gcd_over_q(p, Polynomial()) == monic(p)
+    assert gcd_over_q(Polynomial(), p) == monic(p)
+    assert gcd_over_q(Polynomial(), Polynomial()).is_zero()
+    assert gcd_over_q(Polynomial((Fraction(3, 7),)), p) == Polynomial((1,))
 
 
 def test_det_small_cases():
@@ -157,6 +179,10 @@ def test_kernel_rejects_non_integer_coefficients():
         poly_det([[(1, Fraction(1, 2))]])  # coefficient sequences are checked too
     with pytest.raises(TypeError):
         poly_det([[True]])
+    # integral Fractions count as ints, as in Polynomial
+    assert poly_det([[Fraction(2)]]) == Polynomial((2,))
+    assert poly_det([[(1, Fraction(4, 2))]]) == lin(1, 2)
+    assert poly_solve([[Polynomial((1,))]], [Fraction(3)]) == (Polynomial((1,)), [Polynomial((3,))])
     with pytest.raises(ArithmeticError):
         _exact_div([1, 1, 1], [1, -1])
     with pytest.raises(ArithmeticError):
