@@ -17,7 +17,7 @@ from . import closedforms as cf
 from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
 from .groups import ParsedSpec, group_to_json, parse_spec_full
-from .quiver import bratteli, bratteli_dot, mat_pow, mckay_adjacency, quiver_dot
+from .quiver import bratteli, bratteli_dot, mckay_adjacency, power_rows, quiver_dot
 from .routes import ROUTES, linear_group_forms, walk_routes
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
@@ -73,7 +73,7 @@ def cmd_dims(args) -> int:
     spec = parse_spec_full(args.group)
     g, v = spec.group, spec.module
     a = mckay_adjacency(g, v)
-    row = mat_pow(a.rows(), args.k)[0]
+    row = power_rows(a.entries, 0, range(args.k, args.k + 1))[0]
     labels = [i.label for i in g.irreps]
     if args.csv:
         emit_csv([("label", "count")] + [(lab, c) for lab, c in zip(labels, row)])

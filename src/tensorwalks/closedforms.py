@@ -28,6 +28,7 @@ from .cyclotomic import CycNum, gauss_sum, root_of_unity
 from .errors import ConsistencyError
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
+from .quiver import power_rows
 from .series import EgfTruncation, RatFunc, egf_hyperbolic, egf_pow
 
 INDUCED = "induced"
@@ -156,16 +157,10 @@ def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
 
 def paley_bruteforce(p: int, ks: range, c: int) -> list[int]:
     """Oracle: entry c of row 0 of A^k, for every k in `ks`, for the explicit
-    p-by-p adjacency matrix A, by one pass of vector-matrix products."""
+    p-by-p adjacency matrix A, by `quiver.power_rows`."""
     res = set(quadratic_residues(p))
     a = [[1 if (j - i) % p in res else 0 for j in range(p)] for i in range(p)]
-    row = [1] + [0] * (p - 1)
-    counts = []
-    for k in range(ks[-1] + 1 if ks else 0):
-        if k in ks:
-            counts.append(row[c % p])
-        row = [sum(x * a[i][j] for i, x in enumerate(row) if x) for j in range(p)]
-    return counts
+    return [row[c % p] for row in power_rows(a, 0, ks)]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ def mat_mul(a, b):
 
 
 def mat_pow(a, k: int):
+    """A^k by repeated squaring.  No CLI verb calls it; they read rows through
+    `power_rows`.  It and `mat_mul` stay as the independent reference, a
+    different algorithm, for the tests and verify's random-digraph check, and
+    the benchmark tracer wraps it by name."""
     if k < 0:
         raise ValueError("step count must be nonnegative")
     n = len(a)
@@ -82,15 +86,29 @@ def mat_pow(a, k: int):
     return result
 
 
-def power_rows(a, frm: int, top: int) -> list[list[int]]:
-    """Row `frm` of A^k for k = 0..top, by top vector-matrix products."""
-    cols = list(zip(*a))
-    row = [1 if j == frm else 0 for j in range(len(a))]
-    out = [row]
-    for _ in range(top):
-        row = [sum(map(mul, row, col)) for col in cols]
-        out.append(row)
-    return out
+def power_rows(a, frm: int, ks: range) -> list[list[int]]:
+    """Row `frm` of A^k for each k in the range `ks`, in its order and with
+    its stride: one vector-matrix product per step up to the largest k, over
+    the nonzero entries of the row and of each row of A, keeping only the
+    rows whose k is in `ks`."""
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    n = len(a)
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in a]
+    row = [0] * n
+    row[frm] = 1
+    kept = {}
+    for k in range(max(ks, default=-1) + 1):
+        if k:
+            nxt = [0] * n
+            for i, x in enumerate(row):
+                if x:
+                    for j, y in nonzero[i]:
+                        nxt[j] += x if y == 1 else x * y  # no big-int product on simple edges
+            row = nxt
+        if k in ks:
+            kept[k] = row
+    return [kept[k] for k in ks]
 
 
 def _require_full(g: GroupData, what: str):
@@ -138,7 +156,7 @@ def mckay_adjacency(g: GroupData, v: ModuleChar) -> WalkMatrix:
 
 
 def walk_count_matrix(a: WalkMatrix, k: int, frm: int, to: int) -> int:
-    return mat_pow(a.rows(), k)[frm][to]
+    return power_rows(a.entries, frm, range(k, k + 1))[0][to]
 
 
 def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
@@ -241,33 +259,18 @@ class BratteliDiagram:
 
 
 def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
-    """Build the diagram by the level recurrence m_k = m_{k-1} * A."""
+    """Build the diagram from the level recurrence m_k = m_{k-1} * A: level k
+    is row 0 of A^k, and each level's edges are the nonzero a[nu][lam] out of
+    its nodes nu."""
     _require_full(g, "bratteli")
     if levels < 0:
         raise ValueError("level count must be nonnegative")
-    a = mckay_adjacency(g, v)
-    n = g.n_classes
-    mult = [0] * n
-    mult[0] = 1
-    out_levels = [tuple((i, m) for i, m in enumerate(mult) if m)]
-    out_edges = []
-    dims = [sum(m * m for m in mult)]
-    for _ in range(levels):
-        nxt = [0] * n
-        step_edges = []
-        for nu in range(n):
-            if mult[nu] == 0:
-                continue
-            row = a.entries[nu]
-            for lam in range(n):
-                if row[lam]:
-                    nxt[lam] += mult[nu] * row[lam]
-                    step_edges.append((nu, lam, row[lam]))
-        mult = nxt
-        out_levels.append(tuple((i, m) for i, m in enumerate(mult) if m))
-        out_edges.append(tuple(step_edges))
-        dims.append(sum(m * m for m in mult))
-    return BratteliDiagram(g, tuple(out_levels), tuple(out_edges), tuple(dims))
+    a = mckay_adjacency(g, v).entries
+    rows = power_rows(a, 0, range(levels + 1))
+    out_levels = tuple(tuple((i, m) for i, m in enumerate(row) if m) for row in rows)
+    edges = tuple(tuple((nu, lam, x) for nu, _ in level for lam, x in enumerate(a[nu]) if x)
+                  for level in out_levels[:-1])
+    return BratteliDiagram(g, out_levels, edges, tuple(sum(m * m for m in row) for row in rows))
 
 
 def eigen_check(g: GroupData, v: ModuleChar, a: WalkMatrix):

@@ -8,7 +8,7 @@ from . import closedforms as cf
 from .combinatorics import partitions_of
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, ParsedSpec, abelian_elements
-from .quiver import mckay_adjacency, walk_count_matrix, walk_counts_character
+from .quiver import mckay_adjacency, power_rows, walk_counts_character
 
 
 def linear_group_forms(spec: ParsedSpec):
@@ -56,8 +56,8 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     g, v = spec.group, spec.module
     results: list[tuple[str, list[int]]] = []
     if "matrix" in methods and g.tier == FULL:
-        a = mckay_adjacency(g, v)
-        results.append(("matrix", [walk_count_matrix(a, k, frm, to) for k in ks]))
+        rows = power_rows(mckay_adjacency(g, v).entries, frm, ks)
+        results.append(("matrix", [row[to] for row in rows]))
     if "character" in methods and (g.tier == FULL or frm == to == 0):
         results.append(("character", walk_counts_character(g, v, ks, frm, to)))
     if "closed" in methods:

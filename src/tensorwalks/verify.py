@@ -9,11 +9,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from . import closedforms as cf
-from .combinatorics import bell_number
-from .cyclotomic import CycNum, gauss_sum, gauss_sum_check
+from .combinatorics import bell_number, group_ring_power
+from .cyclotomic import gauss_sum, gauss_sum_check, reduce_mod_phi
 from .diagrams import (
     DiagramElement,
     basis_count,
@@ -324,7 +323,7 @@ def suite_generic() -> list[CheckResult]:
         ok_eig, bad = eigen_check(g, mod, a)
         s.check(f"{name}: adjacency eigenvalue identity", ok_eig, f"failed at {bad}")
         series_ok, detail = True, ""
-        walks = power_rows(a.entries, 0, 12)
+        walks = power_rows(a.entries, 0, range(13))
         den, nums = cramer_numerators(a)
         for lam, num in enumerate(nums):
             coeffs = RatFunc(num, den).series(12)
@@ -354,35 +353,38 @@ def suite_generic() -> list[CheckResult]:
     return s.results
 
 
-def _sum_of_products(xs, ys) -> CycNum:
-    """sum_i xs[i] * ys[i]; the products are added unreduced, then reduced once."""
-    n = lcm(*(x.conductor for x in (*xs, *ys)))
+def _sum_of_products(xs, ys, n: int) -> tuple:
+    """sum_i xs[i] * ys[i] over power-basis coefficient tuples in Q(zeta_n);
+    the products are added unreduced, then reduced once."""
     raw = [0] * (2 * euler_phi(n) - 1)
     for x, y in zip(xs, ys):
-        terms = [(j, c) for j, c in enumerate(y.embed(n).coeffs) if c]
-        for i, a in enumerate(x.embed(n).coeffs):
+        terms = [(j, c) for j, c in enumerate(y) if c]
+        for i, a in enumerate(x):
             if a:
                 for j, c in terms:
                     raw[i + j] += a * c
-    return CycNum(n, raw)
+    return reduce_mod_phi(raw, n)
 
 
 def _orthogonality_ok(g: GroupData) -> bool:
-    n = g.n_classes
+    """Row and column orthogonality, both weighted by the class sizes so that
+    each sum is |G| or 0: every row and conjugated row is embedded once in
+    Q(zeta_conductor)."""
+    n, m = g.n_classes, g.conductor
     sizes = g.class_sizes()
-    rows = [g.row(nu) for nu in range(n)]
-    conj = [[x.conj() for x in row] for row in rows]
-    for nu in range(n):
-        weighted = [size * x for size, x in zip(sizes, rows[nu])]
-        for lam in range(n):
-            if _sum_of_products(weighted, conj[lam]) != (g.order if nu == lam else 0):
-                return False
-    for mu, col in enumerate(zip(*rows)):
-        for nu, conj_col in enumerate(zip(*conj)):
-            want = Fraction(g.order, sizes[mu]) if mu == nu else 0
-            if _sum_of_products(col, conj_col) != want:
-                return False
-    return True
+    weighted = [[tuple(size * c for c in x.embed(m).coeffs) for size, x in zip(sizes, g.row(nu))]
+                for nu in range(n)]
+    conj = [[x.conj().embed(m).coeffs for x in g.row(nu)] for nu in range(n)]
+    zero = (0,) * (euler_phi(m) - 1)
+
+    def is_delta(xs, ys, same):
+        return _sum_of_products(xs, ys, m) == (g.order if same else 0, *zero)
+
+    return (all(is_delta(weighted[nu], conj[lam], nu == lam)
+                for nu in range(n) for lam in range(n))
+            and all(is_delta(col, conj_col, mu == nu)
+                    for mu, col in enumerate(zip(*weighted))
+                    for nu, conj_col in enumerate(zip(*conj))))
 
 
 # -- 9. abelian exponential generating functions ------------------------------
@@ -394,20 +396,20 @@ def suite_genfnc() -> list[CheckResult]:
     for radii in ((4, 2), (2, 2, 2), (3, 3), (2, 3), (4, 4, 4)):
         mod = coordinate_module(radii)
         a = mckay_adjacency(mod.group, mod)
-        powers = power_rows(a.entries, 0, 10)
+        powers = power_rows(a.entries, 0, range(11))
+        ring = group_ring_power(radii, unit_steps(radii), range(11))
         for idx, c in enumerate(abelian_elements(radii)):
             egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
-            walks = cf.group_ring_walks(radii, unit_steps(radii), range(11), c)
             for k in range(11):
                 want = powers[k][idx]
-                if egf.coefficient(k) != want or walks[k] != want:
+                if egf.coefficient(k) != want or ring[k].get(c, 0) != want:
                     ok, detail = False, f"radii={radii} c={c} k={k}"
     s.check("EGF products equal walk counts for every target (k <= 10)", ok, detail)
 
     radii = (2,) * 5
     mod = coordinate_module(radii)
     a = mckay_adjacency(mod.group, mod)
-    powers = power_rows(a.entries, 0, 10)
+    powers = power_rows(a.entries, 0, range(11))
     cosh = egf_hyperbolic(1, 2, 10)
     sinh = egf_hyperbolic(2, 2, 10)
     ok, detail = True, ""

@@ -91,7 +91,7 @@ def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
         raise AssertionError("the matrix route ran")
 
     monkeypatch.setattr(routes_mod, "mckay_adjacency", forbidden)
-    monkeypatch.setattr(routes_mod, "walk_count_matrix", forbidden)
+    monkeypatch.setattr(routes_mod, "power_rows", forbidden)
     doc = run_json(capsys, "invariants", "--group", spec, "--k", "6")
     assert doc["counts"] == counts
     # the stubs sit where the matrix route calls them
@@ -113,6 +113,24 @@ def test_invariants_build_one_spectral_form(capsys, monkeypatch):
     doc = run_json(capsys, "invariants", "--group", "Z4wrS5", "--k", "28")
     assert len(doc["counts"]) == 29
     assert calls == [(0, 0)]
+
+
+def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
+    import tensorwalks.routes as routes_mod
+    from tensorwalks.closedforms import cyclic_walks
+    from tensorwalks.groups import parse_spec_full
+
+    calls = []
+    real = routes_mod.power_rows
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(routes_mod, "power_rows", counting)
+    results = routes_mod.walk_routes(parse_spec_full("Z10"), range(7), 0, 2, ("matrix",))
+    assert results == [("matrix", [cyclic_walks(10, k, 0, 2) for k in range(7)])]
+    assert calls == [(0, range(7))]
 
 
 def test_paley_closed_forms_finish(capsys):

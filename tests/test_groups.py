@@ -7,6 +7,7 @@ from tensorwalks.errors import SpecError
 from tensorwalks.groups import (
     FULL,
     INVARIANT,
+    GroupData,
     both_modules_gl2,
     both_modules_sl2,
     build_abelian,
@@ -169,6 +170,23 @@ def test_orthogonality_for_all_builtins():
         assert sum(c.size for c in g.classes) == g.order, name
         assert g.classes[0].size == 1, name
         assert sum(i.dim**2 for i in g.irreps) == g.order, name
+
+
+def test_orthogonality_rejects_corrupted_tables():
+    from tensorwalks.verify import _orthogonality_ok
+
+    z6 = build_cyclic(6)
+    row = z6.row(1)
+    # zeta^2 replaced by its conjugate at one class of one row
+    bad_value = GroupData(z6.name, z6.order, z6.tier, z6.classes, z6.conductor, z6.irreps,
+                          lambda i: row[:2] + (row[2].conj(),) + row[3:] if i == 1 else z6.row(i))
+    assert not _orthogonality_ok(bad_value)
+    s4 = build_symmetric(4)
+    classes = list(s4.classes)
+    classes[1], classes[2] = classes[1]._replace(size=3), classes[2]._replace(size=6)
+    bad_sizes = GroupData(s4.name, s4.order, s4.tier, tuple(classes), s4.conductor, s4.irreps,
+                          s4.row)
+    assert not _orthogonality_ok(bad_sizes)
 
 
 def test_wreath_group():

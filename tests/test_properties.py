@@ -30,7 +30,9 @@ from tensorwalks.numbertheory import euler_phi, is_prime, quadratic_residues
 from tensorwalks.polynomials import Polynomial, poly_det, poly_solve
 from tensorwalks.quiver import (
     character_walk_counts,
+    mat_pow,
     mckay_adjacency,
+    power_rows,
     walk_count_character,
     walk_count_matrix,
     walk_counts_character,
@@ -165,6 +167,26 @@ def digraphs(draw):
 
 
 REGISTRY = [mckay_adjacency(g, v).rows() for _, g, v in builtin_modules()]
+
+
+@st.composite
+def power_row_queries(draw):
+    """(A, frm, ks): a nonnegative digraph, n <= 7 with entries <= 3, loops
+    and some rows forced to zero, and a range of k with any start, stride and
+    direction, empty ranges included."""
+    n = draw(st.integers(1, 7))
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    a = [[0 if i in zero_rows else draw(st.integers(0, 3)) for _ in range(n)] for i in range(n)]
+    ks = range(draw(st.integers(0, 12)), draw(st.integers(-1, 12)),
+               draw(st.sampled_from((1, 2, 3, -1, -2, -5))))
+    return a, draw(st.integers(0, n - 1)), ks
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_row_queries())
+def test_power_rows_equal_rows_of_repeated_squaring(query):
+    a, frm, ks = query
+    assert power_rows(a, frm, ks) == [mat_pow(a, k)[frm] for k in ks]
 
 
 @settings(max_examples=60, deadline=None)

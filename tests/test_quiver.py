@@ -95,8 +95,13 @@ def test_matrix_equals_character_for_all_builtins():
 def test_power_rows_are_rows_of_matrix_powers():
     digraph = [[0, 2, 1], [1, 0, 0], [0, 3, 1]]
     for frm in range(3):
-        assert power_rows(digraph, frm, 9) == [mat_pow(digraph, k)[frm] for k in range(10)]
-    assert power_rows(digraph, 1, 0) == [[0, 1, 0]]
+        assert power_rows(digraph, frm, range(10)) == [mat_pow(digraph, k)[frm] for k in range(10)]
+    assert power_rows(digraph, 1, range(1)) == [[0, 1, 0]]
+    assert power_rows(digraph, 2, range(9, 0, -4)) == [mat_pow(digraph, k)[2] for k in (9, 5, 1)]
+    assert power_rows(digraph, 0, range(5, 5)) == []
+    for ks in (range(-1, 3), range(2, -2, -1)):
+        with pytest.raises(ValueError, match="step count must be nonnegative"):
+            power_rows(digraph, 0, ks)
 
 
 def test_single_pair_character_sum_matches_batch():
@@ -152,6 +157,10 @@ def test_bratteli_recurrence_equals_matrix_powers():
         for k in range(9):
             row = mat_pow(a.rows(), k)[0]
             assert dict(bd.levels[k]) == {i: m for i, m in enumerate(row) if m}
+        for level, edges in zip(bd.levels, bd.edges):
+            assert edges == tuple((nu, lam, x) for nu, _ in level
+                                  for lam, x in enumerate(a.entries[nu]) if x)
+        assert len(bd.edges) == 8
 
 
 def test_bratteli_z10_appendix_values():

@@ -102,7 +102,7 @@ def test_cramer_numerators_on_s10_equal_walk_counts():
     a = mckay_adjacency(g, spec.module)
     den, nums = cramer_numerators(a)
     assert len(nums) == g.n_classes == 42
-    walks = power_rows(a.entries, 0, 15)
+    walks = power_rows(a.entries, 0, range(16))
     for lam, num in enumerate(nums):
         assert RatFunc(num, den).series(15) == [w[lam] for w in walks], lam
 
