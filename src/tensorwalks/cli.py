@@ -244,83 +244,70 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUP = ("--group", {"required": True,
+                      "help": "group spec, e.g. Z10, Z4xZ2, S4, Z2wrS2, GL2(3), "
+                              "SL2(3)@steinberg, paley(13), circulant(10;1,9), hypercube(3)"})
+_K = ("--k", {"type": int, "required": True})
+_CSV = ("--csv", {"action": "store_true"})
+_FORMAT = ("--format", {"choices": ("json", "dot"), "default": "json"})
+
+# verb -> (help, command, options), in the order of the usage line
+VERBS = {
+    "walks": ("count k-step walks between quiver nodes", cmd_walks,
+              (_GROUP, _K, ("--from", {"dest": "frm", "default": "0"}),
+               ("--to", {"default": "0"}),
+               ("--method", {"choices": ("auto",) + ROUTES, "default": "auto"}))),
+    "dims": ("multiplicities of every irrep at tensor depth k", cmd_dims, (_GROUP, _K, _CSV)),
+    "invariants": ("invariant dimensions for k = 0..K", cmd_invariants, (_GROUP, _K, _CSV)),
+    "poincare": ("Poincare series of walk multiplicities", cmd_poincare,
+                 (_GROUP, ("--lambda", {"dest": "lam", "default": "0"}),
+                  ("--method", {"choices": ("cramer", "character", "paper"),
+                                "default": "character"}))),
+    "egf": ("exponential generating function coefficients", cmd_egf,
+            (_GROUP, ("--order", {"type": int, "required": True}),
+             ("--target", {"help": "comma-separated target element (abelian only)"}))),
+    "bratteli": ("branching diagram for levels 0..K", cmd_bratteli,
+                 (_GROUP, ("--levels", {"type": int, "required": True}), _FORMAT)),
+    "quiver": ("adjacency matrix of the McKay quiver", cmd_quiver, (_GROUP, _FORMAT)),
+    "group": ("serialize the group and module data", cmd_group, (_GROUP,)),
+    "diagalg": ("diagram basis of the centralizer algebra", cmd_diagalg,
+                (_GROUP, _K, ("--target", {"help": "comma-separated target element"}),
+                 ("--list", {"action": "store_true", "help": "materialize the elements"}))),
+    "verify": ("run a cross-check suite", cmd_verify, (("--suite", {"default": "all"}),)),
+}
+
+
+def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
+    """The parser of the command line, with subparsers for `verbs` only."""
     parser = argparse.ArgumentParser(
         prog="tensorwalks",
         description="Exact walk counts, multiplicities, and Poincare series "
                     "on McKay quivers of finite groups.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_group(p):
-        p.add_argument("--group", required=True,
-                       help="group spec, e.g. Z10, Z4xZ2, S4, Z2wrS2, GL2(3), "
-                            "SL2(3)@steinberg, paley(13), circulant(10;1,9), hypercube(3)")
-
-    p = sub.add_parser("walks", help="count k-step walks between quiver nodes")
-    add_group(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--from", dest="frm", default="0")
-    p.add_argument("--to", dest="to", default="0")
-    p.add_argument("--method", choices=("auto",) + ROUTES, default="auto")
-    p.set_defaults(func=cmd_walks)
-
-    p = sub.add_parser("dims", help="multiplicities of every irrep at tensor depth k")
-    add_group(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("invariants", help="invariant dimensions for k = 0..K")
-    add_group(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("poincare", help="Poincare series of walk multiplicities")
-    add_group(p)
-    p.add_argument("--lambda", dest="lam", default="0")
-    p.add_argument("--method", choices=("cramer", "character", "paper"),
-                   default="character")
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("egf", help="exponential generating function coefficients")
-    add_group(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--target", help="comma-separated target element (abelian only)")
-    p.set_defaults(func=cmd_egf)
-
-    p = sub.add_parser("bratteli", help="branching diagram for levels 0..K")
-    add_group(p)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_bratteli)
-
-    p = sub.add_parser("quiver", help="adjacency matrix of the McKay quiver")
-    add_group(p)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("group", help="serialize the group and module data")
-    add_group(p)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("diagalg", help="diagram basis of the centralizer algebra")
-    add_group(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--target", help="comma-separated target element")
-    p.add_argument("--list", action="store_true", help="materialize the elements")
-    p.set_defaults(func=cmd_diagalg)
-
-    p = sub.add_parser("verify", help="run a cross-check suite")
-    p.add_argument("--suite", default="all")
-    p.set_defaults(func=cmd_verify)
-
+    for verb in verbs:
+        summary, func, options = VERBS[verb]
+        p = sub.add_parser(verb, help=summary)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_args(argv: list[str]):
+    """What `build_parser().parse_args(argv)` returns, and on a bad command
+    line the same message and exit.  A query builds the parser of its own
+    verb alone; only a command line that it does not take entirely (no verb
+    first, or arguments left over) is parsed again by the full parser, whose
+    usage line names every verb."""
+    if argv and argv[0] in VERBS:
+        args, rest = build_parser(argv[:1]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     # counts are exact and printed in full, past Python's default cap of 4300
     # digits on int -> str; the caller's cap is restored on return
     digit_cap = sys.get_int_max_str_digits()
@@ -343,5 +330,17 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(digit_cap)
 
 
+def run() -> int:
+    """The process entry (`python -m tensorwalks`, the `tensorwalks` script):
+    `main` on `sys.argv`, then every object left is frozen, so that the
+    interpreter's last cyclic collection at exit walks none of them.  A
+    caller that lives on calls `main`, which leaves the collector alone."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -47,7 +47,12 @@ def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
         raise ValueError("need at least two nodes")
     if not (0 <= a < r and 0 <= c < r):
         raise ValueError("node out of range")
-    return sum(comb(k, l) for l in range(k + 1) if (k - 2 * l - (c - a)) % r == 0)
+    total, binom = 0, 1  # binom = C(k, l), carried from l to l + 1
+    for l in range(k + 1):
+        if (k - 2 * l - (c - a)) % r == 0:
+            total += binom
+        binom = binom * (k - l) // (l + 1)
+    return total
 
 
 def group_ring_walks(radii, steps, ks: range, c) -> list[int]:

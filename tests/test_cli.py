@@ -1,8 +1,16 @@
+import argparse
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tensorwalks.cli import main
+from tensorwalks.cli import VERBS, build_parser, main, parse_args
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -512,3 +520,83 @@ def test_negative_counts_are_usage_errors(capsys):
                  ("egf", "--group", "Z4xZ2", "--order", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "nonnegative" in err, argv
+
+
+ALL_VERBS = "{walks,dims,invariants,poincare,egf,bratteli,quiver,group,diagalg,verify}"
+
+
+def test_verbs_table_lists_the_subcommands_in_order():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(VERBS) == tuple(sub.choices) == tuple(ALL_VERBS[1:-1].split(","))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["--group", "Z10", "walks"],
+    ["walks"], ["walks", "--help"], ["walks", "--group", "Z10", "--k", "x"],
+    # a parser of the verb alone would take this line with one argument left
+    # over, and its own usage line would not name the other verbs
+    ["walks", "--group", "Z4", "--k", "2", "--bogus"],
+    ["walks", "--group", "Z10", "--k", "3", "--method", "nope"],
+])
+def test_bad_command_lines_exit_as_the_full_parser_does(capsys, argv):
+    outcomes = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        outcomes.append((exc.value.code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code in (0, 2) and (out if code == 0 else err)
+    if "--bogus" in argv:
+        assert ALL_VERBS in err and "unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["walks", "--group", "Z10", "--k", "6", "--to", "8", "--method", "closed"],
+    ["dims", "--group", "S4", "--k", "2", "--csv"],
+    ["poincare", "--group", "S4", "--lambda", "1", "--method", "cramer"],
+    ["egf", "--group", "Z4xZ2", "--order", "6", "--target", "3,1"],
+    ["bratteli", "--group", "Z4", "--levels", "3", "--format", "dot"],
+    ["group", "--group", "Z5"],
+    ["diagalg", "--group", "Z4xZ2", "--k", "6", "--list"],
+    ["verify"],
+])
+def test_one_verb_parser_reads_what_the_full_parser_reads(argv):
+    assert parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert main(["walks", "--group", "Z10", "--k", "6", "--to", "8"]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def test_process_entry_keeps_exit_codes_and_piped_output(capsys, tmp_path):
+    def process(*argv, path=SRC, script=None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (path, SRC))))
+        cmd = [sys.executable, *(("-c", script) if script else ("-m", "tensorwalks")), *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    # stdout past a pipe's buffer arrives whole: the bytes main writes in-process
+    listing = ["diagalg", "--group", "hypercube(2)", "--k", "5", "--list"]
+    out = process(*listing)
+    assert out.returncode == 0 and main(listing) == 0
+    assert len(out.stdout) > 65536 and out.stdout == capsys.readouterr().out
+    for argv, code in ((["walks", "--group", "Z10", "--k", "3", "--bogus"], 2),
+                       (["walks", "--group", "paley(9)", "--k", "2"], 2),
+                       (["dims", "--group", "Z2wrS2", "--k", "2"], 3)):
+        out = process(*argv)
+        assert out.returncode == code and out.stdout == "" and out.stderr, argv
+    # routes that disagree: a wrong binomial closed form, planted at start-up
+    (tmp_path / "sitecustomize.py").write_text(
+        "import tensorwalks.closedforms as cf\n"
+        "cf.cyclic_walks = lambda r, k, a, c: 10**6\n")
+    out = process("walks", "--group", "Z10", "--k", "6", "--to", "8", path=tmp_path)
+    assert out.returncode == 4 and out.stdout == "" and "disagree" in out.stderr
+    # the process entry freezes what is left once main has returned
+    out = process("group", "--group", "Z5", script=(
+        "import gc, sys; from tensorwalks.cli import run; code = run(); "
+        "sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}')"))
+    assert out.returncode == 0 and out.stderr == "0 True" and '"name": "Z5"' in out.stdout

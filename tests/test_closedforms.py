@@ -27,6 +27,18 @@ def test_cyclic_walks():
             assert cf.cyclic_walks(r, 0, a, (a + 1) % r) == 0
 
 
+def test_cyclic_walks_equal_the_binomial_sum():
+    # the carried C(k, l) against math.comb, for every pair of nodes
+    from math import comb
+
+    for r in range(2, 9):
+        for k in range(40):
+            for a, c in itertools.product(range(r), repeat=2):
+                expected = sum(comb(k, l) for l in range(k + 1)
+                               if (k - 2 * l - (c - a)) % r == 0)
+                assert cf.cyclic_walks(r, k, a, c) == expected, (r, k, a, c)
+
+
 def test_circulant_walks():
     conn13 = [(s,) for s in (1, 3, 4, 9, 10, 12)]
     assert cf.group_ring_walks((13,), conn13, range(2, 3), (0,)) == [6]
