@@ -26,13 +26,11 @@ from .groups import (
 from .polynomials import Polynomial, poly_det
 from .quiver import (
     BratteliDiagram,
-    WalkMatrix,
     bratteli,
     centralizer_dim,
     eigen_check,
     mckay_adjacency,
     walk_count_character,
-    walk_count_matrix,
 )
 from .series import (
     EgfTruncation,

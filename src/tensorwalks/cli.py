@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import closedforms as cf
 from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
-from .groups import ParsedSpec, group_to_json, parse_spec_full
-from .quiver import bratteli, bratteli_dot, mckay_adjacency, power_rows, quiver_dot
+from .groups import ParsedSpec, parse_spec_full
+from .quiver import bratteli, mckay_adjacency, power_rows
 from .routes import ROUTES, linear_group_forms, walk_routes
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
 from .verify import run_suite
@@ -72,8 +71,7 @@ def cmd_dims(args) -> int:
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
     g, v = spec.group, spec.module
-    a = mckay_adjacency(g, v)
-    row = power_rows(a.entries, 0, range(args.k, args.k + 1))[0]
+    row = power_rows(mckay_adjacency(g, v), 0, range(args.k, args.k + 1))[0]
     labels = [i.label for i in g.irreps]
     if args.csv:
         emit_csv([("label", "count")] + [(lab, c) for lab, c in zip(labels, row)])
@@ -110,11 +108,10 @@ def cmd_poincare(args) -> int:
                 "--method paper provides only the GL2/SL2 invariant series")
         _, poincare, which = linear_group_forms(spec)
         rf = poincare(spec.params["q"], which)
-    num, den = rf.display_pair()
     emit({"group": g.name, "lambda": lam, "method": args.method,
-          "num": num.to_text(), "den": den.to_text(),
-          "ratfunc": {"num": [str(Fraction(c)) for c in num.coeffs],
-                      "den": [str(Fraction(c)) for c in den.coeffs]},
+          "num": rf.num.to_text(), "den": rf.den.to_text(),
+          "ratfunc": {"num": [str(c) for c in rf.num.coeffs],
+                      "den": [str(c) for c in rf.den.coeffs]},
           "unreduced_degree": g.n_classes})
     return 0
 
@@ -155,28 +152,76 @@ def _parse_target(text: str, radii) -> tuple[int, ...]:
 def cmd_bratteli(args) -> int:
     spec = parse_spec_full(args.group)
     bd = bratteli(spec.group, spec.module, args.levels)
+    labels = [i.label for i in spec.group.irreps]
     if args.format == "dot":
-        sys.stdout.write(bratteli_dot(bd) + "\n")
+        sys.stdout.write(bratteli_dot(labels, bd) + "\n")
     else:
-        sys.stdout.write(bd.to_json() + "\n")
+        emit({"group": spec.group.name,
+              "levels": [[{"label": labels[i], "multiplicity": str(m)} for i, m in level]
+                         for level in bd.levels],
+              "edges": [[{"from": labels[a], "to": labels[b], "count": str(c)} for a, b, c in lv]
+                        for lv in bd.edges],
+              "algebra_dims": [str(d) for d in bd.algebra_dims]})
     return 0
 
 
 def cmd_quiver(args) -> int:
     spec = parse_spec_full(args.group)
     a = mckay_adjacency(spec.group, spec.module)
+    labels = [i.label for i in spec.group.irreps]
     if args.format == "dot":
-        sys.stdout.write(quiver_dot(spec.group, a) + "\n")
+        sys.stdout.write(quiver_dot(labels, a) + "\n")
     else:
-        labels = [i.label for i in spec.group.irreps]
-        sys.stdout.write(a.to_json(labels) + "\n")
+        emit({"dim": len(a), "entries": [[str(e) for e in row] for row in a],
+              "labels": labels})
     return 0
 
 
 def cmd_group(args) -> int:
     spec = parse_spec_full(args.group)
-    sys.stdout.write(group_to_json(spec.group, spec.module) + "\n")
+    g = spec.group
+    emit({"name": g.name, "order": str(g.order), "tier": g.tier,
+          "classes": [{"label": c.label, "size": str(c.size)} for c in g.classes],
+          "chi_V": [v.to_text() for v in spec.module.values]})
     return 0
+
+
+def quiver_dot(labels, a) -> str:
+    """Graphviz rendering.  Symmetric pairs are drawn once without direction
+    (per-pair convention); asymmetric pairs keep their arrows.  Loops allowed."""
+    lines = ["digraph quiver {"]
+    for i, lab in enumerate(labels):
+        lines.append(f'  n{i} [label="{lab}"];')
+    n = len(a)
+    for i in range(n):
+        for j in range(i, n):
+            fwd, bwd = a[i][j], a[j][i]
+            if i == j:
+                lines.extend(f"  n{i} -> n{i};" for _ in range(fwd))
+            elif fwd == bwd:
+                lines.extend(f"  n{i} -> n{j} [dir=none];" for _ in range(fwd))
+            else:
+                lines.extend(f"  n{i} -> n{j};" for _ in range(fwd))
+                lines.extend(f"  n{j} -> n{i};" for _ in range(bwd))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def bratteli_dot(labels, bd) -> str:
+    lines = ["graph bratteli {", "  rankdir=TB;"]
+    for k, level in enumerate(bd.levels):
+        names = " ".join(f"k{k}_{i}" for i, _ in level)
+        lines.append(f"  {{ rank=same; {names} }}")
+        for i, m in level:
+            lines.append(f'  k{k}_{i} [label="{labels[i]} ({m})"];')
+    for k, step in enumerate(bd.edges):
+        present_prev = {i for i, _ in bd.levels[k]}
+        present_next = {i for i, _ in bd.levels[k + 1]}
+        for a_i, b_i, c in step:
+            if a_i in present_prev and b_i in present_next:
+                lines.extend(f"  k{k}_{a_i} -- k{k + 1}_{b_i};" for _ in range(c))
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def emit_basis(name: str, k: int, elements) -> None:
@@ -314,9 +359,6 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except SpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except UnsupportedQueryError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 3

@@ -170,7 +170,7 @@ class CycNum:
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("cyclotomic exponent must be nonnegative")
         result = CycNum.from_rational(1)
         base = self
         while k:
@@ -183,15 +183,10 @@ class CycNum:
         return result
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        """Division by an int or a Fraction only."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if other.conductor == 1:
-            s = other.coeffs[0]
-            if s == 0:
-                raise ZeroDivisionError("division by zero CycNum")
-            return self * _inv_scalar(s)
-        return self * other.inverse()
+        return self * Fraction(1, other)
 
     def galois(self, a: int) -> "CycNum":
         """Apply the automorphism zeta_N -> zeta_N^a (a coprime to N)."""
@@ -209,20 +204,6 @@ class CycNum:
         if self.conductor == 1:
             return self
         return self.galois(self.conductor - 1)
-
-    def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the product of Galois conjugates."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        n = self.conductor
-        prod = CycNum.from_rational(1)
-        for a in range(2, n + 1):
-            if gcd(a, n) == 1:
-                prod = prod * self.galois(a)
-        norm = (self * prod).as_rational()
-        if norm is None or norm == 0:
-            raise ConsistencyError("field norm of a nonzero element must be a nonzero rational")
-        return prod * _inv_scalar(norm)
 
     # -- predicates and conversions --------------------------------------------
 
@@ -272,10 +253,6 @@ class CycNum:
         if not parts:
             parts = ["0"]
         return " + ".join(parts) + f"; conductor={self.conductor}"
-
-
-def _inv_scalar(s) -> Fraction:
-    return Fraction(1) / Fraction(s)
 
 
 # -- module-level operations -------------------------------------------------

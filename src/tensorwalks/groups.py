@@ -8,7 +8,6 @@ which is all the invariant-dimension formulas consume.  Values are CycNum.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
@@ -389,7 +388,7 @@ def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 
 # ---------------------------------------------------------------------------
-# Validation and serialization
+# Validation
 # ---------------------------------------------------------------------------
 
 
@@ -404,18 +403,6 @@ def validate_group(g: GroupData) -> None:
         assert all(v == 1 for v in g.row(0)), "irrep 0 must be the trivial character"
         assert all(g.chi(i, 0) == info.dim for i, info in enumerate(g.irreps)), \
             "identity column must carry the dimensions"
-
-
-def group_to_json(g: GroupData, module: ModuleChar | None = None) -> str:
-    doc = {
-        "name": g.name,
-        "order": str(g.order),
-        "tier": g.tier,
-        "classes": [{"label": c.label, "size": str(c.size)} for c in g.classes],
-    }
-    if module is not None:
-        doc["chi_V"] = [v.to_text() for v in module.values]
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ by character sums, centralizer-algebra dimensions, and Bratteli diagrams."""
 
 from __future__ import annotations
 
-import json
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -12,40 +12,6 @@ from .cyclotomic import CertifiedSums, CycNum, lift, weighted_power_sums
 from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .numbertheory import euler_phi
-
-
-class WalkMatrix:
-    """Adjacency matrix of a quiver over the irreducibles; exact integers.
-    Immutable; equal to any WalkMatrix with the same entries."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: tuple[tuple[int, ...], ...]):
-        if len(entries) != dim or any(len(r) != dim for r in entries):
-            raise ValueError("adjacency matrix must be square")
-        if any(e < 0 for row in entries for e in row):
-            raise ConsistencyError("adjacency entries must be nonnegative")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WalkMatrix is immutable")
-
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    def __eq__(self, other):
-        return isinstance(other, WalkMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"WalkMatrix(dim={self.dim!r}, entries={self.entries!r})"
-
-    def to_json(self, labels=None) -> str:
-        doc = {"dim": self.dim,
-               "entries": [[str(e) for e in row] for row in self.entries]}
-        if labels is not None:
-            doc["labels"] = list(labels)
-        return json.dumps(doc, indent=2)
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -148,15 +114,12 @@ def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
     return out
 
 
-def mckay_adjacency(g: GroupData, v: ModuleChar) -> WalkMatrix:
-    """Adjacency a[nu][lam] = multiplicity of irrep lam in (irrep nu) tensor V."""
+def mckay_adjacency(g: GroupData, v: ModuleChar) -> list[list[int]]:
+    """Adjacency rows: a[nu][lam] = multiplicity of irrep lam in (irrep nu)
+    tensor V."""
     _require_full(g, "mckay_adjacency")
     weights = [g.classes[mu].size * v.values[mu] for mu in range(g.n_classes)]
-    return WalkMatrix(g.n_classes, tuple(tuple(r) for r in _weighted_sum_matrix(g, weights)))
-
-
-def walk_count_matrix(a: WalkMatrix, k: int, frm: int, to: int) -> int:
-    return power_rows(a.entries, frm, range(k, k + 1))[0][to]
+    return _weighted_sum_matrix(g, weights)
 
 
 def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
@@ -222,40 +185,11 @@ def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:
     return walk_count_character(g, v, 2 * k, 0, 0)
 
 
-class BratteliDiagram:
-    """Levels 0..K of the branching diagram: per level the (irrep index,
-    multiplicity) pairs with nonzero multiplicity, the connecting edge
-    multiplicities as (from irrep, to irrep, count), and the per-level
-    centralizer dimension.  Immutable; equal only to itself."""
-
-    __slots__ = ("group", "levels", "edges", "algebra_dims")
-
-    def __init__(self, group: GroupData, levels: tuple[tuple[tuple[int, int], ...], ...],
-                 edges: tuple[tuple[tuple[int, int, int], ...], ...],
-                 algebra_dims: tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "algebra_dims", algebra_dims)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BratteliDiagram is immutable")
-
-    def to_json(self) -> str:
-        labels = [i.label for i in self.group.irreps]
-        doc = {
-            "group": self.group.name,
-            "levels": [
-                [{"label": labels[i], "multiplicity": str(m)} for i, m in level]
-                for level in self.levels
-            ],
-            "edges": [
-                [{"from": labels[a], "to": labels[b], "count": str(c)} for a, b, c in lv]
-                for lv in self.edges
-            ],
-            "algebra_dims": [str(d) for d in self.algebra_dims],
-        }
-        return json.dumps(doc, indent=2)
+# Levels 0..K of the branching diagram: per level the (irrep index,
+# multiplicity) pairs with nonzero multiplicity, the connecting edge
+# multiplicities as (from irrep, to irrep, count), and the per-level
+# centralizer dimension.
+BratteliDiagram = namedtuple("BratteliDiagram", "levels edges algebra_dims")
 
 
 def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
@@ -265,15 +199,15 @@ def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
     _require_full(g, "bratteli")
     if levels < 0:
         raise ValueError("level count must be nonnegative")
-    a = mckay_adjacency(g, v).entries
+    a = mckay_adjacency(g, v)
     rows = power_rows(a, 0, range(levels + 1))
     out_levels = tuple(tuple((i, m) for i, m in enumerate(row) if m) for row in rows)
     edges = tuple(tuple((nu, lam, x) for nu, _ in level for lam, x in enumerate(a[nu]) if x)
                   for level in out_levels[:-1])
-    return BratteliDiagram(g, out_levels, edges, tuple(sum(m * m for m in row) for row in rows))
+    return BratteliDiagram(out_levels, edges, tuple(sum(m * m for m in row) for row in rows))
 
 
-def eigen_check(g: GroupData, v: ModuleChar, a: WalkMatrix):
+def eigen_check(g: GroupData, v: ModuleChar, a):
     """Verify sum_lam a[nu][lam] chi_lam(c_mu) = chi_V(c_mu) chi_nu(c_mu) for
     all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu)).
     The left side's terms are added unreduced in the power basis of the
@@ -286,7 +220,7 @@ def eigen_check(g: GroupData, v: ModuleChar, a: WalkMatrix):
         m = lcm(*(x.conductor for x in col))
         columns.append((m, col, [x.embed(m).coeffs for x in col]))
     for nu in range(n):
-        row = a.entries[nu]
+        row = a[nu]
         for mu, (m, col, coeffs) in enumerate(columns):
             raw = [0] * euler_phi(m)
             for e, xs in zip(row, coeffs):
@@ -296,44 +230,3 @@ def eigen_check(g: GroupData, v: ModuleChar, a: WalkMatrix):
             if CycNum(m, raw) != v.values[mu] * col[nu]:
                 return False, (nu, mu)
     return True, None
-
-
-def quiver_dot(g: GroupData, a: WalkMatrix) -> str:
-    """Graphviz rendering.  Symmetric pairs are drawn once without direction
-    (per-pair convention); asymmetric pairs keep their arrows.  Loops allowed."""
-    labels = [i.label for i in g.irreps]
-    lines = ["digraph quiver {"]
-    for i, lab in enumerate(labels):
-        lines.append(f'  n{i} [label="{lab}"];')
-    n = a.dim
-    for i in range(n):
-        for j in range(i, n):
-            fwd = a.entries[i][j]
-            bwd = a.entries[j][i]
-            if i == j:
-                lines.extend(f"  n{i} -> n{i};" for _ in range(fwd))
-            elif fwd == bwd:
-                lines.extend(f"  n{i} -> n{j} [dir=none];" for _ in range(fwd))
-            else:
-                lines.extend(f"  n{i} -> n{j};" for _ in range(fwd))
-                lines.extend(f"  n{j} -> n{i};" for _ in range(bwd))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def bratteli_dot(bd: BratteliDiagram) -> str:
-    labels = [i.label for i in bd.group.irreps]
-    lines = ["graph bratteli {", "  rankdir=TB;"]
-    for k, level in enumerate(bd.levels):
-        names = " ".join(f"k{k}_{i}" for i, _ in level)
-        lines.append(f"  {{ rank=same; {names} }}")
-        for i, m in level:
-            lines.append(f'  k{k}_{i} [label="{labels[i]} ({m})"];')
-    for k, step in enumerate(bd.edges):
-        present_prev = {i for i, _ in bd.levels[k]}
-        present_next = {i for i, _ in bd.levels[k + 1]}
-        for a_i, b_i, c in step:
-            if a_i in present_prev and b_i in present_next:
-                lines.extend(f"  k{k}_{a_i} -- k{k + 1}_{b_i};" for _ in range(c))
-    lines.append("}")
-    return "\n".join(lines)

@@ -56,7 +56,7 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     g, v = spec.group, spec.module
     results: list[tuple[str, list[int]]] = []
     if "matrix" in methods and g.tier == FULL:
-        rows = power_rows(mckay_adjacency(g, v).entries, frm, ks)
+        rows = power_rows(mckay_adjacency(g, v), frm, ks)
         results.append(("matrix", [row[to] for row in rows]))
     if "character" in methods and (g.tier == FULL or frm == to == 0):
         results.append(("character", walk_counts_character(g, v, ks, frm, to)))

@@ -8,67 +8,52 @@ rational power sums by Newton's identities.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import CycNum, weighted_power_sums
 from .errors import UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
-from .polynomials import Polynomial, integral_pair, lowest_terms, poly_det, poly_solve
-from .quiver import WalkMatrix, _walk_count, spectral_form
+from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
+from .quiver import _walk_count, spectral_form
 
 
 class RatFunc:
-    """Reduced ratio of rational-coefficient polynomials in t.
-
-    Canonical form: gcd(num, den) = 1 and den monic; den(0) != 0 so a power
-    series at t = 0 exists."""
+    """Reduced ratio of rational-coefficient polynomials in t, in the form
+    that is printed: gcd(num, den) = 1 and den(0) = 1, so a power series at
+    t = 0 exists."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         num, den = lowest_terms(num, den)
-        if den.coefficient(0) == 0:
+        d0 = den.coefficient(0)
+        if d0 == 0:
             raise ValueError("denominator vanishes at t = 0; no power series")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        scale = Fraction(1, d0)
+        object.__setattr__(self, "num", num * scale)
+        object.__setattr__(self, "den", den * scale)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
     def series(self, order: int) -> list:
-        """Maclaurin coefficients c_0..c_order: ints, and a Fraction only
-        where a coefficient is not integral.  The recurrence runs on num and
-        den cleared of denominators, so an integral series never leaves the
-        integers."""
-        num, den = integral_pair(self.num, self.den)
-        d0, top = den[0], len(den) - 1
+        """Maclaurin coefficients c_0..c_order by c_k = num_k - sum_j den_j
+        c_(k-j): ints, and a Fraction only where a coefficient is not
+        integral.  A series with integral coefficients has integral num and
+        den in this form (Fatou's lemma), so it never leaves the integers."""
+        num, den = self.num.coeffs, self.den.coeffs
+        top = len(den) - 1
         out: list = []
         for k in range(order + 1):
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, top) + 1):
                 acc -= den[j] * out[k - j]
-            if type(acc) is int and not acc % d0:
-                out.append(acc // d0)
-            else:
-                c = Fraction(acc, d0)
-                out.append(int(c) if c.denominator == 1 else c)
+            out.append(acc if type(acc) is int or acc.denominator != 1 else int(acc))
         return out
 
-    def display_pair(self) -> tuple[Polynomial, Polynomial]:
-        """(num, den) scaled so den(0) = 1, the natural form for display."""
-        s = Fraction(1) / Fraction(self.den.coefficient(0))
-        return self.num * s, self.den * s
-
     def to_text(self) -> str:
-        num, den = self.display_pair()
-        return f"({num.to_text()}) / ({den.to_text()})"
-
-    def to_json(self) -> str:
-        num, den = self.display_pair()
-        return json.dumps({"num": [str(Fraction(c)) for c in num.coeffs],
-                           "den": [str(Fraction(c)) for c in den.coeffs]})
+        return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -79,16 +64,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_text()})"
-
-
-def ratfunc(num_coeffs, den_coeffs) -> RatFunc:
-    return RatFunc(Polynomial(num_coeffs), Polynomial(den_coeffs))
-
-
-def _adjacency_rows(a) -> list[list[int]]:
-    if isinstance(a, WalkMatrix):
-        return a.rows()
-    return [list(r) for r in a]
 
 
 def _identity_minus_t(rows, transpose: bool) -> list[list[tuple[int, int]]]:
@@ -103,15 +78,14 @@ def walk_generating_function(a, source: int, target: int) -> RatFunc:
     """Ordinary generating function of (A^k)[source][target] for any digraph:
     det of (I - t A^T) with column `target` replaced by the source indicator,
     over det(I - t A)."""
-    rows = _adjacency_rows(a)
-    n = len(rows)
+    n = len(a)
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("node index out of range")
-    m = _identity_minus_t(rows, transpose=True)
+    m = _identity_minus_t(a, transpose=True)
     for i in range(n):
         m[i][target] = (1,) if i == source else ()
     num = poly_det(m)
-    den = poly_det(_identity_minus_t(rows, transpose=False))
+    den = poly_det(_identity_minus_t(a, transpose=False))
     return RatFunc(num, den)
 
 
@@ -119,12 +93,11 @@ def cramer_numerators(a, source: int = 0) -> tuple[Polynomial, list[Polynomial]]
     """(det(I - t A), [num_lam for every node lam]) with num_lam / det the
     generating function of walks source -> lam: one fraction-free solve of
     (I - t A^T) x = e_source gives every Cramer numerator det * x_lam."""
-    rows = _adjacency_rows(a)
-    n = len(rows)
+    n = len(a)
     if not 0 <= source < n:
         raise ValueError("node index out of range")
     rhs = [1 if i == source else 0 for i in range(n)]
-    return poly_solve(_identity_minus_t(rows, transpose=True), rhs)
+    return poly_solve(_identity_minus_t(a, transpose=True), rhs)
 
 
 def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:
@@ -162,26 +135,21 @@ def _newton_product(sums: list[int]) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def det_factorization_check(g: GroupData, v: ModuleChar, a: WalkMatrix) -> bool:
+def det_factorization_check(g: GroupData, v: ModuleChar, a) -> bool:
     """det(I - tA) over Q[t] must equal the product of (1 - chi_V(c_mu) t)
     over all classes, built from the power sums of the class values."""
     if g.tier != FULL:
         raise UnsupportedQueryError("det factorization needs a full table")
-    det = poly_det(_identity_minus_t(a.rows(), transpose=False))
+    det = poly_det(_identity_minus_t(a, transpose=False))
     return det == _linear_factor_product(list(v.values))
 
 
-def dynkin_quotient(a_full, remove: int) -> RatFunc:
-    """det(I - t A-with-node-removed) / det(I - t A)."""
-    rows = _adjacency_rows(a_full)
-    n = len(rows)
-    if not 0 <= remove < n:
-        raise ValueError("node index out of range")
-    kept = [i for i in range(n) if i != remove]
-    sub = [[rows[i][j] for j in kept] for i in kept]
-    num = poly_det(_identity_minus_t(sub, transpose=False)) if kept else Polynomial((1,))
-    den = poly_det(_identity_minus_t(rows, transpose=False))
-    return RatFunc(num, den)
+def dynkin_quotient(a, remove: int) -> RatFunc:
+    """det(I - t A-with-node-removed) / det(I - t A): the removed minor is
+    the (remove, remove) cofactor of I - tA, so this is the generating
+    function of closed walks at `remove`, one Cramer numerator."""
+    den, nums = cramer_numerators(a, remove)
+    return RatFunc(nums[remove], den)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +169,6 @@ class EgfTruncation(namedtuple("EgfTruncation", "order coeffs")):
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k]
-
-    def to_json(self) -> str:
-        return json.dumps({"order": self.order,
-                           "coeffs": [str(c) for c in self.coeffs]})
 
 
 def egf_from_ints(values) -> EgfTruncation:

@@ -323,7 +323,7 @@ def suite_generic() -> list[CheckResult]:
         ok_eig, bad = eigen_check(g, mod, a)
         s.check(f"{name}: adjacency eigenvalue identity", ok_eig, f"failed at {bad}")
         series_ok, detail = True, ""
-        walks = power_rows(a.entries, 0, range(13))
+        walks = power_rows(a, 0, range(13))
         den, nums = cramer_numerators(a)
         for lam, num in enumerate(nums):
             coeffs = RatFunc(num, den).series(12)
@@ -396,7 +396,7 @@ def suite_genfnc() -> list[CheckResult]:
     for radii in ((4, 2), (2, 2, 2), (3, 3), (2, 3), (4, 4, 4)):
         mod = coordinate_module(radii)
         a = mckay_adjacency(mod.group, mod)
-        powers = power_rows(a.entries, 0, range(11))
+        powers = power_rows(a, 0, range(11))
         ring = group_ring_power(radii, unit_steps(radii), range(11))
         for idx, c in enumerate(abelian_elements(radii)):
             egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
@@ -409,7 +409,7 @@ def suite_genfnc() -> list[CheckResult]:
     radii = (2,) * 5
     mod = coordinate_module(radii)
     a = mckay_adjacency(mod.group, mod)
-    powers = power_rows(a.entries, 0, range(11))
+    powers = power_rows(a, 0, range(11))
     cosh = egf_hyperbolic(1, 2, 10)
     sinh = egf_hyperbolic(2, 2, 10)
     ok, detail = True, ""

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -311,6 +312,33 @@ def test_quiver_outputs(capsys):
 def test_group_serialization(capsys):
     doc = run_json(capsys, "group", "--group", "S4")
     assert doc["order"] == "24" and doc["tier"] == "full"
+
+
+# sha256 of the exact stdout of each verb whose payload is built in cli.py
+PINNED_STDOUT = {
+    "quiver --group S4": "541c9d917e98a3d00619d7757570101a94b6d8d0ddaac50729b82e6610f69595",
+    "quiver --group S4 --format dot":
+        "6665fc515b832668d2e051c7ad15c522912a1da2a39ec3ef1d730a92f0c0576b",
+    "bratteli --group Z4xZ2 --levels 3":
+        "37360688bf736d13088d894832d2aaf56209f284f941f242f58f35fa3aa4259a",
+    "bratteli --group Z4xZ2 --levels 3 --format dot":
+        "9f7a4002b1c6881ed8b1d4b58bb9425618ce9ee0108db7c112973f8d709e8ce4",
+    "group --group Z5": "a54393fc4097d87a1f6b0531e157aa2bd3c4d6f0137b523ffd9594c80153b413",
+    "group --group GL2(3)": "3c40769d729611acc108455c4bffed601977e786cef73c53b1b613ae91cd385b",
+    "poincare --group S4 --lambda 1 --method cramer":
+        "d121000eb0703aa6c0113d5c9b92e8b339096a4b9043772f23b8c4379b6bfac2",
+    "poincare --group SL2(3)@steinberg --method paper":
+        "bf1eb298d8405bf9b4ae8e07850cbf86030e8cd522d1b36f9878d527f133a665",
+    "egf --group Z4xZ2 --order 6 --target 3,1":
+        "557b848797fc36eb803510a6c14a0470007177710f971f34d56ba48289b5570c",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command], out
 
 
 def test_diagalg(capsys):

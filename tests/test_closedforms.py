@@ -12,7 +12,7 @@ from tensorwalks.groups import (
     monomial_module,
     permutation_module,
 )
-from tensorwalks.numbertheory import quadratic_residues
+from tensorwalks.numbertheory import is_prime, quadratic_residues
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import character_walk_counts, walk_count_character
 from tensorwalks.series import RatFunc
@@ -126,12 +126,21 @@ def test_paley_printed_form_discrepancies():
     printed = cf.paley_printed_form(cf.PaleyTarget(7, cf.NONRESIDUE), 2)
     got = printed.as_rational() if printed.is_rational() else None
     assert got != 2 and cf.paley_bruteforce(7, range(2, 3), 3) == [2]
-    # the zero-target line is correct as printed
-    for p in (5, 7, 13):
-        for k, brute in zip(range(1, 7), cf.paley_bruteforce(p, range(1, 7), 0)):
-            printed = cf.paley_printed_form(cf.PaleyTarget(p, cf.ZERO), k)
-            assert printed.is_rational()
-            assert printed.as_rational() == brute
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 60) if is_prime(p)])
+def test_paley_printed_forms_fail_exactly_in_the_three_misprinted_cases(p):
+    # the printed forms as they stand: right on zero targets and on residues
+    # with p = 1 (mod 4); wrong at every k on residues with p = 3 (mod 4) and
+    # on nonresidues for both classes of p
+    residues = set(quadratic_residues(p))
+    nonresidue = min(c for c in range(1, p) if c not in residues)
+    ks = range(1, 9)
+    for kind, c in ((cf.ZERO, 0), (cf.RESIDUE, 1), (cf.NONRESIDUE, nonresidue)):
+        assert cf.paley_target_of(p, c).kind == kind
+        correct = kind == cf.ZERO or (kind == cf.RESIDUE and p % 4 == 1)
+        for k, brute in zip(ks, cf.paley_bruteforce(p, ks, c)):
+            assert (cf.paley_printed_form(cf.PaleyTarget(p, kind), k) == brute) == correct, (kind, k)
 
 
 def test_sn_formula_examples():

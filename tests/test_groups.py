@@ -18,7 +18,6 @@ from tensorwalks.groups import (
     build_wreath_invariant,
     circulant_module,
     coordinate_module,
-    group_to_json,
     monomial_module,
     murnaghan_nakayama,
     paley_module,
@@ -318,11 +317,13 @@ def test_parser_errors_carry_positions():
     assert exc.value.position is not None
 
 
-def test_group_serialization_roundtrip():
+def test_group_serialization_roundtrip(capsys):
     import json
 
-    spec = parse_spec_full("Z4xZ2")
-    doc = json.loads(group_to_json(spec.group, spec.module))
+    from tensorwalks.cli import main
+
+    assert main(["group", "--group", "Z4xZ2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["name"] == "Z4xZ2"
     assert doc["order"] == "8"
     assert len(doc["classes"]) == 8

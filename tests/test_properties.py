@@ -34,7 +34,6 @@ from tensorwalks.quiver import (
     mckay_adjacency,
     power_rows,
     walk_count_character,
-    walk_count_matrix,
     walk_counts_character,
 )
 from tensorwalks.registry import builtin_modules
@@ -94,7 +93,7 @@ def test_circulant_multinomial_character_and_matrix_agree(query):
     v = circulant_module(r, conn)
     closed, = cf.group_ring_walks((r,), [(s,) for s in conn], range(k, k + 1), (c,))
     assert walk_count_character(v.group, v, k, 0, c) == closed
-    assert walk_count_matrix(mckay_adjacency(v.group, v), k, 0, c) == closed
+    assert power_rows(mckay_adjacency(v.group, v), 0, range(k, k + 1))[0][c] == closed
 
 
 @settings(max_examples=20, deadline=None)
@@ -166,7 +165,7 @@ def digraphs(draw):
     return [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
 
 
-REGISTRY = [mckay_adjacency(g, v).rows() for _, g, v in builtin_modules()]
+REGISTRY = [mckay_adjacency(g, v) for _, g, v in builtin_modules()]
 
 
 @st.composite

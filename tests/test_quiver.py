@@ -12,19 +12,16 @@ from tensorwalks.groups import (
     permutation_module,
     standard_module_cyclic,
 )
+from tensorwalks.cli import bratteli_dot, main, quiver_dot
 from tensorwalks.quiver import (
-    WalkMatrix,
     bratteli,
-    bratteli_dot,
     centralizer_dim,
     character_walk_counts,
     eigen_check,
     mat_pow,
     mckay_adjacency,
     power_rows,
-    quiver_dot,
     walk_count_character,
-    walk_count_matrix,
 )
 from tensorwalks.registry import builtin_fulltable_pairs, builtin_modules
 
@@ -37,7 +34,7 @@ def s4_setup():
 def test_s4_quiver_edges():
     g, v, a = s4_setup()
     idx = {info.label: i for i, info in enumerate(g.irreps)}
-    e = a.entries
+    e = a
     assert e[idx["(4,)"]][idx["(3, 1)"]] == 1
     assert e[idx["(3, 1)"]][idx["(3, 1)"]] == 2  # loop of multiplicity two
     assert e[idx["(3, 1)"]][idx["(2, 2)"]] == 1
@@ -51,14 +48,14 @@ def test_z10_quiver_is_the_cycle():
     a = mckay_adjacency(v.group, v)
     for i in range(10):
         for j in range(10):
-            assert a.entries[i][j] == (1 if (i - j) % 10 in (1, 9) else 0)
+            assert a[i][j] == (1 if (i - j) % 10 in (1, 9) else 0)
 
 
 def test_single_character_module_quiver():
     g = build_cyclic(2)
     v = circulant_module(2, [1])
     a = mckay_adjacency(g, v)
-    assert a.entries == ((0, 1), (1, 0))
+    assert a == [[0, 1], [1, 0]]
 
 
 def test_row_dimension_identity():
@@ -66,21 +63,21 @@ def test_row_dimension_identity():
         a = mckay_adjacency(g, v)
         dims = [info.dim for info in g.irreps]
         for nu in range(g.n_classes):
-            total = sum(a.entries[nu][lam] * dims[lam] for lam in range(g.n_classes))
+            total = sum(a[nu][lam] * dims[lam] for lam in range(g.n_classes))
             assert total == dims[nu] * v.dim, (name, nu)
 
 
 def test_walk_matrix_power_basics():
     v = standard_module_cyclic(10)
     a = mckay_adjacency(v.group, v)
-    assert walk_count_matrix(a, 0, 3, 3) == 1
-    assert walk_count_matrix(a, 0, 3, 4) == 0
-    assert walk_count_matrix(a, 6, 0, 8) == 15
-    assert walk_count_matrix(a, 12, 0, 0) == 948
+    assert power_rows(a, 3, range(1))[0][3] == 1
+    assert power_rows(a, 3, range(1))[0][4] == 0
+    assert power_rows(a, 0, range(6, 7))[0][8] == 15
+    assert power_rows(a, 0, range(12, 13))[0][0] == 948
     with pytest.raises(ValueError):
-        walk_count_matrix(a, -1, 0, 0)
+        power_rows(a, 0, range(-1, 0))
     with pytest.raises(ValueError):
-        mat_pow(a.rows(), -1)
+        mat_pow(a, -1)
     with pytest.raises(ValueError):
         character_walk_counts(v.group, v, -1)
 
@@ -89,7 +86,7 @@ def test_matrix_equals_character_for_all_builtins():
     for name, g, v in builtin_modules():
         a = mckay_adjacency(g, v)
         for k in range(13):
-            assert character_walk_counts(g, v, k) == mat_pow(a.rows(), k), (name, k)
+            assert character_walk_counts(g, v, k) == mat_pow(a, k), (name, k)
 
 
 def test_power_rows_are_rows_of_matrix_powers():
@@ -137,7 +134,7 @@ def test_symmetry_for_self_dual_modules():
     for mod in (standard_module_cyclic(6), permutation_module(4), permutation_module(5)):
         a = mckay_adjacency(mod.group, mod)
         assert mod.self_dual
-        assert a.entries == tuple(tuple(r) for r in zip(*a.entries))
+        assert a == [list(r) for r in zip(*a)]
 
 
 def test_bratteli_z4xz2():
@@ -155,11 +152,11 @@ def test_bratteli_recurrence_equals_matrix_powers():
         a = mckay_adjacency(g, mod)
         bd = bratteli(g, mod, 8)
         for k in range(9):
-            row = mat_pow(a.rows(), k)[0]
+            row = mat_pow(a, k)[0]
             assert dict(bd.levels[k]) == {i: m for i, m in enumerate(row) if m}
         for level, edges in zip(bd.levels, bd.edges):
             assert edges == tuple((nu, lam, x) for nu, _ in level
-                                  for lam, x in enumerate(a.entries[nu]) if x)
+                                  for lam, x in enumerate(a[nu]) if x)
         assert len(bd.edges) == 8
 
 
@@ -193,32 +190,17 @@ def test_eigen_check():
     # a corrupted adjacency must be caught and located
     mod = standard_module_cyclic(5)
     a = mckay_adjacency(mod.group, mod)
-    rows = a.rows()
-    rows[0][0] += 1
-    bad = WalkMatrix(5, tuple(tuple(r) for r in rows))
+    bad = [list(r) for r in a]
+    bad[0][0] += 1
     ok, failure = eigen_check(mod.group, mod, bad)
     assert not ok and failure == (0, 0)
     # moving an edge keeps every row sum, so class 0 passes and the first
     # failing class is located by its irrational characters
-    rows = a.rows()
-    target = rows[2].index(1)
-    rows[2][target] -= 1
-    rows[2][(target + 2) % 5] += 1
-    bad = WalkMatrix(5, tuple(tuple(r) for r in rows))
+    bad = [list(r) for r in a]
+    target = bad[2].index(1)
+    bad[2][target] -= 1
+    bad[2][(target + 2) % 5] += 1
     assert eigen_check(mod.group, mod, bad) == (False, (2, 1))
-
-
-def test_walkmatrix_validation():
-    with pytest.raises(ConsistencyError):
-        WalkMatrix(2, ((0, -1), (1, 0)))
-    with pytest.raises(ValueError):
-        WalkMatrix(3, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        WalkMatrix(dim=2, entries=((0, 1), (1,)))
-    a = WalkMatrix(2, ((0, 1), (1, 0)))
-    assert a == WalkMatrix(dim=2, entries=((0, 1), (1, 0))) != WalkMatrix(2, ((1, 0), (0, 1)))
-    with pytest.raises(AttributeError):
-        a.dim = 3
 
 
 def corrupted_row(g, irrep, cls, change):
@@ -247,19 +229,22 @@ def test_bad_table_is_a_loud_diagnostic():
         walk_count_character(bad, bad_v, 3, 1, 2)
 
 
-def test_serialization_and_dot():
+def test_serialization_and_dot(capsys):
     g, v, a = s4_setup()
-    doc = json.loads(a.to_json([i.label for i in g.irreps]))
+    labels = [i.label for i in g.irreps]
+    assert main(["quiver", "--group", "S4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["dim"] == 5
     assert doc["entries"][0][1] == "1"
-    dot = quiver_dot(g, a)
+    dot = quiver_dot(labels, a)
     assert dot.startswith("digraph") and "dir=none" in dot
     bd = bratteli(g, v, 3)
-    doc = json.loads(bd.to_json())
+    assert main(["bratteli", "--group", "S4", "--levels", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     # sum of squared multiplicities per level; level 3 checks against
     # (A^6)_{0,0} = (4^6 + 6*2^6 + 8)/24 = 187 since the quiver is symmetric
     assert doc["algebra_dims"] == ["1", "2", "15", "187"]
-    assert bratteli_dot(bd).startswith("graph")
+    assert bratteli_dot(labels, bd).startswith("graph")
 
 
 def test_paley_directed_quiver():
@@ -267,9 +252,9 @@ def test_paley_directed_quiver():
 
     mod = paley_module(7)  # 3 mod 4: directed
     a = mckay_adjacency(mod.group, mod)
-    assert a.entries != tuple(tuple(r) for r in zip(*a.entries))
+    assert a != [list(r) for r in zip(*a)]
     assert not mod.self_dual
-    dot = quiver_dot(mod.group, a)
+    dot = quiver_dot([i.label for i in mod.group.irreps], a)
     assert "dir=none" not in dot
 
 
@@ -284,7 +269,7 @@ def test_packed_adjacency_equals_literal_character_sums():
     mods += [parse_spec_full(s).module for s in ("S6", "Z12", "paley(13)", "hypercube(4)")]
     for mod in mods:
         a = mckay_adjacency(mod.group, mod)
-        assert [list(r) for r in a.entries] == literal_sums(mod, 1), mod.group.name
+        assert a == literal_sums(mod, 1), mod.group.name
 
 
 def test_packed_walk_counts_with_wide_digits():
@@ -321,7 +306,7 @@ def test_weights_scaled_by_huge_factors_lift_exactly():
         v = parse_spec_full(spec).module
         g = v.group
         weights = [c.size * x * scale for c, x in zip(g.classes, v.values)]
-        want = [[e * scale for e in row] for row in mckay_adjacency(g, v).entries]
+        want = [[e * scale for e in row] for row in mckay_adjacency(g, v)]
         assert _weighted_sum_matrix(g, weights) == want, spec
 
 

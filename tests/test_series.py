@@ -46,14 +46,12 @@ def trivial_group_with_module(d):
 
 def test_ratfunc_normalization():
     rf = RatFunc(lin(1, -1) * lin(1, -2), lin(1, -1) * lin(1, -3))
-    # the common (1 - t) factor cancels, denominator is monic, den(0) != 0
+    # the common (1 - t) factor cancels and den(0) = 1, the printed form
     assert rf == RatFunc(lin(1, -2), lin(1, -3))
-    assert rf.den.leading() == 1
-    num, den = rf.display_pair()
-    assert den.coefficient(0) == 1
+    assert (rf.num, rf.den) == (lin(1, -2), lin(1, -3))
     # rational coefficients, and a common factor 1 + t under non-unit content
     rf = RatFunc(Polynomial((Fraction(2, 3),)) * lin(2, -4) * lin(1, 1), lin(6, -3) * lin(3, 3))
-    assert (rf.num, rf.den) == (Polynomial((Fraction(-4, 27), Fraction(8, 27))), lin(-2, 1))
+    assert (rf.num, rf.den) == (lin(Fraction(2, 27), Fraction(-4, 27)), lin(1, Fraction(-1, 2)))
     rf = RatFunc(Polynomial(), lin(2, 6))
     assert (rf.num, rf.den) == (Polynomial(), Polynomial((1,)))
     with pytest.raises(ValueError):
@@ -102,7 +100,7 @@ def test_cramer_numerators_on_s10_equal_walk_counts():
     a = mckay_adjacency(g, spec.module)
     den, nums = cramer_numerators(a)
     assert len(nums) == g.n_classes == 42
-    walks = power_rows(a.entries, 0, range(16))
+    walks = power_rows(a, 0, range(16))
     for lam, num in enumerate(nums):
         assert RatFunc(num, den).series(15) == [w[lam] for w in walks], lam
 
@@ -228,19 +226,9 @@ def test_irrational_series_is_rejected():
         poincare_character(g, v, 0)
 
 
-def test_serialization_formats():
-    import json
-
-    rf = RatFunc(Polynomial((1, 0, -3)), Polynomial((1, 0, -4)))
-    doc = json.loads(rf.to_json())
-    assert doc == {"num": ["1", "0", "-3"], "den": ["1", "0", "-4"]}
-    egf = egf_hyperbolic(1, 2, 3)
-    assert json.loads(egf.to_json()) == {"order": 3, "coeffs": ["1", "0", "1", "0"]}
-
-
 def test_egf_square_matches_quiver_walks():
     mod = coordinate_module([2, 2])
     a = mckay_adjacency(mod.group, mod)
     sq = egf_product([egf_hyperbolic(1, 2, 8), egf_hyperbolic(1, 2, 8)])
     for k in range(9):
-        assert sq.coefficient(k) == mat_pow(a.rows(), k)[0][0]
+        assert sq.coefficient(k) == mat_pow(a, k)[0][0]
