@@ -8,18 +8,18 @@ ignored).
 
 from __future__ import annotations
 
-import argparse
-import json
+import os
 import sys
+from types import SimpleNamespace
 
-from . import closedforms as cf
-from .diagrams import basis_count, enumerate_basis
 from .errors import ConsistencyError, SpecError, UnsupportedQueryError
 from .groups import ParsedSpec, parse_spec_full
 from .quiver import bratteli, mckay_adjacency, power_rows
-from .routes import ROUTES, linear_group_forms, walk_routes
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
-from .verify import run_suite
+
+# Every query is a fresh process, so the modules of one verb alone (routes
+# and closedforms, diagrams, verify) are imported inside the commands that
+# use them, and argparse and json only on the lines and values that need them.
 
 
 def _require_nonnegative(option: str, value: int) -> None:
@@ -27,8 +27,35 @@ def _require_nonnegative(option: str, value: int) -> None:
         raise SpecError(f"{option} must be nonnegative, got {value}")
 
 
+def _dumps(x, pad: str = "\n") -> str:
+    """`json.dumps(x, indent=2)`, byte for byte, with every line after the
+    first indented as `pad` says.  Str-keyed dicts, lists, tuples, ints and
+    printable ASCII strings without quote or backslash are written here;
+    anything else is handed to `json`, whose output holds no raw newline."""
+    t = type(x)
+    if t is str:
+        if x.isascii() and x.isprintable() and '"' not in x and "\\" not in x:
+            return f'"{x}"'
+    elif t is int:
+        return str(x)
+    elif t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in x]) + pad + "]"
+    elif t is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_dumps(k)}: {_dumps(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    import json
+
+    return json.dumps(x, indent=2).replace("\n", pad)
+
+
 def emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def emit_csv(rows) -> None:
@@ -56,6 +83,8 @@ def _node_index(spec: ParsedSpec, token: str) -> int:
 
 
 def cmd_walks(args) -> int:
+    from .routes import ROUTES, walk_routes
+
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
     frm = _node_index(spec, args.frm)
@@ -82,6 +111,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .routes import walk_routes
+
     _require_nonnegative("--k", args.k)
     spec = parse_spec_full(args.group)
     # the character sum against the closed forms only: the matrix route would
@@ -103,6 +134,8 @@ def cmd_poincare(args) -> int:
     elif args.method == "character":
         rf = poincare_character(g, v, lam)
     else:  # paper
+        from .routes import linear_group_forms
+
         if spec.kind not in ("gl2", "sl2") or lam != 0:
             raise UnsupportedQueryError(
                 "--method paper provides only the GL2/SL2 invariant series")
@@ -125,11 +158,14 @@ def cmd_egf(args) -> int:
         egf = egf_product([egf_hyperbolic(1 + c, r, args.order)
                            for c, r in zip(target, radii)])
     elif spec.kind == "wreath" and not args.target:
-        egf = cf.wreath_invariants_egf(spec.params["r"], spec.params["n"], args.order)
+        from .closedforms import wreath_invariants_egf
+
+        egf = wreath_invariants_egf(spec.params["r"], spec.params["n"], args.order)
     else:
         raise UnsupportedQueryError(
-            "EGFs are defined here for abelian groups and, without --target, "
-            "wreath-product groups")
+            "EGFs are defined here for abelian groups with the coordinate module "
+            "(ZaxZb... or hypercube(n)) and, without --target, wreath products "
+            "(ZrwrSn)")
     emit({"group": spec.group.name, "order": egf.order,
           "coeffs": [str(c) for c in egf.coeffs]})
     return 0
@@ -237,7 +273,7 @@ def emit_basis(name: str, k: int, elements) -> None:
         return text
 
     out = sys.stdout
-    out.write(f'{{\n  "group": {json.dumps(name)},\n  "k": {k},\n'
+    out.write(f'{{\n  "group": {_dumps(name)},\n  "k": {k},\n'
               f'  "count": "{len(elements)}",\n  "elements": ')
     if not elements:
         out.write("[]\n}\n")
@@ -253,6 +289,8 @@ LIST_LIMIT = 10**6
 
 
 def cmd_diagalg(args) -> int:
+    from .diagrams import basis_count, enumerate_basis
+
     spec = parse_spec_full(args.group)
     if spec.kind != "abelian":
         raise UnsupportedQueryError(
@@ -277,6 +315,8 @@ def cmd_diagalg(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite)
     failures = 0
     for r in results:
@@ -301,7 +341,9 @@ VERBS = {
     "walks": ("count k-step walks between quiver nodes", cmd_walks,
               (_GROUP, _K, ("--from", {"dest": "frm", "default": "0"}),
                ("--to", {"default": "0"}),
-               ("--method", {"choices": ("auto",) + ROUTES, "default": "auto"}))),
+               # "auto" and the routes of routes.ROUTES
+               ("--method", {"choices": ("auto", "matrix", "character", "closed"),
+                             "default": "auto"}))),
     "dims": ("multiplicities of every irrep at tensor depth k", cmd_dims, (_GROUP, _K, _CSV)),
     "invariants": ("invariant dimensions for k = 0..K", cmd_invariants, (_GROUP, _K, _CSV)),
     "poincare": ("Poincare series of walk multiplicities", cmd_poincare,
@@ -322,15 +364,16 @@ VERBS = {
 }
 
 
-def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
-    """The parser of the command line, with subparsers for `verbs` only."""
+def build_parser():
+    """The argparse parser of the command line, one subparser per verb."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tensorwalks",
         description="Exact walk counts, multiplicities, and Poincare series "
                     "on McKay quivers of finite groups.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in verbs:
-        summary, func, options = VERBS[verb]
+    for verb, (summary, func, options) in VERBS.items():
         p = sub.add_parser(verb, help=summary)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -338,17 +381,51 @@ def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(verb: str, words: list[str]):
+    """The namespace argparse makes of `verb` followed by `words`, when every
+    word is an exact option name of the verb followed by its value (none for
+    a flag), each option given at most once and every required one present;
+    otherwise None.  A value must not start with "-" and must convert by the
+    option's `type` into its `choices`."""
+    _, func, options = VERBS[verb]
+    table = dict(options)
+    given = {}
+    it = iter(words)
+    for word in it:
+        kwargs = table.get(word)
+        if kwargs is None or word in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[word] = True
+            continue
+        value = next(it, "-")  # a missing value reads as "-"
+        if value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[word] = value
+    values = {"verb": verb, "func": func}
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        values[kwargs.get("dest", flag[2:])] = given.get(flag, default)
+    return SimpleNamespace(**values)
+
+
 def parse_args(argv: list[str]):
     """What `build_parser().parse_args(argv)` returns, and on a bad command
-    line the same message and exit.  A query builds the parser of its own
-    verb alone; only a command line that it does not take entirely (no verb
-    first, or arguments left over) is parsed again by the full parser, whose
-    usage line names every verb."""
-    if argv and argv[0] in VERBS:
-        args, rest = build_parser(argv[:1]).parse_known_args(argv)
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    line the same message and exit.  A line of exact option names and plain
+    values is read from `VERBS` without argparse; every other line (help,
+    abbreviations, `--opt=value`, values starting with "-", every error)
+    goes to the full parser, whose usage line names every verb."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in VERBS else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -372,15 +449,29 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(digit_cap)
 
 
+def _flushed() -> bool:
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return False
+    return True
+
+
 def run() -> int:
     """The process entry (`python -m tensorwalks`, the `tensorwalks` script):
-    `main` on `sys.argv`, then every object left is frozen, so that the
-    interpreter's last cyclic collection at exit walks none of them.  A
-    caller that lives on calls `main`, which leaves the collector alone."""
-    import gc
-
+    `main` on `sys.argv`, then an exit without the interpreter's teardown of
+    every module.  Standard output and error are flushed and the atexit
+    callbacks run, as at a normal exit; if a flush fails, the code is
+    returned and the interpreter reports the failure as it always does.  A
+    caller that lives on calls `main`."""
     code = main()
-    gc.freeze()
+    if _flushed():
+        import atexit
+
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
     return code
 
 

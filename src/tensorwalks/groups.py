@@ -70,9 +70,12 @@ class GroupData:
         return self.row(irrep)[cls]
 
     def irrep_index(self, label: str) -> int:
+        """The index of the irrep labelled `label`, whitespace ignored (as in
+        group specs): "(3,1)" names the irrep labelled "(3, 1)"."""
         assert self.irreps is not None
+        key = "".join(label.split())
         for i, info in enumerate(self.irreps):
-            if info.label == label:
+            if "".join(info.label.split()) == key:
                 return i
         raise KeyError(label)
 

@@ -424,6 +424,24 @@ def test_unknown_irrep_label_is_a_usage_error(capsys):
         assert "unknown irrep label" in err and argv[-1] in err and "S4" in err, err
 
 
+def test_irrep_labels_ignore_whitespace(capsys):
+    for spec, frm, to, packed in (("S4", "(2, 2)", "(3, 1)", ("(2,2)", " ( 3,1 ) ")),
+                                  ("Z4xZ2", "(0, 0)", "(1, 0)", ("(0,0)", "(1,0)"))):
+        want = run_json(capsys, "walks", "--group", spec, "--k", "2", "--from", frm, "--to", to)
+        got = run_json(capsys, "walks", "--group", spec, "--k", "2",
+                       "--from", packed[0], "--to", packed[1])
+        assert got == want
+    code, out, err = run(capsys, "walks", "--group", "S4", "--k", "2", "--from", "(2,1)")
+    assert code == 2 and out == "" and err == "error: unknown irrep label '(2,1)' for S4\n"
+
+
+def test_egf_refusal_names_the_supported_specs(capsys):
+    for spec in ("Z4", "circulant(6;1,5)", "paley(5)", "S4"):
+        code, out, err = run(capsys, "egf", "--group", spec, "--order", "4")
+        assert code == 3 and out == "", spec
+        assert "ZaxZb..." in err and "hypercube(n)" in err and "wreath" in err, err
+
+
 def test_target_validation(capsys):
     code, out, err = run(capsys, "egf", "--group", "Z2wrS2", "--order", "4", "--target", "1")
     assert code == 3 and out == "", err
@@ -492,23 +510,23 @@ def test_exit_code_unsupported(capsys):
 def test_exit_code_consistency_failure(capsys, monkeypatch):
     # auto mode runs every applicable method and must refuse to print when
     # they disagree; force a bad closed form to trip the gate
-    import tensorwalks.cli as cli_mod
+    import tensorwalks.closedforms as cf_mod
 
-    monkeypatch.setattr(cli_mod.cf, "cyclic_walks", lambda r, k, a, c: 10**6)
+    monkeypatch.setattr(cf_mod, "cyclic_walks", lambda r, k, a, c: 10**6)
     code, _, err = run(capsys, "walks", "--group", "Z10", "--k", "6",
                        "--from", "0", "--to", "8")
     assert code == 4 and "disagree" in err
 
 
 def test_invariants_consistency_failure(capsys, monkeypatch):
-    import tensorwalks.cli as cli_mod
+    import tensorwalks.closedforms as cf_mod
 
-    real = cli_mod.cf.wreath_invariants
-    monkeypatch.setattr(cli_mod.cf, "wreath_invariants", lambda r, n, k: 10**6)
+    real = cf_mod.wreath_invariants
+    monkeypatch.setattr(cf_mod, "wreath_invariants", lambda r, n, k: 10**6)
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "3")
     assert code == 4 and out == "" and "disagree" in err
     # wrong at k = 2 alone: the sequences differ there first
-    monkeypatch.setattr(cli_mod.cf, "wreath_invariants",
+    monkeypatch.setattr(cf_mod, "wreath_invariants",
                         lambda r, n, k: real(r, n, k) + (k == 2))
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
     assert code == 4 and out == "" and "k=2" in err
@@ -557,6 +575,9 @@ def test_verbs_table_lists_the_subcommands_in_order():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert tuple(VERBS) == tuple(sub.choices) == tuple(ALL_VERBS[1:-1].split(","))
+    from tensorwalks.routes import ROUTES
+
+    assert dict(VERBS["walks"][2])["--method"]["choices"] == ("auto",) + ROUTES
 
 
 @pytest.mark.parametrize("argv", [
@@ -592,7 +613,7 @@ def test_bad_command_lines_exit_as_the_full_parser_does(capsys, argv):
     ["verify"],
 ])
 def test_one_verb_parser_reads_what_the_full_parser_reads(argv):
-    assert parse_args(argv) == build_parser().parse_args(argv)
+    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_main_leaves_the_collector_alone(capsys):
@@ -601,12 +622,22 @@ def test_main_leaves_the_collector_alone(capsys):
     assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
-def test_process_entry_keeps_exit_codes_and_piped_output(capsys, tmp_path):
-    def process(*argv, path=SRC, script=None):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (path, SRC))))
-        cmd = [sys.executable, *(("-c", script) if script else ("-m", "tensorwalks")), *argv]
-        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+def child_env(path=SRC, buffered=False):
+    """The environment of a fresh interpreter with `path` ahead of the sources
+    on PYTHONPATH; `buffered` clears PYTHONUNBUFFERED, so that a short
+    stdout is written by the flush at exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (path, SRC))))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
 
+
+def process(*argv, path=SRC, entry=("-m", "tensorwalks"), buffered=False):
+    return subprocess.run([sys.executable, *entry, *argv], env=child_env(path, buffered),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_process_entry_keeps_exit_codes_and_piped_output(capsys, tmp_path):
     # stdout past a pipe's buffer arrives whole: the bytes main writes in-process
     listing = ["diagalg", "--group", "hypercube(2)", "--k", "5", "--list"]
     out = process(*listing)
@@ -623,8 +654,68 @@ def test_process_entry_keeps_exit_codes_and_piped_output(capsys, tmp_path):
         "cf.cyclic_walks = lambda r, k, a, c: 10**6\n")
     out = process("walks", "--group", "Z10", "--k", "6", "--to", "8", path=tmp_path)
     assert out.returncode == 4 and out.stdout == "" and "disagree" in out.stderr
-    # the process entry freezes what is left once main has returned
-    out = process("group", "--group", "Z5", script=(
-        "import gc, sys; from tensorwalks.cli import run; code = run(); "
-        "sys.stderr.write(f'{code} {gc.get_freeze_count() > 0}')"))
-    assert out.returncode == 0 and out.stderr == "0 True" and '"name": "Z5"' in out.stdout
+    # the process entry skips the interpreter's teardown, not the atexit
+    # callbacks, and exits with the code main returns
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit callback ran\\n'))\n")
+    for argv, code in ((["group", "--group", "Z5"], 0),
+                       (["walks", "--group", "paley(9)", "--k", "2"], 2),
+                       (["dims", "--group", "Z2wrS2", "--k", "2"], 3)):
+        for buffered in (False, True):
+            out = process(*argv, path=tmp_path, buffered=buffered)
+            assert out.returncode == code, (argv, out.stderr)
+            assert out.stderr.endswith("atexit callback ran\n"), (argv, out.stderr)
+            assert ('"name": "Z5"' in out.stdout) == (code == 0), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_entry_fails_on_a_full_device_or_closed_pipe_as_a_plain_exit_does():
+    # the output is written by the flush at exit; the process entry then
+    # leaves the failure to the interpreter, which reports it and exits 120
+    # as for a script that calls main and exits normally
+    argv = ["walks", "--group", "Z10", "--k", "6", "--to", "8"]
+    plain = ["-c", "import sys; from tensorwalks.cli import main; sys.exit(main())"]
+    outcomes = []
+    for cmd in ([sys.executable, "-m", "tensorwalks", *argv], [sys.executable, *plain, *argv]):
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(cmd, env=child_env(buffered=True), stdout=full,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        proc = subprocess.Popen(cmd, env=child_env(buffered=True), text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        outcomes.append((out.returncode, out.stderr, proc.wait(timeout=120), err))
+    assert outcomes[0] == outcomes[1]
+    full_code, full_err, pipe_code, pipe_err = outcomes[0]
+    assert full_code == pipe_code == 120
+    assert "No space left on device" in full_err and "BrokenPipeError" in pipe_err
+
+
+# imported by no well-formed walks, invariants or dims query
+NOT_LOADED = {"argparse", "gettext", "locale", "json", "tensorwalks.verify",
+              "tensorwalks.diagrams", "tensorwalks.registry"}
+
+
+def test_a_query_imports_only_the_modules_of_its_verb(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('\\n'.join(sorted(sys.modules))))\n")
+
+    def loaded(*argv, entry=("-m", "tensorwalks")):
+        out = process(*argv, path=tmp_path, entry=entry)
+        return out.returncode, set(out.stderr.splitlines())
+
+    _, start = loaded(entry=("-c", "pass"))
+    for argv in (["walks", "--group", "Z10", "--k", "6", "--to", "8"],
+                 ["invariants", "--group", "Z2wrS3", "--k", "6"],
+                 ["dims", "--group", "S4", "--k", "3"]):
+        code, modules = loaded(*argv)
+        assert code == 0 and "tensorwalks.cli" in modules, argv
+        assert not (modules - start) & NOT_LOADED, argv
+    code, modules = loaded("verify", "--suite", "gauss")
+    assert code == 0 and "tensorwalks.verify" in modules
+    code, modules = loaded("walks", "--group", "Z10", "--k", "3", "--bogus")
+    assert code == 2 and "argparse" in modules
+    assert any(ALL_VERBS in line for line in modules)

@@ -298,6 +298,18 @@ def test_parser_whitespace_insensitive():
     assert g1.name == g2.name
 
 
+def test_irrep_labels_are_whitespace_insensitive():
+    for spec in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(6;1,5)", "paley(13)", "S4", "S8"):
+        g = parse_spec_full(spec).group
+        packed = ["".join(info.label.split()) for info in g.irreps]
+        assert len(set(packed)) == len(packed), spec
+        for i, label in enumerate(packed):
+            assert g.irrep_index(label) == i
+            assert g.irrep_index(f" {label.replace(',', ' , ')} ") == i
+    with pytest.raises(KeyError):
+        g.irrep_index("(7,2)")
+
+
 def test_parser_errors_carry_positions():
     with pytest.raises(SpecError) as exc:
         parse_spec_full("Z4yZ2")

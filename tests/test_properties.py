@@ -1,6 +1,9 @@
 """Route-against-route property tests, drawn by hypothesis (skipped when it
 is not installed)."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from math import gcd, prod
 
@@ -10,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tensorwalks import closedforms as cf
+from tensorwalks.cli import VERBS, _dumps, _read, build_parser, parse_args
 from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
 from tensorwalks.cyclotomic import CycNum, weighted_power_sums
@@ -288,3 +292,95 @@ def test_ring_map_equals_plain_sums_on_galois_stable_forms(pairs, start, length)
     if extra is not None:
         with pytest.raises(ConsistencyError, match="Galois-incomplete"):
             weighted_power_sums(pairs + [extra], ks)
+
+
+# ---------------------------------------------------------------------------
+# The command line: the reader of well-formed lines and the JSON writer
+# ---------------------------------------------------------------------------
+
+# values for any option: good and bad ints, choices and others, and words
+# that argparse reads specially
+VALUES = ("Z10", "S4", "0", "3", "03", " 2", "-1", "x", "", "auto", "closed", "nope",
+          "cramer", "dot", "(3, 1)", "1,0", "all", "--", "-h", "a b", "walks")
+
+
+def good_values(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return st.sampled_from(("0", "3", "12", " 7"))
+    return st.sampled_from(("Z10", "S4", "(3, 1)", "1,0", "all", "", "a b"))
+
+
+@st.composite
+def well_formed_lines(draw):
+    """A verb, its required options and some others, each once, in any order."""
+    verb = draw(st.sampled_from(tuple(VERBS)))
+    pairs = []
+    for flag, kwargs in VERBS[verb][2]:
+        if kwargs.get("required") or draw(st.booleans()):
+            pairs.append([flag] if kwargs.get("action") == "store_true"
+                         else [flag, draw(good_values(kwargs))])
+    return [verb, *(word for pair in draw(st.permutations(pairs)) for word in pair)]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed line with a few words inserted, dropped or replaced:
+    flags, abbreviations, --opt=value forms, help, "--", other verbs."""
+    argv = draw(well_formed_lines())
+    flags = st.sampled_from([flag for flag, _ in VERBS[argv[0]][2]])
+    word = st.one_of(flags, st.sampled_from(VALUES), flags.map(lambda f: f[:4]),
+                     st.builds("{}={}".format, flags, st.sampled_from(VALUES)),
+                     st.sampled_from(("-h", "--help", "--", "bogus", "verify")))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "drop", "replace")))
+        if edit == "insert":
+            argv.insert(i, draw(word))
+        elif i < len(argv) and edit == "drop":
+            del argv[i]
+        elif i < len(argv):
+            argv[i] = draw(word)
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """The namespace as a dict, or the exit code and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_command_lines_parse_as_argparse_parses_them(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=well_formed_lines())
+def test_reader_takes_every_well_formed_line(argv):
+    args = _read(argv[0], argv[1:])
+    assert args is not None and vars(args) == vars(build_parser().parse_args(argv))
+
+
+TRICKY = ('"', "\\", "\x7f", "\x00", "\n", 'a"b', "\u00e9", "\u2028", "\ud800", "")
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**60, 10**60),
+                    st.sampled_from((10**40, -(7**70), 2**200)), st.floats(), st.text(),
+                    st.sampled_from(TRICKY))
+keys = st.one_of(st.text(max_size=4), st.sampled_from(TRICKY), st.integers(), st.booleans(),
+                 st.none())
+payloads = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.dictionaries(keys, inner, max_size=3)), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=payloads)
+def test_json_writer_is_json_dumps_with_indent_2(x):
+    assert _dumps(x) == json.dumps(x, indent=2)
