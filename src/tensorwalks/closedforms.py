@@ -25,7 +25,7 @@ from .combinatorics import (
     stirling2,
 )
 from .cyclotomic import CycNum, gauss_sum, root_of_unity
-from .errors import ConsistencyError
+from .errors import exact_count
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
 from .quiver import power_rows
@@ -101,14 +101,14 @@ def paley_target_of(p: int, c: int) -> PaleyTarget:
 
 def paley_closed_form(target: PaleyTarget, ks: range) -> list[int]:
     """Exact k-step walk counts from 0 on the Paley (di)graph, for every k in
-    `ks`, evaluated from the split class sum in Q(zeta_p) through the
+    `ks`, evaluated from the split class sum in Z[zeta_p] through the
     quadratic Gauss sum s.  The module character is (p-1)/2 at 0, (s - 1)/2
     on the residues and -(s + 1)/2 on the nonresidues, so
     p 2^(k+1) times the count is 2 (p-1)^k + c_u u^k + c_w w^k with
     u = s - 1, w = -s - 1 and integral weights c_u, c_w set by the target's
     kind; the two powers are carried from k to the next k."""
     p = target.p
-    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Q(zeta_p)
+    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Z[zeta_p]
     roots = (s - 1, -s - 1)
     if target.kind == ZERO:
         weights = (p - 1, p - 1)
@@ -120,23 +120,21 @@ def paley_closed_form(target: PaleyTarget, ks: range) -> list[int]:
     steps = [x ** ks.step for x in roots]
     counts = []
     for k in ks:
-        value = ((2 * (p - 1) ** k + terms[0] + terms[1]) / (p * 2 ** (k + 1))).as_rational()
-        if value is None or value.denominator != 1 or value < 0:
-            raise ConsistencyError(f"Paley walk count came out {value}")
-        counts.append(int(value))
+        total = (2 * (p - 1) ** k + terms[0] + terms[1]).as_integer()
+        counts.append(exact_count(total, p * 2 ** (k + 1), "Paley walk count"))
         terms = [t * x for t, x in zip(terms, steps)]
     return counts
 
 
-def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
+def paley_printed_form(target: PaleyTarget, k: int) -> Fraction | None:
     """The printed case formulas, transcribed as displayed (k >= 1).
 
     Kept only for the discrepancy report: for p = 3 (mod 4) the residue case
     uses (-1)^k where the derivation forces (-1)^(k+1), the p = 1 (mod 4)
     nonresidue case has a flipped middle sign, and the p = 3 (mod 4)
     nonresidue case repeats (i*sqrt(p)+1) where the first factor must be
-    (i*sqrt(p)-1).  The returned value may be irrational or non-integral,
-    which is exactly the point."""
+    (i*sqrt(p)-1).  The value is a Fraction, possibly non-integral, or None
+    when it is irrational, which is exactly the point."""
     p = target.p
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
@@ -149,15 +147,16 @@ def paley_printed_form(target: PaleyTarget, k: int) -> CycNum:
         else:
             total = (2 * pm1**k + (p + 1) * (s - 1) ** (k - 1)
                      + (-1) ** k * (p + 1) * (s + 1) ** (k - 1))
-        return total * scale
-    if target.kind == NONRESIDUE:
+    elif target.kind == NONRESIDUE:
         if p % 4 == 1:
             total = 2 * pm1 ** (k - 1) + (s - 1) ** (k - 1) + (-1) ** k * (s + 1) ** (k - 1)
-            return total * (scale * (p - 1))
-        total = 2 * pm1**k - (s + 1) ** (k + 1) + (-1) ** (k + 1) * (s + 1) ** (k + 1)
-        return total * scale
-    total = 2 * pm1 ** (k - 1) + (s - 1) ** k + (-1) ** k * (s + 1) ** k
-    return total * (scale * (p - 1))
+            scale *= p - 1
+        else:
+            total = 2 * pm1**k - (s + 1) ** (k + 1) + (-1) ** (k + 1) * (s + 1) ** (k + 1)
+    else:
+        total = 2 * pm1 ** (k - 1) + (s - 1) ** k + (-1) ** k * (s + 1) ** k
+        scale *= p - 1
+    return total.as_integer() * scale if total.is_rational() else None
 
 
 def paley_bruteforce(p: int, ks: range, c: int) -> list[int]:
@@ -210,10 +209,7 @@ def wreath_invariants(r: int, n: int, k: int) -> int:
         words = [sum(comb(r * s, r * j) * words[s - j] for j in range(s + 1))
                  for s in range(t + 1)]
         total += rencontres(n, m) * words[t]
-    q, rem = divmod(total, factorial(n))
-    if rem:
-        raise ConsistencyError("wreath invariant dimension must be an integer")
-    return q
+    return exact_count(total, factorial(n), "wreath invariant dimension")
 
 
 def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
@@ -236,17 +232,14 @@ def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
             for i in fixed:
                 chi = chi + root_of_unity(r, signs[i])
             values.setdefault(chi.coeffs, [chi, 0])[1] += 1
-    powers = [(CycNum.from_rational(1), x, m) for x, m in values.values()]
+    powers = [(CycNum.from_int(1), x, m) for x, m in values.values()]
     counts = {}
     for k in range(max(ks) + 1 if ks else 0):
         if k in ks:
             acc = CycNum.zero(r)
             for power, _, m in powers:
                 acc = acc + m * power
-            value = (acc / order).as_rational()
-            if value is None or value.denominator != 1:
-                raise ConsistencyError("brute-force average must be an integer")
-            counts[k] = int(value)
+            counts[k] = exact_count(acc.as_integer(), order, "brute-force average")
         powers = [(power * x, x, m) for power, x, m in powers]
     return [counts[k] for k in ks]
 
@@ -255,7 +248,7 @@ def wreath_invariants_egf(r: int, n: int, order: int) -> EgfTruncation:
     """Truncated EGF of the invariant dimensions: (1/n!) sum_m F_n(m) h^m,
     with h the period-r hyperbolic series (cosh-like)."""
     h = egf_hyperbolic(1, r, order)
-    acc = [Fraction(0)] * (order + 1)
+    acc = [0] * (order + 1)
     for m in range(n + 1):
         w = rencontres(n, m)
         if w == 0:
@@ -264,7 +257,7 @@ def wreath_invariants_egf(r: int, n: int, order: int) -> EgfTruncation:
         for i in range(order + 1):
             acc[i] += w * hm.coeffs[i]
     nf = factorial(n)
-    return EgfTruncation(order, tuple(c / nf for c in acc))
+    return EgfTruncation(order, tuple(exact_count(c, nf, "wreath EGF coefficient") for c in acc))
 
 
 def weyl_bc_centralizer(n: int, k: int) -> int:
@@ -280,23 +273,17 @@ def weyl_bc_centralizer(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _as_count(x: Fraction) -> int:
-    if x.denominator != 1 or x < 0:
-        raise ConsistencyError(f"dimension formula came out {x}")
-    return int(x)
-
-
 def gl2_dims(q: int, k: int, which: str) -> int:
     if k == 0:
         return 1
     if which == INDUCED:
-        return _as_count(Fraction(
+        return exact_count(
             (q + 1) ** (k - 1) + q * (q - 2) * 2 ** (k - 1) + (q - 1),
-            q * (q - 1)))
+            q * (q - 1), "dimension formula")
     if which == STEINBERG:
-        return _as_count(Fraction(
+        return exact_count(
             2 * q ** (k - 1) + q * (q - 1) * (-1) ** k + (q + 1) * (q - 2),
-            2 * (q * q - 1)))
+            2 * (q * q - 1), "dimension formula")
     raise ValueError(f"unknown module {which!r}")
 
 
@@ -304,13 +291,13 @@ def sl2_dims(q: int, k: int, which: str) -> int:
     if k == 0:
         return 1
     if which == INDUCED:
-        return _as_count(Fraction(
+        return exact_count(
             2 * (q + 1) ** (k - 1) + q * (q - 3) * 2 ** (k - 1) + 2 * (q - 1),
-            q * (q - 1)))
+            q * (q - 1), "dimension formula")
     if which == STEINBERG:
-        return _as_count(Fraction(
+        return exact_count(
             4 * q ** (k - 1) + (q - 1) ** 2 * (-1) ** k + (q - 3) * (q + 1),
-            2 * (q * q - 1)))
+            2 * (q * q - 1), "dimension formula")
     raise ValueError(f"unknown module {which!r}")
 
 

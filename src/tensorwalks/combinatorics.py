@@ -4,9 +4,10 @@ integer group ring of a product of cyclic groups."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+
+from .errors import exact_count
 
 # A partition is a weakly decreasing tuple of positive ints; () is the
 # partition of 0.  A multipartition is a tuple of partitions.
@@ -48,9 +49,7 @@ def stirling2(k: int, l: int) -> int:
     if l == 0:
         return 1 if k == 0 else 0
     total = sum((-1) ** (l - j) * comb(l, j) * j**k for j in range(l + 1))
-    q, rem = divmod(total, factorial(l))
-    assert rem == 0
-    return q
+    return exact_count(total, factorial(l), "Stirling number")
 
 
 def bell_number(m: int) -> int:
@@ -177,9 +176,7 @@ def even_block_partitions(k: int, s: int) -> int:
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     total = sum((-1) ** (s - j) * comb(2 * s, s - j) * j ** (2 * k) for j in range(1, s + 1))
-    value = Fraction(total, factorial(s) * 2 ** (s - 1))
-    assert value.denominator == 1
-    return int(value)
+    return exact_count(total, factorial(s) * 2 ** (s - 1), "even-block partition count")
 
 
 def group_ring_power(radii, steps, ks: range) -> list[dict[tuple[int, ...], int]]:

@@ -1,20 +1,21 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in the rings of cyclotomic integers Z[zeta_N].
 
-A value is a coefficient vector over the power basis 1, z, ..., z^(phi(N)-1)
-where z = zeta_N, reduced modulo the N-th cyclotomic polynomial Phi_N.
-Coefficients are exact rationals, kept as plain ints whenever integral so the
-hot loops stay in fast integer arithmetic.
+A value is an int coefficient vector over the power basis 1, z, ...,
+z^(phi(N)-1) where z = zeta_N, reduced modulo the N-th cyclotomic polynomial
+Phi_N.  Every character value is a sum of roots of unity, so it lies in
+Z[zeta_N]; the ring operations keep it there, and a count is divided out of
+a rational integer by `errors.exact_count`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime, unit_generators
-from .polynomials import _exact_div, _norm_coeff
+from .polynomials import _exact_div
 
 # Phi_N coefficient tuples (ascending, integer, monic).  Write-once per key;
 # recomputation races are benign because the value is deterministic.
@@ -56,11 +57,11 @@ def reduce_mod_phi(coeffs: list, n: int) -> tuple:
             for j in range(deg):
                 coeffs[i - deg + j] -= c * phi[j]
     coeffs = coeffs[:deg] + [0] * (deg - len(coeffs))
-    return tuple(_norm_coeff(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 class CycNum:
-    """An element of Q(zeta_N), canonical modulo Phi_N.  Immutable."""
+    """An element of Z[zeta_N], canonical modulo Phi_N.  Immutable."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -82,8 +83,10 @@ class CycNum:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_rational(value) -> "CycNum":
-        return CycNum(1, (_norm_coeff(Fraction(value)),), reduce=False)
+    def from_int(value: int) -> "CycNum":
+        if not isinstance(value, int):
+            raise TypeError(f"a CycNum scalar is an int, not {type(value).__name__}")
+        return CycNum(1, (value,), reduce=False)
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycNum":
@@ -92,7 +95,7 @@ class CycNum:
     # -- conductor handling ---------------------------------------------------
 
     def embed(self, m: int) -> "CycNum":
-        """Reinterpret in Q(zeta_m); requires conductor | m."""
+        """Reinterpret in Z[zeta_m]; requires conductor | m."""
         n = self.conductor
         if m == n:
             return self
@@ -108,8 +111,8 @@ class CycNum:
     def _coerce(self, other):
         if isinstance(other, CycNum):
             return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(other)
+        if isinstance(other, int):
+            return CycNum.from_int(other)
         return None
 
     def _common(self, other: "CycNum"):
@@ -123,14 +126,12 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b, n = self._common(other)
-        return CycNum(n, tuple(_norm_coeff(x + y) for x, y in zip(a.coeffs, b.coeffs)),
-                      reduce=False)
+        return CycNum(n, tuple(map(add, a.coeffs, b.coeffs)), reduce=False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(_norm_coeff(-c) for c in self.coeffs),
-                      reduce=False)
+        return CycNum(self.conductor, tuple(-c for c in self.coeffs), reduce=False)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -150,12 +151,10 @@ class CycNum:
             return NotImplemented
         if other.conductor == 1:  # scalar fast path
             s = other.coeffs[0]
-            return CycNum(self.conductor,
-                          tuple(_norm_coeff(c * s) for c in self.coeffs), reduce=False)
+            return CycNum(self.conductor, tuple(c * s for c in self.coeffs), reduce=False)
         if self.conductor == 1:
             s = self.coeffs[0]
-            return CycNum(other.conductor,
-                          tuple(_norm_coeff(c * s) for c in other.coeffs), reduce=False)
+            return CycNum(other.conductor, tuple(c * s for c in other.coeffs), reduce=False)
         a, b, n = self._common(other)
         la, lb = a.coeffs, b.coeffs
         raw = [0] * (len(la) + len(lb) - 1)
@@ -171,7 +170,7 @@ class CycNum:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("cyclotomic exponent must be nonnegative")
-        result = CycNum.from_rational(1)
+        result = CycNum.from_int(1)
         base = self
         while k:
             if k & 1:
@@ -181,12 +180,6 @@ class CycNum:
                 base = base * base
             k = base_needed
         return result
-
-    def __truediv__(self, other):
-        """Division by an int or a Fraction only."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self * Fraction(1, other)
 
     def galois(self, a: int) -> "CycNum":
         """Apply the automorphism zeta_N -> zeta_N^a (a coprime to N)."""
@@ -207,24 +200,14 @@ class CycNum:
 
     # -- predicates and conversions --------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction iff it lies in Q, else None."""
-        if self.is_rational():
-            return Fraction(self.coeffs[0])
-        return None
-
     def as_integer(self) -> int:
         """The value as an int; raises ConsistencyError if not a rational integer."""
-        r = self.as_rational()
-        if r is None or r.denominator != 1:
+        if not self.is_rational():
             raise ConsistencyError(f"expected a rational integer, got {self}")
-        return int(r)
+        return self.coeffs[0]
 
     # -- equality, hashing, display ---------------------------------------------
 
@@ -275,7 +258,7 @@ def root_of_unity(n: int, m: int) -> CycNum:
 
 
 def gauss_sum(p: int) -> CycNum:
-    """g(1) = sum_x zeta_p^(x^2) in Q(zeta_p), for an odd prime p."""
+    """g(1) = sum_x zeta_p^(x^2) in Z[zeta_p], for an odd prime p."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError("Gauss sums here need an odd prime")
     raw = [0] * p
@@ -289,7 +272,7 @@ def gauss_sum_check(p: int) -> bool:
     g = gauss_sum(p)
     square = g * g
     expected = p if p % 4 == 1 else -p
-    return square == CycNum.from_rational(expected)
+    return square == expected
 
 
 # -- certified evaluation: character sums as rational integers ----------------
@@ -302,7 +285,7 @@ class CertifiedSums:
 
     `columns` holds one tuple of values (CycNum or int) per class.  The table
     is interned: `coeffs` lists each distinct power-basis coefficient tuple
-    over Q(zeta_N) once, N the lcm of the values' conductors, `columns`
+    over Z[zeta_N] once, N the lcm of the values' conductors, `columns`
     becomes the same shape of indices into it, and `l1` holds each value's
     L1 norm, the sum of its coefficients' absolute values.
 

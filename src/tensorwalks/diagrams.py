@@ -69,21 +69,17 @@ def enumerate_basis(radii, k: int, target=None) -> list[DiagramElement]:
     radii = tuple(radii)
     if k < 0:
         raise ValueError("word length must be nonnegative")
+    # Words come out of `product` in lexicographic order, so each target's
+    # block lists its words in that order too.
+    words = [(word, word_target(radii, word))
+             for word in itertools.product(range(1, len(radii) + 1), repeat=k)]
     by_target: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word in itertools.product(range(1, len(radii) + 1), repeat=k):
-        by_target.setdefault(word_target(radii, word), []).append(word)
-    out = []
+    for word, t in words:
+        by_target.setdefault(t, []).append(word)
     if target is not None:
-        groups = [by_target.get(tuple(target), [])]
-    else:
-        groups = [by_target[t] for t in sorted(by_target)]
-    for words in groups:
-        for bottom in words:
-            for top in words:
-                out.append(DiagramElement(radii, bottom, top))
-    if target is None:
-        out.sort(key=lambda e: (e.bottom, e.top))
-    return out
+        block = by_target.get(tuple(target), [])
+        return [DiagramElement(radii, bottom, top) for bottom in block for top in block]
+    return [DiagramElement(radii, bottom, top) for bottom, t in words for top in by_target[t]]
 
 
 def compose(e1: DiagramElement, e2: DiagramElement) -> DiagramElement | None:

@@ -23,3 +23,12 @@ class ConsistencyError(AssertionError):
     """Two routes that must agree exactly did not, or an exactness assertion
     failed (e.g. a character sum that must be a nonnegative integer is not).
     Always a bug in tables or formulas, never ignorable."""
+
+
+def exact_count(total: int, divisor: int, what: str) -> int:
+    """total / divisor, checked to be a nonnegative integer: every count the
+    routes divide out of an exact sum passes through here."""
+    count, rem = divmod(total, divisor)
+    if rem or count < 0:
+        raise ConsistencyError(f"{what} came out {total}/{divisor}")
+    return count

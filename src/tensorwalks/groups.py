@@ -265,7 +265,7 @@ def build_symmetric(n: int) -> GroupData:
     irreps = tuple(IrrepInfo(str(lam), murnaghan_nakayama(lam, class_order[0])) for lam in parts)
 
     def row(i):
-        return tuple(CycNum.from_rational(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
+        return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
 
     return GroupData(f"S{n}", order, FULL, classes, 1, irreps, row)
 
@@ -275,7 +275,7 @@ def permutation_module(n: int) -> ModuleChar:
     g = build_symmetric(n)
     parts = partitions_of(n)
     values = tuple(
-        CycNum.from_rational(fixed_point_count(mu)) for mu in reversed(parts)
+        CycNum.from_int(fixed_point_count(mu)) for mu in reversed(parts)
     )
     return ModuleChar(g, values)
 
@@ -361,8 +361,8 @@ def _expand_rows(name: str, order: int, rows: list[_Row]) -> tuple[GroupData, tu
     for row in rows:
         for i in range(1, row.count + 1):
             classes.append(ClassInfo(f"{row.family}({i})", row.size, family=row.family))
-            chi_v.append(CycNum.from_rational(row.chi_v))
-            chi_st.append(CycNum.from_rational(row.chi_st))
+            chi_v.append(CycNum.from_int(row.chi_v))
+            chi_st.append(CycNum.from_int(row.chi_st))
     g = GroupData(name, order, INVARIANT, tuple(classes), 1)
     return g, tuple(chi_v), tuple(chi_st)
 

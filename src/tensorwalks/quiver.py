@@ -4,12 +4,11 @@ by character sums, centralizer-algebra dimensions, and Bratteli diagrams."""
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
 from .cyclotomic import CertifiedSums, CycNum, lift, weighted_power_sums
-from .errors import ConsistencyError, UnsupportedQueryError
+from .errors import ConsistencyError, UnsupportedQueryError, exact_count
 from .groups import FULL, GroupData, ModuleChar
 from .numbertheory import euler_phi
 
@@ -107,7 +106,7 @@ def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
             value = lift(sum(map(mul, srow, crow)), m)
             if value < 0 or value % g.order:
                 raise ConsistencyError(
-                    f"character sum gave {Fraction(value, g.order)} at ({nu},{lam}); "
+                    f"character sum gave {value}/{g.order} at ({nu},{lam}); "
                     "bad table data")
             row.append(value // g.order)
         out.append(row)
@@ -158,16 +157,8 @@ def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: 
     `weighted_power_sums`."""
     if min(ks, default=0) < 0:
         raise ValueError("step count must be nonnegative")
-    return [_walk_count(total, g.order)
+    return [exact_count(total, g.order, "walk count")
             for total in weighted_power_sums(spectral_form(g, v, frm, to), ks)]
-
-
-def _walk_count(total: int, order: int) -> int:
-    """total / |G|, checked to be a nonnegative integer."""
-    count, rem = divmod(total, order)
-    if rem or count < 0:
-        raise ConsistencyError(f"walk count came out {Fraction(total, order)}")
-    return count
 
 
 def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
 from .cyclotomic import CycNum, weighted_power_sums
-from .errors import UnsupportedQueryError
+from .errors import UnsupportedQueryError, exact_count
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
-from .quiver import _walk_count, spectral_form
+from .quiver import spectral_form
 
 
 class RatFunc:
@@ -113,7 +114,8 @@ def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
     k < d, truncated mod t^d."""
     form = spectral_form(g, v, 0, lam)
     d = len(form)
-    counts = [_walk_count(total, g.order) for total in weighted_power_sums(form, range(d))]
+    counts = [exact_count(total, g.order, "walk count")
+              for total in weighted_power_sums(form, range(d))]
     den = _linear_factor_product([x for x, _ in form])
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
     return RatFunc(Polynomial(num), den)
@@ -158,22 +160,22 @@ def dynkin_quotient(a, remove: int) -> RatFunc:
 
 
 class EgfTruncation(namedtuple("EgfTruncation", "order coeffs")):
-    """Coefficients c_0..c_order of t^k / k!, a tuple of Fractions."""
+    """Coefficients c_0..c_order of t^k / k!, a tuple of ints."""
 
     __slots__ = ()
 
-    def __new__(cls, order: int, coeffs: tuple[Fraction, ...]):
+    def __new__(cls, order: int, coeffs: tuple[int, ...]):
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order + 1 coefficients")
         return super().__new__(cls, order, coeffs)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         return self.coeffs[k]
 
 
 def egf_from_ints(values) -> EgfTruncation:
-    vals = [Fraction(v) for v in values]
-    return EgfTruncation(len(vals) - 1, tuple(vals))
+    vals = tuple(values)
+    return EgfTruncation(len(vals) - 1, vals)
 
 
 def egf_hyperbolic(j: int, r: int, order: int) -> EgfTruncation:
@@ -182,39 +184,31 @@ def egf_hyperbolic(j: int, r: int, order: int) -> EgfTruncation:
     r = 1 is exp."""
     if r < 1:
         raise ValueError("period must be positive")
-    coeffs = tuple(Fraction(1 if (m - (j - 1)) % r == 0 else 0)
-                   for m in range(order + 1))
+    coeffs = tuple(1 if (m - (j - 1)) % r == 0 else 0 for m in range(order + 1))
     return EgfTruncation(order, coeffs)
 
 
 def egf_product(factors) -> EgfTruncation:
-    """Product of EGFs: binomial convolution of coefficient sequences."""
+    """Product of EGFs: the integer binomial convolution of coefficient
+    sequences, c_k = sum_i C(k, i) a_i b_(k-i)."""
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
     order = factors[0].order
     if any(f.order != order for f in factors):
         raise ValueError("all factors must share one truncation order")
-    from math import comb
-
-    acc = list(factors[0].coeffs)
+    acc = factors[0].coeffs
     for f in factors[1:]:
-        nxt = []
-        for k in range(order + 1):
-            s = Fraction(0)
-            for i in range(k + 1):
-                if acc[i] and f.coeffs[k - i]:
-                    s += comb(k, i) * acc[i] * f.coeffs[k - i]
-            nxt.append(s)
-        acc = nxt
-    return EgfTruncation(order, tuple(acc))
+        b = f.coeffs
+        acc = tuple(sum(comb(k, i) * acc[i] * b[k - i]
+                        for i in range(k + 1) if acc[i] and b[k - i])
+                    for k in range(order + 1))
+    return EgfTruncation(order, acc)
 
 
-def egf_scale_arg(e: EgfTruncation, s) -> EgfTruncation:
+def egf_scale_arg(e: EgfTruncation, s: int) -> EgfTruncation:
     """Substitute t -> s*t, i.e. scale coefficient k by s^k."""
-    s = Fraction(s)
-    return EgfTruncation(e.order,
-                         tuple(c * s**k for k, c in enumerate(e.coeffs)))
+    return EgfTruncation(e.order, tuple(c * s**k for k, c in enumerate(e.coeffs)))
 
 
 def egf_pow(e: EgfTruncation, m: int) -> EgfTruncation:

@@ -290,6 +290,18 @@ def test_egf_wreath(capsys):
     assert doc["coeffs"] == ["1", "0", "1", "0", "4", "0", "16"]
 
 
+def test_wrong_rencontres_weight_fails_the_wreath_egf(capsys, monkeypatch):
+    # one permutation too many with a single fixed point: the weighted sum is
+    # no longer divisible by 3!, and a count of 7/6 must never be printed
+    from tensorwalks import closedforms
+
+    real = closedforms.rencontres
+    monkeypatch.setattr(closedforms, "rencontres", lambda n, m: real(n, m) + (m == 1))
+    code, out, err = run(capsys, "egf", "--group", "Z2wrS3", "--order", "4")
+    assert code == 4 and out == ""
+    assert "wreath EGF coefficient came out 7/6" in err
+
+
 def test_bratteli_json(capsys):
     code, out, _ = run(capsys, "bratteli", "--group", "Z4xZ2", "--levels", "6")
     doc = json.loads(out)
@@ -331,6 +343,13 @@ PINNED_STDOUT = {
         "bf1eb298d8405bf9b4ae8e07850cbf86030e8cd522d1b36f9878d527f133a665",
     "egf --group Z4xZ2 --order 6 --target 3,1":
         "557b848797fc36eb803510a6c14a0470007177710f971f34d56ba48289b5570c",
+    "egf --group Z4wrS6 --order 26":
+        "e862cb355a90a09a3947897967ca65afdae339a44c6dbf4f1166b4504ac6c302",
+    "egf --group Z2xZ2xZ2xZ2xZ2xZ2 --order 25 --target 1,0,1,0,0,0":
+        "7810910b266200be5e68138a8046db181375ec2720c8cfe4f5013c424bdae080",
+    "diagalg --group hypercube(3) --k 5 --list":
+        "f7760529c1ad66fa443b3d72b1d16238394f8e309c63e287d05b76dde6457565",
+    "verify --suite paley": "815e3dd591d4a440ff947a0176ea05f11f3c19d5804d0344b6a4b8ccbcb45e64",
 }
 
 

@@ -18,7 +18,19 @@ from tensorwalks.combinatorics import (
     z_lambda,
     z_multipartition,
 )
+from tensorwalks.errors import ConsistencyError, exact_count
 from tensorwalks.groups import build_symmetric
+
+
+def test_exact_count_accepts_only_nonnegative_integer_quotients():
+    assert exact_count(42, 6, "x") == 7
+    assert exact_count(0, 5, "x") == 0
+    with pytest.raises(ConsistencyError, match=r"^walk count came out 7/6$"):
+        exact_count(7, 6, "walk count")
+    with pytest.raises(ConsistencyError, match=r"came out -12/6"):
+        exact_count(-12, 6, "dimension formula")
+    with pytest.raises(ConsistencyError, match=r"came out -1/6"):
+        exact_count(-1, 6, "dimension formula")
 
 
 def test_partitions_reverse_lex():

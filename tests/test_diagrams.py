@@ -113,11 +113,11 @@ def test_group_action_equivariance():
             for word in itertools.product(range(1, len(radii) + 1), repeat=k):
                 target = word_target(radii, word)
                 for a in itertools.product(*(range(r) for r in radii)):
-                    phase = CycNum.from_rational(1)
+                    phase = CycNum.from_int(1)
                     for letter in word:
                         r = radii[letter - 1]
                         phase = phase * root_of_unity(r, a[letter - 1])
-                    chi = CycNum.from_rational(1)
+                    chi = CycNum.from_int(1)
                     for j, r in enumerate(radii):
                         chi = chi * root_of_unity(r, a[j] * target[j])
                     assert phase == chi

@@ -5,7 +5,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -16,7 +16,7 @@ from tensorwalks import closedforms as cf
 from tensorwalks.cli import VERBS, _dumps, _read, build_parser, parse_args
 from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
-from tensorwalks.cyclotomic import CycNum, weighted_power_sums
+from tensorwalks.cyclotomic import CycNum, reduce_mod_phi, weighted_power_sums
 from tensorwalks.errors import ConsistencyError
 from tensorwalks.groups import (
     FULL,
@@ -60,6 +60,42 @@ def test_wreath_fixed_point_character_and_egf_agree(r, n, k):
     fixed_point = cf.wreath_invariants(r, n, k)
     assert walk_count_character(v.group, v, k, 0, 0) == fixed_point
     assert cf.wreath_invariants_egf(r, n, K_MAX).coefficient(k) == fixed_point
+
+
+@st.composite
+def cyclotomic_integers(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=2 * n))
+    return CycNum(n, coeffs)
+
+
+def schoolbook(x: CycNum, y: CycNum, n: int) -> tuple:
+    """x * y in Z[zeta_n], for conductors dividing n: the full product of the
+    coefficient lists, reduced once by reduce_mod_phi."""
+    a, b = x.embed(n).coeffs, y.embed(n).coeffs
+    raw = [0] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            raw[i + j] += u * v
+    return reduce_mod_phi(raw, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=cyclotomic_integers(), y=cyclotomic_integers(), e=st.integers(0, 6))
+def test_cyclotomic_integer_arithmetic_stays_integral(x, y, e):
+    # Z[zeta_N] is a ring: sums, products, powers and conjugates of values
+    # with int coefficients have int coefficients, across conductors
+    m, n = x.conductor, lcm(x.conductor, y.conductor)
+    power = CycNum.from_int(1)
+    for _ in range(e):
+        power = CycNum(m, schoolbook(power, x, m))
+    for value, ring, want in ((x + y, n, None), (x - 3 * y, n, None), (x.conj(), m, None),
+                              (x * y, n, schoolbook(x, y, n)),
+                              (x * y.conj(), n, schoolbook(x, y.conj(), n)),
+                              (x**e, m, power.embed(m).coeffs)):
+        assert all(type(c) is int for c in value.coeffs)
+        assert want is None or value.embed(ring).coeffs == want
+    assert (x * y).conj() == x.conj() * y.conj()
 
 
 @st.composite

@@ -288,7 +288,7 @@ def test_fraction_coefficient_is_bad_table_data():
     from tensorwalks.groups import GroupData, ModuleChar
 
     g = build_cyclic(3)
-    half = CycNum.from_rational(Fraction(1, 2))
+    half = CycNum(1, (Fraction(1, 2),), reduce=False)
     bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
                     g.irreps, corrupted_row(g, 2, 1, lambda x: x * half))
     v = standard_module_cyclic(3)

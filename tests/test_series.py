@@ -40,8 +40,8 @@ def lin(c0, c1):
 
 def trivial_group_with_module(d):
     g = GroupData("trivial", 1, "full", (ClassInfo("e", 1),), 1,
-                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_rational(1),))
-    return g, ModuleChar(g, (CycNum.from_rational(d),))
+                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
+    return g, ModuleChar(g, (CycNum.from_int(d),))
 
 
 def test_ratfunc_normalization():
@@ -220,7 +220,7 @@ def test_irrational_series_is_rejected():
     # Galois-incomplete data: a single class carrying a non-real value can
     # never combine to a rational series
     g = GroupData("broken", 1, "full", (ClassInfo("e", 1),), 3,
-                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_rational(1),))
+                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
     v = ModuleChar(g, (root_of_unity(3, 1),))
     with pytest.raises(ConsistencyError):
         poincare_character(g, v, 0)
