@@ -14,7 +14,6 @@ for three or more letters); see the README notes.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, factorial
 
 from .combinatorics import (
@@ -29,7 +28,7 @@ from .errors import exact_count
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
 from .quiver import power_rows
-from .series import EgfTruncation, RatFunc, egf_hyperbolic, egf_pow
+from .series import EgfTruncation, RatFunc, egf_from_ints, egf_hyperbolic, egf_product
 
 INDUCED = "induced"
 STEINBERG = "steinberg"
@@ -135,6 +134,8 @@ def paley_printed_form(target: PaleyTarget, k: int) -> Fraction | None:
     nonresidue case repeats (i*sqrt(p)+1) where the first factor must be
     (i*sqrt(p)-1).  The value is a Fraction, possibly non-integral, or None
     when it is irrational, which is exactly the point."""
+    from fractions import Fraction
+
     p = target.p
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
@@ -246,14 +247,17 @@ def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
 
 def wreath_invariants_egf(r: int, n: int, order: int) -> EgfTruncation:
     """Truncated EGF of the invariant dimensions: (1/n!) sum_m F_n(m) h^m,
-    with h the period-r hyperbolic series (cosh-like)."""
+    with h the period-r hyperbolic series (cosh-like); h^m is carried from m
+    to m + 1, one binomial convolution each."""
     h = egf_hyperbolic(1, r, order)
+    hm = egf_from_ints([1] + [0] * order)
     acc = [0] * (order + 1)
     for m in range(n + 1):
+        if m:
+            hm = egf_product([hm, h])
         w = rencontres(n, m)
         if w == 0:
             continue
-        hm = egf_pow(h, m)
         for i in range(order + 1):
             acc[i] += w * hm.coeffs[i]
     nf = factorial(n)

@@ -1,17 +1,15 @@
-"""Univariate polynomials over Q, plus fraction-free determinants and linear
-solves of integer polynomial matrices.
+"""Univariate polynomials over Z, plus fraction-free determinants and linear
+solves of polynomial matrices.
 
-Coefficients are int or Fraction, kept as int whenever integral; any other
-coefficient type raises TypeError.  Determinants and solves accept integer
-coefficients only and run one kernel: the matrix evaluated at t = 2^B, one
+Coefficients are ints; any other coefficient type raises TypeError.
+Determinants and solves run one kernel: the matrix evaluated at t = 2^B, one
 Bareiss elimination over the integers, and the results read back as signed
 base-2^B digits, with B set by a Hadamard bound on every minor.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
 class Polynomial:
@@ -21,7 +19,9 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise TypeError("polynomial coefficients must be ints")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -56,7 +56,7 @@ class Polynomial:
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial((other,))
         return None
 
@@ -132,7 +132,7 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
     def to_text(self, var: str = "t") -> str:
-        """Human form like "1 - 3t + 2t^3"; fractions render as (p/q)."""
+        """Human form like "1 - 3t + 2t^3"."""
         if self.is_zero():
             return "0"
         parts = []
@@ -141,11 +141,10 @@ class Polynomial:
                 continue
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            mag_s = f"({mag})" if isinstance(mag, Fraction) else str(mag)
             if i == 0:
-                term = mag_s
+                term = str(mag)
             else:
-                head = "" if mag == 1 else mag_s
+                head = "" if mag == 1 else str(mag)
                 term = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
             parts.append((sign, term))
         first_sign, first_term = parts[0]
@@ -155,34 +154,18 @@ class Polynomial:
         return text
 
 
-def _norm_coeff(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
-
-
-def integral_pair(num: Polynomial, den: Polynomial) -> tuple[list[int], list[int]]:
-    """num and den as int coefficient lists (ascending), both multiplied by
-    the lcm of every coefficient denominator in either: the same ratio over
-    Z[t]."""
-    scale = lcm(*(c.denominator for p in (num, den) for c in p.coeffs if type(c) is not int))
-    return [int(c * scale) for c in num.coeffs], [int(c * scale) for c in den.coeffs]
-
-
 def lowest_terms(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num / den with gcd(num, den) = 1 and den monic.  The integral pair is
-    divided exactly over Z by its primitive gcd (by Gauss's lemma a primitive
-    factor over Q of an integer polynomial is one over Z), then scaled to a
-    monic denominator once."""
+    """num / den with gcd(num, den) = 1 and the pair jointly primitive: divided
+    exactly over Z by its primitive gcd (by Gauss's lemma a primitive factor
+    over Q of an integer polynomial is one over Z), then by the integer
+    content of both.  The pair is unique up to sign."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    a, b = integral_pair(num, den)
+    a, b = list(num.coeffs), list(den.coeffs)
     g = _primitive_gcd(a, b)
     a, b = _exact_div(a, g), _exact_div(b, g)
-    lead = b[-1]
-    return Polynomial([Fraction(c, lead) for c in a]), Polynomial([Fraction(c, lead) for c in b])
+    content = gcd(*a, *b)
+    return Polynomial([c // content for c in a]), Polynomial([c // content for c in b])
 
 
 def poly_det(matrix) -> Polynomial:
@@ -240,15 +223,11 @@ def poly_solve(matrix, rhs) -> tuple[Polynomial, list[Polynomial]]:
 
 
 def _coefficient_rows(matrix) -> list[list]:
-    """Each entry as its int coefficients, ascending.  Scalars and sequences
-    are normalized as Polynomial normalizes them, so an integral Fraction
-    counts as an int."""
+    """Each entry as its int coefficients, ascending."""
     rows = [[e.coeffs if isinstance(e, Polynomial) else e if isinstance(e, (tuple, list))
              else (e,) for e in row] for row in matrix]
     if not {type(c) for row in rows for e in row for c in e} <= {int}:
-        rows = [[[_norm_coeff(c) for c in e] for e in row] for row in rows]
-        if not {type(c) for row in rows for e in row for c in e} <= {int}:
-            raise TypeError("the elimination kernel needs integer coefficients")
+        raise TypeError("the elimination kernel needs integer coefficients")
     return rows
 
 

@@ -1,28 +1,31 @@
 """Rational generating functions and exponential generating functions.
 
 Poincare series come from two independent routes: Cramer determinants over
-the polynomial ring (valid for any digraph adjacency), and the character
-route's spectral form, whose denominator prod (1 - x t) over Q[t] comes from
-rational power sums by Newton's identities.
+Z[t] (valid for any digraph adjacency), and the character route's spectral
+form, whose denominator prod (1 - x t) over Z[t] comes from integer power
+sums by Newton's identities.  Every series here generates walk counts, so
+it has integer coefficients, and a RatFunc whose series does not is a
+ConsistencyError.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
 
 from .cyclotomic import CycNum, weighted_power_sums
-from .errors import UnsupportedQueryError, exact_count
+from .errors import ConsistencyError, UnsupportedQueryError, exact_count
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
 from .quiver import spectral_form
 
 
 class RatFunc:
-    """Reduced ratio of rational-coefficient polynomials in t, in the form
-    that is printed: gcd(num, den) = 1 and den(0) = 1, so a power series at
-    t = 0 exists."""
+    """Reduced ratio of polynomials in Z[t] whose power series at t = 0 has
+    integer coefficients, in the form that is printed: gcd(num, den) = 1 and
+    den(0) = 1.  By Fatou's lemma an integral rational series has exactly one
+    such form, and the jointly primitive reduced pair is it up to sign, so
+    any other den(0) certifies a non-integral series: ConsistencyError."""
 
     __slots__ = ("num", "den")
 
@@ -31,18 +34,20 @@ class RatFunc:
         d0 = den.coefficient(0)
         if d0 == 0:
             raise ValueError("denominator vanishes at t = 0; no power series")
-        scale = Fraction(1, d0)
-        object.__setattr__(self, "num", num * scale)
-        object.__setattr__(self, "den", den * scale)
+        if d0 not in (1, -1):
+            raise ConsistencyError(f"series ({num.to_text()}) / ({den.to_text()}) "
+                                   "has non-integral coefficients")
+        if d0 == -1:
+            num, den = -num, -den
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
     def series(self, order: int) -> list:
-        """Maclaurin coefficients c_0..c_order by c_k = num_k - sum_j den_j
-        c_(k-j): ints, and a Fraction only where a coefficient is not
-        integral.  A series with integral coefficients has integral num and
-        den in this form (Fatou's lemma), so it never leaves the integers."""
+        """Maclaurin coefficients c_0..c_order, ints, by c_k = num_k -
+        sum_j den_j c_(k-j)."""
         num, den = self.num.coeffs, self.den.coeffs
         top = len(den) - 1
         out: list = []
@@ -50,7 +55,7 @@ class RatFunc:
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, top) + 1):
                 acc -= den[j] * out[k - j]
-            out.append(acc if type(acc) is int or acc.denominator != 1 else int(acc))
+            out.append(acc)
         return out
 
     def to_text(self) -> str:
@@ -122,23 +127,30 @@ def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
 
 
 def _linear_factor_product(values: list[CycNum]) -> Polynomial:
-    """prod (1 - x t) over `values`, a Galois-stable list, in Q[t], from the
-    power sums p_1..p_d, which `weighted_power_sums` certifies."""
+    """prod (1 - x t) over `values`, a Galois-stable list of algebraic
+    integers, in Z[t], from the power sums p_1..p_d, which
+    `weighted_power_sums` certifies."""
     return _newton_product(weighted_power_sums([(x, 1) for x in values],
                                                range(1, len(values) + 1)))
 
 
 def _newton_product(sums: list[int]) -> Polynomial:
-    """prod (1 - x t) over d values from their power sums p_1..p_d, by
-    Newton's identities j c_j = -sum_{i=1..j} p_i c_{j-i}."""
-    coeffs = [Fraction(1)]
+    """prod (1 - x t) over d algebraic integers from their power sums
+    p_1..p_d, by Newton's identities j c_j = -sum_{i=1..j} p_i c_{j-i}.  Each
+    c_j is +-e_j, a symmetric function of algebraic integers, so an integer:
+    the division by j is checked exact."""
+    coeffs = [1]
     for j in range(1, len(sums) + 1):
-        coeffs.append(-sum(sums[i] * coeffs[j - 1 - i] for i in range(j)) / j)
+        total = -sum(sums[i] * coeffs[j - 1 - i] for i in range(j))
+        c, rem = divmod(total, j)
+        if rem:
+            raise ConsistencyError(f"Newton coefficient c_{j} came out {total}/{j}")
+        coeffs.append(c)
     return Polynomial(coeffs)
 
 
 def det_factorization_check(g: GroupData, v: ModuleChar, a) -> bool:
-    """det(I - tA) over Q[t] must equal the product of (1 - chi_V(c_mu) t)
+    """det(I - tA) over Z[t] must equal the product of (1 - chi_V(c_mu) t)
     over all classes, built from the power sums of the class values."""
     if g.tier != FULL:
         raise UnsupportedQueryError("det factorization needs a full table")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from . import closedforms as cf
 from .combinatorics import bell_number, group_ring_power
@@ -20,7 +19,7 @@ from .diagrams import (
     enumerate_basis,
     is_valid,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, exact_count
 from .groups import (
     GroupData,
     abelian_elements,
@@ -137,13 +136,14 @@ _S4_TABLE = {
     "(1, 1, 1, 1)": (1, -1, 1, 1, -1),
 }
 
-# (power-sum form, Stirling coefficient vector) per irrep, valid for k >= 1
+# (24 times the power-sum form, Stirling coefficient vector) per irrep,
+# valid for k >= 1
 _S4_FORMS = {
-    "(4,)": (lambda k: Fraction(4**k + 6 * 2**k + 8, 24), (1, 1, 1, 1)),
-    "(3, 1)": (lambda k: Fraction(3 * 4**k + 6 * 2**k, 24), (1, 2, 3, 3)),
-    "(2, 2)": (lambda k: Fraction(2 * 4**k - 8, 24), (0, 1, 2, 2)),
-    "(2, 1, 1)": (lambda k: Fraction(3 * 4**k - 6 * 2**k, 24), (0, 1, 3, 3)),
-    "(1, 1, 1, 1)": (lambda k: Fraction(4**k - 6 * 2**k + 8, 24), (0, 0, 1, 1)),
+    "(4,)": (lambda k: 4**k + 6 * 2**k + 8, (1, 1, 1, 1)),
+    "(3, 1)": (lambda k: 3 * 4**k + 6 * 2**k, (1, 2, 3, 3)),
+    "(2, 2)": (lambda k: 2 * 4**k - 8, (0, 1, 2, 2)),
+    "(2, 1, 1)": (lambda k: 3 * 4**k - 6 * 2**k, (0, 1, 3, 3)),
+    "(1, 1, 1, 1)": (lambda k: 4**k - 6 * 2**k + 8, (0, 0, 1, 1)),
 }
 
 
@@ -166,7 +166,7 @@ def suite_s4() -> list[CheckResult]:
         for i, info in enumerate(g.irreps):
             closed, stir = _S4_FORMS[info.label]
             for k, count in zip(ks, walk_routes(spec, ks, 0, i, ROUTES)[0][1]):
-                want = closed(k)
+                want = exact_count(closed(k), 24, f"S4 closed form {info.label}")
                 stirling_form = sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
                 if not want == count == stirling_form:
                     return (f"k={k} lam={info.label}: closed {want}, routes {count}, "

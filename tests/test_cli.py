@@ -551,6 +551,23 @@ def test_invariants_consistency_failure(capsys, monkeypatch):
     assert code == 4 and out == "" and "k=2" in err
 
 
+def test_non_integral_series_exits_4(capsys, monkeypatch):
+    # a closed-form Poincare series whose coefficients leave the integers is
+    # a wrong series, never printed
+    import tensorwalks.closedforms as cf_mod
+    from tensorwalks.polynomials import Polynomial
+
+    real = cf_mod.gl2_poincare
+
+    def planted(q, which):
+        rf = real(q, which)
+        return cf_mod.RatFunc(rf.num, rf.den * Polynomial((2, -1)))
+
+    monkeypatch.setattr(cf_mod, "gl2_poincare", planted)
+    code, out, err = run(capsys, "poincare", "--group", "GL2(5)", "--method", "paper")
+    assert code == 4 and out == "" and "consistency failure" in err
+
+
 def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
     # no route may turn a table whose sums are irrational into a count: Z5
     # with chi_V(1) = zeta + 1, which zeta -> zeta^2 moves off the table
@@ -712,9 +729,9 @@ def test_process_entry_fails_on_a_full_device_or_closed_pipe_as_a_plain_exit_doe
     assert "No space left on device" in full_err and "BrokenPipeError" in pipe_err
 
 
-# imported by no well-formed walks, invariants or dims query
-NOT_LOADED = {"argparse", "gettext", "locale", "json", "tensorwalks.verify",
-              "tensorwalks.diagrams", "tensorwalks.registry"}
+# imported by no well-formed walks, invariants, dims, poincare or egf query
+NOT_LOADED = {"argparse", "gettext", "locale", "json", "fractions", "decimal",
+              "tensorwalks.verify", "tensorwalks.diagrams", "tensorwalks.registry"}
 
 
 def test_a_query_imports_only_the_modules_of_its_verb(tmp_path):
@@ -729,7 +746,10 @@ def test_a_query_imports_only_the_modules_of_its_verb(tmp_path):
     _, start = loaded(entry=("-c", "pass"))
     for argv in (["walks", "--group", "Z10", "--k", "6", "--to", "8"],
                  ["invariants", "--group", "Z2wrS3", "--k", "6"],
-                 ["dims", "--group", "S4", "--k", "3"]):
+                 ["dims", "--group", "S4", "--k", "3"],
+                 ["poincare", "--group", "S8", "--method", "cramer", "--lambda", "3"],
+                 ["poincare", "--group", "GL2(5)", "--method", "paper"],
+                 ["egf", "--group", "Z3wrS4", "--order", "10"]):
         code, modules = loaded(*argv)
         assert code == 0 and "tensorwalks.cli" in modules, argv
         assert not (modules - start) & NOT_LOADED, argv

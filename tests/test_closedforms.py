@@ -227,6 +227,30 @@ def test_wreath_egf():
             assert e.coefficient(k) == cf.wreath_invariants(r, n, k), (r, n, k)
 
 
+def test_wreath_egf_carries_the_power_of_h(monkeypatch):
+    # h^m is carried from m to m + 1: n binomial convolutions, each a product
+    # of two factors, where raising h to each m afresh takes about n^2 / 2
+    import tensorwalks.series as series
+
+    real, convolutions = series.egf_product, []
+
+    def counted(factors):
+        factors = list(factors)
+        convolutions.append(len(factors) - 1)
+        return real(factors)
+
+    monkeypatch.setattr(series, "egf_product", counted)
+    monkeypatch.setattr(cf, "egf_product", counted, raising=False)
+    e = cf.wreath_invariants_egf(4, 8, 40)
+    assert 0 < sum(convolutions) <= 8
+    monkeypatch.undo()
+    h = series.egf_hyperbolic(1, 4, 40)
+    total = [sum(rencontres(8, m) * series.egf_pow(h, m).coeffs[k] for m in range(9))
+             for k in range(41)]
+    assert list(e.coeffs) == [c // factorial(8) for c in total]
+    assert e.coeffs[:9] == tuple(cf.wreath_invariants(4, 8, k) for k in range(9))
+
+
 def test_weyl_bc():
     assert cf.weyl_bc_centralizer(2, 2) == 4
     assert cf.weyl_bc_centralizer(1, 3) == 1

@@ -288,6 +288,30 @@ def test_kernel_equals_leibniz_expansion(system):
     assert poly_solve(m, rhs) == (det, nums)
 
 
+# -- RatFunc over Z[t]: one printed form for every representation -------------
+
+
+int_polys = st.lists(st.integers(-9, 9), max_size=4).map(Polynomial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=int_polys, q=int_polys.filter(lambda q: not q.is_zero()),
+       r=st.builds(lambda r0, rest: Polynomial((r0, *rest)),
+                   st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=3)))
+def test_ratfunc_cancels_a_common_factor_to_one_primitive_form(p, q, r):
+    rf = RatFunc(p * q, r * q)
+    assert rf == RatFunc(p, r)
+    assert rf.num * r == rf.den * p
+    assert rf.den.coefficient(0) == 1
+    assert gcd(*rf.num.coeffs, *rf.den.coeffs) == 1
+    # the series of p / r, dividing by r(0) = +-1 at each step
+    want = []
+    for k in range(8):
+        acc = p.coefficient(k) - sum(r.coefficient(j) * want[k - j] for j in range(1, k + 1))
+        want.append(acc * r.coefficient(0))
+    assert rf.series(7) == want
+
+
 # -- the certified ring map against plain cyclotomic arithmetic ---------------
 
 

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from tensorwalks.errors import UnsupportedQueryError
+from tensorwalks.errors import ConsistencyError, UnsupportedQueryError
 from tensorwalks.groups import (
     ClassInfo,
     GroupData,
@@ -21,6 +20,7 @@ from tensorwalks.quiver import mat_pow, mckay_adjacency, power_rows
 from tensorwalks.registry import builtin_modules
 from tensorwalks.series import (
     RatFunc,
+    _newton_product,
     cramer_numerators,
     det_factorization_check,
     dynkin_quotient,
@@ -49,9 +49,10 @@ def test_ratfunc_normalization():
     # the common (1 - t) factor cancels and den(0) = 1, the printed form
     assert rf == RatFunc(lin(1, -2), lin(1, -3))
     assert (rf.num, rf.den) == (lin(1, -2), lin(1, -3))
-    # rational coefficients, and a common factor 1 + t under non-unit content
-    rf = RatFunc(Polynomial((Fraction(2, 3),)) * lin(2, -4) * lin(1, 1), lin(6, -3) * lin(3, 3))
-    assert (rf.num, rf.den) == (lin(Fraction(2, 27), Fraction(-4, 27)), lin(1, Fraction(-1, 2)))
+    # a common factor 1 + t and a joint content 2 cancel, and den(0) = -1
+    # flips both signs
+    rf = RatFunc(lin(4, -8) * lin(1, 1), lin(-2, 6) * lin(1, 1))
+    assert (rf.num, rf.den) == (lin(-2, 4), lin(1, -3))
     rf = RatFunc(Polynomial(), lin(2, 6))
     assert (rf.num, rf.den) == (Polynomial(), Polynomial((1,)))
     with pytest.raises(ValueError):
@@ -78,7 +79,7 @@ def test_cramer_s4():
     coeffs = poincare_cramer(a, 0).series(10)
     assert coeffs[0] == 1
     for k in range(1, 11):
-        assert coeffs[k] == Fraction(4**k + 6 * 2**k + 8, 24)
+        assert 24 * coeffs[k] == 4**k + 6 * 2**k + 8
 
 
 def test_cramer_z10_t12():
@@ -105,21 +106,32 @@ def test_cramer_numerators_on_s10_equal_walk_counts():
         assert RatFunc(num, den).series(15) == [w[lam] for w in walks], lam
 
 
-def test_series_leaves_the_integers_only_where_a_coefficient_is_not_integral():
+def test_a_non_integral_series_is_a_consistency_failure():
     # 1 / (2 - t) = sum t^k / 2^(k+1)
-    rf = RatFunc(Polynomial((1,)), Polynomial((2, -1)))
-    assert rf.series(5) == [Fraction(1, 2 ** (k + 1)) for k in range(6)]
-    # (1/2 + t/2) / (1 - t) = 1/2 + t + t^2 + ...: integral after the first
-    coeffs = RatFunc(Polynomial((Fraction(1, 2), Fraction(1, 2))), Polynomial((1, -1))).series(4)
-    assert coeffs == [Fraction(1, 2), 1, 1, 1, 1]
-    assert [type(c) for c in coeffs] == [Fraction, int, int, int, int]
-    # (3 - t) / (3 - 3t): 1 then 2/3 forever
-    coeffs = RatFunc(Polynomial((3, -1)), Polynomial((3, -3))).series(3)
-    assert coeffs == [1, Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)]
-    assert type(coeffs[0]) is int
-    # an integral series stays in the integers
-    assert all(type(c) is int for c in RatFunc(Polynomial((1, 0, -3)),
-                                                Polynomial((1, 0, -4))).series(8))
+    with pytest.raises(ConsistencyError):
+        RatFunc(Polynomial((1,)), Polynomial((2, -1)))
+    # (1 + t) / (2 - 2t) = 1/2 + t + t^2 + ...: non-integral at t^0 alone
+    with pytest.raises(ConsistencyError):
+        RatFunc(lin(1, 1), lin(2, -2))
+    # (3 - t) / (3 - 3t): 1 then 2/3 forever, integral at t^0 alone
+    with pytest.raises(ConsistencyError):
+        RatFunc(lin(3, -1), lin(3, -3))
+    # an integral series is one after its common factor and content cancel
+    rf = RatFunc(lin(3, -3), lin(3, -3) * lin(-1, 4))
+    assert (rf.num, rf.den) == (Polynomial((-1,)), lin(1, -4))
+    assert all(type(c) is int for c in rf.series(8))
+
+
+def test_newton_product_checks_every_division():
+    # (1 - t)(1 - 2t) from p_1 = 3, p_2 = 5
+    assert _newton_product([3, 5]) == Polynomial((1, -3, 2))
+    assert _newton_product([]) == Polynomial((1,))
+    # x + y = 1, x^2 + y^2 = 0 forces xy = 1/2: no algebraic integers
+    with pytest.raises(ConsistencyError, match="c_2"):
+        _newton_product([1, 0])
+    # p_1 = p_2 = 0, p_3 = 1 forces xyz = 1/3
+    with pytest.raises(ConsistencyError, match="c_3"):
+        _newton_product([0, 0, 1])
 
 
 def test_cramer_numerators_on_every_registry_module():
