@@ -141,35 +141,6 @@ def multipartitions_of(n: int, r: int) -> list[MultiPartition]:
     return out
 
 
-def multinomial(k: int, parts) -> int:
-    """Multinomial coefficient k! / prod(parts!); the parts must sum to k."""
-    parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != k:
-        raise ValueError("parts must sum to k")
-    out = 1
-    rest = k
-    for p in parts:
-        out *= comb(rest, p)
-        rest -= p
-    return out
-
-
-def compositions(k: int, m: int):
-    """Yield all m-tuples of nonnegative ints summing to k."""
-    if m == 0:
-        if k == 0:
-            yield ()
-        return
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions(k - first, m - 1):
-            yield (first,) + rest
-
-
 def even_block_partitions(k: int, s: int) -> int:
     """Number of set partitions of a 2k-set into s nonempty blocks of even
     size, by the alternating-sum closed form."""

@@ -9,9 +9,8 @@ a rational integer by `errors.exact_count`.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime, unit_generators
@@ -279,66 +278,73 @@ def gauss_sum_check(p: int) -> bool:
 
 
 class CertifiedSums:
-    """A table of values in Z[zeta_N], checked so that every sum over its
-    columns the callers form is a rational integer, with the ring map that
-    evaluates those sums exactly.
+    """A weighted table of values in Z[zeta_N], checked so that every sum over
+    its columns the callers form is a rational integer, with the ring map
+    that evaluates those sums exactly.
 
-    `columns` holds one tuple of values (CycNum or int) per class.  The table
-    is interned: `coeffs` lists each distinct power-basis coefficient tuple
-    over Z[zeta_N] once, N the lcm of the values' conductors, `columns`
-    becomes the same shape of indices into it, and `l1` holds each value's
-    L1 norm, the sum of its coefficients' absolute values.
+    `columns` holds one tuple of values (CycNum or int) per class and
+    `weights` one int per class.  The table is interned: `coeffs` lists each
+    distinct power-basis coefficient tuple over Z[zeta_N] once, N the lcm of
+    the values' conductors, `l1` holds each value's L1 norm, the sum of its
+    coefficients' absolute values, and `columns` lists each distinct column
+    of nonzero summed weight once, as a tuple of indices into `coeffs`, with
+    that weight at the same place in `weights`.
 
     Certificate: every value must have integer coefficients, and for each a
     in a generating set of (Z/N)^x, sigma_a: zeta_N -> zeta_N^a must map the
-    multiset of columns onto itself; otherwise ConsistencyError.  A sum over
-    all columns of one integer polynomial in a column's entries and their
-    complex conjugates is then fixed by every sigma_a, so it lies in
-    Z[zeta_N] and in Q, hence in Z.
+    weighted multiset of columns onto itself; otherwise ConsistencyError.  A
+    weighted sum over the columns of one integer polynomial in a column's
+    entries and their complex conjugates is then fixed by every sigma_a, so
+    it lies in Z[zeta_N] and in Q, hence in Z.
 
     The images sigma_a(x) are compared through a ring map h (see
     `ring_map`) with 2^B - 1 > 2 max |x|_1: a nonzero z = sigma_a(x) - y has
     0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) < M, while h(z) = 0 would make
     M divide norm(z), so h(sigma_a(x)) = h(y) exactly when sigma_a(x) = y."""
 
-    __slots__ = ("conductor", "coeffs", "columns", "l1")
+    __slots__ = ("conductor", "coeffs", "columns", "weights", "l1")
 
-    def __init__(self, columns):
+    def __init__(self, columns, weights):
         columns = [tuple(col) for col in columns]
-        n = lcm(1, *(x.conductor for col in columns for x in col if isinstance(x, CycNum)))
+        values = {id(x): x for col in columns for x in col}  # the columns keep each alive
+        n = lcm(1, *(x.conductor for x in values.values() if isinstance(x, CycNum)))
         zeros = (0,) * (euler_phi(n) - 1)
         coeffs: list[tuple] = []
         index: dict[tuple, int] = {}
-        by_id: dict[int, int] = {}  # the columns keep every value alive meanwhile
-        interned = []
-        for mu, col in enumerate(columns):
-            row = []
-            for i, x in enumerate(col):
-                j = by_id.get(id(x))
-                if j is None:
-                    c = (x,) + zeros if isinstance(x, int) else x.embed(n).coeffs
-                    j = index.get(c)
-                    if j is None:
-                        if any(type(a) is not int for a in c):
-                            raise ConsistencyError(
-                                f"non-integer coefficient in {x.to_text()} at ({i},{mu}); "
-                                "bad table data")
-                        j = index[c] = len(coeffs)
-                        coeffs.append(c)
-                    by_id[id(x)] = j
-                row.append(j)
-            interned.append(tuple(row))
-        self.conductor, self.coeffs, self.columns = n, coeffs, interned
+        at: dict[int, int] = {}
+        for key, x in values.items():
+            c = (x,) + zeros if isinstance(x, int) else x.embed(n).coeffs
+            j = index.get(c)
+            if j is None:
+                if any(type(a) is not int for a in c):
+                    i, mu = next((i, mu) for mu, col in enumerate(columns)
+                                 for i, y in enumerate(col) if y is x)
+                    raise ConsistencyError(
+                        f"non-integer coefficient in {x.to_text()} at ({i},{mu}); "
+                        "bad table data")
+                j = index[c] = len(coeffs)
+                coeffs.append(c)
+            at[key] = j
+        merged: dict[tuple, int] = {}
+        for col, w in zip(columns, weights):
+            col = tuple(map(at.__getitem__, map(id, col)))
+            merged[col] = merged.get(col, 0) + w
+        merged = {col: w for col, w in merged.items() if w}  # a column of weight 0 adds nothing
+        self.conductor, self.coeffs = n, coeffs
+        self.columns, self.weights = list(merged), list(merged.values())
         self.l1 = [sum(map(abs, c)) for c in coeffs]
         gens = unit_generators(n)
         if not gens:
             return
         m, powers = _ring_map(n, (2 * max(self.l1) + 1).bit_length())
         value_at = {_image(c, powers, 1, m): j for j, c in enumerate(coeffs)}
-        counts = Counter(interned)
         for a in gens:
             image = [value_at.get(_image(c, powers, a, m), -1) for c in coeffs]
-            if Counter(tuple(image[j] for j in col) for col in interned) != counts:
+            moved: dict[tuple, int] = {}
+            for col, w in merged.items():
+                col = tuple([image[j] for j in col])
+                moved[col] = moved.get(col, 0) + w
+            if moved != merged:
                 raise ConsistencyError(
                     f"zeta -> zeta^{a} does not permute the classes of the character "
                     f"data over Q(zeta_{n}); Galois-incomplete table, the sum is not rational")
@@ -383,20 +389,30 @@ def lift(residue: int, modulus: int) -> int:
     return residue - modulus if 2 * residue > modulus else residue
 
 
-def weighted_power_sums(pairs, ks: range) -> list[int]:
-    """sum over `pairs` (x, w) of w * x^k, for every k in `ks`: rational
-    integers, certified and evaluated by CertifiedSums; each term's x^k is
-    carried mod M from k to the next k."""
-    table = CertifiedSums(pairs)
+def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]]:
+    """For each k in `ks`, in its order and with its stride, the matrix over
+    i in `left` and j in `right` of sum_c w_c x_c^k a_ci conj(a_cj), where
+    column c is (a_c0, a_c1, ..., x_c), its last entry x_c, and w_c is its
+    int weight.  The sums are rational integers certified by CertifiedSums,
+    which merges identical columns, and evaluated through its ring map: per
+    column the images of w_c a_ci x_c^k are carried mod M from one k to the
+    next, and one product with the image of conj(a_cj) gives each term.
+    The bound on each sum is sum_c |w_c| |x_c|_1^k max_i |a_ci|_1 max_j |a_cj|_1."""
+    table = CertifiedSums(columns, weights)
     if not ks:
         return []
-    l1 = table.l1
-    bound = sum(l1[w] * max(l1[x] ** ks[0], l1[x] ** ks[-1]) for x, w in table.columns)
-    m, images, _ = table.ring_map(bound)
-    terms = [images[w] * pow(images[x], ks.start, m) % m for x, w in table.columns]
-    steps = [pow(images[x], ks.step, m) for x, _ in table.columns]
-    sums = []
+    l1, cols = table.l1, table.columns
+    bound = sum(abs(w) * max(l1[c[-1]] ** ks[0], l1[c[-1]] ** ks[-1])
+                * max(l1[c[i]] for i in left) * max(l1[c[j]] for j in right)
+                for c, w in zip(cols, table.weights))
+    m, images, conj_images = table.ring_map(bound)
+    start = [w * pow(images[c[-1]], ks.start, m) % m for c, w in zip(cols, table.weights)]
+    steps = [pow(images[c[-1]], ks.step, m) for c in cols]
+    terms = [[images[c[i]] * t % m for c, t in zip(cols, start)] for i in left]
+    conj = [[conj_images[c[j]] for c in cols] for j in right]
+    out = []
     for _ in ks:
-        sums.append(lift(sum(terms), m))
-        terms = [t * s % m for t, s in zip(terms, steps)]
-    return sums
+        if out:
+            terms = [[t * s % m for t, s in zip(row, steps)] for row in terms]
+        out.append([[lift(sum(map(mul, row, crow)), m) for crow in conj] for row in terms])
+    return out

@@ -391,24 +391,6 @@ def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 
 # ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def validate_group(g: GroupData) -> None:
-    """Raise AssertionError when the structural invariants fail."""
-    assert sum(g.class_sizes()) == g.order, "class sizes must sum to the order"
-    assert g.classes[0].size == 1, "identity class must come first with size 1"
-    if g.tier == FULL:
-        assert g.irreps is not None and g.row is not None
-        assert len(g.irreps) == g.n_classes, "need as many irreps as classes"
-        assert sum(i.dim**2 for i in g.irreps) == g.order, "sum of squared dims"
-        assert all(v == 1 for v in g.row(0)), "irrep 0 must be the trivial character"
-        assert all(g.chi(i, 0) == info.dim for i, info in enumerate(g.irreps)), \
-            "identity column must carry the dimensions"
-
-
-# ---------------------------------------------------------------------------
 # Spec-string parser
 # ---------------------------------------------------------------------------
 

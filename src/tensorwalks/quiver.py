@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import lcm
-from operator import mul
 
-from .cyclotomic import CertifiedSums, CycNum, lift, weighted_power_sums
-from .errors import ConsistencyError, UnsupportedQueryError, exact_count
+from .cyclotomic import CycNum, class_sums
+from .errors import UnsupportedQueryError, exact_count
 from .groups import FULL, GroupData, ModuleChar
 from .numbertheory import euler_phi
 
@@ -83,87 +82,58 @@ def _require_full(g: GroupData, what: str):
             "invariant-only data (only the 0 -> 0 walk count is available)")
 
 
-def _weighted_sum_matrix(g: GroupData, weights: list) -> list[list[int]]:
-    """Matrix with (nu, lam) entry (1/|G|) sum_mu weights[mu] * chi_nu(mu) *
-    conj(chi_lam(mu)), checked to be nonnegative integers.
+def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list[list[list[int]]]:
+    """For each k in `ks`, the matrix over nu in `left` and lam in `right` of
+    (1/|G|) sum_c |c| chi_V(c)^k chi_nu(c) conj(chi_lam(c)), each entry
+    checked to be a count.
 
-    The class columns (chi_0(mu), ..., chi_{n-1}(mu), weights[mu]) are
-    certified by CertifiedSums, so every entry is a rational integer; its
-    ring map turns each entry's sum over classes into n products of plain
-    integers mod M, and the bound sum_mu |w_mu|_1 max_nu |chi_nu(mu)|_1^2
-    from L1 norms makes the lift exact."""
-    n = g.n_classes
-    table = CertifiedSums(zip(*(g.row(nu) for nu in range(n)), weights))
-    l1, cols = table.l1, table.columns
-    bound = sum(l1[c[n]] * max(l1[j] for j in c[:n]) ** 2 for c in cols)
-    m, images, conj_images = table.ring_map(bound)
-    scaled = [[images[c[nu]] * images[c[n]] % m for c in cols] for nu in range(n)]
-    conj = [[conj_images[c[lam]] for c in cols] for lam in range(n)]
-    out = []
-    for nu, srow in enumerate(scaled):
-        row = []
-        for lam, crow in enumerate(conj):
-            value = lift(sum(map(mul, srow, crow)), m)
-            if value < 0 or value % g.order:
-                raise ConsistencyError(
-                    f"character sum gave {value}/{g.order} at ({nu},{lam}); "
-                    "bad table data")
-            row.append(value // g.order)
-        out.append(row)
-    return out
+    The kernel `class_sums` reads one column (chi_nu(c) for the irreps asked
+    for, in index order, then chi_V(c)) per class, weighted by the class
+    size; on the adjacency's all-irrep columns a bad value is named by its
+    (irrep, class).  Invariant-tier groups carry no rows: only nu = lam = 0,
+    where both characters are 1."""
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    nodes = sorted({*left, *right})
+    if g.tier == FULL:
+        rows = [g.row(nu) for nu in nodes]
+    elif nodes == [0]:
+        rows = [(1,) * g.n_classes]
+    else:
+        raise UnsupportedQueryError(
+            f"group {g.name} carries invariant-only data; only the "
+            "trivial-to-trivial walk count and Poincare series are defined")
+    at = {nu: i for i, nu in enumerate(nodes)}
+    sums = class_sums(zip(*rows, v.values), g.class_sizes(), ks,
+                      [at[nu] for nu in left], [at[lam] for lam in right])
+    return [[[exact_count(s, g.order, "character sum") for s in row] for row in matrix]
+            for matrix in sums]
 
 
 def mckay_adjacency(g: GroupData, v: ModuleChar) -> list[list[int]]:
     """Adjacency rows: a[nu][lam] = multiplicity of irrep lam in (irrep nu)
-    tensor V."""
+    tensor V, the character sum at k = 1."""
     _require_full(g, "mckay_adjacency")
-    weights = [g.classes[mu].size * v.values[mu] for mu in range(g.n_classes)]
-    return _weighted_sum_matrix(g, weights)
+    nodes = range(g.n_classes)
+    return _character_sums(g, v, range(1, 2), nodes, nodes)[0]
 
 
 def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
     """All (from, to) k-step walk counts at once, by character sums."""
     _require_full(g, "character_walk_counts")
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    weights = [g.classes[mu].size * v.values[mu] ** k for mu in range(g.n_classes)]
-    return _weighted_sum_matrix(g, weights)
-
-
-def spectral_form(g: GroupData, v: ModuleChar, frm: int, to: int) -> list[tuple[CycNum, CycNum | int]]:
-    """The distinct values x of chi_V, each with its summed weight
-    w_x = sum over the classes c with chi_V(c) = x of |c| chi_frm(c) conj(chi_to(c)).
-
-    Walk counts are (1/|G|) sum_x w_x x^k and the Poincare series is
-    (1/|G|) sum_x w_x / (1 - x t).  Values are grouped by their coefficients
-    in Q(zeta_conductor), where every module value lives.  Invariant-tier
-    groups support only frm = to = 0, where both characters are 1."""
-    full = g.tier == FULL
-    if not full and (frm != 0 or to != 0):
-        raise UnsupportedQueryError(
-            f"group {g.name} carries invariant-only data; only the "
-            "trivial-to-trivial walk count and Poincare series are defined")
-    form: dict[tuple, list] = {}
-    for mu, cls in enumerate(g.classes):
-        x = v.values[mu]
-        w = cls.size * g.chi(frm, mu) * g.chi(to, mu).conj() if full else cls.size
-        form.setdefault(x.embed(g.conductor).coeffs, [x, 0])[1] += w
-    return [(x, w) for x, w in form.values()]
+    nodes = range(g.n_classes)
+    return _character_sums(g, v, range(k, k + 1), nodes, nodes)[0]
 
 
 def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: int) -> list[int]:
-    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`: the
-    spectral form's sums (1/|G|) sum_x w_x x^k, evaluated by
-    `weighted_power_sums`."""
-    if min(ks, default=0) < 0:
-        raise ValueError("step count must be nonnegative")
-    return [exact_count(total, g.order, "walk count")
-            for total in weighted_power_sums(spectral_form(g, v, frm, to), ks)]
+    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`, by the
+    character sum, with chi_V(c)^k carried from one k to the next."""
+    return [matrix[0][0] for matrix in _character_sums(g, v, ks, [frm], [to])]
 
 
 def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
     """k-step walk count from irrep `frm` to irrep `to` by the character sum."""
-    return walk_counts_character(g, v, range(k, k + 1), frm, to)[0]
+    return _character_sums(g, v, range(k, k + 1), [frm], [to])[0][0][0]
 
 
 def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:

@@ -1,11 +1,11 @@
 """Rational generating functions and exponential generating functions.
 
 Poincare series come from two independent routes: Cramer determinants over
-Z[t] (valid for any digraph adjacency), and the character route's spectral
-form, whose denominator prod (1 - x t) over Z[t] comes from integer power
-sums by Newton's identities.  Every series here generates walk counts, so
-it has integer coefficients, and a RatFunc whose series does not is a
-ConsistencyError.
+Z[t] (valid for any digraph adjacency), and character sums, whose
+denominator prod (1 - x t) over the distinct values x of chi_V comes from
+integer power sums by Newton's identities.  Every series here generates
+walk counts, so it has integer coefficients, and a RatFunc whose series
+does not is a ConsistencyError.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .cyclotomic import CycNum, weighted_power_sums
-from .errors import ConsistencyError, UnsupportedQueryError, exact_count
+from .cyclotomic import CycNum, class_sums
+from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import FULL, GroupData, ModuleChar
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
-from .quiver import spectral_form
+from .quiver import walk_counts_character
 
 
 class RatFunc:
@@ -113,25 +113,25 @@ def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:
 
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
-    """Poincare series of walks from the trivial node to `lam`: over the
-    spectral form's d distinct values x, (1/|G|) sum_x w_x / (1 - x t) =
-    N / D with D = prod_x (1 - x t), so N is D times the walk counts for
-    k < d, truncated mod t^d."""
-    form = spectral_form(g, v, 0, lam)
-    d = len(form)
-    counts = [exact_count(total, g.order, "walk count")
-              for total in weighted_power_sums(form, range(d))]
-    den = _linear_factor_product([x for x, _ in form])
+    """Poincare series of walks from the trivial node to `lam`: over the d
+    distinct values x of chi_V, (1/|G|) sum_c |c| conj(chi_lam(c)) /
+    (1 - chi_V(c) t) = N / D with D = prod_x (1 - x t), so N is D times the
+    walk counts for k < d, truncated mod t^d."""
+    values = list({x.embed(g.conductor).coeffs: x for x in v.values}.values())
+    d = len(values)
+    counts = walk_counts_character(g, v, range(d), 0, lam)
+    den = _linear_factor_product(values)
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
     return RatFunc(Polynomial(num), den)
 
 
 def _linear_factor_product(values: list[CycNum]) -> Polynomial:
     """prod (1 - x t) over `values`, a Galois-stable list of algebraic
-    integers, in Z[t], from the power sums p_1..p_d, which
-    `weighted_power_sums` certifies."""
-    return _newton_product(weighted_power_sums([(x, 1) for x in values],
-                                               range(1, len(values) + 1)))
+    integers, in Z[t], from the power sums p_1..p_d, which `class_sums`
+    certifies on the columns (1, x) of weight 1."""
+    sums = class_sums([(1, x) for x in values], [1] * len(values),
+                      range(1, len(values) + 1), [0], [0])
+    return _newton_product([matrix[0][0] for matrix in sums])
 
 
 def _newton_product(sums: list[int]) -> Polynomial:

@@ -108,20 +108,23 @@ def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
         main(["walks", "--group", "Z10", "--k", "6", "--method", "matrix"])
 
 
-def test_invariants_build_one_spectral_form(capsys, monkeypatch):
+def test_invariants_call_the_kernel_once(capsys, monkeypatch):
+    # the character route's whole sequence is one certified evaluation
     import tensorwalks.quiver as quiver_mod
 
     calls = []
-    real = quiver_mod.spectral_form
+    real = quiver_mod.class_sums
 
-    def counting(*args):
-        calls.append(args[2:])
-        return real(*args)
+    def counting(columns, weights, ks, left, right):
+        calls.append((ks, left, right))
+        return real(columns, weights, ks, left, right)
 
-    monkeypatch.setattr(quiver_mod, "spectral_form", counting)
-    doc = run_json(capsys, "invariants", "--group", "Z4wrS5", "--k", "28")
-    assert len(doc["counts"]) == 29
-    assert calls == [(0, 0)]
+    monkeypatch.setattr(quiver_mod, "class_sums", counting)
+    for spec in ("Z4wrS5", "GL2(3)", "S6", "Z4xZ2"):
+        calls.clear()
+        doc = run_json(capsys, "invariants", "--group", spec, "--k", "28")
+        assert len(doc["counts"]) == 29
+        assert calls == [(range(29), [0], [0])], spec
 
 
 def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
@@ -152,24 +155,38 @@ def test_paley_closed_forms_finish(capsys):
     assert doc["counts"][-3:] == ["383172654703034", "5364417070649084", "75101839291178266"]
 
 
-def test_abelian_closed_route_enumerates_no_compositions(capsys, monkeypatch):
+def test_abelian_closed_route_enumerates_no_compositions(capsys):
     # the closed route is one group-ring power; a sum over step-type
     # compositions would take C(2003, 3) terms at hypercube(4), k = 2000.
-    # Every loaded library module that binds the name gets the stub.
+    # The enumerator is a test oracle: no library module binds one.
     import sys
 
-    def refuse(*args):
-        raise AssertionError("compositions enumerated")
-
-    bound = [name for name, mod in list(sys.modules.items())
-             if name.startswith("tensorwalks") and hasattr(mod, "compositions")]
-    assert "tensorwalks.combinatorics" in bound
-    for name in bound:
-        monkeypatch.setattr(sys.modules[name], "compositions", refuse)
     counts = [run_json(capsys, "walks", "--group", "hypercube(4)", "--k", "2000",
                        "--method", method)["count"] for method in ("closed", "character")]
     assert counts[0] == counts[1]
     assert len(run_json(capsys, "invariants", "--group", "Z4xZ2", "--k", "12")["counts"]) == 13
+    assert not [name for name, mod in list(sys.modules.items())
+                if name.startswith("tensorwalks") and hasattr(mod, "compositions")]
+
+
+def test_a_wrong_conjugate_image_fails_through_the_closed_route(capsys, monkeypatch):
+    # the matrix and character routes share the ring map, so a wrong image
+    # of conj(zeta) gives both the same wrong count; on an abelian spec the
+    # closed route, which reads only the steps, still tells them apart
+    from tensorwalks.cyclotomic import CertifiedSums
+
+    real = CertifiedSums.ring_map
+
+    def unconjugated(self, bound):
+        m, images, _ = real(self, bound)
+        return m, images, images
+
+    argv = ("walks", "--group", "Z4xZ3", "--k", "1", "--to", "1")
+    assert run_json(capsys, *argv)["count"] == "1"
+    monkeypatch.setattr(CertifiedSums, "ring_map", unconjugated)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "[('matrix', 0), ('character', 0), ('closed:multinomial', 1)]" in err
 
 
 def test_character_rows_are_built_on_first_use(capsys, monkeypatch):
@@ -484,24 +501,25 @@ def test_verify_runs_the_cli_routes(capsys, monkeypatch):
     import tensorwalks.quiver as quiver_mod
     from tensorwalks.verify import run_suite
 
-    real_form = quiver_mod.spectral_form
+    real_sums = quiver_mod.class_sums
 
-    def faulty_form(g, v, frm, to):
-        form = real_form(g, v, frm, to)
-        if to != 0 and g.name.startswith("S"):
-            x, w = form[0]
-            form[0] = (x, w + g.order)
-        return form
+    def faulty_sums(columns, weights, ks, left, right):
+        # off the trivial node (one node on each side, not the same one)
+        # every sum gains sum(weights) = |G|, so every count gains one
+        sums = real_sums(columns, weights, ks, left, right)
+        if left != right:
+            sums = [[[s + sum(weights) for s in row] for row in matrix] for matrix in sums]
+        return sums
 
     def failures(suite):
         return [r.detail for r in run_suite(suite) if not r.ok]
 
-    monkeypatch.setattr(quiver_mod, "spectral_form", faulty_form)
+    monkeypatch.setattr(quiver_mod, "class_sums", faulty_sums)
     for suite in ("s4", "sn"):
         assert any("routes disagree" in d for d in failures(suite)), suite
     code, out, _ = run(capsys, "verify", "--suite", "sn")
     assert code == 4 and "FAIL" in out
-    monkeypatch.setattr(quiver_mod, "spectral_form", real_form)
+    monkeypatch.setattr(quiver_mod, "class_sums", real_sums)
 
     real_wreath = cf_mod.wreath_invariants
     monkeypatch.setattr(cf_mod, "wreath_invariants",

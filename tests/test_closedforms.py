@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from tensorwalks import closedforms as cf
-from tensorwalks.combinatorics import compositions, multinomial, partitions_of, rencontres
+from tensorwalks.combinatorics import partitions_of, rencontres
 from tensorwalks.groups import (
     both_modules_gl2,
     both_modules_sl2,
@@ -16,6 +16,8 @@ from tensorwalks.numbertheory import is_prime, quadratic_residues
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import character_walk_counts, walk_count_character
 from tensorwalks.series import RatFunc
+
+from oracles import compositions, multinomial
 
 
 def test_cyclic_walks():

@@ -13,12 +13,12 @@ import pytest
 from tensorwalks.cyclotomic import (
     CertifiedSums,
     CycNum,
+    class_sums,
     cyclotomic_polynomial,
     gauss_sum,
     gauss_sum_check,
     lift,
     root_of_unity,
-    weighted_power_sums,
 )
 from tensorwalks.errors import ConsistencyError
 from tensorwalks.numbertheory import euler_phi, legendre_symbol, quadratic_residues
@@ -196,31 +196,55 @@ def orbit(x, w):
 
 def test_certified_sums_intern_and_certify():
     x, w = CycNum(12, [1, -2, 0, 3]), CycNum(12, [2, 0, 1, 0])
-    table = CertifiedSums(orbit(x, w) + [(5, -1), (5, -1)])
-    assert table.conductor == 12 and len(table.columns) == 6
-    assert table.columns[-1] == table.columns[-2]
+    table = CertifiedSums(orbit(x, w) + [(5, -1), (5, -1)], [1, 1, 1, 1, 2, 3])
+    # the two copies of (5, -1) are one column, of weight 2 + 3
+    assert table.conductor == 12 and len(table.columns) == 5
+    assert table.weights == [1, 1, 1, 1, 5]
     assert len(table.coeffs) == len({c for col in table.columns for c in col})
     assert table.l1[table.columns[0][0]] == 6
     m, images, conj = table.ring_map(10**6)
     assert m > 2 * 10**6 and len(images) == len(conj) == len(table.coeffs)
+    # the check is on the weighted multiset: a conjugate listed twice stands
+    # for one of weight 2, and unequal weights on one orbit are irrational
+    CertifiedSums(orbit(x, w) + orbit(x, w)[:1], [1, 2, 2, 2, 1])
+    with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+        CertifiedSums(orbit(x, w), [1, 1, 1, 2])
     # one missing Galois conjugate makes the sums irrational
     with pytest.raises(ConsistencyError, match="Galois-incomplete"):
-        CertifiedSums(orbit(x, w)[1:])
+        CertifiedSums(orbit(x, w)[1:], [1, 1, 1])
     with pytest.raises(ConsistencyError, match=r"non-integer coefficient .* at \(1,2\)"):
-        CertifiedSums([(1, 1), (1, 1), (1, CycNum(1, (Fraction(1, 2),), reduce=False))])
+        CertifiedSums([(1, 1), (1, 1), (1, CycNum(1, (Fraction(1, 2),), reduce=False))], [1, 1, 1])
 
 
-def test_weighted_power_sums_lift_exactly():
+def plain_class_sums(columns, weights, ks, left, right):
+    """The sums of `class_sums` in plain cyclotomic arithmetic."""
+    def conj(z):
+        return z.conj() if isinstance(z, CycNum) else z
+
+    return [[[sum((w * col[-1] ** k * col[i] * conj(col[j]) for col, w in zip(columns, weights)),
+                  CycNum.zero(1)).as_integer() for j in right] for i in left] for k in ks]
+
+
+def test_class_sums_lift_exactly():
     x, w = CycNum(15, [2, -1, 0, 1, 0, 0, 1, -3]), CycNum(15, [1, 1, 0, 0, 0, 0, 0, -1])
-    pairs = orbit(x, w) + [(-7, 3)]
+    columns = [(b, 1, a) for a, b in orbit(x, w)] + [(3, 1, -7)]
+    weights = [1] * len(columns)
     ks = range(0, 25, 3)
-    want = [sum((b * a**k for a, b in pairs), CycNum.zero(1)).as_integer() for k in ks]
-    assert any(v < 0 for v in want)
-    assert weighted_power_sums(pairs, ks) == want
+    want = plain_class_sums(columns, weights, ks, [0], [1])
+    assert any(v[0][0] < 0 for v in want)
+    assert class_sums(columns, weights, ks, [0], [1]) == want
     # weights far beyond any character degree: the bound is the L1 norms'
     scale = 10**40
-    assert weighted_power_sums([(a, b * scale) for a, b in pairs], ks) == [v * scale for v in want]
-    assert weighted_power_sums(pairs, range(0)) == []
+    assert class_sums(columns, [scale] * len(columns), ks, [0], [1]) == [
+        [[v[0][0] * scale]] for v in want]
+    # every pair of entries, conjugated on the right, and repeated columns,
+    # which merge into one column of summed weight
+    both = [0, 1]
+    want = plain_class_sums(columns, weights, ks, both, both)
+    assert class_sums(columns, weights, ks, both, both) == want
+    assert class_sums(columns * 2, weights * 2, ks, both, both) == [
+        [[2 * e for e in row] for row in matrix] for matrix in want]
+    assert class_sums(columns, weights, range(0), [0], [1]) == []
 
 
 def test_lift_is_the_symmetric_residue():

@@ -24,9 +24,10 @@ from tensorwalks.groups import (
     parse_spec_full,
     permutation_module,
     standard_module_cyclic,
-    validate_group,
 )
 from tensorwalks.registry import builtin_modules
+
+from oracles import validate_group
 
 S4_TABLE = {
     "(4,)": [1, 1, 1, 1, 1],

@@ -16,7 +16,7 @@ from tensorwalks import closedforms as cf
 from tensorwalks.cli import VERBS, _dumps, _read, build_parser, parse_args
 from tensorwalks.combinatorics import partitions_of
 from tensorwalks.diagrams import basis_count
-from tensorwalks.cyclotomic import CycNum, reduce_mod_phi, weighted_power_sums
+from tensorwalks.cyclotomic import CycNum, class_sums, reduce_mod_phi
 from tensorwalks.errors import ConsistencyError
 from tensorwalks.groups import (
     FULL,
@@ -28,7 +28,6 @@ from tensorwalks.groups import (
     coordinate_module,
     monomial_module,
     parse_spec_full,
-    validate_group,
 )
 from tensorwalks.numbertheory import euler_phi, is_prime, quadratic_residues
 from tensorwalks.polynomials import Polynomial, poly_det, poly_solve
@@ -49,6 +48,8 @@ from tensorwalks.series import (
     poincare_cramer,
     walk_generating_function,
 )
+
+from oracles import validate_group
 
 K_MAX = 12
 
@@ -180,12 +181,12 @@ def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
 
 # S_n on its permutation module, three registry modules, and two
 # invariant-tier groups, which serve only lambda = 0
-SPECTRAL_SPECS = [f"S{n}" for n in range(2, 8)] + ["Z12", "Z4xZ2", "paley(13)", "Z2wrS3", "GL2(3)"]
+CHARACTER_SPECS = [f"S{n}" for n in range(2, 8)] + ["Z12", "Z4xZ2", "paley(13)", "Z2wrS3", "GL2(3)"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=st.sampled_from(SPECTRAL_SPECS), big_k=st.integers(0, K_MAX), data=st.data())
-def test_spectral_form_consumers_agree(spec, big_k, data):
+@given(spec=st.sampled_from(CHARACTER_SPECS), big_k=st.integers(0, K_MAX), data=st.data())
+def test_character_sum_consumers_agree(spec, big_k, data):
     parsed = parse_spec_full(spec)
     g, v = parsed.group, parsed.module
     lam = data.draw(st.integers(0, g.n_classes - 1)) if g.tier == FULL else 0
@@ -330,28 +331,34 @@ def test_ring_map_equals_plain_sums_on_registry_modules(module, k):
 
 @st.composite
 def galois_stable_forms(draw):
-    """Pairs (x, w) in Z[zeta_n]: the Galois orbits of a few random pairs."""
+    """Triples (x, a, w), x and a in Z[zeta_n] and w an int: the Galois
+    orbits of a few random pairs (x, a), each orbit at one weight w."""
     n = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15]))
     phi = euler_phi(n)
     values = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi).map(lambda c: CycNum(n, c))
-    pairs = []
+    triples = []
     for _ in range(draw(st.integers(1, 3))):
-        x, w = draw(values), draw(values)
-        pairs += [(x.galois(a), w.galois(a)) for a in range(1, n + 1) if gcd(a, n) == 1]
-    return pairs
+        x, a, w = draw(values), draw(values), draw(st.integers(-9, 9))
+        triples += [(x.galois(u), a.galois(u), w) for u in range(1, n + 1) if gcd(u, n) == 1]
+    return triples
 
 
 @settings(max_examples=60, deadline=None)
-@given(pairs=galois_stable_forms(), start=st.integers(0, 12), length=st.integers(0, 6))
-def test_ring_map_equals_plain_sums_on_galois_stable_forms(pairs, start, length):
-    ks = range(start, start + length)
-    plain = [sum((w * x**k for x, w in pairs), CycNum.zero(1)).as_integer() for k in ks]
-    assert weighted_power_sums(pairs, ks) == plain
-    # one more copy of an irrational pair leaves the form Galois-incomplete
-    extra = next(((x, w) for x, w in pairs if not (x.is_rational() and w.is_rational())), None)
+@given(triples=galois_stable_forms(), start=st.integers(0, 12), length=st.integers(0, 6),
+       step=st.integers(1, 3))
+def test_ring_map_equals_plain_sums_on_galois_stable_forms(triples, start, length, step):
+    # sum_c w_c x_c^k a_c conj(a_c) over the columns (a, x): a strided range
+    # of k, and orbits that repeat a column merge their weights
+    ks = range(start, start + step * length, step)
+    columns, weights = [(a, x) for x, a, _ in triples], [w for _, _, w in triples]
+    plain = [sum((w * x**k * a * a.conj() for x, a, w in triples), CycNum.zero(1)).as_integer()
+             for k in ks]
+    assert [s[0][0] for s in class_sums(columns, weights, ks, [0], [0])] == plain
+    # one more copy of an irrational column leaves the table Galois-incomplete
+    extra = next(((a, x) for x, a, _ in triples if not (x.is_rational() and a.is_rational())), None)
     if extra is not None:
         with pytest.raises(ConsistencyError, match="Galois-incomplete"):
-            weighted_power_sums(pairs + [extra], ks)
+            class_sums(columns + [extra], weights + [1], ks, [0], [0])
 
 
 # ---------------------------------------------------------------------------

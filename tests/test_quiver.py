@@ -259,9 +259,24 @@ def test_paley_directed_quiver():
 
 
 def literal_sums(mod, k):
-    n = mod.group.n_classes
-    return [[walk_count_character(mod.group, mod, k, nu, lam) for lam in range(n)]
-            for nu in range(n)]
+    """(1/|G|) sum_c |c| chi_V(c)^k chi_nu(c) conj(chi_lam(c)) for every
+    (nu, lam), in plain cyclotomic arithmetic."""
+    from tensorwalks.cyclotomic import CycNum
+
+    g = mod.group
+    n = g.n_classes
+    weights = [c.size * x**k for c, x in zip(g.classes, mod.values)]
+    conj = [[x.conj() for x in g.row(lam)] for lam in range(n)]
+    out = []
+    for nu in range(n):
+        scaled = [w * x for w, x in zip(weights, g.row(nu))]
+        row = []
+        for lam in range(n):
+            total = sum(map(CycNum.__mul__, scaled, conj[lam]), CycNum.zero(1)).as_integer()
+            assert total % g.order == 0, (nu, lam)
+            row.append(total // g.order)
+        out.append(row)
+    return out
 
 
 def test_packed_adjacency_equals_literal_character_sums():
@@ -299,15 +314,17 @@ def test_fraction_coefficient_is_bad_table_data():
 def test_weights_scaled_by_huge_factors_lift_exactly():
     # a bound from dim V would be exceeded 10^40 times over; the L1 norms of
     # the weights themselves bound the sums
-    from tensorwalks.quiver import _weighted_sum_matrix
+    from tensorwalks.cyclotomic import class_sums
 
     scale = 10**40
     for spec in ("S5", "Z12", "paley(13)", "Z4xZ2"):
         v = parse_spec_full(spec).module
         g = v.group
-        weights = [c.size * x * scale for c, x in zip(g.classes, v.values)]
-        want = [[e * scale for e in row] for row in mckay_adjacency(g, v)]
-        assert _weighted_sum_matrix(g, weights) == want, spec
+        nodes = range(g.n_classes)
+        columns = zip(*(g.row(nu) for nu in nodes), v.values)
+        weights = [c.size * scale for c in g.classes]
+        want = [[e * g.order * scale for e in row] for row in mckay_adjacency(g, v)]
+        assert class_sums(columns, weights, range(1, 2), nodes, nodes) == [want], spec
 
 
 def test_galois_incomplete_table_is_a_consistency_failure():
