@@ -13,7 +13,6 @@ for three or more letters); see the README notes.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb, factorial
 
 from .combinatorics import (
@@ -73,49 +72,32 @@ def group_ring_walks(radii, steps, ks: range, c) -> list[int]:
 # Paley (di)graphs via quadratic Gauss sums
 # ---------------------------------------------------------------------------
 
-ZERO = "zero"
-RESIDUE = "residue"
-NONRESIDUE = "nonresidue"
+def _legendre_of_target(p: int, c: int) -> int:
+    """The Legendre symbol (c / p) of the target node c, for an odd prime p:
+    0 at the zero node, 1 on the residues and -1 on the nonresidues."""
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError("Paley parameter must be an odd prime")
+    return legendre_symbol(c, p)
 
 
-class PaleyTarget(namedtuple("PaleyTarget", "p kind")):
-    """A Paley target node: its prime and kind, zero | residue | nonresidue."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, kind: str):
-        if p % 2 == 0 or not is_prime(p):
-            raise ValueError("Paley parameter must be an odd prime")
-        if kind not in (ZERO, RESIDUE, NONRESIDUE):
-            raise ValueError(f"unknown target kind {kind!r}")
-        return super().__new__(cls, p, kind)
-
-
-def paley_target_of(p: int, c: int) -> PaleyTarget:
-    c %= p
-    if c == 0:
-        return PaleyTarget(p, ZERO)
-    return PaleyTarget(p, RESIDUE if legendre_symbol(c, p) == 1 else NONRESIDUE)
-
-
-def paley_closed_form(target: PaleyTarget, ks: range) -> list[int]:
-    """Exact k-step walk counts from 0 on the Paley (di)graph, for every k in
-    `ks`, evaluated from the split class sum in Z[zeta_p] through the
-    quadratic Gauss sum s.  The module character is (p-1)/2 at 0, (s - 1)/2
-    on the residues and -(s + 1)/2 on the nonresidues, so
-    p 2^(k+1) times the count is 2 (p-1)^k + c_u u^k + c_w w^k with
-    u = s - 1, w = -s - 1 and integral weights c_u, c_w set by the target's
-    kind; the two powers are carried from k to the next k."""
-    p = target.p
+def paley_closed_form(p: int, c: int, ks: range) -> list[int]:
+    """Exact k-step walk counts from 0 to c on the Paley (di)graph of the
+    prime p, for every k in `ks`, evaluated from the split class sum in
+    Z[zeta_p] through the quadratic Gauss sum s.  The module character is
+    (p-1)/2 at 0, (s - 1)/2 on the residues and -(s + 1)/2 on the
+    nonresidues, so p 2^(k+1) times the count is 2 (p-1)^k + c_u u^k + c_w w^k
+    with u = s - 1, w = -s - 1 and integral weights c_u, c_w set by the
+    Legendre symbol of c; the two powers are carried from k to the next k."""
+    symbol = _legendre_of_target(p, c)
     s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Z[zeta_p]
     roots = (s - 1, -s - 1)
-    if target.kind == ZERO:
+    if symbol == 0:
         weights = (p - 1, p - 1)
-    elif (target.kind == RESIDUE) == (p % 4 == 1):
+    elif (symbol == 1) == (p % 4 == 1):
         weights = roots
     else:
         weights = roots[::-1]
-    terms = [c * x ** ks.start for c, x in zip(weights, roots)]
+    terms = [w * x ** ks.start for w, x in zip(weights, roots)]
     steps = [x ** ks.step for x in roots]
     counts = []
     for k in ks:
@@ -125,8 +107,9 @@ def paley_closed_form(target: PaleyTarget, ks: range) -> list[int]:
     return counts
 
 
-def paley_printed_form(target: PaleyTarget, k: int) -> Fraction | None:
-    """The printed case formulas, transcribed as displayed (k >= 1).
+def paley_printed_form(p: int, c: int, k: int) -> Fraction | None:
+    """The printed case formulas for the walks from 0 to c, transcribed as
+    displayed (k >= 1).
 
     Kept only for the discrepancy report: for p = 3 (mod 4) the residue case
     uses (-1)^k where the derivation forces (-1)^(k+1), the p = 1 (mod 4)
@@ -136,19 +119,19 @@ def paley_printed_form(target: PaleyTarget, k: int) -> Fraction | None:
     when it is irrational, which is exactly the point."""
     from fractions import Fraction
 
-    p = target.p
+    symbol = _legendre_of_target(p, c)
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
     s = gauss_sum(p)
     pm1 = p - 1
     scale = Fraction(1, 2 ** (k + 1) * p)
-    if target.kind == RESIDUE:
+    if symbol == 1:
         if p % 4 == 1:
             total = 2 * pm1**k + (s - 1) ** (k + 1) + (-1) ** (k + 1) * (s + 1) ** (k + 1)
         else:
             total = (2 * pm1**k + (p + 1) * (s - 1) ** (k - 1)
                      + (-1) ** k * (p + 1) * (s + 1) ** (k - 1))
-    elif target.kind == NONRESIDUE:
+    elif symbol == -1:
         if p % 4 == 1:
             total = 2 * pm1 ** (k - 1) + (s - 1) ** (k - 1) + (-1) ** k * (s + 1) ** (k - 1)
             scale *= p - 1

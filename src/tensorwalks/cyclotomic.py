@@ -60,21 +60,30 @@ def reduce_mod_phi(coeffs: list, n: int) -> tuple:
 
 
 class CycNum:
-    """An element of Z[zeta_N], canonical modulo Phi_N.  Immutable."""
+    """An element of Z[zeta_N], canonical modulo Phi_N.  Immutable.
+
+    Coefficients are ints; any other coefficient type, bool among them,
+    raises TypeError."""
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs, reduce: bool = True):
+    def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be positive")
+        coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise TypeError("cyclotomic coefficients must be ints")
         object.__setattr__(self, "conductor", conductor)
-        if reduce:
-            coeffs = reduce_mod_phi(list(coeffs), conductor)
-        else:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != euler_phi(conductor):
-                raise ValueError("unreduced coefficients must fill the power basis")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", reduce_mod_phi(coeffs, conductor))
+
+    @classmethod
+    def _of(cls, conductor: int, coeffs: tuple) -> "CycNum":
+        """The value with the reduced int tuple `coeffs`, which the caller, a
+        method of this class, built itself: no check and no reduction."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "conductor", conductor)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
 
     def __setattr__(self, *args):
         raise AttributeError("CycNum is immutable")
@@ -83,13 +92,13 @@ class CycNum:
 
     @staticmethod
     def from_int(value: int) -> "CycNum":
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise TypeError(f"a CycNum scalar is an int, not {type(value).__name__}")
-        return CycNum(1, (value,), reduce=False)
+        return CycNum._of(1, (value,))
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycNum":
-        return CycNum(conductor, [0] * euler_phi(conductor), reduce=False)
+        return CycNum(conductor, ())
 
     # -- conductor handling ---------------------------------------------------
 
@@ -105,12 +114,12 @@ class CycNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 raw[i * step] = c
-        return CycNum(m, raw)
+        return CycNum._of(m, reduce_mod_phi(raw, m))
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return CycNum.from_int(other)
         return None
 
@@ -125,12 +134,12 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b, n = self._common(other)
-        return CycNum(n, tuple(map(add, a.coeffs, b.coeffs)), reduce=False)
+        return CycNum._of(n, tuple(map(add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(-c for c in self.coeffs), reduce=False)
+        return CycNum._of(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -150,10 +159,10 @@ class CycNum:
             return NotImplemented
         if other.conductor == 1:  # scalar fast path
             s = other.coeffs[0]
-            return CycNum(self.conductor, tuple(c * s for c in self.coeffs), reduce=False)
+            return CycNum._of(self.conductor, tuple(c * s for c in self.coeffs))
         if self.conductor == 1:
             s = self.coeffs[0]
-            return CycNum(other.conductor, tuple(c * s for c in other.coeffs), reduce=False)
+            return CycNum._of(other.conductor, tuple(c * s for c in other.coeffs))
         a, b, n = self._common(other)
         la, lb = a.coeffs, b.coeffs
         raw = [0] * (len(la) + len(lb) - 1)
@@ -162,7 +171,7 @@ class CycNum:
                 for j, y in enumerate(lb):
                     if y:
                         raw[i + j] += x * y
-        return CycNum(n, raw)
+        return CycNum._of(n, reduce_mod_phi(raw, n))
 
     __rmul__ = __mul__
 
@@ -189,7 +198,7 @@ class CycNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 raw[(i * a) % n] += c
-        return CycNum(n, raw)
+        return CycNum._of(n, reduce_mod_phi(raw, n))
 
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta_N -> zeta_N^(-1)."""
@@ -290,12 +299,13 @@ class CertifiedSums:
     of nonzero summed weight once, as a tuple of indices into `coeffs`, with
     that weight at the same place in `weights`.
 
-    Certificate: every value must have integer coefficients, and for each a
-    in a generating set of (Z/N)^x, sigma_a: zeta_N -> zeta_N^a must map the
-    weighted multiset of columns onto itself; otherwise ConsistencyError.  A
-    weighted sum over the columns of one integer polynomial in a column's
-    entries and their complex conjugates is then fixed by every sigma_a, so
-    it lies in Z[zeta_N] and in Q, hence in Z.
+    Certificate: every value has int coefficients, which CycNum holds by
+    type, and for each a in a generating set of (Z/N)^x, sigma_a: zeta_N ->
+    zeta_N^a must map the weighted multiset of columns onto itself;
+    otherwise ConsistencyError.  A weighted sum over the columns of one
+    integer polynomial in a column's entries and their complex conjugates is
+    then fixed by every sigma_a, so it lies in Z[zeta_N] and in Q, hence in
+    Z.
 
     The images sigma_a(x) are compared through a ring map h (see
     `ring_map`) with 2^B - 1 > 2 max |x|_1: a nonzero z = sigma_a(x) - y has
@@ -316,12 +326,6 @@ class CertifiedSums:
             c = (x,) + zeros if isinstance(x, int) else x.embed(n).coeffs
             j = index.get(c)
             if j is None:
-                if any(type(a) is not int for a in c):
-                    i, mu = next((i, mu) for mu, col in enumerate(columns)
-                                 for i, y in enumerate(col) if y is x)
-                    raise ConsistencyError(
-                        f"non-integer coefficient in {x.to_text()} at ({i},{mu}); "
-                        "bad table data")
                 j = index[c] = len(coeffs)
                 coeffs.append(c)
             at[key] = j

@@ -2,7 +2,8 @@
 
 Two tiers: "full" groups carry a character table, each row built when first
 read; "invariant" groups carry only class sizes and the module character,
-which is all the invariant-dimension formulas consume.  Values are CycNum.
+which is all the invariant-dimension formulas consume, and are one-row
+tables: the trivial row, all ones.  Values are CycNum.
 """
 
 from __future__ import annotations
@@ -22,40 +23,48 @@ from .combinatorics import (
     z_multipartition,
 )
 from .cyclotomic import CycNum, root_of_unity
-from .errors import SpecError
+from .errors import SpecError, UnsupportedQueryError
 from .numbertheory import euler_phi, is_prime, prime_power_base, quadratic_residues
 
 FULL = "full"
 INVARIANT = "invariant"
 
 
-# one class of a group; `family` tags the table row when one row expands
-# into many classes
-ClassInfo = namedtuple("ClassInfo", "label size family", defaults=(None,))
+ClassInfo = namedtuple("ClassInfo", "label size")
 IrrepInfo = namedtuple("IrrepInfo", "label dim")
 
 
 class GroupData:
     """Classes, conductor (all character values live in Q(zeta_conductor))
-    and, on the full tier, irreps and `row`: irrep index -> the tuple of that
-    irrep's values over the classes, built on first use and cached per group.
+    and `row`: irrep index -> the tuple of that irrep's values over the
+    classes, built on first use and cached per group.  A full-tier group is
+    given its irreps and their row builder.  An invariant-tier group is
+    given neither and is a one-row table: node 0, the trivial irrep, has the
+    all-ones row, and any other node raises UnsupportedQueryError.
     Immutable; equal only to itself."""
 
-    __slots__ = ("name", "order", "tier", "classes", "conductor", "irreps", "row")
+    __slots__ = ("name", "order", "classes", "conductor", "irreps", "row")
 
-    def __init__(self, name: str, order: int, tier: str, classes: tuple[ClassInfo, ...],
-                 conductor: int, irreps: tuple[IrrepInfo, ...] | None = None,
+    def __init__(self, name: str, order: int, classes: tuple[ClassInfo, ...], conductor: int,
+                 irreps: tuple[IrrepInfo, ...] | None = None,
                  row: Callable[[int], tuple[CycNum, ...]] | None = None):
+        if (irreps is None) != (row is None):
+            raise TypeError("a group's irreps and its row builder are given together")
+        if row is None:
+            row = _trivial_row(name, len(classes))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "tier", tier)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "irreps", irreps)
-        object.__setattr__(self, "row", None if row is None else lru_cache(maxsize=None)(row))
+        object.__setattr__(self, "row", lru_cache(maxsize=None)(row))
 
     def __setattr__(self, *args):
         raise AttributeError("GroupData is immutable")
+
+    @property
+    def tier(self) -> str:
+        return INVARIANT if self.irreps is None else FULL
 
     @property
     def n_classes(self) -> int:
@@ -65,8 +74,6 @@ class GroupData:
         return [c.size for c in self.classes]
 
     def chi(self, irrep: int, cls: int) -> CycNum:
-        if self.row is None:
-            raise ValueError("no character table on an invariant-tier group")
         return self.row(irrep)[cls]
 
     def irrep_index(self, label: str) -> int:
@@ -78,6 +85,17 @@ class GroupData:
             if "".join(info.label.split()) == key:
                 return i
         raise KeyError(label)
+
+
+def _trivial_row(name: str, n_classes: int) -> Callable[[int], tuple[CycNum, ...]]:
+    """The row builder of an invariant-tier group with `n_classes` classes."""
+    def row(nu: int) -> tuple[CycNum, ...]:
+        if nu:
+            raise UnsupportedQueryError(
+                f"group {name} carries invariant-only data: only node 0, "
+                "the trivial irrep, has a character row")
+        return (CycNum.from_int(1),) * n_classes
+    return row
 
 
 class ModuleChar:
@@ -139,7 +157,7 @@ def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
 
     classes = tuple(ClassInfo(label(e), 1) for e in elements)
     irreps = tuple(IrrepInfo(label(e), 1) for e in elements)
-    return GroupData(name, order, FULL, classes, conductor, irreps, row)
+    return GroupData(name, order, classes, conductor, irreps, row)
 
 
 def build_cyclic(r: int) -> GroupData:
@@ -267,7 +285,7 @@ def build_symmetric(n: int) -> GroupData:
     def row(i):
         return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
 
-    return GroupData(f"S{n}", order, FULL, classes, 1, irreps, row)
+    return GroupData(f"S{n}", order, classes, 1, irreps, row)
 
 
 def permutation_module(n: int) -> ModuleChar:
@@ -302,7 +320,7 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
         ClassInfo(str(alpha), order // z_multipartition(alpha, r))
         for alpha in _wreath_classes(r, n)
     )
-    return GroupData(f"Z{r}wrS{n}", order, INVARIANT, classes, r)
+    return GroupData(f"Z{r}wrS{n}", order, classes, r)
 
 
 def monomial_module(r: int, n: int) -> ModuleChar:
@@ -360,10 +378,10 @@ def _expand_rows(name: str, order: int, rows: list[_Row]) -> tuple[GroupData, tu
     chi_st = []
     for row in rows:
         for i in range(1, row.count + 1):
-            classes.append(ClassInfo(f"{row.family}({i})", row.size, family=row.family))
+            classes.append(ClassInfo(f"{row.family}({i})", row.size))
             chi_v.append(CycNum.from_int(row.chi_v))
             chi_st.append(CycNum.from_int(row.chi_st))
-    g = GroupData(name, order, INVARIANT, tuple(classes), 1)
+    g = GroupData(name, order, tuple(classes), 1)
     return g, tuple(chi_v), tuple(chi_st)
 
 

@@ -131,7 +131,7 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
 
-    def to_text(self, var: str = "t") -> str:
+    def to_text(self) -> str:
         """Human form like "1 - 3t + 2t^3"."""
         if self.is_zero():
             return "0"
@@ -145,7 +145,7 @@ class Polynomial:
                 term = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                term = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+                term = f"{head}t" if i == 1 else f"{head}t^{i}"
             parts.append((sign, term))
         first_sign, first_term = parts[0]
         text = ("-" if first_sign == "-" else "") + first_term

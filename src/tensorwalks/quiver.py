@@ -8,7 +8,7 @@ from math import lcm
 
 from .cyclotomic import CycNum, class_sums
 from .errors import UnsupportedQueryError, exact_count
-from .groups import FULL, GroupData, ModuleChar
+from .groups import GroupData, ModuleChar
 from .numbertheory import euler_phi
 
 
@@ -75,13 +75,6 @@ def power_rows(a, frm: int, ks: range) -> list[list[int]]:
     return [kept[k] for k in ks]
 
 
-def _require_full(g: GroupData, what: str):
-    if g.tier != FULL:
-        raise UnsupportedQueryError(
-            f"{what} needs a full character table; group {g.name} carries "
-            "invariant-only data (only the 0 -> 0 walk count is available)")
-
-
 def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list[list[list[int]]]:
     """For each k in `ks`, the matrix over nu in `left` and lam in `right` of
     (1/|G|) sum_c |c| chi_V(c)^k chi_nu(c) conj(chi_lam(c)), each entry
@@ -89,20 +82,12 @@ def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list
 
     The kernel `class_sums` reads one column (chi_nu(c) for the irreps asked
     for, in index order, then chi_V(c)) per class, weighted by the class
-    size; on the adjacency's all-irrep columns a bad value is named by its
-    (irrep, class).  Invariant-tier groups carry no rows: only nu = lam = 0,
-    where both characters are 1."""
+    size.  On an invariant-tier group only node 0 has a row, so any other
+    node raises UnsupportedQueryError there."""
     if min(ks, default=0) < 0:
         raise ValueError("step count must be nonnegative")
     nodes = sorted({*left, *right})
-    if g.tier == FULL:
-        rows = [g.row(nu) for nu in nodes]
-    elif nodes == [0]:
-        rows = [(1,) * g.n_classes]
-    else:
-        raise UnsupportedQueryError(
-            f"group {g.name} carries invariant-only data; only the "
-            "trivial-to-trivial walk count and Poincare series are defined")
+    rows = [g.row(nu) for nu in nodes]
     at = {nu: i for i, nu in enumerate(nodes)}
     sums = class_sums(zip(*rows, v.values), g.class_sizes(), ks,
                       [at[nu] for nu in left], [at[lam] for lam in right])
@@ -113,14 +98,12 @@ def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list
 def mckay_adjacency(g: GroupData, v: ModuleChar) -> list[list[int]]:
     """Adjacency rows: a[nu][lam] = multiplicity of irrep lam in (irrep nu)
     tensor V, the character sum at k = 1."""
-    _require_full(g, "mckay_adjacency")
     nodes = range(g.n_classes)
     return _character_sums(g, v, range(1, 2), nodes, nodes)[0]
 
 
 def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
     """All (from, to) k-step walk counts at once, by character sums."""
-    _require_full(g, "character_walk_counts")
     nodes = range(g.n_classes)
     return _character_sums(g, v, range(k, k + 1), nodes, nodes)[0]
 
@@ -156,11 +139,11 @@ BratteliDiagram = namedtuple("BratteliDiagram", "levels edges algebra_dims")
 def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
     """Build the diagram from the level recurrence m_k = m_{k-1} * A: level k
     is row 0 of A^k, and each level's edges are the nonzero a[nu][lam] out of
-    its nodes nu."""
-    _require_full(g, "bratteli")
+    its nodes nu.  The matrix comes first, so a group without one is
+    refused before the level count is read."""
+    a = mckay_adjacency(g, v)
     if levels < 0:
         raise ValueError("level count must be nonnegative")
-    a = mckay_adjacency(g, v)
     rows = power_rows(a, 0, range(levels + 1))
     out_levels = tuple(tuple((i, m) for i, m in enumerate(row) if m) for row in rows)
     edges = tuple(tuple((nu, lam, x) for nu, _ in level for lam, x in enumerate(a[nu]) if x)
@@ -173,7 +156,6 @@ def eigen_check(g: GroupData, v: ModuleChar, a):
     all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu)).
     The left side's terms are added unreduced in the power basis of the
     column's field, then reduced once."""
-    _require_full(g, "eigen_check")
     n = g.n_classes
     columns = []
     for mu in range(n):

@@ -30,8 +30,7 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[s
         diff = tuple((c - a) % r for a, c, r in zip(elements[frm], elements[to], radii))
         out.append(("closed:multinomial", cf.group_ring_walks(radii, params["steps"], ks, diff)))
         if kind == "paley":
-            target = cf.paley_target_of(params["p"], to - frm)
-            out.append(("closed:gauss-sum", cf.paley_closed_form(target, ks)))
+            out.append(("closed:gauss-sum", cf.paley_closed_form(params["p"], to - frm, ks)))
     elif kind == "symmetric" and frm == 0:
         lam = partitions_of(params["n"])[to]
         out.append(("closed:stirling-kostka", [cf.sn_irrep_dim_formula(params["n"], k, lam) for k in ks]))

@@ -72,26 +72,25 @@ class RatFunc:
         return f"RatFunc({self.to_text()})"
 
 
-def _identity_minus_t(rows, transpose: bool) -> list[list[tuple[int, int]]]:
-    """I - tA (or I - tA^T) as int coefficient pairs, the kernel's input."""
-    if transpose:
-        rows = zip(*rows)
-    return [[(1 if i == j else 0, -entry) for j, entry in enumerate(row)]
-            for i, row in enumerate(rows)]
+def _identity_minus_t(rows) -> list[list[tuple[int, int]]]:
+    """I - tA^T as int coefficient pairs, the kernel's input; its
+    determinant is det(I - tA)."""
+    return [[(1 if i == j else 0, -entry) for j, entry in enumerate(col)]
+            for i, col in enumerate(zip(*rows))]
 
 
 def walk_generating_function(a, source: int, target: int) -> RatFunc:
     """Ordinary generating function of (A^k)[source][target] for any digraph:
     det of (I - t A^T) with column `target` replaced by the source indicator,
-    over det(I - t A)."""
+    over det(I - t A^T) = det(I - t A)."""
     n = len(a)
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("node index out of range")
-    m = _identity_minus_t(a, transpose=True)
+    m = _identity_minus_t(a)
     for i in range(n):
         m[i][target] = (1,) if i == source else ()
     num = poly_det(m)
-    den = poly_det(_identity_minus_t(a, transpose=False))
+    den = poly_det(_identity_minus_t(a))
     return RatFunc(num, den)
 
 
@@ -103,13 +102,13 @@ def cramer_numerators(a, source: int = 0) -> tuple[Polynomial, list[Polynomial]]
     if not 0 <= source < n:
         raise ValueError("node index out of range")
     rhs = [1 if i == source else 0 for i in range(n)]
-    return poly_solve(_identity_minus_t(a, transpose=True), rhs)
+    return poly_solve(_identity_minus_t(a), rhs)
 
 
-def poincare_cramer(a, lam: int, source: int = 0) -> RatFunc:
-    """Poincare series of walk counts from `source` (default the trivial
-    node) to `lam`, by the literal Cramer-determinant construction."""
-    return walk_generating_function(a, source, lam)
+def poincare_cramer(a, lam: int) -> RatFunc:
+    """Poincare series of walk counts from the trivial node to `lam`, by the
+    literal Cramer-determinant construction."""
+    return walk_generating_function(a, 0, lam)
 
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
@@ -154,7 +153,7 @@ def det_factorization_check(g: GroupData, v: ModuleChar, a) -> bool:
     over all classes, built from the power sums of the class values."""
     if g.tier != FULL:
         raise UnsupportedQueryError("det factorization needs a full table")
-    det = poly_det(_identity_minus_t(a, transpose=False))
+    det = poly_det(_identity_minus_t(a))
     return det == _linear_factor_product(list(v.values))
 
 

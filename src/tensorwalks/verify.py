@@ -22,6 +22,7 @@ from .diagrams import (
 from .errors import ConsistencyError, exact_count
 from .groups import (
     GroupData,
+    ModuleChar,
     abelian_elements,
     coordinate_module,
     monomial_module,
@@ -40,7 +41,6 @@ from .quiver import (
     power_rows,
     walk_counts_character,
 )
-from .registry import builtin_modules
 from .routes import ROUTES, walk_routes
 from .polynomials import Polynomial
 from .series import (
@@ -219,13 +219,13 @@ def suite_paley() -> list[CheckResult]:
         for c in targets:
             rows = zip(ks, cf.group_ring_walks((p,), steps, ks, (c,)),
                        cf.paley_bruteforce(p, ks, c),
-                       cf.paley_closed_form(cf.paley_target_of(p, c), ks))
+                       cf.paley_closed_form(p, c, ks))
             for k, multi, brute, closed in rows:
                 if not (brute == closed == multi):
                     ok = False
                     detail = f"p={p} k={k} c={c}: brute {brute}, closed {closed}, multinomial {multi}"
     s.check("derived closed form == multinomial sum == adjacency powers", ok, detail)
-    printed = cf.paley_printed_form(cf.paley_target_of(7, 1), 1)
+    printed = cf.paley_printed_form(7, 1, 1)
     true_count = cf.paley_bruteforce(7, range(1, 2), 1)[0]
     differs = printed != true_count
     s.check("discrepancy report: displayed residue case fails at p=7, k=1",
@@ -310,7 +310,23 @@ def suite_gl2sl2() -> list[CheckResult]:
     return s.results
 
 
-# -- 8. generic engines over the built-in registry ----------------------------
+# -- 8. generic engines over the built-in modules -----------------------------
+
+# (check label, spec) of each module the generic suite sweeps: full tables of
+# order at most 200, with quivers small enough for exact polynomial
+# determinants at desk scale
+BUILTIN_SPECS = (
+    *((f"Z{r} cycle", f"Z{r}") for r in (2, 3, 4, 5, 6, 10, 12)),
+    *((f"{s} coordinate", s) for s in ("Z4xZ2", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ3")),
+    *((f"S{n} permutation", f"S{n}") for n in (2, 3, 4, 5)),
+    *((f"Paley {p}", f"paley({p})") for p in (5, 7, 13)),
+)
+
+
+def builtin_modules() -> list[tuple[str, GroupData, ModuleChar]]:
+    """(check label, group, module) for each of `BUILTIN_SPECS`."""
+    modules = [(name, parse_spec_full(spec).module) for name, spec in BUILTIN_SPECS]
+    return [(name, mod.group, mod) for name, mod in modules]
 
 
 def suite_generic() -> list[CheckResult]:

@@ -40,7 +40,6 @@ def validate_group(g: GroupData) -> None:
     assert sum(g.class_sizes()) == g.order, "class sizes must sum to the order"
     assert g.classes[0].size == 1, "identity class must come first with size 1"
     if g.tier == FULL:
-        assert g.irreps is not None and g.row is not None
         assert len(g.irreps) == g.n_classes, "need as many irreps as classes"
         assert sum(i.dim**2 for i in g.irreps) == g.order, "sum of squared dims"
         assert all(v == 1 for v in g.row(0)), "irrep 0 must be the trivial character"

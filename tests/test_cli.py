@@ -198,11 +198,11 @@ def test_character_rows_are_built_on_first_use(capsys, monkeypatch):
     built = []
     real_init = GroupData.__init__
 
-    def recording_init(self, name, order, tier, classes, conductor, irreps=None, row=None):
+    def recording_init(self, name, order, classes, conductor, irreps=None, row=None):
         def recorded(i):
             built.append(i)
             return row(i)
-        real_init(self, name, order, tier, classes, conductor, irreps, row and recorded)
+        real_init(self, name, order, classes, conductor, irreps, row and recorded)
 
     monkeypatch.setattr(GroupData, "__init__", recording_init)
 
@@ -535,6 +535,29 @@ def test_exit_code_parse_error(capsys):
     assert code == 2 and "offset" in err
 
 
+def test_invariant_tier_refusals_print_one_message(capsys):
+    # an invariant-tier group is a one-row table: every query that reads a
+    # row other than node 0's exits 3 with the group's one message
+    from tensorwalks.errors import UnsupportedQueryError
+    from tensorwalks.groups import parse_spec_full
+    from tensorwalks.quiver import character_walk_counts, eigen_check
+
+    for spec in ("GL2(3)", "Z2wrS2"):
+        message = (f"unsupported: group {spec} carries invariant-only data: only node 0, "
+                   "the trivial irrep, has a character row\n")
+        for argv in (["dims", "--group", spec, "--k", "2"], ["quiver", "--group", spec],
+                     ["bratteli", "--group", spec, "--levels", "2"],
+                     ["bratteli", "--group", spec, "--levels", "-1"],
+                     ["poincare", "--group", spec, "--method", "cramer"],
+                     ["poincare", "--group", spec, "--lambda", "1"]):
+            assert run(capsys, *argv) == (3, "", message), argv
+        g, v = parse_spec_full(spec).group, parse_spec_full(spec).module
+        with pytest.raises(UnsupportedQueryError, match="only node 0"):
+            eigen_check(g, v, [[0] * g.n_classes for _ in range(g.n_classes)])
+        with pytest.raises(UnsupportedQueryError, match="only node 0"):
+            character_walk_counts(g, v, 2)
+
+
 def test_exit_code_unsupported(capsys):
     code, _, err = run(capsys, "dims", "--group", "Z2wrS2", "--k", "2")
     assert code == 3
@@ -749,7 +772,7 @@ def test_process_entry_fails_on_a_full_device_or_closed_pipe_as_a_plain_exit_doe
 
 # imported by no well-formed walks, invariants, dims, poincare or egf query
 NOT_LOADED = {"argparse", "gettext", "locale", "json", "fractions", "decimal",
-              "tensorwalks.verify", "tensorwalks.diagrams", "tensorwalks.registry"}
+              "tensorwalks.verify", "tensorwalks.diagrams"}
 
 
 def test_a_query_imports_only_the_modules_of_its_verb(tmp_path):

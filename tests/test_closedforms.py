@@ -12,7 +12,7 @@ from tensorwalks.groups import (
     monomial_module,
     permutation_module,
 )
-from tensorwalks.numbertheory import is_prime, quadratic_residues
+from tensorwalks.numbertheory import is_prime, legendre_symbol, quadratic_residues
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import character_walk_counts, walk_count_character
 from tensorwalks.series import RatFunc
@@ -74,29 +74,23 @@ def test_circulant_walks():
 
 
 def test_paley_targets():
-    assert cf.paley_target_of(13, 0).kind == cf.ZERO
-    assert cf.paley_target_of(13, 3).kind == cf.RESIDUE
-    assert cf.paley_target_of(13, 2).kind == cf.NONRESIDUE
-    with pytest.raises(ValueError):
-        cf.PaleyTarget(9, cf.ZERO)
-    with pytest.raises(ValueError):
-        cf.PaleyTarget(13, "edge")
-    with pytest.raises(ValueError):
-        cf.PaleyTarget(p=9, kind=cf.ZERO)
-    target = cf.paley_target_of(13, 3)
-    assert target == cf.PaleyTarget(13, cf.RESIDUE) == cf.PaleyTarget(p=13, kind=cf.RESIDUE)
-    assert hash(target) == hash(cf.PaleyTarget(13, cf.RESIDUE))
-    assert target != cf.PaleyTarget(13, cf.NONRESIDUE)
-    with pytest.raises(AttributeError):
-        target.kind = cf.ZERO
+    # a target is read mod p, and its Legendre symbol picks the case
+    assert cf.paley_closed_form(13, 16, range(4)) == cf.paley_closed_form(13, 3, range(4))
+    assert cf.paley_closed_form(13, -1, range(4)) == cf.paley_bruteforce(13, range(4), 12)
+    assert cf.paley_printed_form(7, 8, 1) == cf.paley_printed_form(7, 1, 1)
+    for p in (0, 1, 2, 9, 15):
+        with pytest.raises(ValueError, match="odd prime"):
+            cf.paley_closed_form(p, 1, range(3))
+        with pytest.raises(ValueError, match="odd prime"):
+            cf.paley_printed_form(p, 1, 1)
 
 
 def test_paley_closed_form_examples():
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(2, 3)) == [2]
-    assert cf.paley_closed_form(cf.PaleyTarget(7, cf.NONRESIDUE), range(2, 3)) == [2]
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.ZERO), range(3)) == [1, 0, 6]
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(0, 3, 2)) == [0, 2]
-    assert cf.paley_closed_form(cf.PaleyTarget(13, cf.RESIDUE), range(0)) == []
+    assert cf.paley_closed_form(13, 3, range(2, 3)) == [2]
+    assert cf.paley_closed_form(7, 3, range(2, 3)) == [2]
+    assert cf.paley_closed_form(13, 0, range(3)) == [1, 0, 6]
+    assert cf.paley_closed_form(13, 3, range(0, 3, 2)) == [0, 2]
+    assert cf.paley_closed_form(13, 3, range(0)) == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -104,28 +98,27 @@ def test_paley_three_routes_agree(p):
     conn = [(s,) for s in quadratic_residues(p)]
     ks = range(9)
     for c in range(p):
-        target = cf.paley_target_of(p, c)
         brute = cf.paley_bruteforce(p, ks, c)
         assert len(brute) == len(ks)
-        assert cf.paley_closed_form(target, ks) == brute, (p, c)
+        assert cf.paley_closed_form(p, c, ks) == brute, (p, c)
         assert cf.group_ring_walks((p,), conn, ks, (c,)) == brute, (p, c)
         # a sub-range, strided or not, starts its powers at its own start
         for sub in (range(4, 5), range(3, 9, 2)):
             want = brute[sub.start:sub.stop:sub.step]
-            assert cf.paley_closed_form(target, sub) == want == cf.paley_bruteforce(p, sub, c)
+            assert cf.paley_closed_form(p, c, sub) == want == cf.paley_bruteforce(p, sub, c)
 
 
 def test_paley_printed_form_discrepancies():
     # residue case, p = 3 mod 4: printed sign fails at p=7, k=1
-    printed = cf.paley_printed_form(cf.PaleyTarget(7, cf.RESIDUE), 1)
+    printed = cf.paley_printed_form(7, 1, 1)
     assert printed == Fraction(3, 7)
     assert cf.paley_bruteforce(7, range(1, 2), 1) == [1]
     # nonresidue case, p = 1 mod 4: middle sign flips at p=13, k=1
-    printed = cf.paley_printed_form(cf.PaleyTarget(13, cf.NONRESIDUE), 1)
+    printed = cf.paley_printed_form(13, 2, 1)
     assert isinstance(printed, Fraction) and printed != 0
     assert cf.paley_bruteforce(13, range(1, 2), 2) == [0]
     # nonresidue case, p = 3 mod 4: repeated factor collapses the terms at k=2
-    printed = cf.paley_printed_form(cf.PaleyTarget(7, cf.NONRESIDUE), 2)
+    printed = cf.paley_printed_form(7, 3, 2)
     assert printed != 2 and cf.paley_bruteforce(7, range(2, 3), 3) == [2]
 
 
@@ -137,11 +130,11 @@ def test_paley_printed_forms_fail_exactly_in_the_three_misprinted_cases(p):
     residues = set(quadratic_residues(p))
     nonresidue = min(c for c in range(1, p) if c not in residues)
     ks = range(1, 9)
-    for kind, c in ((cf.ZERO, 0), (cf.RESIDUE, 1), (cf.NONRESIDUE, nonresidue)):
-        assert cf.paley_target_of(p, c).kind == kind
-        correct = kind == cf.ZERO or (kind == cf.RESIDUE and p % 4 == 1)
+    for symbol, c in ((0, 0), (1, 1), (-1, nonresidue)):
+        assert legendre_symbol(c, p) == symbol
+        correct = symbol == 0 or (symbol == 1 and p % 4 == 1)
         for k, brute in zip(ks, cf.paley_bruteforce(p, ks, c)):
-            assert (cf.paley_printed_form(cf.PaleyTarget(p, kind), k) == brute) == correct, (kind, k)
+            assert (cf.paley_printed_form(p, c, k) == brute) == correct, (symbol, k)
 
 
 def test_sn_formula_examples():

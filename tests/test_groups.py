@@ -25,7 +25,7 @@ from tensorwalks.groups import (
     permutation_module,
     standard_module_cyclic,
 )
-from tensorwalks.registry import builtin_modules
+from tensorwalks.verify import builtin_modules
 
 from oracles import validate_group
 
@@ -178,13 +178,13 @@ def test_orthogonality_rejects_corrupted_tables():
     z6 = build_cyclic(6)
     row = z6.row(1)
     # zeta^2 replaced by its conjugate at one class of one row
-    bad_value = GroupData(z6.name, z6.order, z6.tier, z6.classes, z6.conductor, z6.irreps,
+    bad_value = GroupData(z6.name, z6.order, z6.classes, z6.conductor, z6.irreps,
                           lambda i: row[:2] + (row[2].conj(),) + row[3:] if i == 1 else z6.row(i))
     assert not _orthogonality_ok(bad_value)
     s4 = build_symmetric(4)
     classes = list(s4.classes)
     classes[1], classes[2] = classes[1]._replace(size=3), classes[2]._replace(size=6)
-    bad_sizes = GroupData(s4.name, s4.order, s4.tier, tuple(classes), s4.conductor, s4.irreps,
+    bad_sizes = GroupData(s4.name, s4.order, tuple(classes), s4.conductor, s4.irreps,
                           s4.row)
     assert not _orthogonality_ok(bad_sizes)
 
@@ -199,6 +199,31 @@ def test_wreath_group():
     assert v.self_dual  # entries are signs
     v1 = monomial_module(2, 1)
     assert sorted(x.as_integer() for x in v1.values) == [-1, 1]
+
+
+def test_tier_is_whether_irreps_are_given():
+    from tensorwalks.cyclotomic import CycNum
+    from tensorwalks.errors import UnsupportedQueryError
+    from tensorwalks.groups import ClassInfo, IrrepInfo
+
+    classes = (ClassInfo("e", 1), ClassInfo("g", 1))
+    g = GroupData("G", 2, classes, 1)
+    assert g.tier == INVARIANT and g.irreps is None
+    # a one-row table: node 0 is all ones, and it is built once
+    assert g.row(0) == (CycNum.from_int(1),) * 2 and g.row(0) is g.row(0)
+    assert g.chi(0, 1) == 1
+    with pytest.raises(UnsupportedQueryError, match="group G carries invariant-only data"):
+        g.row(1)
+    with pytest.raises(UnsupportedQueryError):
+        g.chi(1, 0)
+    sign = (IrrepInfo("1", 1), IrrepInfo("s", 1))
+    h = GroupData("Z2", 2, classes, 1, sign, lambda i: tuple(CycNum.from_int(1 - 2 * i * c)
+                                                              for c in (0, 1)))
+    assert h.tier == FULL and h.chi(1, 1) == -1
+    with pytest.raises(TypeError):
+        GroupData("G", 2, classes, 1, sign)
+    with pytest.raises(TypeError):
+        GroupData("G", 2, classes, 1, row=h.row)
 
 
 def test_wreath_identity_value_is_n():
@@ -219,7 +244,7 @@ def test_gl2_class_accounting():
     assert g.order == 48
     by_family = {}
     for c in g.classes:
-        by_family.setdefault(c.family, []).append(c.size)
+        by_family.setdefault(c.label.split("(")[0], []).append(c.size)
     assert len(by_family["a"]) == 2 and by_family["a"] == [1, 1]
     assert len(by_family["b"]) == 2 and set(by_family["b"]) == {8}
     assert len(by_family["c"]) == 1 and by_family["c"] == [12]

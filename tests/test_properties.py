@@ -39,8 +39,7 @@ from tensorwalks.quiver import (
     walk_count_character,
     walk_counts_character,
 )
-from tensorwalks.registry import builtin_modules
-from tensorwalks.verify import _orthogonality_ok
+from tensorwalks.verify import _orthogonality_ok, builtin_modules
 from tensorwalks.series import (
     RatFunc,
     cramer_numerators,
@@ -157,8 +156,7 @@ def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
     c = data.draw(st.integers(0, p - 1))
     steps = [(s,) for s in quadratic_residues(p)]
     ks = range(k, k + data.draw(st.integers(1, 4)))
-    assert (cf.paley_closed_form(cf.paley_target_of(p, c), ks)
-            == cf.group_ring_walks((p,), steps, ks, (c,)))
+    assert cf.paley_closed_form(p, c, ks) == cf.group_ring_walks((p,), steps, ks, (c,))
 
 
 @settings(max_examples=40, deadline=None)

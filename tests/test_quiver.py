@@ -23,7 +23,7 @@ from tensorwalks.quiver import (
     power_rows,
     walk_count_character,
 )
-from tensorwalks.registry import builtin_fulltable_pairs, builtin_modules
+from tensorwalks.verify import builtin_modules
 
 
 def s4_setup():
@@ -219,7 +219,7 @@ def test_bad_table_is_a_loud_diagnostic():
     from tensorwalks.groups import GroupData, ModuleChar
 
     g = build_cyclic(3)
-    bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
+    bad = GroupData(g.name, g.order, g.classes, g.conductor,
                     g.irreps, corrupted_row(g, 1, 1, lambda x: x + 1))
     v = standard_module_cyclic(3)
     bad_v = ModuleChar(bad, v.values)
@@ -280,7 +280,7 @@ def literal_sums(mod, k):
 
 
 def test_packed_adjacency_equals_literal_character_sums():
-    mods = [mod for _, mod in builtin_fulltable_pairs()]
+    mods = [mod for _, _, mod in builtin_modules()]
     mods += [parse_spec_full(s).module for s in ("S6", "Z12", "paley(13)", "hypercube(4)")]
     for mod in mods:
         a = mckay_adjacency(mod.group, mod)
@@ -297,17 +297,18 @@ def test_packed_walk_counts_with_wide_digits():
 
 
 def test_fraction_coefficient_is_bad_table_data():
+    # a value with a Fraction coefficient cannot be built, so a row that
+    # tries fails where it is read, before the kernel sees it
     from fractions import Fraction
 
     from tensorwalks.cyclotomic import CycNum
     from tensorwalks.groups import GroupData, ModuleChar
 
     g = build_cyclic(3)
-    half = CycNum(1, (Fraction(1, 2),), reduce=False)
-    bad = GroupData(g.name, g.order, g.tier, g.classes, g.conductor,
-                    g.irreps, corrupted_row(g, 2, 1, lambda x: x * half))
+    bad = GroupData(g.name, g.order, g.classes, g.conductor, g.irreps,
+                    corrupted_row(g, 2, 1, lambda x: CycNum(x.conductor, map(Fraction, x.coeffs))))
     v = standard_module_cyclic(3)
-    with pytest.raises(ConsistencyError, match=r"\(2,1\)"):
+    with pytest.raises(TypeError, match="must be ints"):
         mckay_adjacency(bad, ModuleChar(bad, v.values))
 
 

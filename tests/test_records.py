@@ -12,7 +12,6 @@ import pytest
 from tensorwalks.cyclotomic import CycNum
 from tensorwalks.diagrams import DiagramElement
 from tensorwalks.groups import (
-    INVARIANT,
     ClassInfo,
     GroupData,
     IrrepInfo,
@@ -34,7 +33,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def _trivial_group() -> GroupData:
-    return GroupData("G", 1, INVARIANT, (ClassInfo("1", 1),), 1)
+    return GroupData("G", 1, (ClassInfo("1", 1),), 1)
 
 
 def test_holders_are_immutable():
@@ -54,21 +53,19 @@ def test_holders_are_equal_only_to_themselves():
 
 def test_value_records_compare_and_hash_by_value():
     pairs = [
-        (ClassInfo("a(1)", 3, family="a"), ClassInfo("a(1)", 3, "a")),
+        (ClassInfo("a(1)", 3), ClassInfo(label="a(1)", size=3)),
         (IrrepInfo("(2, 1)", 2), IrrepInfo(label="(2, 1)", dim=2)),
         (DiagramElement((2, 2), (1, 2), (2, 1)), DiagramElement((2, 2), (1, 2), (2, 1))),
         (EgfTruncation(1, (1, 2)), EgfTruncation(order=1, coeffs=(1, 2))),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
-    assert ClassInfo("1", 1) != ClassInfo("1", 1, family="a")
+    assert ClassInfo("1", 1) != ClassInfo("1", 3)
 
 
 def test_keyword_construction_keeps_defaults():
-    assert ClassInfo("1", 1).family is None
-    assert ClassInfo("c(2)", 5, family="c").family == "c"
     g = _trivial_group()
-    assert g.irreps is None and g.row is None
+    assert g.irreps is None and g.row(0) == (CycNum.from_int(1),)
     one = (CycNum.from_int(1),)
     assert ModuleChar(g, one).name == "V"
     assert ModuleChar(g, one, name="induced").name == "induced"

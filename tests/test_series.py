@@ -17,7 +17,7 @@ from tensorwalks.groups import (
 from tensorwalks.cyclotomic import CycNum
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import mat_pow, mckay_adjacency, power_rows
-from tensorwalks.registry import builtin_modules
+from tensorwalks.verify import builtin_modules
 from tensorwalks.series import (
     RatFunc,
     _newton_product,
@@ -39,7 +39,7 @@ def lin(c0, c1):
 
 
 def trivial_group_with_module(d):
-    g = GroupData("trivial", 1, "full", (ClassInfo("e", 1),), 1,
+    g = GroupData("trivial", 1, (ClassInfo("e", 1),), 1,
                   (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
     return g, ModuleChar(g, (CycNum.from_int(d),))
 
@@ -231,7 +231,7 @@ def test_irrational_series_is_rejected():
 
     # Galois-incomplete data: a single class carrying a non-real value can
     # never combine to a rational series
-    g = GroupData("broken", 1, "full", (ClassInfo("e", 1),), 3,
+    g = GroupData("broken", 1, (ClassInfo("e", 1),), 3,
                   (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
     v = ModuleChar(g, (root_of_unity(3, 1),))
     with pytest.raises(ConsistencyError):
