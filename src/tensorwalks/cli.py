@@ -464,8 +464,13 @@ def run() -> int:
     every module.  Standard output and error are flushed and the atexit
     callbacks run, as at a normal exit; if a flush fails, the code is
     returned and the interpreter reports the failure as it always does.  A
+    pipe closed while `main` writes ends the output quietly with code 1.  A
     caller that lives on calls `main`."""
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if _flushed():
         import atexit
 

@@ -58,35 +58,20 @@ def bell_number(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def kostka_hook_content(lam: Partition, l: int) -> int:
-    """Number of semistandard tableaux of shape lam with n-l entries 0 and one
-    entry each of 1..l (rows weakly increase, columns strictly increase).
-    Direct backtracking enumeration."""
+    """K_{lam,(n-l,1^l)}: semistandard tableaux of shape lam with n-l entries
+    0 and one entry each of 1..l.  A column holds at most one 0, so the zeros
+    fill the first n-l cells of row 1: this counts the standard skew tableaux
+    of shape lam/(n-l), by the branching rule over the corners outside (n-l)."""
     n = sum(lam)
     if not 0 <= l <= n:
         raise ValueError("content length out of range")
-    remaining = [n - l] + [1] * l  # multiplicity of each value 0..l
-    rows = len(lam)
-
-    def fill(r: int, c: int, row_prev: int, grid: list[list[int]]) -> int:
-        if r == rows:
-            return 1
-        width = lam[r]
-        if c == width:
-            return fill(r + 1, 0, -1, grid)
-        above = grid[r - 1][c] if r > 0 else -1
-        lo = max(row_prev, above + 1)
-        count = 0
-        for v in range(lo, l + 1):
-            if remaining[v] == 0:
-                continue
-            remaining[v] -= 1
-            grid[r].append(v)
-            count += fill(r, c + 1, v, grid)
-            grid[r].pop()
-            remaining[v] += 1
-        return count
-
-    return fill(0, 0, 0, [[] for _ in range(rows)])
+    if n > l and lam[0] < n - l:
+        return 0
+    if l == 0:
+        return 1
+    return sum(kostka_hook_content(lam[:i] + (row - 1,) * (row > 1) + lam[i + 1:], l - 1)
+               for i, row in enumerate(lam)
+               if (i + 1 == len(lam) or lam[i + 1] < row) and (i or row > n - l))
 
 
 @lru_cache(maxsize=None)

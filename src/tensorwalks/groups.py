@@ -17,6 +17,7 @@ from operator import mul
 
 from .combinatorics import (
     fixed_point_count,
+    kostka_hook_content,
     multipartitions_of,
     partitions_of,
     z_lambda,
@@ -280,7 +281,8 @@ def build_symmetric(n: int) -> GroupData:
     classes = tuple(
         ClassInfo(str(mu), order // z_lambda(mu)) for mu in class_order
     )
-    irreps = tuple(IrrepInfo(str(lam), murnaghan_nakayama(lam, class_order[0])) for lam in parts)
+    # the dimension f^lam is the Kostka number K_{lam,(1^n)}
+    irreps = tuple(IrrepInfo(str(lam), kostka_hook_content(lam, n)) for lam in parts)
 
     def row(i):
         return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
@@ -303,11 +305,10 @@ def permutation_module(n: int) -> ModuleChar:
 # ---------------------------------------------------------------------------
 
 
-def _wreath_classes(r: int, n: int) -> list[tuple]:
-    alphas = multipartitions_of(n, r)
-    identity = ((1,) * n,) + ((),) * (r - 1)
-    alphas.sort(key=lambda a: a != identity)  # stable: identity first
-    return alphas
+@lru_cache(maxsize=None)
+def _wreath_classes(r: int, n: int) -> tuple[tuple, ...]:
+    identity = ((1,) * n,) + ((),) * (r - 1)  # sorted first; the sort is stable
+    return tuple(sorted(multipartitions_of(n, r), key=lambda a: a != identity))
 
 
 def build_wreath_invariant(r: int, n: int) -> GroupData:
@@ -324,16 +325,17 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
 
 
 def monomial_module(r: int, n: int) -> ModuleChar:
-    """The defining n-dimensional monomial-matrix module of Z_r wr S_n."""
+    """The defining n-dimensional monomial-matrix module of Z_r wr S_n, with
+    chi_V(alpha) = sum_i f_i zeta_r^i, f_i the fixed points of alpha_i."""
     g = build_wreath_invariant(r, n)
+    shared: dict[tuple[int, ...], CycNum] = {}
     values = []
     for alpha in _wreath_classes(r, n):
-        acc = CycNum.zero(r)
-        for i, part in enumerate(alpha):
-            f = fixed_point_count(part)
-            if f:
-                acc = acc + f * root_of_unity(r, i)
-        values.append(acc)
+        fixed = tuple(map(fixed_point_count, alpha))
+        value = shared.get(fixed)
+        if value is None:
+            value = shared[fixed] = CycNum(r, fixed)
+        values.append(value)
     return ModuleChar(g, tuple(values))
 
 
@@ -377,10 +379,9 @@ def _expand_rows(name: str, order: int, rows: list[_Row]) -> tuple[GroupData, tu
     chi_v = []
     chi_st = []
     for row in rows:
-        for i in range(1, row.count + 1):
-            classes.append(ClassInfo(f"{row.family}({i})", row.size))
-            chi_v.append(CycNum.from_int(row.chi_v))
-            chi_st.append(CycNum.from_int(row.chi_st))
+        classes.extend(ClassInfo(f"{row.family}({i})", row.size) for i in range(1, row.count + 1))
+        chi_v.extend([CycNum.from_int(row.chi_v)] * row.count)
+        chi_st.extend([CycNum.from_int(row.chi_st)] * row.count)
     g = GroupData(name, order, tuple(classes), 1)
     return g, tuple(chi_v), tuple(chi_st)
 

@@ -49,15 +49,16 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     """Run each route in `methods` that applies over every k in `ks` and
     check that their sequences agree.
 
-    The matrix power needs a full character table; the character sum needs
-    one too unless the walk is 0 -> 0; "closed" runs every family closed form
-    that applies.  Returns (route label, counts) pairs in the order above."""
+    The matrix power needs a full character table; the character sum reads
+    the rows of `frm` and `to`, and an invariant-tier group refuses any row
+    past node 0; "closed" runs every family closed form that applies.
+    Returns (route label, counts) pairs in the order above."""
     g, v = spec.group, spec.module
     results: list[tuple[str, list[int]]] = []
     if "matrix" in methods and g.tier == FULL:
         rows = power_rows(mckay_adjacency(g, v), frm, ks)
         results.append(("matrix", [row[to] for row in rows]))
-    if "character" in methods and (g.tier == FULL or frm == to == 0):
+    if "character" in methods:
         results.append(("character", walk_counts_character(g, v, ks, frm, to)))
     if "closed" in methods:
         results.extend(closed_walks(spec, ks, frm, to))

@@ -473,21 +473,22 @@ def suite_diagram() -> list[CheckResult]:
     for radii in ((2,), (4,), (2, 2)):
         for k in range(4):
             basis = enumerate_basis(radii, k)
-            for e1 in basis:
-                for e2 in basis:
-                    prod = compose(e1, e2)
-                    nonzero = e1.bottom == e2.top
-                    if (prod is not None) != nonzero:
-                        ok, detail = False, f"closure predicate failed {e1} {e2}"
-                    if prod is not None and not is_valid(prod):
-                        ok, detail = False, f"product invalid {prod}"
-            for e1 in basis:
-                for e2 in basis:
-                    for e3 in basis:
-                        left = compose(compose(e1, e2), e3) if compose(e1, e2) else None
-                        right = compose(e1, compose(e2, e3)) if compose(e2, e3) else None
-                        if left != right:
-                            ok, detail = False, "associativity failed"
+            products = {(i, j): compose(e1, e2)
+                        for i, e1 in enumerate(basis) for j, e2 in enumerate(basis)}
+            for (i, j), prod in products.items():
+                e1, e2 = basis[i], basis[j]
+                nonzero = e1.bottom == e2.top
+                if (prod is not None) != nonzero:
+                    ok, detail = False, f"closure predicate failed {e1} {e2}"
+                if prod is not None and not is_valid(prod):
+                    ok, detail = False, f"product invalid {prod}"
+            for (i, j), e12 in products.items():
+                for l, e3 in enumerate(basis):
+                    e23 = products[j, l]
+                    left = compose(e12, e3) if e12 else None
+                    right = compose(basis[i], e23) if e23 else None
+                    if left != right:
+                        ok, detail = False, "associativity failed"
     s.check("composition closure and associativity (exhaustive, small ranks)", ok, detail)
 
     rng = random.Random(1056)

@@ -549,7 +549,9 @@ def test_invariant_tier_refusals_print_one_message(capsys):
                      ["bratteli", "--group", spec, "--levels", "2"],
                      ["bratteli", "--group", spec, "--levels", "-1"],
                      ["poincare", "--group", spec, "--method", "cramer"],
-                     ["poincare", "--group", spec, "--lambda", "1"]):
+                     ["poincare", "--group", spec, "--lambda", "1"],
+                     ["walks", "--group", spec, "--k", "3", "--to", "1"],
+                     ["walks", "--group", spec, "--k", "3", "--to", "1", "--method", "character"]):
             assert run(capsys, *argv) == (3, "", message), argv
         g, v = parse_spec_full(spec).group, parse_spec_full(spec).module
         with pytest.raises(UnsupportedQueryError, match="only node 0"):
@@ -768,6 +770,18 @@ def test_process_entry_fails_on_a_full_device_or_closed_pipe_as_a_plain_exit_doe
     full_code, full_err, pipe_code, pipe_err = outcomes[0]
     assert full_code == pipe_code == 120
     assert "No space left on device" in full_err and "BrokenPipeError" in pipe_err
+
+
+def test_process_entry_exits_1_without_a_traceback_when_the_reader_goes_away():
+    # stdout past the buffer is written while main runs, into a pipe whose
+    # read end is already closed; the process entry ends the output quietly
+    proc = subprocess.Popen([sys.executable, "-m", "tensorwalks", "diagalg", "--group",
+                             "hypercube(2)", "--k", "5", "--list"], env=child_env(), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (1, "")
 
 
 # imported by no well-formed walks, invariants, dims, poincare or egf query

@@ -100,14 +100,30 @@ def test_kostka_values():
 
 def test_kostka_dimension_identity():
     # at depth one the multiplicity of each irrep in the permutation module
-    # weights its dimension into dim V = n
+    # weights its dimension, read from the Murnaghan-Nakayama table, into
+    # dim V = n
     for n in range(2, 6):
         g = build_symmetric(n)
-        dims = {info.label: info.dim for info in g.irreps}
         total = sum(
-            dims[str(lam)] * kostka_hook_content(lam, 1) for lam in partitions_of(n)
+            g.chi(i, 0).as_integer() * kostka_hook_content(lam, 1)
+            for i, lam in enumerate(partitions_of(n))
         )
         assert total == n
+
+
+def test_kostka_rsk_identity():
+    # RSK maps the n!/(n-l)! words of length n with n-l zeros and one each
+    # of 1..l one-to-one onto the pairs (standard, semistandard of content
+    # (n-l, 1^l)) of tableaux of one shape lam, so
+    # sum_lam f^lam K_{lam,(n-l,1^l)} = n!/(n-l)!; f^lam is read from the
+    # identity column of the Murnaghan-Nakayama table
+    for n in range(2, 13):
+        g = build_symmetric(n)
+        dims = [g.chi(i, 0).as_integer() for i in range(len(g.irreps))]
+        for l in range(n + 1):
+            total = sum(f * kostka_hook_content(lam, l)
+                        for f, lam in zip(dims, partitions_of(n)))
+            assert total == factorial(n) // factorial(n - l), (n, l)
 
 
 def test_rencontres():

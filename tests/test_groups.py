@@ -147,13 +147,14 @@ def _hook_dim(lam):
 
 
 def test_dimensions_match_hook_length_formula():
-    # independent oracle for the identity column of the recursion-built table
+    # independent oracle for the identity column of the recursion-built
+    # table and for the dimensions, which are counted as Kostka numbers
     from tensorwalks.combinatorics import partitions_of
 
     for n in range(2, 11):
         g = build_symmetric(n)
-        for info, lam in zip(g.irreps, partitions_of(n)):
-            assert info.dim == _hook_dim(lam), (n, lam)
+        for i, (info, lam) in enumerate(zip(g.irreps, partitions_of(n))):
+            assert g.chi(i, 0).as_integer() == info.dim == _hook_dim(lam), (n, lam)
 
 
 def test_permutation_module_counts_fixed_points():
