@@ -5,6 +5,11 @@ z^(phi(N)-1) where z = zeta_N, reduced modulo the N-th cyclotomic polynomial
 Phi_N.  Every character value is a sum of roots of unity, so it lies in
 Z[zeta_N]; the ring operations keep it there, and a count is divided out of
 a rational integer by `errors.exact_count`.
+
+`class_sums`, the kernel of every certified character sum, reads each value
+in the basis of its own conductor d, zeta_d as a power of zeta_N for N the
+lcm of the table's conductors, through ring maps zeta_N -> 2^B onto the
+integers mod Phi_N(2^B); it never embeds or reduces a value.
 """
 
 from __future__ import annotations
@@ -57,6 +62,20 @@ def reduce_mod_phi(coeffs: list, n: int) -> tuple:
                 coeffs[i - deg + j] -= c * phi[j]
     coeffs = coeffs[:deg] + [0] * (deg - len(coeffs))
     return tuple(coeffs)
+
+
+def sum_of_products(xs, ys, n: int) -> tuple:
+    """sum_i xs[i] * ys[i] over power-basis coefficient tuples in Q(zeta_n);
+    the products are added unreduced, then reduced once.  The reference dot
+    product of the checks that stay independent of `class_sums`."""
+    raw = [0] * (2 * euler_phi(n) - 1)
+    for x, y in zip(xs, ys):
+        terms = [(j, c) for j, c in enumerate(y) if c]
+        for i, a in enumerate(x):
+            if a:
+                for j, c in terms:
+                    raw[i + j] += a * c
+    return reduce_mod_phi(raw, n)
 
 
 class CycNum:
@@ -286,89 +305,6 @@ def gauss_sum_check(p: int) -> bool:
 # -- certified evaluation: character sums as rational integers ----------------
 
 
-class CertifiedSums:
-    """A weighted table of values in Z[zeta_N], checked so that every sum over
-    its columns the callers form is a rational integer, with the ring map
-    that evaluates those sums exactly.
-
-    `columns` holds one tuple of values (CycNum or int) per class and
-    `weights` one int per class.  The table is interned: `coeffs` lists each
-    distinct power-basis coefficient tuple over Z[zeta_N] once, N the lcm of
-    the values' conductors, `l1` holds each value's L1 norm, the sum of its
-    coefficients' absolute values, and `columns` lists each distinct column
-    of nonzero summed weight once, as a tuple of indices into `coeffs`, with
-    that weight at the same place in `weights`.
-
-    Certificate: every value has int coefficients, which CycNum holds by
-    type, and for each a in a generating set of (Z/N)^x, sigma_a: zeta_N ->
-    zeta_N^a must map the weighted multiset of columns onto itself;
-    otherwise ConsistencyError.  A weighted sum over the columns of one
-    integer polynomial in a column's entries and their complex conjugates is
-    then fixed by every sigma_a, so it lies in Z[zeta_N] and in Q, hence in
-    Z.
-
-    The images sigma_a(x) are compared through a ring map h (see
-    `ring_map`) with 2^B - 1 > 2 max |x|_1: a nonzero z = sigma_a(x) - y has
-    0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) < M, while h(z) = 0 would make
-    M divide norm(z), so h(sigma_a(x)) = h(y) exactly when sigma_a(x) = y."""
-
-    __slots__ = ("conductor", "coeffs", "columns", "weights", "l1")
-
-    def __init__(self, columns, weights):
-        columns = [tuple(col) for col in columns]
-        values = {id(x): x for col in columns for x in col}  # the columns keep each alive
-        n = lcm(1, *(x.conductor for x in values.values() if isinstance(x, CycNum)))
-        zeros = (0,) * (euler_phi(n) - 1)
-        coeffs: list[tuple] = []
-        index: dict[tuple, int] = {}
-        at: dict[int, int] = {}
-        for key, x in values.items():
-            c = (x,) + zeros if isinstance(x, int) else x.embed(n).coeffs
-            j = index.get(c)
-            if j is None:
-                j = index[c] = len(coeffs)
-                coeffs.append(c)
-            at[key] = j
-        merged: dict[tuple, int] = {}
-        for col, w in zip(columns, weights):
-            col = tuple(map(at.__getitem__, map(id, col)))
-            merged[col] = merged.get(col, 0) + w
-        merged = {col: w for col, w in merged.items() if w}  # a column of weight 0 adds nothing
-        self.conductor, self.coeffs = n, coeffs
-        self.columns, self.weights = list(merged), list(merged.values())
-        self.l1 = [sum(map(abs, c)) for c in coeffs]
-        gens = unit_generators(n)
-        if not gens:
-            return
-        m, powers = _ring_map(n, (2 * max(self.l1) + 1).bit_length())
-        value_at = {_image(c, powers, 1, m): j for j, c in enumerate(coeffs)}
-        for a in gens:
-            image = [value_at.get(_image(c, powers, a, m), -1) for c in coeffs]
-            moved: dict[tuple, int] = {}
-            for col, w in merged.items():
-                col = tuple([image[j] for j in col])
-                moved[col] = moved.get(col, 0) + w
-            if moved != merged:
-                raise ConsistencyError(
-                    f"zeta -> zeta^{a} does not permute the classes of the character "
-                    f"data over Q(zeta_{n}); Galois-incomplete table, the sum is not rational")
-
-    def ring_map(self, bound: int) -> tuple[int, list[int], list[int]]:
-        """(M, [h(x)], [h(conj x)]) over the distinct values, for the ring map
-        h: Z[zeta_N] -> Z/M, zeta_N -> 2^B, M = Phi_N(2^B), with B the least
-        exponent such that (2^B - 1)^phi(N) > 2 * bound.  Every primitive root
-        zeta has |2^B - zeta| >= 2^B - 1, so M > 2 * bound and `lift` recovers
-        each certified sum of absolute value at most `bound`."""
-        n = self.conductor
-        deg = euler_phi(n)
-        b = max(1, (2 * bound).bit_length() // deg)
-        while (2**b - 1) ** deg <= 2 * bound:
-            b += 1
-        m, powers = _ring_map(n, b)
-        return (m, [_image(c, powers, 1, m) for c in self.coeffs],
-                [_image(c, powers, -1, m) for c in self.coeffs])
-
-
 def _ring_map(n: int, b: int) -> tuple[int, list[int]]:
     """M = Phi_n(2^b) and the images 2^(b j) mod M of zeta_n^j, j < n."""
     m = 0
@@ -380,11 +316,24 @@ def _ring_map(n: int, b: int) -> tuple[int, list[int]]:
     return m, powers
 
 
-def _image(coeffs, powers: list[int], a: int, m: int) -> int:
-    """h(sigma_a(x)) mod m for x with power-basis `coeffs`, given the images
-    `powers` of zeta^j under h, since sigma_a sends zeta^i to zeta^(a i)."""
-    n = len(powers)
-    return sum(c * powers[i * a % n] for i, c in enumerate(coeffs) if c) % m
+def _images(values, n: int, b: int, units) -> tuple[int, list[list[int]]]:
+    """M = Phi_n(2^b) and, for each unit a in `units`, the list of
+    h(sigma_a(x)) mod M over `values`, for the ring map h: Z[zeta_n] -> Z/M,
+    zeta_n -> 2^b.  A CycNum of conductor d | n is read in its own power
+    basis, zeta_d as zeta_n^(n/d), and sigma_a sends zeta_n^j to
+    zeta_n^(a j); an int is fixed by sigma_a."""
+    m, powers = _ring_map(n, b)
+    out = []
+    for a in units:
+        images = []
+        for x in values:
+            if type(x) is int:
+                images.append(x % m)
+            else:
+                step = n // x.conductor * a
+                images.append(sum(c * powers[i * step % n] for i, c in enumerate(x.coeffs) if c) % m)
+        out.append(images)
+    return m, out
 
 
 def lift(residue: int, modulus: int) -> int:
@@ -397,20 +346,78 @@ def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]
     """For each k in `ks`, in its order and with its stride, the matrix over
     i in `left` and j in `right` of sum_c w_c x_c^k a_ci conj(a_cj), where
     column c is (a_c0, a_c1, ..., x_c), its last entry x_c, and w_c is its
-    int weight.  The sums are rational integers certified by CertifiedSums,
-    which merges identical columns, and evaluated through its ring map: per
-    column the images of w_c a_ci x_c^k are carried mod M from one k to the
-    next, and one product with the image of conj(a_cj) gives each term.
-    The bound on each sum is sum_c |w_c| |x_c|_1^k max_i |a_ci|_1 max_j |a_cj|_1."""
-    table = CertifiedSums(columns, weights)
+    int weight (a CycNum or int per entry).
+
+    The distinct values are interned by equality, an int as itself and a
+    CycNum as (conductor, coeffs), and read through ring maps h: zeta_N ->
+    2^B onto Z/M, M = Phi_N(2^B), N the lcm of their conductors.  Each
+    value's L1 norm |x|_1, the sum of the absolute values of its
+    coefficients in the power basis of its own conductor, bounds |tau(x)|
+    and |tau(sigma_a(x))| under every embedding tau.
+
+    Certificate: on the map with 2^B - 1 > 2 max |x|_1, a nonzero z =
+    sigma_a(x) - y has 0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) <
+    (2^B - 1)^phi(N) <= M, while h(z) = 0 would make M divide norm(z), so
+    h(sigma_a(x)) = h(y) exactly when sigma_a(x) = y.  Columns are merged by
+    their entries' images under h into one of the summed weight, columns of
+    weight 0 are dropped, and for each a in a generating set of (Z/N)^x,
+    sigma_a must map the weighted multiset of columns onto itself;
+    otherwise ConsistencyError.  Every sum asked for is then fixed by each
+    sigma_a, so it lies in Z[zeta_N] and in Q, hence in Z.
+
+    Evaluation: each sum is at most bound = sum_c |w_c| |x_c|_1^k
+    max_i |a_ci|_1 max_j |a_cj|_1 in absolute value; with B the least
+    exponent such that (2^B - 1)^phi(N) > 2 * bound, M > 2 * bound, as
+    every primitive root zeta has |2^B - zeta| >= 2^B - 1.  Per column the
+    images of w_c a_ci x_c^k are carried mod M from one k to the next, one
+    product with the image of conj(a_cj) gives each term, and `lift`
+    recovers the sum."""
+    columns = [tuple(col) for col in columns]
+    values: list = []
+    index: dict = {}
+    at: dict[int, int] = {}  # id -> value index; the columns keep each value alive
+    for col in columns:
+        for x in col:
+            if id(x) not in at:
+                key = x if type(x) is int else (x.conductor, x.coeffs)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(values)
+                    values.append(x)
+                at[id(x)] = j
+    l1 = [abs(x) if type(x) is int else sum(map(abs, x.coeffs)) for x in values]
+    n = lcm(1, *(x.conductor for x in values if type(x) is not int))
+    gens = unit_generators(n)
+    _, (ident, *moved) = _images(values, n, (2 * max(l1, default=0) + 1).bit_length(), (1, *gens))
+    first: dict[int, int] = {}
+    slot = [first.setdefault(h, j) for j, h in enumerate(ident)]
+    merged: dict[tuple, int] = {}
+    for col, w in zip(columns, weights):
+        col = tuple([slot[at[id(x)]] for x in col])
+        merged[col] = merged.get(col, 0) + w
+    merged = {col: w for col, w in merged.items() if w}  # a column of weight 0 adds nothing
+    for a, images in zip(gens, moved):
+        image = [first.get(h, -1) for h in images]
+        moved_cols: dict[tuple, int] = {}
+        for col, w in merged.items():
+            col = tuple([image[j] for j in col])
+            moved_cols[col] = moved_cols.get(col, 0) + w
+        if moved_cols != merged:
+            raise ConsistencyError(
+                f"zeta -> zeta^{a} does not permute the classes of the character "
+                f"data over Q(zeta_{n}); Galois-incomplete table, the sum is not rational")
     if not ks:
         return []
-    l1, cols = table.l1, table.columns
+    cols, weights = list(merged), list(merged.values())
     bound = sum(abs(w) * max(l1[c[-1]] ** ks[0], l1[c[-1]] ** ks[-1])
                 * max(l1[c[i]] for i in left) * max(l1[c[j]] for j in right)
-                for c, w in zip(cols, table.weights))
-    m, images, conj_images = table.ring_map(bound)
-    start = [w * pow(images[c[-1]], ks.start, m) % m for c, w in zip(cols, table.weights)]
+                for c, w in zip(cols, weights))
+    deg = euler_phi(n)
+    b = max(1, (2 * bound).bit_length() // deg)
+    while (2**b - 1) ** deg <= 2 * bound:
+        b += 1
+    m, (images, conj_images) = _images(values, n, b, (1, -1))
+    start = [w * pow(images[c[-1]], ks.start, m) % m for c, w in zip(cols, weights)]
     steps = [pow(images[c[-1]], ks.step, m) for c in cols]
     terms = [[images[c[i]] * t % m for c, t in zip(cols, start)] for i in left]
     conj = [[conj_images[c[j]] for c in cols] for j in right]

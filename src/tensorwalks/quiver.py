@@ -6,10 +6,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .cyclotomic import CycNum, class_sums
+from .cyclotomic import CycNum, class_sums, sum_of_products
 from .errors import UnsupportedQueryError, exact_count
 from .groups import GroupData, ModuleChar
-from .numbertheory import euler_phi
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -154,8 +153,8 @@ def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
 def eigen_check(g: GroupData, v: ModuleChar, a):
     """Verify sum_lam a[nu][lam] chi_lam(c_mu) = chi_V(c_mu) chi_nu(c_mu) for
     all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu)).
-    The left side's terms are added unreduced in the power basis of the
-    column's field, then reduced once."""
+    The left side is `sum_of_products` over the column's field, independent
+    of `class_sums`."""
     n = g.n_classes
     columns = []
     for mu in range(n):
@@ -163,13 +162,8 @@ def eigen_check(g: GroupData, v: ModuleChar, a):
         m = lcm(*(x.conductor for x in col))
         columns.append((m, col, [x.embed(m).coeffs for x in col]))
     for nu in range(n):
-        row = a[nu]
+        row = [(e,) for e in a[nu]]
         for mu, (m, col, coeffs) in enumerate(columns):
-            raw = [0] * euler_phi(m)
-            for e, xs in zip(row, coeffs):
-                if e:
-                    for i, x in enumerate(xs):
-                        raw[i] += e * x
-            if CycNum(m, raw) != v.values[mu] * col[nu]:
+            if CycNum(m, sum_of_products(row, coeffs, m)) != v.values[mu] * col[nu]:
                 return False, (nu, mu)
     return True, None

@@ -52,6 +52,8 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     The matrix power needs a full character table; the character sum reads
     the rows of `frm` and `to`, and an invariant-tier group refuses any row
     past node 0; "closed" runs every family closed form that applies.
+    When none applies, the rows of `frm` and `to` are read before the
+    generic refusal, so a row an invariant-tier group lacks is named.
     Returns (route label, counts) pairs in the order above."""
     g, v = spec.group, spec.module
     results: list[tuple[str, list[int]]] = []
@@ -63,6 +65,7 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     if "closed" in methods:
         results.extend(closed_walks(spec, ks, frm, to))
     if not results:
+        g.row(frm), g.row(to)  # an invariant-tier group names the row it lacks
         raise UnsupportedQueryError(
             f"no route among {', '.join(methods)} applies to {g.name} "
             f"({g.tier} tier) from node {frm} to {to}")

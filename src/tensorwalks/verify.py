@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import closedforms as cf
 from .combinatorics import bell_number, group_ring_power
-from .cyclotomic import gauss_sum, gauss_sum_check, reduce_mod_phi
+from .cyclotomic import gauss_sum, gauss_sum_check, sum_of_products
 from .diagrams import (
     DiagramElement,
     basis_count,
@@ -30,7 +30,6 @@ from .groups import (
     permutation_module,
     unit_steps,
 )
-from .numbertheory import euler_phi
 from .quiver import (
     bratteli,
     centralizer_dim,
@@ -369,19 +368,6 @@ def suite_generic() -> list[CheckResult]:
     return s.results
 
 
-def _sum_of_products(xs, ys, n: int) -> tuple:
-    """sum_i xs[i] * ys[i] over power-basis coefficient tuples in Q(zeta_n);
-    the products are added unreduced, then reduced once."""
-    raw = [0] * (2 * euler_phi(n) - 1)
-    for x, y in zip(xs, ys):
-        terms = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in enumerate(x):
-            if a:
-                for j, c in terms:
-                    raw[i + j] += a * c
-    return reduce_mod_phi(raw, n)
-
-
 def _orthogonality_ok(g: GroupData) -> bool:
     """Row and column orthogonality, both weighted by the class sizes so that
     each sum is |G| or 0: every row and conjugated row is embedded once in
@@ -391,10 +377,10 @@ def _orthogonality_ok(g: GroupData) -> bool:
     weighted = [[tuple(size * c for c in x.embed(m).coeffs) for size, x in zip(sizes, g.row(nu))]
                 for nu in range(n)]
     conj = [[x.conj().embed(m).coeffs for x in g.row(nu)] for nu in range(n)]
-    zero = (0,) * (euler_phi(m) - 1)
 
     def is_delta(xs, ys, same):
-        return _sum_of_products(xs, ys, m) == (g.order if same else 0, *zero)
+        total = sum_of_products(xs, ys, m)
+        return total[0] == (g.order if same else 0) and not any(total[1:])
 
     return (all(is_delta(weighted[nu], conj[lam], nu == lam)
                 for nu in range(n) for lam in range(n))

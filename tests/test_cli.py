@@ -173,17 +173,16 @@ def test_a_wrong_conjugate_image_fails_through_the_closed_route(capsys, monkeypa
     # the matrix and character routes share the ring map, so a wrong image
     # of conj(zeta) gives both the same wrong count; on an abelian spec the
     # closed route, which reads only the steps, still tells them apart
-    from tensorwalks.cyclotomic import CertifiedSums
+    from tensorwalks import cyclotomic
 
-    real = CertifiedSums.ring_map
+    real = cyclotomic._images
 
-    def unconjugated(self, bound):
-        m, images, _ = real(self, bound)
-        return m, images, images
+    def unconjugated(values, n, b, units):
+        return real(values, n, b, [1 if a == -1 else a for a in units])
 
     argv = ("walks", "--group", "Z4xZ3", "--k", "1", "--to", "1")
     assert run_json(capsys, *argv)["count"] == "1"
-    monkeypatch.setattr(CertifiedSums, "ring_map", unconjugated)
+    monkeypatch.setattr(cyclotomic, "_images", unconjugated)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert "[('matrix', 0), ('character', 0), ('closed:multinomial', 1)]" in err
@@ -551,13 +550,21 @@ def test_invariant_tier_refusals_print_one_message(capsys):
                      ["poincare", "--group", spec, "--method", "cramer"],
                      ["poincare", "--group", spec, "--lambda", "1"],
                      ["walks", "--group", spec, "--k", "3", "--to", "1"],
-                     ["walks", "--group", spec, "--k", "3", "--to", "1", "--method", "character"]):
+                     ["walks", "--group", spec, "--k", "3", "--to", "1", "--method", "character"],
+                     ["walks", "--group", spec, "--k", "3", "--to", "1", "--method", "matrix"],
+                     ["walks", "--group", spec, "--k", "3", "--to", "1", "--method", "closed"]):
             assert run(capsys, *argv) == (3, "", message), argv
         g, v = parse_spec_full(spec).group, parse_spec_full(spec).module
         with pytest.raises(UnsupportedQueryError, match="only node 0"):
             eigen_check(g, v, [[0] * g.n_classes for _ in range(g.n_classes)])
         with pytest.raises(UnsupportedQueryError, match="only node 0"):
             character_walk_counts(g, v, 2)
+
+
+def test_a_full_table_with_no_route_prints_the_generic_refusal(capsys):
+    # every row of S4 exists, so no row is refused: the message names the routes
+    assert run(capsys, "walks", "--group", "S4", "--k", "3", "--from", "1", "--method", "closed") == (
+        3, "", "unsupported: no route among closed applies to S4 (full tier) from node 1 to 0\n")
 
 
 def test_exit_code_unsupported(capsys):

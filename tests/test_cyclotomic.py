@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from tensorwalks.cyclotomic import (
-    CertifiedSums,
     CycNum,
     class_sums,
     cyclotomic_polynomial,
@@ -205,24 +204,70 @@ def orbit(x, w):
     return [(x.galois(a), w.galois(a)) for a in range(1, n) if gcd(a, n) == 1]
 
 
-def test_certified_sums_intern_and_certify():
+def test_certified_sums_intern_and_certify(monkeypatch):
+    from tensorwalks import cyclotomic
+
     x, w = CycNum(12, [1, -2, 0, 3]), CycNum(12, [2, 0, 1, 0])
-    table = CertifiedSums(orbit(x, w) + [(5, -1), (5, -1)], [1, 1, 1, 1, 2, 3])
-    # the two copies of (5, -1) are one column, of weight 2 + 3
-    assert table.conductor == 12 and len(table.columns) == 5
-    assert table.weights == [1, 1, 1, 1, 5]
-    assert len(table.coeffs) == len({c for col in table.columns for c in col})
-    assert table.l1[table.columns[0][0]] == 6
-    m, images, conj = table.ring_map(10**6)
-    assert m > 2 * 10**6 and len(images) == len(conj) == len(table.coeffs)
+    read = []
+    real = cyclotomic._images
+
+    def spy(values, n, b, units):
+        read.append((len(values), n, tuple(units)))
+        return real(values, n, b, units)
+
+    monkeypatch.setattr(cyclotomic, "_images", spy)
+    # two equal CycNums are one value; the int -1 and the CycNum -1 are two,
+    # whose images agree, so the three copies of (5, -1) are one column, of
+    # weight 2 + 2 + 1, and the sums are those of weight 5
+    columns = orbit(x, w) + [(5, -1), (5, CycNum(12, [-1])), (5, CycNum(12, [-1]))]
+    want = plain_class_sums(orbit(x, w) + [(5, -1)], [1, 1, 1, 1, 5], range(3), [0], [0, 1])
+    assert class_sums(columns, [1, 1, 1, 1, 2, 2, 1], range(3), [0], [0, 1]) == want
+    assert read[0][:2] == (len({v.coeffs for a, b in orbit(x, w) for v in (a, b)}) + 3, 12)
+    assert read[0][2][0] == 1 and read[1][2] == (1, -1)
+    # a column that is not Galois-stable but cancels to weight 0 adds nothing
+    assert class_sums(columns + [(x, 7), (x, 7)], [1, 1, 1, 1, 2, 2, 1, 4, -4],
+                      range(3), [0], [0, 1]) == want
     # the check is on the weighted multiset: a conjugate listed twice stands
     # for one of weight 2, and unequal weights on one orbit are irrational
-    CertifiedSums(orbit(x, w) + orbit(x, w)[:1], [1, 2, 2, 2, 1])
+    assert class_sums(orbit(x, w) + orbit(x, w)[:1], [1, 2, 2, 2, 1], range(2), [0], [0]) == \
+        plain_class_sums(orbit(x, w), [2] * 4, range(2), [0], [0])
     with pytest.raises(ConsistencyError, match="Galois-incomplete"):
-        CertifiedSums(orbit(x, w), [1, 1, 1, 2])
+        class_sums(orbit(x, w), [1, 1, 1, 2], range(1), [0], [0])
     # one missing Galois conjugate makes the sums irrational
     with pytest.raises(ConsistencyError, match="Galois-incomplete"):
-        CertifiedSums(orbit(x, w)[1:], [1, 1, 1])
+        class_sums(orbit(x, w)[1:], [1, 1, 1], range(1), [0], [0])
+
+
+def mixed_conductor_table():
+    """Columns over Q(zeta_12) whose entries keep conductors 1, 3, 4 and 12:
+    the orbit of one column under (Z/12)^x, and an int column."""
+    x3, x4 = CycNum(3, [2, -1]), CycNum(4, [1, 3])
+    x12, y = CycNum(12, [0, 1, -1, 2]), CycNum(12, [1, 0, 0, 1])
+    columns = [(CycNum.from_int(4), x3.galois(a % 3), x4.galois(a % 4), x12.galois(a),
+                y.galois(a)) for a in (1, 5, 7, 11)]
+    return columns + [(4, -2, 3, 1, 2)], [3, 3, 3, 3, 2]
+
+
+def test_class_sums_read_each_value_in_its_own_conductor():
+    columns, weights = mixed_conductor_table()
+    assert {x.conductor for col in columns for x in col if isinstance(x, CycNum)} == {1, 3, 4, 12}
+    every = range(4)
+    assert class_sums(columns, weights, range(1, 7, 2), every, every) == plain_class_sums(
+        columns, weights, range(1, 7, 2), every, every)
+
+
+def test_class_sums_neither_embed_nor_reduce(monkeypatch):
+    from tensorwalks import cyclotomic
+
+    columns, weights = mixed_conductor_table()
+    want = plain_class_sums(columns, weights, range(5), [1, 3], [0, 2])
+
+    def refuse(*args):
+        raise AssertionError("class_sums embedded or reduced a value")
+
+    monkeypatch.setattr(CycNum, "embed", refuse)
+    monkeypatch.setattr(cyclotomic, "reduce_mod_phi", refuse)
+    assert class_sums(columns, weights, range(5), [1, 3], [0, 2]) == want
 
 
 def plain_class_sums(columns, weights, ks, left, right):
