@@ -4,7 +4,9 @@ A value is an int coefficient vector over the power basis 1, z, ...,
 z^(phi(N)-1) where z = zeta_N, reduced modulo the N-th cyclotomic polynomial
 Phi_N.  Every character value is a sum of roots of unity, so it lies in
 Z[zeta_N]; the ring operations keep it there, and a count is divided out of
-a rational integer by `errors.exact_count`.
+a rational integer by `errors.exact_count`.  `reduce_mod_phi` is the one
+reduction: it reads each exponent mod N and adds, for each one at or above
+phi(N), a row of one cached table of z^e mod Phi_N, phi(N) <= e < N.
 
 `class_sums`, the kernel of every certified character sum, reads each value
 in the basis of its own conductor d, zeta_d as a power of zeta_N for N the
@@ -14,6 +16,7 @@ integers mod Phi_N(2^B); it never embeds or reduces a value.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
 
@@ -21,47 +24,47 @@ from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime, unit_generators
 from .polynomials import _exact_div
 
-# Phi_N coefficient tuples (ascending, integer, monic).  Write-once per key;
-# recomputation races are benign because the value is deterministic.
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, via Phi_n = (x^n - 1) / prod_{d|n, d<n} Phi_d."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in divisors(n):
         if d < n:
             num = _exact_div(num, cyclotomic_polynomial(d))
-    phi = tuple(num)
-    _PHI_CACHE[n] = phi
-    return phi
+    return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def _high_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows z^e mod Phi_n for phi(n) <= e < n, each z times the one
+    before less one multiple of Phi_n: (n - phi(n)) * phi(n) ints."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows, row = [], [0] * (deg - 1) + [1]  # z^(deg - 1)
+    for _ in range(n - deg):
+        top = row[-1]
+        row = [(row[j - 1] if j else 0) - top * phi[j] for j in range(deg)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def reduce_mod_phi(coeffs: list, n: int) -> tuple:
-    """Reduce a raw power-basis coefficient list modulo Phi_n."""
+    """Reduce a raw power-basis coefficient list modulo Phi_n: each exponent
+    is read mod n, and one at or above phi(n) adds a row of `_high_powers`."""
     deg = euler_phi(n)
-    if len(coeffs) > n:  # fold exponents mod n first (z^n = 1 holds mod Phi_n)
-        folded = [0] * n
-        for i, c in enumerate(coeffs):
-            if c:
-                folded[i % n] += c
-        coeffs = folded
-    else:
-        coeffs = list(coeffs)
-    phi = cyclotomic_polynomial(n)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
+    high = _high_powers(n)
+    out = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
+    for i in range(deg, len(coeffs)):
         c = coeffs[i]
         if c:
-            coeffs[i] = 0
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg] + [0] * (deg - len(coeffs))
-    return tuple(coeffs)
+            e = i % n
+            if e < deg:
+                out[e] += c
+            else:
+                out = [x + c * r for x, r in zip(out, high[e - deg])]
+    return tuple(out)
 
 
 def sum_of_products(xs, ys, n: int) -> tuple:
@@ -268,20 +271,17 @@ class CycNum:
 # -- module-level operations -------------------------------------------------
 
 
-# Shared root-of-unity instances (CycNum is immutable), keyed on (n, m mod n):
-# a character table of order r repeats each of its N roots about r^2 / N times.
-_ROOT_CACHE: dict[tuple[int, int], CycNum] = {}
-
-
 def root_of_unity(n: int, m: int) -> CycNum:
-    """zeta_n^m as a canonical CycNum with conductor n."""
+    """zeta_n^m as a canonical CycNum with conductor n.  One instance is
+    shared per (n, m mod n): `class_sums` interns values by identity first."""
     if n < 1:
         raise ValueError("order must be positive")
-    key = (n, m % n)
-    root = _ROOT_CACHE.get(key)
-    if root is None:
-        root = _ROOT_CACHE[key] = CycNum(n, [0] * key[1] + [1])
-    return root
+    return _root(n, m % n)
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, e: int) -> CycNum:
+    return CycNum(n, [0] * e + [1])
 
 
 def gauss_sum(p: int) -> CycNum:
@@ -321,17 +321,14 @@ def _images(values, n: int, b: int, units) -> tuple[int, list[list[int]]]:
     h(sigma_a(x)) mod M over `values`, for the ring map h: Z[zeta_n] -> Z/M,
     zeta_n -> 2^b.  A CycNum of conductor d | n is read in its own power
     basis, zeta_d as zeta_n^(n/d), and sigma_a sends zeta_n^j to
-    zeta_n^(a j); an int is fixed by sigma_a."""
+    zeta_n^(a j)."""
     m, powers = _ring_map(n, b)
     out = []
     for a in units:
         images = []
         for x in values:
-            if type(x) is int:
-                images.append(x % m)
-            else:
-                step = n // x.conductor * a
-                images.append(sum(c * powers[i * step % n] for i, c in enumerate(x.coeffs) if c) % m)
+            step = n // x.conductor * a
+            images.append(sum(c * powers[i * step % n] for i, c in enumerate(x.coeffs) if c) % m)
         out.append(images)
     return m, out
 
@@ -345,15 +342,15 @@ def lift(residue: int, modulus: int) -> int:
 def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]]:
     """For each k in `ks`, in its order and with its stride, the matrix over
     i in `left` and j in `right` of sum_c w_c x_c^k a_ci conj(a_cj), where
-    column c is (a_c0, a_c1, ..., x_c), its last entry x_c, and w_c is its
-    int weight (a CycNum or int per entry).
+    column c is a tuple of CycNums (a_c0, a_c1, ..., x_c), its last entry
+    x_c, and w_c is its int weight.
 
-    The distinct values are interned by equality, an int as itself and a
-    CycNum as (conductor, coeffs), and read through ring maps h: zeta_N ->
-    2^B onto Z/M, M = Phi_N(2^B), N the lcm of their conductors.  Each
-    value's L1 norm |x|_1, the sum of the absolute values of its
-    coefficients in the power basis of its own conductor, bounds |tau(x)|
-    and |tau(sigma_a(x))| under every embedding tau.
+    The distinct values are interned by equality, as (conductor, coeffs),
+    and read through ring maps h: zeta_N -> 2^B onto Z/M, M = Phi_N(2^B),
+    N the lcm of their conductors.  Each value's L1 norm |x|_1, the sum of
+    the absolute values of its coefficients in the power basis of its own
+    conductor, bounds |tau(x)| and |tau(sigma_a(x))| under every embedding
+    tau.
 
     Certificate: on the map with 2^B - 1 > 2 max |x|_1, a nonzero z =
     sigma_a(x) - y has 0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) <
@@ -379,14 +376,14 @@ def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]
     for col in columns:
         for x in col:
             if id(x) not in at:
-                key = x if type(x) is int else (x.conductor, x.coeffs)
+                key = (x.conductor, x.coeffs)
                 j = index.get(key)
                 if j is None:
                     j = index[key] = len(values)
                     values.append(x)
                 at[id(x)] = j
-    l1 = [abs(x) if type(x) is int else sum(map(abs, x.coeffs)) for x in values]
-    n = lcm(1, *(x.conductor for x in values if type(x) is not int))
+    l1 = [sum(map(abs, x.coeffs)) for x in values]
+    n = lcm(*(x.conductor for x in values))
     gens = unit_generators(n)
     _, (ident, *moved) = _images(values, n, (2 * max(l1, default=0) + 1).bit_length(), (1, *gens))
     first: dict[int, int] = {}

@@ -129,6 +129,8 @@ class ModuleChar:
 
 # Most integers in the elements and the module character of an abelian spec,
 # |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds both.
+# The reduction table of Z[zeta_N] holds at most (N - phi(N)) * phi(N) more, within
+# |G| * phi(N) since N <= |G|.
 ABELIAN_LIMIT = 2**21
 
 

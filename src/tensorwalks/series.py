@@ -128,7 +128,7 @@ def _linear_factor_product(values: list[CycNum]) -> Polynomial:
     """prod (1 - x t) over `values`, a Galois-stable list of algebraic
     integers, in Z[t], from the power sums p_1..p_d, which `class_sums`
     certifies on the columns (1, x) of weight 1."""
-    sums = class_sums([(1, x) for x in values], [1] * len(values),
+    sums = class_sums([(CycNum.from_int(1), x) for x in values], [1] * len(values),
                       range(1, len(values) + 1), [0], [0])
     return _newton_product([matrix[0][0] for matrix in sums])
 

@@ -17,6 +17,7 @@ from tensorwalks.cyclotomic import (
     gauss_sum,
     gauss_sum_check,
     lift,
+    reduce_mod_phi,
     root_of_unity,
 )
 from tensorwalks.errors import ConsistencyError
@@ -53,6 +54,35 @@ def test_root_of_unity_basics():
     # periodicity in the exponent
     assert root_of_unity(7, 9) == root_of_unity(7, 2)
     assert root_of_unity(6, -1) == root_of_unity(6, 5)
+
+
+def test_root_of_unity_is_shared_per_residue():
+    # `class_sums` interns values by identity first, so one root is one object
+    for n in (1, 2, 5, 12, 1001):
+        for m in (-n - 1, -1, 0, 1, n - 1, 3 * n + 2):
+            assert root_of_unity(n, m) is root_of_unity(n, m + n)
+
+
+def remainder_by_long_division(coeffs, n):
+    """coeffs mod Phi_n by plain long division by the monic Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem.pop()
+        for j in range(deg):
+            rem[i - deg + j] -= c * phi[j]
+    return tuple(rem + [0] * (deg - len(rem)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 105, 210, 1001])
+def test_reduce_mod_phi_is_the_remainder_by_phi(n):
+    # lengths up to 3n reach exponents past n, which wrap, and exponents in
+    # [phi(n), n), which read the table of high powers
+    rng = random.Random(n)
+    for length in (0, 1, euler_phi(n), n + 1, rng.randrange(3 * n + 1), 3 * n):
+        coeffs = [rng.randint(-9, 9) for _ in range(length)]
+        assert reduce_mod_phi(coeffs, n) == remainder_by_long_division(coeffs, n), (n, length)
 
 
 def test_conjugation_and_rationality():
@@ -204,10 +234,15 @@ def orbit(x, w):
     return [(x.galois(a), w.galois(a)) for a in range(1, n) if gcd(a, n) == 1]
 
 
+def ints(*values):
+    return tuple(map(CycNum.from_int, values))
+
+
 def test_certified_sums_intern_and_certify(monkeypatch):
     from tensorwalks import cyclotomic
 
     x, w = CycNum(12, [1, -2, 0, 3]), CycNum(12, [2, 0, 1, 0])
+    five, seven = ints(5, 7)
     read = []
     real = cyclotomic._images
 
@@ -216,16 +251,18 @@ def test_certified_sums_intern_and_certify(monkeypatch):
         return real(values, n, b, units)
 
     monkeypatch.setattr(cyclotomic, "_images", spy)
-    # two equal CycNums are one value; the int -1 and the CycNum -1 are two,
-    # whose images agree, so the three copies of (5, -1) are one column, of
-    # weight 2 + 2 + 1, and the sums are those of weight 5
-    columns = orbit(x, w) + [(5, -1), (5, CycNum(12, [-1])), (5, CycNum(12, [-1]))]
-    want = plain_class_sums(orbit(x, w) + [(5, -1)], [1, 1, 1, 1, 5], range(3), [0], [0, 1])
+    # two equal CycNums of one conductor are one value; -1 of conductor 1 and
+    # -1 of conductor 12 are two, whose images agree, so the three copies of
+    # (5, -1) are one column, of weight 2 + 2 + 1, and the sums are those of
+    # weight 5
+    columns = orbit(x, w) + [(five, CycNum(1, (-1,))), (five, CycNum(12, (-1,))),
+                             (five, CycNum(12, (-1,)))]
+    want = plain_class_sums(orbit(x, w) + [ints(5, -1)], [1, 1, 1, 1, 5], range(3), [0], [0, 1])
     assert class_sums(columns, [1, 1, 1, 1, 2, 2, 1], range(3), [0], [0, 1]) == want
     assert read[0][:2] == (len({v.coeffs for a, b in orbit(x, w) for v in (a, b)}) + 3, 12)
     assert read[0][2][0] == 1 and read[1][2] == (1, -1)
     # a column that is not Galois-stable but cancels to weight 0 adds nothing
-    assert class_sums(columns + [(x, 7), (x, 7)], [1, 1, 1, 1, 2, 2, 1, 4, -4],
+    assert class_sums(columns + [(x, seven), (x, seven)], [1, 1, 1, 1, 2, 2, 1, 4, -4],
                       range(3), [0], [0, 1]) == want
     # the check is on the weighted multiset: a conjugate listed twice stands
     # for one of weight 2, and unequal weights on one orbit are irrational
@@ -240,17 +277,17 @@ def test_certified_sums_intern_and_certify(monkeypatch):
 
 def mixed_conductor_table():
     """Columns over Q(zeta_12) whose entries keep conductors 1, 3, 4 and 12:
-    the orbit of one column under (Z/12)^x, and an int column."""
+    the orbit of one column under (Z/12)^x, and a column of rational integers."""
     x3, x4 = CycNum(3, [2, -1]), CycNum(4, [1, 3])
     x12, y = CycNum(12, [0, 1, -1, 2]), CycNum(12, [1, 0, 0, 1])
     columns = [(CycNum.from_int(4), x3.galois(a % 3), x4.galois(a % 4), x12.galois(a),
                 y.galois(a)) for a in (1, 5, 7, 11)]
-    return columns + [(4, -2, 3, 1, 2)], [3, 3, 3, 3, 2]
+    return columns + [ints(4, -2, 3, 1, 2)], [3, 3, 3, 3, 2]
 
 
 def test_class_sums_read_each_value_in_its_own_conductor():
     columns, weights = mixed_conductor_table()
-    assert {x.conductor for col in columns for x in col if isinstance(x, CycNum)} == {1, 3, 4, 12}
+    assert {x.conductor for col in columns for x in col} == {1, 3, 4, 12}
     every = range(4)
     assert class_sums(columns, weights, range(1, 7, 2), every, every) == plain_class_sums(
         columns, weights, range(1, 7, 2), every, every)
@@ -272,16 +309,14 @@ def test_class_sums_neither_embed_nor_reduce(monkeypatch):
 
 def plain_class_sums(columns, weights, ks, left, right):
     """The sums of `class_sums` in plain cyclotomic arithmetic."""
-    def conj(z):
-        return z.conj() if isinstance(z, CycNum) else z
-
-    return [[[sum((w * col[-1] ** k * col[i] * conj(col[j]) for col, w in zip(columns, weights)),
+    return [[[sum((w * col[-1] ** k * col[i] * col[j].conj() for col, w in zip(columns, weights)),
                   CycNum.zero(1)).as_integer() for j in right] for i in left] for k in ks]
 
 
 def test_class_sums_lift_exactly():
     x, w = CycNum(15, [2, -1, 0, 1, 0, 0, 1, -3]), CycNum(15, [1, 1, 0, 0, 0, 0, 0, -1])
-    columns = [(b, 1, a) for a, b in orbit(x, w)] + [(3, 1, -7)]
+    one = CycNum.from_int(1)
+    columns = [(b, one, a) for a, b in orbit(x, w)] + [ints(3, 1, -7)]
     weights = [1] * len(columns)
     ks = range(0, 25, 3)
     want = plain_class_sums(columns, weights, ks, [0], [1])
