@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 2 parse/usage error; 3 unsupported combination for the
 group's data tier, or a `diagalg --list` too large to write out; 4 internal
-consistency failure (cross-checking routes gave different counts -- never
-ignored).
+consistency failure (cross-checking routes gave different counts, or the
+polynomial kernel raised an ArithmeticError -- never ignored).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import ConsistencyError, SpecError, UnsupportedQueryError
+from .errors import FAULTS, SpecError, UnsupportedQueryError
 from .groups import ParsedSpec, parse_spec_full
 from .quiver import bratteli, mckay_adjacency, power_rows
 from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except UnsupportedQueryError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 3
-    except ConsistencyError as exc:
+    except FAULTS as exc:
         sys.stderr.write(f"consistency failure: {exc}\n")
         return 4
     except ValueError as exc:

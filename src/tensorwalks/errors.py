@@ -25,6 +25,12 @@ class ConsistencyError(AssertionError):
     Always a bug in tables or formulas, never ignorable."""
 
 
+# What a cross-check raises when the program is at fault: a ConsistencyError,
+# or an ArithmeticError of the polynomial kernel (an inexact division or a
+# singular matrix).  The CLI exits 4 on one; a `verify` check fails with it.
+FAULTS = (ConsistencyError, ArithmeticError)
+
+
 def exact_count(total: int, divisor: int, what: str) -> int:
     """total / divisor, checked to be a nonnegative integer: every count the
     routes divide out of an exact sum passes through here."""

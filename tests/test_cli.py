@@ -145,6 +145,18 @@ def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
     assert calls == [(0, range(7))]
 
 
+def test_agree_raises_at_the_first_k_where_routes_differ():
+    from tensorwalks.errors import ConsistencyError
+    from tensorwalks.routes import agree
+
+    agree([("a", [1, 2, 3]), ("b", [1, 2, 3])], range(4, 7))
+    with pytest.raises(ConsistencyError) as info:
+        agree([("a", [1, 2, 3]), ("b", [1, 5, 4])], range(4, 7), "p=5")
+    assert str(info.value) == "p=5: routes disagree at k=5: [('a', 2), ('b', 5)]"
+    with pytest.raises(ConsistencyError, match=r"^routes disagree at k=6: "):
+        agree([("a", [1, 2, 3]), ("b", [1, 2, 4])], range(4, 7))
+
+
 def test_paley_closed_forms_finish(capsys):
     # there are C(k + |S| - 1, |S| - 1) step-type compositions, about 10^11 for
     # paley(31) at k = 30: the multinomial route must not enumerate them
@@ -525,6 +537,37 @@ def test_verify_runs_the_cli_routes(capsys, monkeypatch):
                         lambda r, n, k: real_wreath(r, n, k) + (k == 2))
     failed = {r.name: r.detail for r in run_suite("wreath") if not r.ok}
     assert "k=2" in failed["fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)"]
+
+
+def test_verify_reports_every_check_under_a_fault(capsys, monkeypatch):
+    # a fault in the one class-sum kernel fails each check that reads it, on
+    # its own line, and the run goes on to the summary
+    import tensorwalks.quiver as quiver_mod
+    from tensorwalks.verify import run_suite
+
+    untouched = {r.name for suite in ("gauss", "paley") for r in run_suite(suite)}
+    real_sums = quiver_mod.class_sums
+    monkeypatch.setattr(quiver_mod, "class_sums", lambda *args: [
+        [[s + 1 for s in row] for row in matrix] for matrix in real_sums(*args)])
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 4 and err == ""
+    assert len(lines) == 110 and lines[-1].endswith("/109 checks passed")
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
+    assert "FAIL three routes agree for every target, k <= 6: character sum came out 1/8" in lines
+    assert {f"PASS {name}" for name in untouched} <= set(lines)
+
+
+def test_kernel_fault_exits_4_without_a_traceback(capsys, monkeypatch):
+    import tensorwalks.polynomials as poly_mod
+
+    def planted(m, n):
+        raise ArithmeticError("inexact division in the elimination kernel")
+
+    monkeypatch.setattr(poly_mod, "_eliminate", planted)
+    code, out, err = run(capsys, "poincare", "--group", "S4", "--method", "cramer")
+    assert (code, out) == (4, "")
+    assert err == "consistency failure: inexact division in the elimination kernel\n"
 
 
 def test_exit_code_parse_error(capsys):
