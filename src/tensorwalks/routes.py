@@ -1,9 +1,7 @@
 """The route engine: runs the walk-counting routes that apply to a parsed
 spec and checks that their sequences agree.  The CLI's `walks` and
-`invariants` verbs and the `verify` suites all count through it, and
-`agree` is the one comparison of labelled sequences: the engine's routes,
-and every reference sequence a `verify` check holds them or a family
-formula to."""
+`invariants` verbs and the `verify` suites all count through it; `agree` is
+the one comparison of labelled sequences, also for the `verify` references."""
 
 from __future__ import annotations
 
@@ -80,8 +78,6 @@ def agree(results, ks, context: str = "") -> None:
     """Raise ConsistencyError at the first k in `ks` where the sequences of
     `results`, (label, counts over ks) pairs, differ; the message names each
     label's count there, after `context` when one is given."""
-    if all(counts == results[0][1] for _, counts in results):
-        return  # equal sequences agree at every k
     for i, k in enumerate(ks):
         if len({counts[i] for _, counts in results}) != 1:
             prefix = f"{context}: " if context else ""

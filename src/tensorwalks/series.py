@@ -106,13 +106,9 @@ def cramer_numerators(a, source: int = 0) -> tuple[Polynomial, list[Polynomial]]
 
 
 def poincare_cramer(a, lam: int) -> RatFunc:
-    """Poincare series of walk counts from the trivial node to `lam` by
-    Cramer's rule: one fraction-free solve, `cramer_numerators(a, 0)`, gives
-    the denominator det(I - tA) and the numerator of every node."""
-    if not 0 <= lam < len(a):
-        raise ValueError("node index out of range")
-    den, nums = cramer_numerators(a, 0)
-    return RatFunc(nums[lam], den)
+    """Poincare series of walk counts from the trivial node to `lam`, by the
+    literal Cramer-determinant construction."""
+    return walk_generating_function(a, 0, lam)
 
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
