@@ -24,13 +24,11 @@ from .combinatorics import (
 )
 from .cyclotomic import CycNum, gauss_sum, root_of_unity
 from .errors import exact_count
+from .groups import INDUCED, STEINBERG
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
 from .polynomials import Polynomial
 from .quiver import power_rows
 from .series import EgfTruncation, RatFunc, egf_from_ints, egf_hyperbolic, egf_product
-
-INDUCED = "induced"
-STEINBERG = "steinberg"
 
 
 # ---------------------------------------------------------------------------

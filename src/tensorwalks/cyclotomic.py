@@ -93,7 +93,7 @@ class CycNum:
         if conductor < 1:
             raise ValueError("conductor must be positive")
         coeffs = list(coeffs)
-        if not all(type(c) is int for c in coeffs):
+        if not set(map(type, coeffs)) <= {int}:
             raise TypeError("cyclotomic coefficients must be ints")
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", reduce_mod_phi(coeffs, conductor))

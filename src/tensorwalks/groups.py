@@ -194,7 +194,7 @@ def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, name:
             counts[sum(map(mul, s, b)) % n] += 1
         values.append(CycNum(n, counts))
     params.update(radii=radii, steps=steps)
-    return ParsedSpec(kind, params, group, ModuleChar(group, tuple(values), name))
+    return ParsedSpec(kind, params, ModuleChar(group, tuple(values), name))
 
 
 def _cyclic_spec(r: int) -> ParsedSpec:
@@ -346,13 +346,9 @@ def monomial_module(r: int, n: int) -> ModuleChar:
 # ---------------------------------------------------------------------------
 
 
-def _check_odd_prime_power(q: int) -> None:
-    p = prime_power_base(q)
-    if p is None or p == 2:
-        raise ValueError(f"field size must be an odd prime power, got {q}")
-    if q > 13:
-        raise ValueError("field sizes above 13 not supported at desk scale")
-
+# The names of the two GL2/SL2 modules, which the closed forms take as `which`
+INDUCED = "induced"
+STEINBERG = "steinberg"
 
 _Row = namedtuple("_Row", "family count size chi_v chi_st")
 
@@ -376,16 +372,23 @@ def _sl2_rows(q: int) -> list[_Row]:
     ]
 
 
-def _expand_rows(name: str, order: int, rows: list[_Row]) -> tuple[GroupData, tuple, tuple]:
-    classes = []
-    chi_v = []
-    chi_st = []
-    for row in rows:
+def _linear_modules(family: str, q: int, order: int,
+                    rows: Callable[[int], list[_Row]]) -> tuple[ModuleChar, ModuleChar]:
+    """(induced (q+1)-dim module, q-dim Steinberg module) of the group
+    `family`(q) of `order`, whose classes expand the table `rows(q)`: each
+    row's `count` classes share its two character values."""
+    p = prime_power_base(q)
+    if p is None or p == 2:
+        raise ValueError(f"field size must be an odd prime power, got {q}")
+    if q > 13:
+        raise ValueError("field sizes above 13 not supported at desk scale")
+    classes, chi_v, chi_st = [], [], []
+    for row in rows(q):
         classes.extend(ClassInfo(f"{row.family}({i})", row.size) for i in range(1, row.count + 1))
         chi_v.extend([CycNum.from_int(row.chi_v)] * row.count)
         chi_st.extend([CycNum.from_int(row.chi_st)] * row.count)
-    g = GroupData(name, order, tuple(classes), 1)
-    return g, tuple(chi_v), tuple(chi_st)
+    g = GroupData(f"{family}({q})", order, tuple(classes), 1)
+    return ModuleChar(g, tuple(chi_v), name=INDUCED), ModuleChar(g, tuple(chi_st), name=STEINBERG)
 
 
 def build_gl2(q: int) -> GroupData:
@@ -393,11 +396,8 @@ def build_gl2(q: int) -> GroupData:
 
 
 def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
-    """(induced (q+1)-dim module, q-dim Steinberg module) for GL2(F_q)."""
-    _check_odd_prime_power(q)
-    order = q * (q + 1) * (q - 1) ** 2
-    g, chi_v, chi_st = _expand_rows(f"GL2({q})", order, _gl2_rows(q))
-    return ModuleChar(g, chi_v, name="induced"), ModuleChar(g, chi_st, name="steinberg")
+    """(induced, Steinberg) for GL2(F_q)."""
+    return _linear_modules("GL2", q, q * (q + 1) * (q - 1) ** 2, _gl2_rows)
 
 
 def build_sl2(q: int) -> GroupData:
@@ -405,10 +405,8 @@ def build_sl2(q: int) -> GroupData:
 
 
 def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
-    _check_odd_prime_power(q)
-    order = q * (q - 1) * (q + 1)
-    g, chi_v, chi_st = _expand_rows(f"SL2({q})", order, _sl2_rows(q))
-    return ModuleChar(g, chi_v, name="induced"), ModuleChar(g, chi_st, name="steinberg")
+    """(induced, Steinberg) for SL2(F_q)."""
+    return _linear_modules("SL2", q, q * (q - 1) * (q + 1), _sl2_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +415,30 @@ def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 
 class ParsedSpec:
-    """A parsed spec string; `kind` is one of cyclic, abelian, symmetric,
-    wreath, gl2, sl2, paley, circulant.  Immutable; equal only to itself."""
+    """A parsed spec string: `kind` is one of cyclic, abelian, symmetric,
+    wreath, gl2, sl2, paley, circulant; `params` holds the family's numbers
+    (r, n, q, p, radii, steps) that its closed forms read; `module` is the
+    module the spec names, and its group is the spec's group.  Immutable;
+    equal only to itself."""
 
-    __slots__ = ("kind", "params", "group", "module", "steinberg")
+    __slots__ = ("kind", "params", "module")
 
-    def __init__(self, kind: str, params: dict, group: GroupData, module: ModuleChar,
-                 steinberg: bool = False):
+    def __init__(self, kind: str, params: dict, module: ModuleChar):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "group", group)
         object.__setattr__(self, "module", module)
-        object.__setattr__(self, "steinberg", steinberg)
 
     def __setattr__(self, *args):
         raise AttributeError("ParsedSpec is immutable")
+
+    @property
+    def group(self) -> GroupData:
+        return self.module.group
+
+    @property
+    def steinberg(self) -> bool:
+        """Whether the spec names the Steinberg module of GL2/SL2 (`@steinberg`)."""
+        return self.module.name == STEINBERG
 
 
 class _Cursor:
@@ -498,8 +505,7 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             # (induced, Steinberg); looked up at call time, so a wrapper
             # rebound onto these names sees the call
             both = both_modules_gl2 if kind == "gl2" else both_modules_sl2
-            module = both(q)[steinberg]
-            return ParsedSpec(kind, {"q": q}, module.group, module, steinberg)
+            return ParsedSpec(kind, {"q": q}, both(q)[steinberg])
     if cur.try_word("paley"):
         cur.expect("(")
         p = cur.integer()
@@ -526,15 +532,13 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         return _product_spec((2,) * min(n, ABELIAN_LIMIT.bit_length()))
     if cur.try_word("S"):
         n = cur.integer()
-        module = permutation_module(n)
-        return ParsedSpec("symmetric", {"n": n}, module.group, module)
+        return ParsedSpec("symmetric", {"n": n}, permutation_module(n))
     if cur.try_word("Z"):
         r = cur.integer()
         if cur.try_word("wr"):
             cur.expect("S")
             n = cur.integer()
-            module = monomial_module(r, n)
-            return ParsedSpec("wreath", {"r": r, "n": n}, module.group, module)
+            return ParsedSpec("wreath", {"r": r, "n": n}, monomial_module(r, n))
         radii = [r]
         while cur.try_word("x"):
             cur.expect("Z")

@@ -14,9 +14,9 @@ from .quiver import mckay_adjacency, power_rows, walk_counts_character
 
 def linear_group_forms(spec: ParsedSpec):
     """(dims, poincare, which): the closed forms of a GL2 or SL2 spec, and
-    the module, induced or Steinberg, that it names."""
+    the name of the module it names, cf.INDUCED or cf.STEINBERG."""
     forms = (cf.gl2_dims, cf.gl2_poincare) if spec.kind == "gl2" else (cf.sl2_dims, cf.sl2_poincare)
-    return (*forms, cf.STEINBERG if spec.steinberg else cf.INDUCED)
+    return (*forms, spec.module.name)
 
 
 def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[str, list[int]]]:

@@ -520,9 +520,8 @@ def suite_gauss() -> list[CheckResult]:
     for p in (5, 7, 13):
         s.check(f"g(1)^2 = {'+' if p % 4 == 1 else '-'}{p} in the {p}-th cyclotomic field",
                 lambda: _holds(gauss_sum_check(p)))
-    g5 = gauss_sum(5)
     s.check("quadratic arithmetic embeds through the Gauss sum",
-            lambda: _holds(g5 * g5 == 5))
+            lambda: _holds(gauss_sum(5).embed(20) ** 2 == 5))
     return s
 
 

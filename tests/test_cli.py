@@ -558,6 +558,29 @@ def test_verify_reports_every_check_under_a_fault(capsys, monkeypatch):
     assert {f"PASS {name}" for name in untouched} <= set(lines)
 
 
+def test_gauss_suite_fails_the_embedding_check_alone_on_an_embed_fault(monkeypatch):
+    # coefficient i of a value of conductor n > 1 lands on zeta_m^(i*m/n + 1):
+    # g(1) in Q(zeta_20) becomes zeta_20 g(1), whose square is not 5
+    from tensorwalks.cyclotomic import CycNum
+    from tensorwalks.verify import run_suite
+
+    real_embed = CycNum.embed
+
+    def misplaced(self, m):
+        n = self.conductor
+        if n == 1 or m == n:
+            return real_embed(self, m)
+        raw = [0] * (len(self.coeffs) * (m // n) + 1)
+        for i, c in enumerate(self.coeffs):
+            raw[i * (m // n) + 1] = c
+        return CycNum(m, raw)
+
+    monkeypatch.setattr(CycNum, "embed", misplaced)
+    results = {r.name: r.ok for r in run_suite("gauss")}
+    assert results.pop("quadratic arithmetic embeds through the Gauss sum") is False
+    assert len(results) == 3 and all(results.values())
+
+
 def test_kernel_fault_exits_4_without_a_traceback(capsys, monkeypatch):
     import tensorwalks.polynomials as poly_mod
 
@@ -670,7 +693,7 @@ def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
 
     spec = parse_spec_full("Z5")
     values = (spec.module.values[0], CycNum(5, [1, 1, 0, 0]), *spec.module.values[2:])
-    planted = ParsedSpec(spec.kind, spec.params, spec.group, ModuleChar(spec.group, values))
+    planted = ParsedSpec(spec.kind, spec.params, ModuleChar(spec.group, values))
     monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: planted)
     for argv in (("walks", "--group", "Z5", "--k", "3"),
                  ("walks", "--group", "Z5", "--k", "3", "--method", "character"),

@@ -280,6 +280,12 @@ def test_gl2_sl2_match_character_route():
                 assert walk_count_character(steinberg.group, steinberg, k, 0, 0) == dims(q, k, cf.STEINBERG)
 
 
+def test_linear_group_module_names_are_the_closed_forms_which():
+    # routes.linear_group_forms passes a spec's module name to the forms as `which`
+    for build in (both_modules_gl2, both_modules_sl2):
+        assert tuple(v.name for v in build(3)) == (cf.INDUCED, cf.STEINBERG)
+
+
 def test_gl2_sl2_poincare():
     rf = cf.gl2_poincare(3, cf.INDUCED)
     expected = RatFunc(

@@ -298,6 +298,14 @@ def test_circulant_and_paley_modules():
         paley_module(9)
 
 
+def test_spec_reads_group_and_steinberg_from_its_module():
+    for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
+                 "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):
+        spec = parse_spec_full(text)
+        assert spec.group is spec.module.group, text
+        assert spec.steinberg == text.endswith("@steinberg"), text
+
+
 def test_parser_valid_specs():
     spec = parse_spec_full("Z4xZ2")
     assert spec.group.name == "Z4xZ2" and spec.module.dim == 2

@@ -23,13 +23,26 @@ from tensorwalks.series import EgfTruncation
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    code = ("import sys, tensorwalks.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def _bare_stdout(code: str) -> str:
+    """What `code` prints in an interpreter without `site`, on this checkout's source."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _bare_stdout("import sys, tensorwalks.cli; "
+                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == "[]"
+
+
+def test_package_root_loads_no_submodule():
+    loaded = "print(sorted(m[12:] for m in sys.modules if m.startswith('tensorwalks.')))"
+    assert _bare_stdout(f"import sys, tensorwalks; {loaded}") == "[]"
+    # the CLI loads its own modules, not the package root
+    assert _bare_stdout(f"import sys, tensorwalks.cli; {loaded}") == str(
+        ["cli", "combinatorics", "cyclotomic", "errors", "groups", "numbertheory",
+         "polynomials", "quiver", "series"])
 
 
 def _trivial_group() -> GroupData:
@@ -39,7 +52,7 @@ def _trivial_group() -> GroupData:
 def test_holders_are_immutable():
     spec = parse_spec_full("S3")
     for obj, field in ((spec.group, "order"), (spec.module, "name"), (spec, "kind"),
-                       (spec.group.classes[0], "size")):
+                       (spec, "group"), (spec, "steinberg"), (spec.group.classes[0], "size")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
 
