@@ -105,7 +105,7 @@ def paley_closed_form(p: int, c: int, ks: range) -> list[int]:
     return counts
 
 
-def paley_printed_form(p: int, c: int, k: int) -> Fraction | None:
+def paley_printed_form(p: int, c: int, k: int):
     """The printed case formulas for the walks from 0 to c, transcribed as
     displayed (k >= 1).
 
@@ -210,7 +210,7 @@ def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
     for sigma in permutations(range(n)):
         fixed = [i for i in range(n) if sigma[i] == i]
         for signs in product(range(r), repeat=n):
-            chi = CycNum.zero(r)
+            chi = CycNum(r, ())
             for i in fixed:
                 chi = chi + root_of_unity(r, signs[i])
             values.setdefault(chi.coeffs, [chi, 0])[1] += 1
@@ -218,7 +218,7 @@ def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
     counts = {}
     for k in range(max(ks) + 1 if ks else 0):
         if k in ks:
-            acc = CycNum.zero(r)
+            acc = CycNum(r, ())
             for power, _, m in powers:
                 acc = acc + m * power
             counts[k] = exact_count(acc.as_integer(), order, "brute-force average")

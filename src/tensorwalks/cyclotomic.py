@@ -69,7 +69,8 @@ def reduce_mod_phi(coeffs: list, n: int) -> tuple:
 
 def sum_of_products(xs, ys, n: int) -> tuple:
     """sum_i xs[i] * ys[i] over power-basis coefficient tuples in Q(zeta_n);
-    the products are added unreduced, then reduced once.  The reference dot
+    the products are added unreduced, then reduced once.  The one product
+    loop: `CycNum.__mul__` is its one-term case, and it is the reference dot
     product of the checks that stay independent of `class_sums`."""
     raw = [0] * (2 * euler_phi(n) - 1)
     for x, y in zip(xs, ys):
@@ -117,10 +118,6 @@ class CycNum:
         if type(value) is not int:
             raise TypeError(f"a CycNum scalar is an int, not {type(value).__name__}")
         return CycNum._of(1, (value,))
-
-    @staticmethod
-    def zero(conductor: int = 1) -> "CycNum":
-        return CycNum(conductor, ())
 
     # -- conductor handling ---------------------------------------------------
 
@@ -186,14 +183,7 @@ class CycNum:
             s = self.coeffs[0]
             return CycNum._of(other.conductor, tuple(c * s for c in other.coeffs))
         a, b, n = self._common(other)
-        la, lb = a.coeffs, b.coeffs
-        raw = [0] * (len(la) + len(lb) - 1)
-        for i, x in enumerate(la):
-            if x:
-                for j, y in enumerate(lb):
-                    if y:
-                        raw[i + j] += x * y
-        return CycNum._of(n, reduce_mod_phi(raw, n))
+        return CycNum._of(n, sum_of_products([a.coeffs], [b.coeffs], n))
 
     __rmul__ = __mul__
 

@@ -17,7 +17,6 @@ from operator import mul
 
 from .combinatorics import (
     fixed_point_count,
-    kostka_hook_content,
     multipartitions_of,
     partitions_of,
     z_lambda,
@@ -32,17 +31,18 @@ INVARIANT = "invariant"
 
 
 ClassInfo = namedtuple("ClassInfo", "label size")
-IrrepInfo = namedtuple("IrrepInfo", "label dim")
+IrrepInfo = namedtuple("IrrepInfo", "label")
 
 
 class GroupData:
     """Classes, conductor (all character values live in Q(zeta_conductor))
     and `row`: irrep index -> the tuple of that irrep's values over the
     classes, built on first use and cached per group.  A full-tier group is
-    given its irreps and their row builder.  An invariant-tier group is
-    given neither and is a one-row table: node 0, the trivial irrep, has the
-    all-ones row, and any other node raises UnsupportedQueryError.
-    Immutable; equal only to itself."""
+    given its irreps, an IrrepInfo label each, and their row builder; the
+    identity class comes first, so irrep i has dimension chi(i, 0).  An
+    invariant-tier group is given neither and is a one-row table: node 0,
+    the trivial irrep, has the all-ones row, and any other node raises
+    UnsupportedQueryError.  Immutable; equal only to itself."""
 
     __slots__ = ("name", "order", "classes", "conductor", "irreps", "row")
 
@@ -100,8 +100,9 @@ def _trivial_row(name: str, n_classes: int) -> Callable[[int], tuple[CycNum, ...
 
 
 class ModuleChar:
-    """Character of a module: one value per conjugacy class.  Immutable;
-    equal only to itself."""
+    """Character of a module: one value per conjugacy class, the identity
+    class first, so values[0] is its dimension.  Immutable; equal only to
+    itself."""
 
     __slots__ = ("group", "values", "name")
 
@@ -112,10 +113,6 @@ class ModuleChar:
 
     def __setattr__(self, *args):
         raise AttributeError("ModuleChar is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.values[0].as_integer()
 
     @property
     def self_dual(self) -> bool:
@@ -158,8 +155,9 @@ def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
         a = [ai * s for ai, s in zip(elements[i], scales)]
         return tuple(root_of_unity(conductor, sum(map(mul, a, b))) for b in elements)
 
-    classes = tuple(ClassInfo(label(e), 1) for e in elements)
-    irreps = tuple(IrrepInfo(label(e), 1) for e in elements)
+    labels = [label(e) for e in elements]
+    classes = tuple(ClassInfo(text, 1) for text in labels)
+    irreps = tuple(IrrepInfo(text) for text in labels)
     return GroupData(name, order, classes, conductor, irreps, row)
 
 
@@ -283,8 +281,7 @@ def build_symmetric(n: int) -> GroupData:
     classes = tuple(
         ClassInfo(str(mu), order // z_lambda(mu)) for mu in class_order
     )
-    # the dimension f^lam is the Kostka number K_{lam,(1^n)}
-    irreps = tuple(IrrepInfo(str(lam), kostka_hook_content(lam, n)) for lam in parts)
+    irreps = tuple(IrrepInfo(str(lam)) for lam in parts)
 
     def row(i):
         return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)

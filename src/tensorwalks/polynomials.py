@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 class Polynomial:
     """Coefficients ascending by degree, no trailing zeros; () is the zero
-    polynomial with degree() == -1."""
+    polynomial."""
 
     __slots__ = ("coeffs",)
 
@@ -29,29 +29,11 @@ class Polynomial:
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
 
-    @staticmethod
-    def t() -> "Polynomial":
-        return Polynomial((0, 1))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -104,19 +86,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("polynomial exponent must be nonnegative")
-        result = Polynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         other = self._coerce(other)

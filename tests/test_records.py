@@ -1,10 +1,13 @@
-"""The record and holder classes: construction, immutability, equality, and
-an import path that stays free of `dataclasses` and `inspect`, since every
-CLI query starts a fresh interpreter."""
+"""The record and holder classes: construction, immutability, equality, an
+import path that stays free of `dataclasses` and `inspect`, since every CLI
+query starts a fresh interpreter, and annotations that resolve."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,33 @@ def test_package_root_loads_no_submodule():
          "polynomials", "quiver", "series"])
 
 
+def _defined_functions(module):
+    """The functions and methods, properties' getters among them, that
+    `module` defines at module or class level."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            for attr in vars(obj).values():
+                attr = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if callable(attr) and hasattr(attr, "__code__"):
+                    yield attr
+        elif hasattr(obj, "__code__"):
+            yield obj
+
+
+def test_every_annotation_resolves():
+    import tensorwalks
+
+    checked = 0
+    for info in pkgutil.iter_modules(tensorwalks.__path__):
+        module = importlib.import_module(f"tensorwalks.{info.name}")
+        for fn in _defined_functions(module):
+            typing.get_type_hints(fn)  # NameError on a name the module does not bind
+            checked += 1
+    assert checked > 100
+
+
 def _trivial_group() -> GroupData:
     return GroupData("G", 1, (ClassInfo("1", 1),), 1)
 
@@ -67,7 +97,7 @@ def test_holders_are_equal_only_to_themselves():
 def test_value_records_compare_and_hash_by_value():
     pairs = [
         (ClassInfo("a(1)", 3), ClassInfo(label="a(1)", size=3)),
-        (IrrepInfo("(2, 1)", 2), IrrepInfo(label="(2, 1)", dim=2)),
+        (IrrepInfo("(2, 1)"), IrrepInfo(label="(2, 1)")),
         (DiagramElement((2, 2), (1, 2), (2, 1)), DiagramElement((2, 2), (1, 2), (2, 1))),
         (EgfTruncation(1, (1, 2)), EgfTruncation(order=1, coeffs=(1, 2))),
     ]

@@ -40,7 +40,7 @@ def lin(c0, c1):
 
 def trivial_group_with_module(d):
     g = GroupData("trivial", 1, (ClassInfo("e", 1),), 1,
-                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
+                  (IrrepInfo("0"),), lambda i: (CycNum.from_int(1),))
     return g, ModuleChar(g, (CycNum.from_int(d),))
 
 
@@ -89,7 +89,8 @@ def test_cramer_z10_t12():
 
 
 def test_character_equals_cramer_everywhere():
-    for name, g, v in builtin_modules():
+    for name, v in builtin_modules():
+        g = v.group
         a = mckay_adjacency(g, v)
         for lam in range(g.n_classes):
             assert poincare_character(g, v, lam) == poincare_cramer(a, lam), (name, lam)
@@ -135,7 +136,8 @@ def test_newton_product_checks_every_division():
 
 
 def test_cramer_numerators_on_every_registry_module():
-    for name, g, v in builtin_modules():
+    for name, v in builtin_modules():
+        g = v.group
         a = mckay_adjacency(g, v)
         den, nums = cramer_numerators(a)
         assert len(nums) == g.n_classes
@@ -160,7 +162,8 @@ def test_trivial_group_series():
 
 
 def test_det_factorization_for_builtins():
-    for name, g, v in builtin_modules():
+    for name, v in builtin_modules():
+        g = v.group
         a = mckay_adjacency(g, v)
         assert det_factorization_check(g, v, a), name
 
@@ -232,7 +235,7 @@ def test_irrational_series_is_rejected():
     # Galois-incomplete data: a single class carrying a non-real value can
     # never combine to a rational series
     g = GroupData("broken", 1, (ClassInfo("e", 1),), 3,
-                  (IrrepInfo("0", 1),), lambda i: (CycNum.from_int(1),))
+                  (IrrepInfo("0"),), lambda i: (CycNum.from_int(1),))
     v = ModuleChar(g, (root_of_unity(3, 1),))
     with pytest.raises(ConsistencyError):
         poincare_character(g, v, 0)
