@@ -134,13 +134,13 @@ def cmd_poincare(args) -> int:
     elif args.method == "character":
         rf = poincare_character(g, v, lam)
     else:  # paper
-        from .routes import linear_group_forms
+        from . import closedforms as cf
 
         if spec.kind not in ("gl2", "sl2") or lam != 0:
             raise UnsupportedQueryError(
                 "--method paper provides only the GL2/SL2 invariant series")
-        _, poincare, which = linear_group_forms(spec)
-        rf = poincare(spec.params["q"], which)
+        poincare = cf.gl2_poincare if spec.kind == "gl2" else cf.sl2_poincare
+        rf = poincare(spec.params["q"], spec.params["which"])
     emit({"group": g.name, "lambda": lam, "method": args.method,
           "num": rf.num.to_text(), "den": rf.den.to_text(),
           "ratfunc": {"num": [str(c) for c in rf.num.coeffs],

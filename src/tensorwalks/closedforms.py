@@ -168,30 +168,31 @@ def sn_irrep_dim_formula(n: int, k: int, lam) -> int:
 # ---------------------------------------------------------------------------
 
 
-def wreath_invariants(r: int, n: int, k: int) -> int:
-    """Invariant dimension grouped by the number of fixed points of the
-    underlying permutation: (1/n!) sum_m F_n(m) f_m(k), with f_m(k) the
-    number of words of length k over m letters that use every letter a
-    multiple of r times, by the binomial convolution
-    f_m(rt) = sum_j C(rt, rj) f_{m-1}(r(t - j)).
+def wreath_invariants(r: int, n: int, ks: range) -> list[int]:
+    """Invariant dimensions for every k in `ks`, grouped by the number of
+    fixed points of the underlying permutation: (1/n!) sum_m F_n(m) f_m(k),
+    with f_m(k) the number of words of length k over m letters that use
+    every letter a multiple of r times (so 0 unless r divides k), by the
+    binomial convolution f_m(rt) = sum_j C(rt, rj) f_{m-1}(r(t - j)), run
+    once for m = 1..n up to the largest k; f_0(rt) is 1 at t = 0 alone.
 
     The published form carries the rencontres weight to the k-th power and an
     r^m/r^n prefactor; that version fails brute-force checking already for
     n = 3, so the weights here are the ones the derivation actually yields."""
     if r < 2 or n < 1:
         raise ValueError("need r >= 2 and n >= 1")
-    if k == 0:
-        return 1
-    if k % r:
-        return 0
-    t = k // r
-    words = [1] + [0] * t  # f_0(r s) for s = 0..t
-    total = 0
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    top = max(ks, default=0) // r
+    words = [1] + [0] * top  # f_0(r s) for s = 0..top
+    totals = [rencontres(n, 0) * f for f in words]
     for m in range(1, n + 1):
         words = [sum(comb(r * s, r * j) * words[s - j] for j in range(s + 1))
-                 for s in range(t + 1)]
-        total += rencontres(n, m) * words[t]
-    return exact_count(total, factorial(n), "wreath invariant dimension")
+                 for s in range(top + 1)]
+        totals = [total + rencontres(n, m) * f for total, f in zip(totals, words)]
+    nf = factorial(n)
+    return [0 if k % r else exact_count(totals[k // r], nf, "wreath invariant dimension")
+            for k in ks]
 
 
 def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:

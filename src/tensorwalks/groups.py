@@ -100,23 +100,19 @@ def _trivial_row(name: str, n_classes: int) -> Callable[[int], tuple[CycNum, ...
 
 
 class ModuleChar:
-    """Character of a module: one value per conjugacy class, the identity
-    class first, so values[0] is its dimension.  Immutable; equal only to
-    itself."""
+    """Character of a module over `group`: its values, one per conjugacy
+    class, the identity class first, so values[0] is its dimension.  Which
+    module a spec names is a spec parameter, not part of the character.
+    Immutable; equal only to itself."""
 
-    __slots__ = ("group", "values", "name")
+    __slots__ = ("group", "values")
 
-    def __init__(self, group: GroupData, values: tuple[CycNum, ...], name: str = "V"):
+    def __init__(self, group: GroupData, values: tuple[CycNum, ...]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *args):
         raise AttributeError("ModuleChar is immutable")
-
-    @property
-    def self_dual(self) -> bool:
-        return all(v == v.conj() for v in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +172,7 @@ def build_abelian(radii) -> GroupData:
     return _abelian_group("x".join(f"Z{r}" for r in radii), radii, str)
 
 
-def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, name: str = "V",
-               **params) -> ParsedSpec:
+def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, **params) -> ParsedSpec:
     """A spec of the abelian family: `group` with the module chi_V(b) =
     sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps from b to
     b + s (the exponents are counted mod N, then reduced once); the params
@@ -192,7 +187,7 @@ def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, name:
             counts[sum(map(mul, s, b)) % n] += 1
         values.append(CycNum(n, counts))
     params.update(radii=radii, steps=steps)
-    return ParsedSpec(kind, params, ModuleChar(group, tuple(values), name))
+    return ParsedSpec(kind, params, ModuleChar(group, tuple(values)))
 
 
 def _cyclic_spec(r: int) -> ParsedSpec:
@@ -206,8 +201,7 @@ def _circulant_spec(r: int, connection) -> ParsedSpec:
     for s in conn:
         if not 1 <= s <= r - 1:
             raise ValueError(f"connection residue {s} out of range 1..{r - 1}")
-    return _step_spec("circulant", build_cyclic(r), (r,), [(s,) for s in conn],
-                      f"circulant{tuple(sorted(conn))}")
+    return _step_spec("circulant", build_cyclic(r), (r,), [(s,) for s in conn])
 
 
 def _paley_spec(p: int) -> ParsedSpec:
@@ -215,7 +209,7 @@ def _paley_spec(p: int) -> ParsedSpec:
     group = build_cyclic(p) if p % 2 and p > 1 else None
     if group is None or not is_prime(p):
         raise ValueError(f"Paley parameter must be an odd prime, got {p}")
-    return _step_spec("paley", group, (p,), [(s,) for s in quadratic_residues(p)], "paley", p=p)
+    return _step_spec("paley", group, (p,), [(s,) for s in quadratic_residues(p)], p=p)
 
 
 def _product_spec(radii: tuple[int, ...]) -> ParsedSpec:
@@ -343,7 +337,7 @@ def monomial_module(r: int, n: int) -> ModuleChar:
 # ---------------------------------------------------------------------------
 
 
-# The names of the two GL2/SL2 modules, which the closed forms take as `which`
+# The two GL2/SL2 modules, as a spec's params["which"] and the closed forms' `which`
 INDUCED = "induced"
 STEINBERG = "steinberg"
 
@@ -385,7 +379,7 @@ def _linear_modules(family: str, q: int, order: int,
         chi_v.extend([CycNum.from_int(row.chi_v)] * row.count)
         chi_st.extend([CycNum.from_int(row.chi_st)] * row.count)
     g = GroupData(f"{family}({q})", order, tuple(classes), 1)
-    return ModuleChar(g, tuple(chi_v), name=INDUCED), ModuleChar(g, tuple(chi_st), name=STEINBERG)
+    return ModuleChar(g, tuple(chi_v)), ModuleChar(g, tuple(chi_st))
 
 
 def build_gl2(q: int) -> GroupData:
@@ -413,9 +407,10 @@ def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 class ParsedSpec:
     """A parsed spec string: `kind` is one of cyclic, abelian, symmetric,
-    wreath, gl2, sl2, paley, circulant; `params` holds the family's numbers
-    (r, n, q, p, radii, steps) that its closed forms read; `module` is the
-    module the spec names, and its group is the spec's group.  Immutable;
+    wreath, gl2, sl2, paley, circulant; `params` holds what the family's
+    closed forms read: its numbers (r, n, q, p, radii, steps) and, for
+    GL2/SL2, `which` module, INDUCED or STEINBERG; `module` is the module
+    the spec names, and its group is the spec's group.  Immutable;
     equal only to itself."""
 
     __slots__ = ("kind", "params", "module")
@@ -435,7 +430,7 @@ class ParsedSpec:
     @property
     def steinberg(self) -> bool:
         """Whether the spec names the Steinberg module of GL2/SL2 (`@steinberg`)."""
-        return self.module.name == STEINBERG
+        return self.params.get("which") == STEINBERG
 
 
 class _Cursor:
@@ -502,7 +497,8 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             # (induced, Steinberg); looked up at call time, so a wrapper
             # rebound onto these names sees the call
             both = both_modules_gl2 if kind == "gl2" else both_modules_sl2
-            return ParsedSpec(kind, {"q": q}, both(q)[steinberg])
+            params = {"q": q, "which": STEINBERG if steinberg else INDUCED}
+            return ParsedSpec(kind, params, both(q)[steinberg])
     if cur.try_word("paley"):
         cur.expect("(")
         p = cur.integer()

@@ -7,7 +7,7 @@ from collections import namedtuple
 from math import lcm
 
 from .cyclotomic import CycNum, class_sums, sum_of_products
-from .errors import UnsupportedQueryError, exact_count
+from .errors import exact_count
 from .groups import GroupData, ModuleChar
 
 
@@ -119,13 +119,12 @@ def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int)
 
 
 def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:
-    """Dimension of the centralizer algebra of the k-th tensor power; needs a
-    self-dual module (otherwise the 2k-walk identity does not apply)."""
-    if not v.self_dual:
-        raise UnsupportedQueryError(
-            "centralizer_dim requires a self-dual module character; "
-            f"module {v.name} over {g.name} is not self-conjugate")
-    return walk_count_character(g, v, 2 * k, 0, 0)
+    """Dimension of the centralizer algebra of the k-th tensor power, the sum
+    of the squared multiplicities, (1/|G|) sum_c |c| |chi_V(c)|^(2k), for any
+    module: the closed k-step walks at the trivial irrep, node 0, for the
+    module V tensor V*, whose character is chi_V conj(chi_V)."""
+    squares = ModuleChar(g, tuple(x * x.conj() for x in v.values))
+    return walk_count_character(g, squares, k, 0, 0)
 
 
 # Levels 0..K of the branching diagram: per level the (irrep index,

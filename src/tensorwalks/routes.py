@@ -12,13 +12,6 @@ from .groups import FULL, ParsedSpec, abelian_elements
 from .quiver import mckay_adjacency, power_rows, walk_counts_character
 
 
-def linear_group_forms(spec: ParsedSpec):
-    """(dims, poincare, which): the closed forms of a GL2 or SL2 spec, and
-    the name of the module it names, cf.INDUCED or cf.STEINBERG."""
-    forms = (cf.gl2_dims, cf.gl2_poincare) if spec.kind == "gl2" else (cf.sl2_dims, cf.sl2_poincare)
-    return (*forms, spec.module.name)
-
-
 def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[str, list[int]]]:
     """Every family closed form that applies, as (label, counts over ks)."""
     out = []
@@ -36,10 +29,10 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, to: int) -> list[tuple[s
         lam = partitions_of(params["n"])[to]
         out.append(("closed:stirling-kostka", [cf.sn_irrep_dim_formula(params["n"], k, lam) for k in ks]))
     elif kind == "wreath" and frm == 0 and to == 0:
-        out.append(("closed:wreath", [cf.wreath_invariants(params["r"], params["n"], k) for k in ks]))
+        out.append(("closed:wreath", cf.wreath_invariants(params["r"], params["n"], ks)))
     elif kind in ("gl2", "sl2") and frm == 0 and to == 0:
-        dims, _, which = linear_group_forms(spec)
-        out.append(("closed:linear-group", [dims(params["q"], k, which) for k in ks]))
+        dims = cf.gl2_dims if kind == "gl2" else cf.sl2_dims
+        out.append(("closed:linear-group", [dims(params["q"], k, params["which"]) for k in ks]))
     return out
 
 

@@ -116,6 +116,7 @@ def suite_z4xz2() -> list[CheckResult]:
     s.check("level-6 multiplicities", level6)
     s.check("centralizer dims per level",
             lambda: agree([("bratteli", diagram().algebra_dims),
+                           ("class sum", [centralizer_dim(g, spec.module, k) for k in range(7)]),
                            ("expected", [1, 2, 6, 20, 72, 272, 1056])], range(7)))
     ks = range(1, 7)
     s.check("dims follow 2^(k-1) + 4^(k-1)",
@@ -260,7 +261,7 @@ def suite_wreath() -> list[CheckResult]:
                 if r**n * factorial(n) > 200:
                     continue
                 agree([("brute force", cf.wreath_invariants_bruteforce(r, n, ks)),
-                       ("closed", [cf.wreath_invariants(r, n, k) for k in ks])],
+                       ("closed", cf.wreath_invariants(r, n, ks))],
                       ks, f"r={r} n={n}")
 
     s.check("group-element averaging agrees where the order is <= 200", averaging)
@@ -270,7 +271,7 @@ def suite_wreath() -> list[CheckResult]:
             for n in (1, 2, 3, 4):
                 e = cf.wreath_invariants_egf(r, n, 8)
                 agree([("EGF", [e.coefficient(k) for k in ks]),
-                       ("closed", [cf.wreath_invariants(r, n, k) for k in ks])],
+                       ("closed", cf.wreath_invariants(r, n, ks))],
                       ks, f"r={r} n={n}")
 
     s.check("EGF coefficients reproduce the invariant dimensions", egf)
@@ -286,7 +287,7 @@ def suite_wreath() -> list[CheckResult]:
         half = range(1, 6)
         for n in (1, 2, 3, 4):
             agree([("even-block", [cf.weyl_bc_centralizer(n, k) for k in half]),
-                   ("invariants at 2k", [cf.wreath_invariants(2, n, 2 * k) for k in half])],
+                   ("invariants at 2k", cf.wreath_invariants(2, n, range(2, 2 * half.stop, 2)))],
                   half, f"n={n}")
 
     s.check("even-block partition sums equal 2k-step invariants", even_blocks)

@@ -534,7 +534,7 @@ def test_verify_runs_the_cli_routes(capsys, monkeypatch):
 
     real_wreath = cf_mod.wreath_invariants
     monkeypatch.setattr(cf_mod, "wreath_invariants",
-                        lambda r, n, k: real_wreath(r, n, k) + (k == 2))
+                        lambda r, n, ks: [x + (k == 2) for k, x in zip(ks, real_wreath(r, n, ks))])
     failed = {r.name: r.detail for r in run_suite("wreath") if not r.ok}
     assert "k=2" in failed["fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)"]
 
@@ -680,12 +680,12 @@ def test_invariants_consistency_failure(capsys, monkeypatch):
     import tensorwalks.closedforms as cf_mod
 
     real = cf_mod.wreath_invariants
-    monkeypatch.setattr(cf_mod, "wreath_invariants", lambda r, n, k: 10**6)
+    monkeypatch.setattr(cf_mod, "wreath_invariants", lambda r, n, ks: [10**6] * len(ks))
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "3")
     assert code == 4 and out == "" and "disagree" in err
     # wrong at k = 2 alone: the sequences differ there first
     monkeypatch.setattr(cf_mod, "wreath_invariants",
-                        lambda r, n, k: real(r, n, k) + (k == 2))
+                        lambda r, n, ks: [x + (k == 2) for k, x in zip(ks, real(r, n, ks))])
     code, out, err = run(capsys, "invariants", "--group", "Z2wrS2", "--k", "6")
     assert code == 4 and out == "" and "k=2" in err
 

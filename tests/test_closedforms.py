@@ -10,11 +10,12 @@ from tensorwalks.groups import (
     both_modules_gl2,
     both_modules_sl2,
     monomial_module,
+    parse_spec_full,
     permutation_module,
 )
 from tensorwalks.numbertheory import is_prime, legendre_symbol, quadratic_residues
 from tensorwalks.polynomials import Polynomial
-from tensorwalks.quiver import character_walk_counts, walk_count_character
+from tensorwalks.quiver import character_walk_counts, walk_count_character, walk_counts_character
 from tensorwalks.series import RatFunc
 
 from oracles import compositions, multinomial
@@ -155,15 +156,16 @@ def test_sn_formula_matches_character_sums():
 
 
 def test_wreath_invariants_examples():
-    assert cf.wreath_invariants(2, 2, 4) == 4
-    assert cf.wreath_invariants(2, 2, 3) == 0
-    assert cf.wreath_invariants(3, 2, 3) == 1
-    assert cf.wreath_invariants(2, 2, 0) == 1
+    assert cf.wreath_invariants(2, 2, range(4, 5)) == [4]
+    assert cf.wreath_invariants(2, 2, range(3, 4)) == [0]
+    assert cf.wreath_invariants(3, 2, range(3, 4)) == [1]
+    assert cf.wreath_invariants(2, 2, range(1)) == [1]
+    dims = cf.wreath_invariants(2, 2, range(9))
     for k in range(1, 9):
         if k % 2:
-            assert cf.wreath_invariants(2, 2, k) == 0
+            assert dims[k] == 0
         elif k >= 2:
-            assert cf.wreath_invariants(2, 2, k) == max(2 ** (k - 2), 1)
+            assert dims[k] == max(2 ** (k - 2), 1)
 
 
 def wreath_composition_sum(r, n, k):
@@ -183,15 +185,16 @@ def wreath_composition_sum(r, n, k):
 
 def test_wreath_convolution_equals_composition_sum():
     for r, n, top in ((2, 6, 20), (3, 6, 21), (4, 6, 16), (3, 5, 18), (2, 4, 20), (5, 2, 20)):
+        dims = cf.wreath_invariants(r, n, range(top + 1))
         for k in range(top + 1):
-            assert cf.wreath_invariants(r, n, k) == wreath_composition_sum(r, n, k), (r, n, k)
+            assert dims[k] == wreath_composition_sum(r, n, k), (r, n, k)
 
 
 def test_wreath_evaluators_and_bruteforce():
     for r in (2, 3, 4):
         for n in (1, 2, 3, 4):
             v = monomial_module(r, n)
-            dims = [cf.wreath_invariants(r, n, k) for k in range(9)]
+            dims = cf.wreath_invariants(r, n, range(9))
             for k in range(9):
                 assert dims[k] == walk_count_character(v.group, v, k, 0, 0), (r, n, k)
             if r**n * factorial(n) <= 200:
@@ -204,11 +207,28 @@ def test_wreath_evaluators_and_bruteforce():
         cf.wreath_invariants_bruteforce(2, 2, range(-1, 3))
 
 
+def test_wreath_invariants_over_a_range_match_the_egf_and_the_character_route():
+    # one convolution up to the largest k serves every k of the range, in
+    # its order and with its stride
+    for r in (2, 3, 4):
+        for n in (1, 2, 3, 4):
+            v = monomial_module(r, n)
+            e = cf.wreath_invariants_egf(r, n, 40)
+            character = walk_counts_character(v.group, v, range(41), 0, 0)
+            for ks in (range(41), range(3, 40, 3), range(40, -1, -7), range(5, 5)):
+                dims = cf.wreath_invariants(r, n, ks)
+                assert dims == [e.coefficient(k) for k in ks], (r, n, ks)
+                assert dims == [character[k] for k in ks], (r, n, ks)
+    with pytest.raises(ValueError):
+        cf.wreath_invariants(2, 2, range(-2, 3))
+
+
 def test_wreath_matches_group_model_character_route():
     for r, n in ((2, 2), (2, 3), (3, 2), (4, 2)):
         v = monomial_module(r, n)
+        dims = cf.wreath_invariants(r, n, range(9))
         for k in range(9):
-            assert walk_count_character(v.group, v, k, 0, 0) == cf.wreath_invariants(r, n, k)
+            assert walk_count_character(v.group, v, k, 0, 0) == dims[k]
 
 
 def test_wreath_egf():
@@ -218,8 +238,7 @@ def test_wreath_egf():
     assert [int(c) for c in cf.wreath_invariants_egf(3, 1, 6).coeffs] == [1, 0, 0, 1, 0, 0, 1]
     for r, n in ((2, 3), (3, 2), (4, 4)):
         e = cf.wreath_invariants_egf(r, n, 8)
-        for k in range(9):
-            assert e.coefficient(k) == cf.wreath_invariants(r, n, k), (r, n, k)
+        assert [e.coefficient(k) for k in range(9)] == cf.wreath_invariants(r, n, range(9)), (r, n)
 
 
 def test_wreath_egf_carries_the_power_of_h(monkeypatch):
@@ -243,7 +262,7 @@ def test_wreath_egf_carries_the_power_of_h(monkeypatch):
     total = [sum(rencontres(8, m) * series.egf_pow(h, m).coeffs[k] for m in range(9))
              for k in range(41)]
     assert list(e.coeffs) == [c // factorial(8) for c in total]
-    assert e.coeffs[:9] == tuple(cf.wreath_invariants(4, 8, k) for k in range(9))
+    assert list(e.coeffs[:9]) == cf.wreath_invariants(4, 8, range(9))
 
 
 def test_weyl_bc():
@@ -251,8 +270,9 @@ def test_weyl_bc():
     assert cf.weyl_bc_centralizer(1, 3) == 1
     assert cf.weyl_bc_centralizer(3, 2) == 4
     for n in range(1, 5):
+        dims = cf.wreath_invariants(2, n, range(2, 12, 2))
         for k in range(1, 6):
-            assert cf.weyl_bc_centralizer(n, k) == cf.wreath_invariants(2, n, 2 * k)
+            assert cf.weyl_bc_centralizer(n, k) == dims[k - 1]
 
 
 def test_gl2_sl2_dims_examples():
@@ -281,9 +301,10 @@ def test_gl2_sl2_match_character_route():
 
 
 def test_linear_group_module_names_are_the_closed_forms_which():
-    # routes.linear_group_forms passes a spec's module name to the forms as `which`
-    for build in (both_modules_gl2, both_modules_sl2):
-        assert tuple(v.name for v in build(3)) == (cf.INDUCED, cf.STEINBERG)
+    # the closed forms read a GL2/SL2 spec's params["which"] as `which`
+    for family in ("GL2", "SL2"):
+        for suffix, which in (("", cf.INDUCED), ("@steinberg", cf.STEINBERG)):
+            assert parse_spec_full(f"{family}(3){suffix}").params == {"q": 3, "which": which}
 
 
 def test_gl2_sl2_poincare():

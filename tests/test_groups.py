@@ -45,7 +45,7 @@ def test_cyclic_group():
     v = standard_module_cyclic(10)
     assert v.values[0] == 2
     assert v.values[1] == root_of_unity(10, 1) + root_of_unity(10, 9)
-    assert v.self_dual
+    assert all(x == x.conj() for x in v.values)
     with pytest.raises(ValueError):
         build_cyclic(1)
 
@@ -62,7 +62,7 @@ def test_abelian_group():
     v = coordinate_module([4, 2])
     idx = [c.label for c in g.classes].index("(1, 1)")
     assert v.values[idx] == root_of_unity(4, 1) - 1
-    assert not v.self_dual
+    assert any(x != x.conj() for x in v.values)
     with pytest.raises(ValueError):
         build_abelian([])
 
@@ -159,7 +159,7 @@ def test_dimensions_match_hook_length_formula():
 def test_permutation_module_counts_fixed_points():
     v = permutation_module(4)
     assert [x.as_integer() for x in v.values] == [4, 2, 0, 1, 0]
-    assert v.self_dual
+    assert all(x == x.conj() for x in v.values)
 
 
 def test_orthogonality_for_all_builtins():
@@ -197,7 +197,7 @@ def test_wreath_group():
     assert g.classes[0].size == 1
     v = monomial_module(2, 2)
     assert v.values[0] == 2
-    assert v.self_dual  # entries are signs
+    assert all(x == x.conj() for x in v.values)  # entries are signs
     v1 = monomial_module(2, 1)
     assert sorted(x.as_integer() for x in v1.values) == [-1, 1]
 
@@ -257,7 +257,7 @@ def test_gl2_module_values():
     v, st = both_modules_gl2(5)
     assert v.values[0].as_integer() == 6  # q + 1 on the identity
     assert st.values[0].as_integer() == 5
-    assert v.self_dual and st.self_dual
+    assert all(x == x.conj() for x in v.values + st.values)
 
 
 def test_sl2_class_accounting():
@@ -280,8 +280,6 @@ def test_gl2_rejects_bad_parameters():
 
 
 def test_circulant_and_paley_modules():
-    m = paley_module(13)
-    assert m.name == "paley"
     from tensorwalks.numbertheory import quadratic_residues
 
     assert quadratic_residues(13) == [1, 3, 4, 9, 10, 12]
@@ -298,7 +296,7 @@ def test_circulant_and_paley_modules():
         paley_module(9)
 
 
-def test_spec_reads_group_and_steinberg_from_its_module():
+def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():
     for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
                  "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):
         spec = parse_spec_full(text)
@@ -313,6 +311,7 @@ def test_parser_valid_specs():
     assert spec.group.name == "Z10" and spec.module.values[0] == 2
     spec = parse_spec_full("SL2(3)@steinberg")
     assert spec.steinberg and spec.module.values[0] == 3
+    assert parse_spec_full("SL2(5)@steinberg").params == {"q": 5, "which": "steinberg"}
     spec = parse_spec_full("hypercube(3)")
     assert spec.group.order == 8 and spec.module.values[0] == 3
     spec = parse_spec_full("Z2wrS2")

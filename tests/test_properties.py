@@ -57,7 +57,7 @@ K_MAX = 12
 @given(r=st.integers(2, 4), n=st.integers(1, 4), k=st.integers(0, K_MAX))
 def test_wreath_fixed_point_character_and_egf_agree(r, n, k):
     v = monomial_module(r, n)
-    fixed_point = cf.wreath_invariants(r, n, k)
+    [fixed_point] = cf.wreath_invariants(r, n, range(k, k + 1))
     assert walk_count_character(v.group, v, k, 0, 0) == fixed_point
     assert cf.wreath_invariants_egf(r, n, K_MAX).coefficient(k) == fixed_point
 

@@ -127,15 +127,37 @@ def test_centralizer_dim():
     assert centralizer_dim(v.group, v, 6) == 948
     s4 = permutation_module(4)
     assert centralizer_dim(s4.group, s4, 2) == 15
-    coord = coordinate_module([4, 2])
-    with pytest.raises(UnsupportedQueryError):
-        centralizer_dim(coord.group, coord, 2)
+    coord = coordinate_module([4, 2])  # not self-dual: the class sum applies all the same
+    assert [centralizer_dim(coord.group, coord, k) for k in range(7)] == [
+        1, 2, 6, 20, 72, 272, 1056]
+    with pytest.raises(ValueError):
+        centralizer_dim(s4.group, s4, -1)
+
+
+def test_centralizer_dim_is_the_sum_of_squared_multiplicities():
+    paley7 = parse_spec_full("paley(7)").module
+    assert [centralizer_dim(paley7.group, paley7, k) for k in range(7)] == [
+        1, 3, 15, 111, 951, 8463, 75975]
+    # the built-in modules include Z4xZ2, Z3xZ3 and paley(7), none of them self-dual
+    circulant = parse_spec_full("circulant(10;1,3)").module
+    for v in [circulant, *(mod for _, mod in builtin_modules())]:
+        dims = [centralizer_dim(v.group, v, k) for k in range(7)]
+        assert dims == list(bratteli(v.group, v, 6).algebra_dims), v.group.name
+
+
+def test_centralizer_dim_of_a_self_dual_module_counts_closed_2k_walks():
+    # invariant-tier groups too: the class sum reads only node 0, the trivial row
+    for text in ("Z2wrS3", "GL2(5)", "SL2(7)@steinberg"):
+        spec = parse_spec_full(text)
+        g, v = spec.group, spec.module
+        for k in range(7):
+            assert centralizer_dim(g, v, k) == walk_count_character(g, v, 2 * k, 0, 0), (text, k)
 
 
 def test_symmetry_for_self_dual_modules():
     for mod in (standard_module_cyclic(6), permutation_module(4), permutation_module(5)):
         a = mckay_adjacency(mod.group, mod)
-        assert mod.self_dual
+        assert all(x == x.conj() for x in mod.values)
         assert a == [list(r) for r in zip(*a)]
 
 
@@ -255,7 +277,7 @@ def test_paley_directed_quiver():
     mod = paley_module(7)  # 3 mod 4: directed
     a = mckay_adjacency(mod.group, mod)
     assert a != [list(r) for r in zip(*a)]
-    assert not mod.self_dual
+    assert any(x != x.conj() for x in mod.values)
     dot = quiver_dot([i.label for i in mod.group.irreps], a)
     assert "dir=none" not in dot
 

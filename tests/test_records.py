@@ -81,7 +81,7 @@ def _trivial_group() -> GroupData:
 
 def test_holders_are_immutable():
     spec = parse_spec_full("S3")
-    for obj, field in ((spec.group, "order"), (spec.module, "name"), (spec, "kind"),
+    for obj, field in ((spec.group, "order"), (spec.module, "values"), (spec, "kind"),
                        (spec, "group"), (spec, "steinberg"), (spec.group.classes[0], "size")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
@@ -109,9 +109,6 @@ def test_value_records_compare_and_hash_by_value():
 def test_keyword_construction_keeps_defaults():
     g = _trivial_group()
     assert g.irreps is None and g.row(0) == (CycNum.from_int(1),)
-    one = (CycNum.from_int(1),)
-    assert ModuleChar(g, one).name == "V"
-    assert ModuleChar(g, one, name="induced").name == "induced"
     assert DiagramElement((3,), (1, 1), (1, 1)).k == 2
 
 
