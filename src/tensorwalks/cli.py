@@ -251,11 +251,8 @@ def bratteli_dot(labels, bd) -> str:
         for i, m in level:
             lines.append(f'  k{k}_{i} [label="{labels[i]} ({m})"];')
     for k, step in enumerate(bd.edges):
-        present_prev = {i for i, _ in bd.levels[k]}
-        present_next = {i for i, _ in bd.levels[k + 1]}
         for a_i, b_i, c in step:
-            if a_i in present_prev and b_i in present_next:
-                lines.extend(f"  k{k}_{a_i} -- k{k + 1}_{b_i};" for _ in range(c))
+            lines.extend(f"  k{k}_{a_i} -- k{k + 1}_{b_i};" for _ in range(c))
     lines.append("}")
     return "\n".join(lines)
 

@@ -22,7 +22,7 @@ from .combinatorics import (
     rencontres,
     stirling2,
 )
-from .cyclotomic import CycNum, gauss_sum, root_of_unity
+from .cyclotomic import CycNum, gauss_sum
 from .errors import exact_count
 from .groups import INDUCED, STEINBERG
 from .numbertheory import is_prime, legendre_symbol, quadratic_residues
@@ -211,9 +211,7 @@ def wreath_invariants_bruteforce(r: int, n: int, ks: range) -> list[int]:
     for sigma in permutations(range(n)):
         fixed = [i for i in range(n) if sigma[i] == i]
         for signs in product(range(r), repeat=n):
-            chi = CycNum(r, ())
-            for i in fixed:
-                chi = chi + root_of_unity(r, signs[i])
+            chi = CycNum.from_exponents(r, [signs[i] for i in fixed])
             values.setdefault(chi.coeffs, [chi, 0])[1] += 1
     powers = [(CycNum.from_int(1), x, m) for x, m in values.values()]
     counts = {}

@@ -5,8 +5,10 @@ z^(phi(N)-1) where z = zeta_N, reduced modulo the N-th cyclotomic polynomial
 Phi_N.  Every character value is a sum of roots of unity, so it lies in
 Z[zeta_N]; the ring operations keep it there, and a count is divided out of
 a rational integer by `errors.exact_count`.  `reduce_mod_phi` is the one
-reduction: it reads each exponent mod N and adds, for each one at or above
-phi(N), a row of one cached table of z^e mod Phi_N, phi(N) <= e < N.
+reduction: it reads (exponent, count) terms, each exponent mod N, and adds
+one row of a cached table of z^e mod Phi_N, phi(N) <= e < N, per distinct
+exponent at or above phi(N).  Every value is built through it; a sum of
+roots of unity is built by `CycNum.from_exponents` from its exponents alone.
 
 `class_sums`, the kernel of every certified character sum, reads each value
 in the basis of its own conductor d, zeta_d as a power of zeta_N for N the
@@ -17,6 +19,7 @@ integers mod Phi_N(2^B); it never embeds or reduces a value.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -50,20 +53,23 @@ def _high_powers(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def reduce_mod_phi(coeffs: list, n: int) -> tuple:
-    """Reduce a raw power-basis coefficient list modulo Phi_n: each exponent
-    is read mod n, and one at or above phi(n) adds a row of `_high_powers`."""
-    deg = euler_phi(n)
-    high = _high_powers(n)
-    out = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
-    for i in range(deg, len(coeffs)):
-        c = coeffs[i]
+def reduce_mod_phi(terms, n: int) -> tuple:
+    """Reduce sum c z^e over the (exponent, count) pairs `terms` modulo
+    Phi_n: each exponent is read mod n, one below phi(n) is added in place,
+    and the counts of each one at or above are summed first, so that one row
+    of `_high_powers` is added per distinct such exponent."""
+    deg, rows = euler_phi(n), _high_powers(n)
+    out = [0] * deg
+    high: dict[int, int] = {}
+    for e, c in terms:
+        e %= n
+        if e < deg:
+            out[e] += c
+        else:
+            high[e] = high.get(e, 0) + c
+    for e, c in high.items():
         if c:
-            e = i % n
-            if e < deg:
-                out[e] += c
-            else:
-                out = [x + c * r for x, r in zip(out, high[e - deg])]
+            out = [x + c * r for x, r in zip(out, rows[e - deg])]
     return tuple(out)
 
 
@@ -79,7 +85,7 @@ def sum_of_products(xs, ys, n: int) -> tuple:
             if a:
                 for j, c in terms:
                     raw[i + j] += a * c
-    return reduce_mod_phi(raw, n)
+    return reduce_mod_phi(enumerate(raw), n)
 
 
 class CycNum:
@@ -97,7 +103,7 @@ class CycNum:
         if not set(map(type, coeffs)) <= {int}:
             raise TypeError("cyclotomic coefficients must be ints")
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", reduce_mod_phi(coeffs, conductor))
+        object.__setattr__(self, "coeffs", reduce_mod_phi(enumerate(coeffs), conductor))
 
     @classmethod
     def _of(cls, conductor: int, coeffs: tuple) -> "CycNum":
@@ -112,6 +118,14 @@ class CycNum:
         raise AttributeError("CycNum is immutable")
 
     # -- construction helpers ------------------------------------------------
+
+    @classmethod
+    def from_exponents(cls, n: int, exponents) -> "CycNum":
+        """sum_e zeta_n^e over the ints `exponents`, a repeated exponent
+        counted once per occurrence: the one build of a value from roots."""
+        if n < 1:
+            raise ValueError("conductor must be positive")
+        return cls._of(n, reduce_mod_phi(zip(exponents, repeat(1)), n))
 
     @staticmethod
     def from_int(value: int) -> "CycNum":
@@ -129,11 +143,7 @@ class CycNum:
         if m % n != 0:
             raise ValueError(f"cannot embed conductor {n} into {m}")
         step = m // n
-        raw = [0] * ((len(self.coeffs) - 1) * step + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * step] = c
-        return CycNum._of(m, reduce_mod_phi(raw, m))
+        return CycNum._of(m, reduce_mod_phi(((i * step, c) for i, c in enumerate(self.coeffs)), m))
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
@@ -206,11 +216,7 @@ class CycNum:
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        raw = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[(i * a) % n] += c
-        return CycNum._of(n, reduce_mod_phi(raw, n))
+        return CycNum._of(n, reduce_mod_phi(((i * a, c) for i, c in enumerate(self.coeffs)), n))
 
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta_N -> zeta_N^(-1)."""
@@ -271,17 +277,14 @@ def root_of_unity(n: int, m: int) -> CycNum:
 
 @lru_cache(maxsize=None)
 def _root(n: int, e: int) -> CycNum:
-    return CycNum(n, [0] * e + [1])
+    return CycNum.from_exponents(n, (e,))
 
 
 def gauss_sum(p: int) -> CycNum:
     """g(1) = sum_x zeta_p^(x^2) in Z[zeta_p], for an odd prime p."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError("Gauss sums here need an odd prime")
-    raw = [0] * p
-    for x in range(p):
-        raw[x * x % p] += 1
-    return CycNum(p, raw)
+    return CycNum.from_exponents(p, [x * x for x in range(p)])
 
 
 def gauss_sum_check(p: int) -> bool:

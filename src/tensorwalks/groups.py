@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from math import factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .combinatorics import (
     fixed_point_count,
@@ -175,19 +175,18 @@ def build_abelian(radii) -> GroupData:
 def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, **params) -> ParsedSpec:
     """A spec of the abelian family: `group` with the module chi_V(b) =
     sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps from b to
-    b + s (the exponents are counted mod N, then reduced once); the params
-    carry the radii and the steps."""
+    b + s; the params carry the radii and the steps.  The rows of exponents
+    <s,b> are built one coordinate at a time, b in `abelian_elements` order,
+    and each value is reduced once from its row."""
     steps = tuple(steps)
     n = group.conductor
-    scaled = [[si * (n // r) for si, r in zip(s, radii)] for s in steps]
-    values = []
-    for b in abelian_elements(radii):
-        counts = [0] * n
-        for s in scaled:
-            counts[sum(map(mul, s, b)) % n] += 1
-        values.append(CycNum(n, counts))
+    exponents = [[0] * len(steps)]
+    for i, r in enumerate(radii):
+        shifts = [[v * s[i] * (n // r) % n for s in steps] for v in range(r)]
+        exponents = [list(map(add, e, d)) for e in exponents for d in shifts]
+    values = tuple(CycNum.from_exponents(n, e) for e in exponents)
     params.update(radii=radii, steps=steps)
-    return ParsedSpec(kind, params, ModuleChar(group, tuple(values)))
+    return ParsedSpec(kind, params, ModuleChar(group, values))
 
 
 def _cyclic_spec(r: int) -> ParsedSpec:

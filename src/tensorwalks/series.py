@@ -14,8 +14,8 @@ from collections import namedtuple
 from math import comb
 
 from .cyclotomic import CycNum, class_sums
-from .errors import ConsistencyError, UnsupportedQueryError
-from .groups import FULL, GroupData, ModuleChar
+from .errors import ConsistencyError
+from .groups import GroupData, ModuleChar
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
 from .quiver import walk_counts_character
 
@@ -151,8 +151,6 @@ def _newton_product(sums: list[int]) -> Polynomial:
 def det_factorization_check(g: GroupData, v: ModuleChar, a) -> bool:
     """det(I - tA) over Z[t] must equal the product of (1 - chi_V(c_mu) t)
     over all classes, built from the power sums of the class values."""
-    if g.tier != FULL:
-        raise UnsupportedQueryError("det factorization needs a full table")
     det = poly_det(_identity_minus_t(a))
     return det == _linear_factor_product(list(v.values))
 

@@ -54,6 +54,11 @@ def test_root_of_unity_basics():
     # periodicity in the exponent
     assert root_of_unity(7, 9) == root_of_unity(7, 2)
     assert root_of_unity(6, -1) == root_of_unity(6, 5)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            root_of_unity(n, 1)
+        with pytest.raises(ValueError):
+            CycNum.from_exponents(n, [1])
 
 
 def test_root_of_unity_is_shared_per_residue():
@@ -78,11 +83,21 @@ def remainder_by_long_division(coeffs, n):
 @pytest.mark.parametrize("n", [*range(1, 65), 105, 210, 1001])
 def test_reduce_mod_phi_is_the_remainder_by_phi(n):
     # lengths up to 3n reach exponents past n, which wrap, and exponents in
-    # [phi(n), n), which read the table of high powers
+    # [phi(n), n), which read the table of high powers; the same list as
+    # shuffled (exponent, count) terms, each exponent split in two, reduces
+    # alike, and `from_exponents` of an exponent multiset is its count list
     rng = random.Random(n)
     for length in (0, 1, euler_phi(n), n + 1, rng.randrange(3 * n + 1), 3 * n):
         coeffs = [rng.randint(-9, 9) for _ in range(length)]
-        assert reduce_mod_phi(coeffs, n) == remainder_by_long_division(coeffs, n), (n, length)
+        want = remainder_by_long_division(coeffs, n)
+        assert reduce_mod_phi(enumerate(coeffs), n) == want, (n, length)
+        split = [(e, part) for e, c in enumerate(coeffs) for part in (c - c // 2, c // 2)]
+        rng.shuffle(split)
+        assert reduce_mod_phi(split, n) == want, (n, length)
+        counts = [abs(c) for c in coeffs]
+        exponents = [e + n * rng.randrange(-2, 3) for e, c in enumerate(counts) for _ in range(c)]
+        rng.shuffle(exponents)
+        assert CycNum.from_exponents(n, exponents) == CycNum(n, counts), (n, length)
 
 
 def test_conjugation_and_rationality():

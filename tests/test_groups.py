@@ -296,6 +296,26 @@ def test_circulant_and_paley_modules():
         paley_module(9)
 
 
+@pytest.mark.parametrize("text, steps", [("Z1001", 2), ("hypercube(12)", 12), ("paley(199)", 99)])
+def test_step_specs_reduce_one_term_per_step(monkeypatch, text, steps):
+    # each value of an abelian spec is built from its exponents, one per
+    # step, never from a count list of length N
+    from tensorwalks import cyclotomic
+
+    real = cyclotomic.reduce_mod_phi
+    lengths = []
+
+    def counting(terms, n):
+        terms = list(terms)
+        lengths.append(len(terms))
+        return real(terms, n)
+
+    monkeypatch.setattr(cyclotomic, "reduce_mod_phi", counting)
+    spec = parse_spec_full(text)
+    assert len(lengths) >= spec.group.order
+    assert max(lengths) <= steps, text
+
+
 def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():
     for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
                  "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):

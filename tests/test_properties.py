@@ -77,7 +77,7 @@ def schoolbook(x: CycNum, y: CycNum, n: int) -> tuple:
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             raw[i + j] += u * v
-    return reduce_mod_phi(raw, n)
+    return reduce_mod_phi(enumerate(raw), n)
 
 
 @settings(max_examples=80, deadline=None)
