@@ -8,6 +8,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .errors import exact_count
+from .numbertheory import divisors
 
 # A partition is a weakly decreasing tuple of positive ints; () is the
 # partition of 0.  A multipartition is a tuple of partitions.
@@ -110,20 +111,34 @@ def z_multipartition(alpha: MultiPartition, r: int) -> int:
 
 
 def multipartitions_of(n: int, r: int) -> list[MultiPartition]:
-    """All r-tuples of partitions with total size n, deterministic order."""
+    """All r-tuples of partitions with total size n, deterministic order: by
+    the first slot's size, descending, then its partition in `partitions_of`
+    order, then likewise slot by slot.  Each call places the next nonempty
+    slot after a run of empty ones, so the recursion is at most n + 1 deep."""
     out: list[MultiPartition] = []
 
     def gen(i: int, remaining: int, acc: tuple):
-        if i == r - 1:
-            for lam in partitions_of(remaining):
-                out.append(acc + (lam,))
+        if remaining == 0:
+            out.append(acc + ((),) * (r - i))
             return
-        for size in range(remaining, -1, -1):
-            for lam in partitions_of(size):
-                gen(i + 1, remaining - size, acc + (lam,))
+        for j in range(i, r):  # the next nonempty slot; the last takes the rest
+            gap = acc + ((),) * (j - i)
+            for size in range(remaining, 0, -1) if j < r - 1 else (remaining,):
+                for lam in partitions_of(size):
+                    gen(j + 1, remaining - size, gap + (lam,))
 
     gen(0, n, ())
     return out
+
+
+def multipartition_count(n: int, r: int) -> int:
+    """The number of r-multipartitions of n, without listing them: the
+    coefficient f_n of x^n in P(x)^r, P the partition generating function,
+    by m f_m = r sum_k sigma(k) f_(m-k) (from log P = sum_k sigma(k) x^k / k)."""
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(r * sum(sum(divisors(k)) * f[m - k] for k in range(1, m + 1)) // m)
+    return f[n]
 
 
 def even_block_partitions(k: int, s: int) -> int:

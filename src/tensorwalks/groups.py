@@ -17,6 +17,7 @@ from operator import add, mul
 
 from .combinatorics import (
     fixed_point_count,
+    multipartition_count,
     multipartitions_of,
     partitions_of,
     z_lambda,
@@ -297,6 +298,12 @@ def permutation_module(n: int) -> ModuleChar:
 # ---------------------------------------------------------------------------
 
 
+# Most class slots, classes times r, that a wreath spec builds: each class of
+# Z_r wr S_n is an r-multipartition of n, and the class list, the class sizes
+# and the module character each walk all r slots of every class.
+WREATH_LIMIT = 5 * 10**6
+
+
 @lru_cache(maxsize=None)
 def _wreath_classes(r: int, n: int) -> tuple[tuple, ...]:
     identity = ((1,) * n,) + ((),) * (r - 1)  # sorted first; the sort is stable
@@ -308,6 +315,9 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
         raise ValueError("wreath cyclic order must be at least 2")
     if not 1 <= n <= 8:
         raise ValueError("wreath symmetric degree supported for 1 <= n <= 8")
+    if multipartition_count(n, r) * r > WREATH_LIMIT:
+        raise ValueError(f"wreath product too large to enumerate: its number of classes "
+                         f"times r must be at most {WREATH_LIMIT}")
     order = r**n * factorial(n)
     classes = tuple(
         ClassInfo(str(alpha), order // z_multipartition(alpha, r))
@@ -367,11 +377,11 @@ def _linear_modules(family: str, q: int, order: int,
     """(induced (q+1)-dim module, q-dim Steinberg module) of the group
     `family`(q) of `order`, whose classes expand the table `rows(q)`: each
     row's `count` classes share its two character values."""
+    if q > 13:  # before q is factored
+        raise ValueError("field sizes above 13 not supported at desk scale")
     p = prime_power_base(q)
     if p is None or p == 2:
         raise ValueError(f"field size must be an odd prime power, got {q}")
-    if q > 13:
-        raise ValueError("field sizes above 13 not supported at desk scale")
     classes, chi_v, chi_st = [], [], []
     for row in rows(q):
         classes.extend(ClassInfo(f"{row.family}({i})", row.size) for i in range(1, row.count + 1))

@@ -1,52 +1,48 @@
-"""Small number-theoretic helpers: primality, prime powers, quadratic residues."""
+"""Small number-theoretic helpers: primality, prime powers, Euler's phi and
+divisors, every one read from one cached factorization; Legendre symbols,
+quadratic residues and generators of (Z/n)^x."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, prod
+
+
+@lru_cache(maxsize=None)
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 as (prime, exponent) pairs, primes
+    ascending, by trial division up to the square root of what is left;
+    () for n = 1.  Every other answer of this module about n reads it."""
+    if n < 1:
+        raise ValueError(f"only positive integers are factored, got {n}")
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and factorization(n) == ((n, 1),)
 
 
 def prime_power_base(q: int) -> int | None:
     """Return p if q = p^e for a prime p and e >= 1, else None."""
-    if q < 2:
-        return None
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return p if q == 1 else None
-    return q  # q itself is prime
+    factors = factorization(q) if q > 1 else ()
+    return factors[0][0] if len(factors) == 1 else None
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return prod((p - 1) * p ** (e - 1) for p, e in factorization(n))
 
 
 @lru_cache(maxsize=None)
@@ -67,13 +63,11 @@ def unit_generators(n: int) -> tuple[int, ...]:
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    """The divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in factorization(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def legendre_symbol(a: int, p: int) -> int:

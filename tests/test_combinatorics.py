@@ -9,6 +9,7 @@ from tensorwalks.combinatorics import (
     even_block_partitions,
     group_ring_power,
     kostka_hook_content,
+    multipartition_count,
     multipartitions_of,
     partitions_of,
     rencontres,
@@ -160,6 +161,37 @@ def test_multipartition_centralizers():
             order = r**n * factorial(n)
             total = sum(order // z_multipartition(a, r) for a in multipartitions_of(n, r))
             assert total == order
+
+
+def _multipartitions_by_slot(n, r):
+    """The enumeration multipartitions_of replaced: one recursion level per
+    slot, so as deep as r."""
+    out = []
+
+    def gen(i, remaining, acc):
+        if i == r - 1:
+            for lam in partitions_of(remaining):
+                out.append(acc + (lam,))
+            return
+        for size in range(remaining, -1, -1):
+            for lam in partitions_of(size):
+                gen(i + 1, remaining - size, acc + (lam,))
+
+    gen(0, n, ())
+    return out
+
+
+def test_multipartitions_keep_the_slot_by_slot_order_and_count():
+    for r in range(1, 7):
+        for n in range(7):
+            listed = multipartitions_of(n, r)
+            assert listed == _multipartitions_by_slot(n, r), (r, n)
+            assert multipartition_count(n, r) == len(listed), (r, n)
+    # deeper than the recursion limit in slots, n + 1 deep in calls
+    assert multipartitions_of(1, 1200) == [((),) * i + ((1,),) + ((),) * (1199 - i) for i in range(1200)]
+    assert multipartition_count(2, 1200) == 2 * 1200 + comb(1200, 2)
+    assert multipartition_count(8, 4) == 2580
+    assert multipartition_count(1, 10**12) == 10**12
 
 
 def test_multinomial():

@@ -1,12 +1,16 @@
+import time
 from math import factorial
 
 import pytest
 
+from tensorwalks import groups
+from tensorwalks.combinatorics import multipartition_count
 from tensorwalks.cyclotomic import root_of_unity
 from tensorwalks.errors import SpecError
 from tensorwalks.groups import (
     FULL,
     INVARIANT,
+    WREATH_LIMIT,
     GroupData,
     both_modules_gl2,
     both_modules_sl2,
@@ -277,6 +281,43 @@ def test_gl2_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_sl2(15)
     build_gl2(9)  # odd prime power is fine
+
+
+def test_linear_specs_refuse_large_fields_before_factoring(monkeypatch):
+    real = groups.prime_power_base
+
+    def small_only(q):
+        assert q <= 13, f"factored q = {q}"
+        return real(q)
+
+    monkeypatch.setattr(groups, "prime_power_base", small_only)
+    for text in ("GL2(15)", "SL2(17)", "GL2(1000000000000000003)", "SL2(1000000000000000003)"):
+        with pytest.raises(SpecError, match="above 13"):
+            parse_spec_full(text)
+    with pytest.raises(SpecError, match="odd prime power, got 4"):
+        parse_spec_full("GL2(4)")
+
+
+def test_wreath_specs_refuse_before_enumerating(monkeypatch):
+    def unbuilt(r, n):
+        raise AssertionError(f"enumerated Z{r}wrS{n}")
+
+    monkeypatch.setattr(groups, "_wreath_classes", unbuilt)
+    for text in ("Z30wrS8", "Z900wrS2", "Z1000wrS2", "Z1000000000000wrS1", "Z12wrS8", "Z2237wrS1"):
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match=f"at most {WREATH_LIMIT}"):
+            parse_spec_full(text)
+        assert time.perf_counter() - start < 0.5, text
+
+
+def test_wreath_limit_counts_classes_times_r():
+    # one slot past the largest accepted r of each degree n is refused
+    largest = {}
+    for n in range(1, 9):
+        largest[n] = max(r for r in range(2, 3000) if multipartition_count(n, r) * r <= WREATH_LIMIT)
+        with pytest.raises(ValueError, match="too large"):
+            build_wreath_invariant(largest[n] + 1, n)
+    assert largest == {1: 2236, 2: 214, 3: 71, 4: 37, 5: 24, 6: 18, 7: 14, 8: 11}
 
 
 def test_circulant_and_paley_modules():
