@@ -127,12 +127,12 @@ def cmd_invariants(args) -> int:
 
 def cmd_poincare(args) -> int:
     spec = parse_spec_full(args.group)
-    g, v = spec.group, spec.module
+    g = spec.group
     lam = _node_index(spec, args.lam)
     if args.method == "cramer":
-        rf = poincare_cramer(mckay_adjacency(g, v), lam)
+        rf = poincare_cramer(mckay_adjacency(g, spec.module), lam)
     elif args.method == "character":
-        rf = poincare_character(g, v, lam)
+        rf = poincare_character(g, spec.module, lam)
     else:  # paper
         from . import closedforms as cf
 

@@ -122,7 +122,8 @@ class ModuleChar:
 # ---------------------------------------------------------------------------
 
 # Most integers in the elements and the module character of an abelian spec,
-# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds both.
+# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds the
+# elements, and a query that reads the module builds its values.
 # The reduction table of Z[zeta_N] holds at most (N - phi(N)) * phi(N) more, within
 # |G| * phi(N) since N <= |G|.
 ABELIAN_LIMIT = 2**21
@@ -180,14 +181,17 @@ def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, **par
     <s,b> are built one coordinate at a time, b in `abelian_elements` order,
     and each value is reduced once from its row."""
     steps = tuple(steps)
-    n = group.conductor
-    exponents = [[0] * len(steps)]
-    for i, r in enumerate(radii):
-        shifts = [[v * s[i] * (n // r) % n for s in steps] for v in range(r)]
-        exponents = [list(map(add, e, d)) for e in exponents for d in shifts]
-    values = tuple(CycNum.from_exponents(n, e) for e in exponents)
+
+    def values():
+        n = group.conductor
+        exponents = [[0] * len(steps)]
+        for i, r in enumerate(radii):
+            shifts = [[v * s[i] * (n // r) % n for s in steps] for v in range(r)]
+            exponents = [list(map(add, e, d)) for e in exponents for d in shifts]
+        return tuple(CycNum.from_exponents(n, e) for e in exponents)
+
     params.update(radii=radii, steps=steps)
-    return ParsedSpec(kind, params, ModuleChar(group, values))
+    return ParsedSpec(kind, params, group, values)
 
 
 def _cyclic_spec(r: int) -> ParsedSpec:
@@ -283,14 +287,14 @@ def build_symmetric(n: int) -> GroupData:
     return GroupData(f"S{n}", order, classes, 1, irreps, row)
 
 
+def _symmetric_spec(n: int) -> ParsedSpec:
+    return ParsedSpec("symmetric", {"n": n}, build_symmetric(n), lambda: tuple(
+        CycNum.from_int(fixed_point_count(mu)) for mu in reversed(partitions_of(n))))
+
+
 def permutation_module(n: int) -> ModuleChar:
     """The n-dimensional permutation module; its character counts fixed points."""
-    g = build_symmetric(n)
-    parts = partitions_of(n)
-    values = tuple(
-        CycNum.from_int(fixed_point_count(mu)) for mu in reversed(parts)
-    )
-    return ModuleChar(g, values)
+    return _symmetric_spec(n).module
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +330,26 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
     return GroupData(f"Z{r}wrS{n}", order, classes, r)
 
 
+def _wreath_spec(r: int, n: int) -> ParsedSpec:
+    """Z_r wr S_n with its monomial module, chi_V(alpha) = sum_i f_i zeta_r^i,
+    f_i the fixed points of alpha_i; classes with equal f share one value."""
+    def values():
+        shared: dict[tuple[int, ...], CycNum] = {}
+        out = []
+        for alpha in _wreath_classes(r, n):
+            fixed = tuple(map(fixed_point_count, alpha))
+            value = shared.get(fixed)
+            if value is None:
+                value = shared[fixed] = CycNum(r, fixed)
+            out.append(value)
+        return tuple(out)
+
+    return ParsedSpec("wreath", {"r": r, "n": n}, build_wreath_invariant(r, n), values)
+
+
 def monomial_module(r: int, n: int) -> ModuleChar:
-    """The defining n-dimensional monomial-matrix module of Z_r wr S_n, with
-    chi_V(alpha) = sum_i f_i zeta_r^i, f_i the fixed points of alpha_i."""
-    g = build_wreath_invariant(r, n)
-    shared: dict[tuple[int, ...], CycNum] = {}
-    values = []
-    for alpha in _wreath_classes(r, n):
-        fixed = tuple(map(fixed_point_count, alpha))
-        value = shared.get(fixed)
-        if value is None:
-            value = shared[fixed] = CycNum(r, fixed)
-        values.append(value)
-    return ModuleChar(g, tuple(values))
+    """The defining n-dimensional monomial-matrix module of Z_r wr S_n."""
+    return _wreath_spec(r, n).module
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +357,11 @@ def monomial_module(r: int, n: int) -> ModuleChar:
 # ---------------------------------------------------------------------------
 
 
-# The two GL2/SL2 modules, as a spec's params["which"] and the closed forms' `which`
+# The two GL2/SL2 modules: a spec's params["which"], the closed forms' `which`, a _Row field
 INDUCED = "induced"
 STEINBERG = "steinberg"
 
-_Row = namedtuple("_Row", "family count size chi_v chi_st")
+_Row = namedtuple("_Row", ("family", "count", "size", INDUCED, STEINBERG))
 
 
 def _gl2_rows(q: int) -> list[_Row]:
@@ -372,41 +383,43 @@ def _sl2_rows(q: int) -> list[_Row]:
     ]
 
 
-def _linear_modules(family: str, q: int, order: int,
-                    rows: Callable[[int], list[_Row]]) -> tuple[ModuleChar, ModuleChar]:
-    """(induced (q+1)-dim module, q-dim Steinberg module) of the group
-    `family`(q) of `order`, whose classes expand the table `rows(q)`: each
-    row's `count` classes share its two character values."""
+def _linear_group(family: str, q: int, order: int, rows: Callable[[int], list[_Row]]) -> GroupData:
+    """The group `family`(q) of `order`, whose classes expand the table
+    `rows(q)`: each row's `count` classes share its two character values."""
     if q > 13:  # before q is factored
         raise ValueError("field sizes above 13 not supported at desk scale")
     p = prime_power_base(q)
     if p is None or p == 2:
         raise ValueError(f"field size must be an odd prime power, got {q}")
-    classes, chi_v, chi_st = [], [], []
-    for row in rows(q):
-        classes.extend(ClassInfo(f"{row.family}({i})", row.size) for i in range(1, row.count + 1))
-        chi_v.extend([CycNum.from_int(row.chi_v)] * row.count)
-        chi_st.extend([CycNum.from_int(row.chi_st)] * row.count)
-    g = GroupData(f"{family}({q})", order, tuple(classes), 1)
-    return ModuleChar(g, tuple(chi_v)), ModuleChar(g, tuple(chi_st))
+    classes = tuple(ClassInfo(f"{row.family}({i})", row.size)
+                    for row in rows(q) for i in range(1, row.count + 1))
+    return GroupData(f"{family}({q})", order, classes, 1)
 
 
 def build_gl2(q: int) -> GroupData:
-    return both_modules_gl2(q)[0].group
+    return _linear_group("GL2", q, q * (q + 1) * (q - 1) ** 2, _gl2_rows)
+
+
+def build_sl2(q: int) -> GroupData:
+    return _linear_group("SL2", q, q * (q - 1) * (q + 1), _sl2_rows)
+
+
+def _linear_spec(kind: str, q: int, which: str) -> ParsedSpec:
+    """GL2(F_q) or SL2(F_q), as `kind` says, with its `which` module."""
+    # looked up at call time, so a wrapper rebound onto these names sees the call
+    build, rows = (build_gl2, _gl2_rows) if kind == "gl2" else (build_sl2, _sl2_rows)
+    return ParsedSpec(kind, {"q": q, "which": which}, build(q), lambda: tuple(
+        CycNum.from_int(getattr(row, which)) for row in rows(q) for _ in range(row.count)))
 
 
 def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
     """(induced, Steinberg) for GL2(F_q)."""
-    return _linear_modules("GL2", q, q * (q + 1) * (q - 1) ** 2, _gl2_rows)
-
-
-def build_sl2(q: int) -> GroupData:
-    return both_modules_sl2(q)[0].group
+    return _linear_spec("gl2", q, INDUCED).module, _linear_spec("gl2", q, STEINBERG).module
 
 
 def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
     """(induced, Steinberg) for SL2(F_q)."""
-    return _linear_modules("SL2", q, q * (q - 1) * (q + 1), _sl2_rows)
+    return _linear_spec("sl2", q, INDUCED).module, _linear_spec("sl2", q, STEINBERG).module
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +431,27 @@ class ParsedSpec:
     """A parsed spec string: `kind` is one of cyclic, abelian, symmetric,
     wreath, gl2, sl2, paley, circulant; `params` holds what the family's
     closed forms read: its numbers (r, n, q, p, radii, steps) and, for
-    GL2/SL2, `which` module, INDUCED or STEINBERG; `module` is the module
-    the spec names, and its group is the spec's group.  Immutable;
-    equal only to itself."""
+    GL2/SL2, `which` module, INDUCED or STEINBERG; `group` is the spec's
+    group, built with it; `module`, the module the spec names over `group`,
+    is built on its first read, once, from the zero-argument `values`.
+    Immutable; equal only to itself."""
 
-    __slots__ = ("kind", "params", "module")
+    __slots__ = ("kind", "params", "group", "_module")
 
-    def __init__(self, kind: str, params: dict, module: ModuleChar):
+    def __init__(self, kind: str, params: dict, group: GroupData,
+                 values: Callable[[], tuple[CycNum, ...]]):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_module", lru_cache(maxsize=None)(
+            lambda: ModuleChar(group, values())))
 
     def __setattr__(self, *args):
         raise AttributeError("ParsedSpec is immutable")
 
     @property
-    def group(self) -> GroupData:
-        return self.module.group
+    def module(self) -> ModuleChar:
+        return self._module()
 
     @property
     def steinberg(self) -> bool:
@@ -501,13 +518,7 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
             cur.expect("(")
             q = cur.integer()
             cur.expect(")")
-            kind = word.lower()
-            steinberg = cur.try_word("@steinberg")
-            # (induced, Steinberg); looked up at call time, so a wrapper
-            # rebound onto these names sees the call
-            both = both_modules_gl2 if kind == "gl2" else both_modules_sl2
-            params = {"q": q, "which": STEINBERG if steinberg else INDUCED}
-            return ParsedSpec(kind, params, both(q)[steinberg])
+            return _linear_spec(word.lower(), q, STEINBERG if cur.try_word("@steinberg") else INDUCED)
     if cur.try_word("paley"):
         cur.expect("(")
         p = cur.integer()
@@ -533,14 +544,12 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         # past ABELIAN_LIMIT.bit_length() factors the order alone is above the limit
         return _product_spec((2,) * min(n, ABELIAN_LIMIT.bit_length()))
     if cur.try_word("S"):
-        n = cur.integer()
-        return ParsedSpec("symmetric", {"n": n}, permutation_module(n))
+        return _symmetric_spec(cur.integer())
     if cur.try_word("Z"):
         r = cur.integer()
         if cur.try_word("wr"):
             cur.expect("S")
-            n = cur.integer()
-            return ParsedSpec("wreath", {"r": r, "n": n}, monomial_module(r, n))
+            return _wreath_spec(r, cur.integer())
         radii = [r]
         while cur.try_word("x"):
             cur.expect("Z")

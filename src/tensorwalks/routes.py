@@ -47,15 +47,16 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     the rows of `frm` and `to`, and an invariant-tier group refuses any row
     past node 0; "closed" runs every family closed form that applies.
     When none applies, the rows of `frm` and `to` are read before the
-    generic refusal, so a row an invariant-tier group lacks is named.
+    generic refusal, so a row an invariant-tier group lacks is named.  Only
+    the matrix and character routes read the spec's module.
     Returns (route label, counts) pairs in the order above."""
-    g, v = spec.group, spec.module
+    g = spec.group
     results: list[tuple[str, list[int]]] = []
     if "matrix" in methods and g.tier == FULL:
-        rows = power_rows(mckay_adjacency(g, v), frm, ks)
+        rows = power_rows(mckay_adjacency(g, spec.module), frm, ks)
         results.append(("matrix", [row[to] for row in rows]))
     if "character" in methods:
-        results.append(("character", walk_counts_character(g, v, ks, frm, to)))
+        results.append(("character", walk_counts_character(g, spec.module, ks, frm, to)))
     if "closed" in methods:
         results.extend(closed_walks(spec, ks, frm, to))
     if not results:

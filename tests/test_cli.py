@@ -108,6 +108,39 @@ def test_invariants_never_build_a_matrix(capsys, monkeypatch, spec, counts):
         main(["walks", "--group", "Z10", "--k", "6", "--method", "matrix"])
 
 
+REFUSED_SPECS = ("Z30wrS8", "Z1000wrS2", "Z1000000000000wrS1", "GL2(1000000000000000003)",
+                 "SL2(1000000000000000003)", "GL2(15)", "GL2(4)", "hypercube(17)", "Z2048",
+                 "S13", "paley(9)", "circulant(5;7)")
+MODULE_FREE_QUERIES = (
+    ("walks", "--group", "Z1001", "--k", "5", "--to", "3", "--method", "closed"),
+    ("walks", "--group", "hypercube(12)", "--k", "4", "--to", "5", "--method", "closed"),
+    ("egf", "--group", "Z4wrS6", "--order", "26"),
+    ("egf", "--group", "hypercube(3)", "--order", "10"),
+    ("poincare", "--group", "GL2(5)@steinberg", "--method", "paper"),
+    ("diagalg", "--group", "hypercube(3)", "--k", "4"),
+)
+
+
+def test_nothing_reads_a_module_it_does_not_need(capsys, monkeypatch):
+    # refusals and closed-form queries read a spec's params and group only
+    from tensorwalks.groups import ParsedSpec, parse_spec_full
+
+    queries = [("invariants", "--group", spec, "--k", "2") for spec in REFUSED_SPECS]
+    queries += MODULE_FREE_QUERIES
+    unpatched = [run(capsys, *argv) for argv in queries]
+
+    def forbidden(self):
+        raise AssertionError(f"the module of a {self.kind} spec was read")
+
+    monkeypatch.setattr(ParsedSpec, "module", property(forbidden))
+    for argv, want in zip(queries, unpatched):
+        assert run(capsys, *argv) == want, argv
+        assert want[0] == (2 if argv[2] in REFUSED_SPECS else 0), (argv, want)
+    for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
+                 "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):
+        parse_spec_full(text)
+
+
 def test_invariants_call_the_kernel_once(capsys, monkeypatch):
     # the character route's whole sequence is one certified evaluation
     import tensorwalks.quiver as quiver_mod
@@ -712,11 +745,11 @@ def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
     # with chi_V(1) = zeta + 1, which zeta -> zeta^2 moves off the table
     import tensorwalks.cli as cli_mod
     from tensorwalks.cyclotomic import CycNum
-    from tensorwalks.groups import ModuleChar, ParsedSpec, parse_spec_full
+    from tensorwalks.groups import ParsedSpec, parse_spec_full
 
     spec = parse_spec_full("Z5")
     values = (spec.module.values[0], CycNum(5, [1, 1, 0, 0]), *spec.module.values[2:])
-    planted = ParsedSpec(spec.kind, spec.params, ModuleChar(spec.group, values))
+    planted = ParsedSpec(spec.kind, spec.params, spec.group, lambda: values)
     monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: planted)
     for argv in (("walks", "--group", "Z5", "--k", "3"),
                  ("walks", "--group", "Z5", "--k", "3", "--method", "character"),

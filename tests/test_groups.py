@@ -353,15 +353,21 @@ def test_step_specs_reduce_one_term_per_step(monkeypatch, text, steps):
 
     monkeypatch.setattr(cyclotomic, "reduce_mod_phi", counting)
     spec = parse_spec_full(text)
+    assert lengths == [], text  # parsing reduces no value
+    module = spec.module
     assert len(lengths) >= spec.group.order
     assert max(lengths) <= steps, text
+    built = len(lengths)
+    assert spec.module is module and len(lengths) == built, text  # a second read reduces nothing
 
 
 def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():
     for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
                  "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):
         spec = parse_spec_full(text)
-        assert spec.group is spec.module.group, text
+        group = spec.group  # read before the module is built
+        assert spec.module is spec.module, text
+        assert group is spec.group is spec.module.group, text
         assert spec.steinberg == text.endswith("@steinberg"), text
 
 
