@@ -91,7 +91,7 @@ def cmd_walks(args) -> int:
     to = _node_index(spec, args.to)
     methods = ROUTES if args.method == "auto" else (args.method,)
     results = walk_routes(spec, range(args.k, args.k + 1), frm, to, methods)
-    emit({"group": spec.group.name, "k": args.k, "from": frm, "to": to,
+    emit({"group": spec.name, "k": args.k, "from": frm, "to": to,
           "count": str(results[0][1][0]), "methods": [m for m, _ in results]})
     return 0
 
@@ -105,7 +105,7 @@ def cmd_dims(args) -> int:
     if args.csv:
         emit_csv([("label", "count")] + [(lab, c) for lab, c in zip(labels, row)])
     else:
-        emit({"group": g.name, "k": args.k,
+        emit({"group": spec.name, "k": args.k,
               "dims": [{"label": lab, "count": str(c)} for lab, c in zip(labels, row)]})
     return 0
 
@@ -121,7 +121,7 @@ def cmd_invariants(args) -> int:
     if args.csv:
         emit_csv([("k", "count")] + list(enumerate(counts)))
     else:
-        emit({"group": spec.group.name, "counts": [str(c) for c in counts]})
+        emit({"group": spec.name, "counts": [str(c) for c in counts]})
     return 0
 
 
@@ -141,7 +141,7 @@ def cmd_poincare(args) -> int:
                 "--method paper provides only the GL2/SL2 invariant series")
         poincare = cf.gl2_poincare if spec.kind == "gl2" else cf.sl2_poincare
         rf = poincare(spec.params["q"], spec.params["which"])
-    emit({"group": g.name, "lambda": lam, "method": args.method,
+    emit({"group": spec.name, "lambda": lam, "method": args.method,
           "num": rf.num.to_text(), "den": rf.den.to_text(),
           "ratfunc": {"num": [str(c) for c in rf.num.coeffs],
                       "den": [str(c) for c in rf.den.coeffs]},
@@ -166,7 +166,7 @@ def cmd_egf(args) -> int:
             "EGFs are defined here for abelian groups with the coordinate module "
             "(ZaxZb... or hypercube(n)) and, without --target, wreath products "
             "(ZrwrSn)")
-    emit({"group": spec.group.name, "order": egf.order,
+    emit({"group": spec.name, "order": egf.order,
           "coeffs": [str(c) for c in egf.coeffs]})
     return 0
 
@@ -192,7 +192,7 @@ def cmd_bratteli(args) -> int:
     if args.format == "dot":
         sys.stdout.write(bratteli_dot(labels, bd) + "\n")
     else:
-        emit({"group": spec.group.name,
+        emit({"group": spec.name,
               "levels": [[{"label": labels[i], "multiplicity": str(m)} for i, m in level]
                          for level in bd.levels],
               "edges": [[{"from": labels[a], "to": labels[b], "count": str(c)} for a, b, c in lv]
@@ -216,7 +216,7 @@ def cmd_quiver(args) -> int:
 def cmd_group(args) -> int:
     spec = parse_spec_full(args.group)
     g = spec.group
-    emit({"name": g.name, "order": str(g.order), "tier": g.tier,
+    emit({"name": spec.name, "order": str(g.order), "tier": g.tier,
           "classes": [{"label": c.label, "size": str(c.size)} for c in g.classes],
           "chi_V": [v.to_text() for v in spec.module.values]})
     return 0
@@ -304,9 +304,9 @@ def cmd_diagalg(args) -> int:
             raise UnsupportedQueryError(
                 f"--list lists at most {LIST_LIMIT} words and {LIST_LIMIT} elements; "
                 f"{n}^{args.k} words or their basis exceed that (omit --list to count)")
-        emit_basis(spec.group.name, args.k, enumerate_basis(radii, args.k, target))
+        emit_basis(spec.name, args.k, enumerate_basis(radii, args.k, target))
     else:
-        emit({"group": spec.group.name, "k": args.k,
+        emit({"group": spec.name, "k": args.k,
               "count": str(basis_count(radii, args.k, target))})
     return 0
 

@@ -122,8 +122,9 @@ class ModuleChar:
 # ---------------------------------------------------------------------------
 
 # Most integers in the elements and the module character of an abelian spec,
-# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds the
-# elements, and a query that reads the module builds its values.
+# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds
+# nothing, the first read of `.group` builds the elements, and a query that reads
+# the module builds its values.
 # The reduction table of Z[zeta_N] holds at most (N - phi(N)) * phi(N) more, within
 # |G| * phi(N) since N <= |G|.
 ABELIAN_LIMIT = 2**21
@@ -139,51 +140,39 @@ def unit_steps(radii) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii)))
 
 
-def _abelian_group(name: str, radii: tuple[int, ...], label) -> GroupData:
-    """chi_a(b) = zeta_N^<a,b>, <a,b> = sum a_i b_i N / r_i, N = lcm(radii);
-    ValueError above ABELIAN_LIMIT, before any element is built."""
-    order, conductor = prod(radii), lcm(*radii)
-    if order > ABELIAN_LIMIT or order * (euler_phi(conductor) + len(radii)) > ABELIAN_LIMIT:
+def _check_abelian_size(radii: tuple[int, ...]) -> None:
+    """ValueError above ABELIAN_LIMIT, on the orders alone."""
+    order = prod(radii)
+    if order > ABELIAN_LIMIT or order * (euler_phi(lcm(*radii)) + len(radii)) > ABELIAN_LIMIT:
         raise ValueError(f"abelian group too large to enumerate: |G| * (phi(lcm of the "
                          f"orders) + number of factors) must be at most {ABELIAN_LIMIT}")
-    scales = [conductor // r for r in radii]
-    elements = abelian_elements(radii)
-
-    def row(i):
-        a = [ai * s for ai, s in zip(elements[i], scales)]
-        return tuple(root_of_unity(conductor, sum(map(mul, a, b))) for b in elements)
-
-    labels = [label(e) for e in elements]
-    classes = tuple(ClassInfo(text, 1) for text in labels)
-    irreps = tuple(IrrepInfo(text) for text in labels)
-    return GroupData(name, order, classes, conductor, irreps, row)
 
 
-def build_cyclic(r: int) -> GroupData:
-    if r < 2:
-        raise ValueError("cyclic order must be at least 2")
-    return _abelian_group(f"Z{r}", (r,), lambda e: str(e[0]))
+def _step_spec(kind: str, radii: tuple[int, ...], steps, **params) -> ParsedSpec:
+    """A spec of the abelian family: Z_r1 x ... x Z_rn, chi_a(b) = zeta_N^<a,b>
+    with <a,b> = sum a_i b_i N / r_i and N = lcm(radii), and the module
+    chi_V(b) = sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps
+    from b to b + s; the params carry the radii and the steps.  The rows of
+    exponents <s,b> are built one coordinate at a time, b in
+    `abelian_elements` order, and each value is reduced once from its row."""
+    _check_abelian_size(radii)
+    name, n, steps = "x".join(f"Z{r}" for r in radii), lcm(*radii), tuple(steps)
+    label = str if kind == "abelian" else lambda e: str(e[0])  # a tuple, or its one coordinate
 
+    def group():
+        scales = [n // r for r in radii]
+        elements = abelian_elements(radii)
 
-def build_abelian(radii) -> GroupData:
-    radii = tuple(radii)
-    if not radii:
-        raise ValueError("need at least one cyclic factor")
-    if any(r < 2 for r in radii):
-        raise ValueError("each factor must have order at least 2")
-    return _abelian_group("x".join(f"Z{r}" for r in radii), radii, str)
+        def row(i):
+            a = [ai * s for ai, s in zip(elements[i], scales)]
+            return tuple(root_of_unity(n, sum(map(mul, a, b))) for b in elements)
 
-
-def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, **params) -> ParsedSpec:
-    """A spec of the abelian family: `group` with the module chi_V(b) =
-    sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps from b to
-    b + s; the params carry the radii and the steps.  The rows of exponents
-    <s,b> are built one coordinate at a time, b in `abelian_elements` order,
-    and each value is reduced once from its row."""
-    steps = tuple(steps)
+        labels = [label(e) for e in elements]
+        classes = tuple(ClassInfo(text, 1) for text in labels)
+        irreps = tuple(IrrepInfo(text) for text in labels)
+        return GroupData(name, prod(radii), classes, n, irreps, row)
 
     def values():
-        n = group.conductor
         exponents = [[0] * len(steps)]
         for i, r in enumerate(radii):
             shifts = [[v * s[i] * (n // r) % n for s in steps] for v in range(r)]
@@ -191,33 +180,49 @@ def _step_spec(kind: str, group: GroupData, radii: tuple[int, ...], steps, **par
         return tuple(CycNum.from_exponents(n, e) for e in exponents)
 
     params.update(radii=radii, steps=steps)
-    return ParsedSpec(kind, params, group, values)
+    return ParsedSpec(kind, name, params, group, values)
 
 
 def _cyclic_spec(r: int) -> ParsedSpec:
-    return _step_spec("cyclic", build_cyclic(r), (r,), ((1,), (r - 1,)), r=r)
+    if r < 2:
+        raise ValueError("cyclic order must be at least 2")
+    return _step_spec("cyclic", (r,), ((1,), (r - 1,)), r=r)
 
 
 def _circulant_spec(r: int, connection) -> ParsedSpec:
+    if r < 2:
+        raise ValueError("circulant modulus must be at least 2")
     conn = list(connection)
     if not conn:
         raise ValueError("connection set must be nonempty")
     for s in conn:
         if not 1 <= s <= r - 1:
             raise ValueError(f"connection residue {s} out of range 1..{r - 1}")
-    return _step_spec("circulant", build_cyclic(r), (r,), [(s,) for s in conn])
+    return _step_spec("circulant", (r,), [(s,) for s in conn])
 
 
 def _paley_spec(p: int) -> ParsedSpec:
-    # build_cyclic applies the size limit before the sqrt(p) primality test
-    group = build_cyclic(p) if p % 2 and p > 1 else None
-    if group is None or not is_prime(p):
+    if p % 2 and p > 1:
+        _check_abelian_size((p,))  # before the sqrt(p) primality test
+    if p % 2 == 0 or p < 3 or not is_prime(p):
         raise ValueError(f"Paley parameter must be an odd prime, got {p}")
-    return _step_spec("paley", group, (p,), [(s,) for s in quadratic_residues(p)], p=p)
+    return _step_spec("paley", (p,), [(s,) for s in quadratic_residues(p)], p=p)
 
 
 def _product_spec(radii: tuple[int, ...]) -> ParsedSpec:
-    return _step_spec("abelian", build_abelian(radii), radii, unit_steps(radii))
+    if not radii:
+        raise ValueError("need at least one cyclic factor")
+    if any(r < 2 for r in radii):
+        raise ValueError("each factor must have order at least 2")
+    return _step_spec("abelian", radii, unit_steps(radii))
+
+
+def build_cyclic(r: int) -> GroupData:
+    return _cyclic_spec(r).group
+
+
+def build_abelian(radii) -> GroupData:
+    return _product_spec(tuple(radii)).group
 
 
 def standard_module_cyclic(r: int) -> ModuleChar:
@@ -270,26 +275,29 @@ def murnaghan_nakayama(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def build_symmetric(n: int) -> GroupData:
+def _symmetric_spec(n: int) -> ParsedSpec:
     if not 2 <= n <= 12:
         raise ValueError("symmetric group supported for 2 <= n <= 12")
-    parts = partitions_of(n)  # irreps, reverse-lex: (n) = trivial first
-    class_order = tuple(reversed(parts))  # (1^n) = identity first
-    order = factorial(n)
-    classes = tuple(
-        ClassInfo(str(mu), order // z_lambda(mu)) for mu in class_order
-    )
-    irreps = tuple(IrrepInfo(str(lam)) for lam in parts)
+    name = f"S{n}"
 
-    def row(i):
-        return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
+    def group():
+        parts = partitions_of(n)  # irreps, reverse-lex: (n) = trivial first
+        class_order = tuple(reversed(parts))  # (1^n) = identity first
+        order = factorial(n)
+        classes = tuple(ClassInfo(str(mu), order // z_lambda(mu)) for mu in class_order)
+        irreps = tuple(IrrepInfo(str(lam)) for lam in parts)
 
-    return GroupData(f"S{n}", order, classes, 1, irreps, row)
+        def row(i):
+            return tuple(CycNum.from_int(murnaghan_nakayama(parts[i], mu)) for mu in class_order)
 
+        return GroupData(name, order, classes, 1, irreps, row)
 
-def _symmetric_spec(n: int) -> ParsedSpec:
-    return ParsedSpec("symmetric", {"n": n}, build_symmetric(n), lambda: tuple(
+    return ParsedSpec("symmetric", name, {"n": n}, group, lambda: tuple(
         CycNum.from_int(fixed_point_count(mu)) for mu in reversed(partitions_of(n))))
+
+
+def build_symmetric(n: int) -> GroupData:
+    return _symmetric_spec(n).group
 
 
 def permutation_module(n: int) -> ModuleChar:
@@ -314,7 +322,9 @@ def _wreath_classes(r: int, n: int) -> tuple[tuple, ...]:
     return tuple(sorted(multipartitions_of(n, r), key=lambda a: a != identity))
 
 
-def build_wreath_invariant(r: int, n: int) -> GroupData:
+def _wreath_spec(r: int, n: int) -> ParsedSpec:
+    """Z_r wr S_n with its monomial module, chi_V(alpha) = sum_i f_i zeta_r^i,
+    f_i the fixed points of alpha_i; classes with equal f share one value."""
     if r < 2:
         raise ValueError("wreath cyclic order must be at least 2")
     if not 1 <= n <= 8:
@@ -322,17 +332,14 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
     if multipartition_count(n, r) * r > WREATH_LIMIT:
         raise ValueError(f"wreath product too large to enumerate: its number of classes "
                          f"times r must be at most {WREATH_LIMIT}")
-    order = r**n * factorial(n)
-    classes = tuple(
-        ClassInfo(str(alpha), order // z_multipartition(alpha, r))
-        for alpha in _wreath_classes(r, n)
-    )
-    return GroupData(f"Z{r}wrS{n}", order, classes, r)
+    name = f"Z{r}wrS{n}"
 
+    def group():
+        order = r**n * factorial(n)
+        classes = tuple(ClassInfo(str(alpha), order // z_multipartition(alpha, r))
+                        for alpha in _wreath_classes(r, n))
+        return GroupData(name, order, classes, r)
 
-def _wreath_spec(r: int, n: int) -> ParsedSpec:
-    """Z_r wr S_n with its monomial module, chi_V(alpha) = sum_i f_i zeta_r^i,
-    f_i the fixed points of alpha_i; classes with equal f share one value."""
     def values():
         shared: dict[tuple[int, ...], CycNum] = {}
         out = []
@@ -344,7 +351,11 @@ def _wreath_spec(r: int, n: int) -> ParsedSpec:
             out.append(value)
         return tuple(out)
 
-    return ParsedSpec("wreath", {"r": r, "n": n}, build_wreath_invariant(r, n), values)
+    return ParsedSpec("wreath", name, {"r": r, "n": n}, group, values)
+
+
+def build_wreath_invariant(r: int, n: int) -> GroupData:
+    return _wreath_spec(r, n).group
 
 
 def monomial_module(r: int, n: int) -> ModuleChar:
@@ -383,33 +394,33 @@ def _sl2_rows(q: int) -> list[_Row]:
     ]
 
 
-def _linear_group(family: str, q: int, order: int, rows: Callable[[int], list[_Row]]) -> GroupData:
-    """The group `family`(q) of `order`, whose classes expand the table
-    `rows(q)`: each row's `count` classes share its two character values."""
+def _linear_spec(kind: str, q: int, which: str) -> ParsedSpec:
+    """GL2(F_q) or SL2(F_q), as `kind` says, with its `which` module; each row
+    of the table `rows(q)` gives `count` classes that share its two values."""
     if q > 13:  # before q is factored
         raise ValueError("field sizes above 13 not supported at desk scale")
     p = prime_power_base(q)
     if p is None or p == 2:
         raise ValueError(f"field size must be an odd prime power, got {q}")
-    classes = tuple(ClassInfo(f"{row.family}({i})", row.size)
-                    for row in rows(q) for i in range(1, row.count + 1))
-    return GroupData(f"{family}({q})", order, classes, 1)
+    name = f"{kind.upper()}({q})"
+    order, rows = ((q * (q + 1) * (q - 1) ** 2, _gl2_rows) if kind == "gl2"
+                   else (q * (q - 1) * (q + 1), _sl2_rows))
+
+    def group():
+        classes = tuple(ClassInfo(f"{row.family}({i})", row.size)
+                        for row in rows(q) for i in range(1, row.count + 1))
+        return GroupData(name, order, classes, 1)
+
+    return ParsedSpec(kind, name, {"q": q, "which": which}, group, lambda: tuple(
+        CycNum.from_int(getattr(row, which)) for row in rows(q) for _ in range(row.count)))
 
 
 def build_gl2(q: int) -> GroupData:
-    return _linear_group("GL2", q, q * (q + 1) * (q - 1) ** 2, _gl2_rows)
+    return _linear_spec("gl2", q, INDUCED).group
 
 
 def build_sl2(q: int) -> GroupData:
-    return _linear_group("SL2", q, q * (q - 1) * (q + 1), _sl2_rows)
-
-
-def _linear_spec(kind: str, q: int, which: str) -> ParsedSpec:
-    """GL2(F_q) or SL2(F_q), as `kind` says, with its `which` module."""
-    # looked up at call time, so a wrapper rebound onto these names sees the call
-    build, rows = (build_gl2, _gl2_rows) if kind == "gl2" else (build_sl2, _sl2_rows)
-    return ParsedSpec(kind, {"q": q, "which": which}, build(q), lambda: tuple(
-        CycNum.from_int(getattr(row, which)) for row in rows(q) for _ in range(row.count)))
+    return _linear_spec("sl2", q, INDUCED).group
 
 
 def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
@@ -428,30 +439,31 @@ def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
 
 
 class ParsedSpec:
-    """A parsed spec string: `kind` is one of cyclic, abelian, symmetric,
-    wreath, gl2, sl2, paley, circulant; `params` holds what the family's
-    closed forms read: its numbers (r, n, q, p, radii, steps) and, for
-    GL2/SL2, `which` module, INDUCED or STEINBERG; `group` is the spec's
-    group, built with it; `module`, the module the spec names over `group`,
-    is built on its first read, once, from the zero-argument `values`.
-    Immutable; equal only to itself."""
+    """A spec, checked by its family's spec constructor, which runs every refusal
+    before making it: `kind` is one of cyclic, abelian, symmetric, wreath, gl2, sl2,
+    paley, circulant; `name` is its group's name; `params` holds what the family's
+    closed forms read: its numbers (r, n, q, p, radii, steps) and, for GL2/SL2,
+    `which` module, INDUCED or STEINBERG.  `group` and `module`, the module the spec
+    names over it, are built on their first read, once, by the zero-argument `group`
+    and `values`.  Immutable; equal only to itself."""
 
-    __slots__ = ("kind", "params", "group", "_module")
+    __slots__ = ("kind", "name", "params", "_group", "_module")
 
-    def __init__(self, kind: str, params: dict, group: GroupData,
+    def __init__(self, kind: str, name: str, params: dict, group: Callable[[], GroupData],
                  values: Callable[[], tuple[CycNum, ...]]):
+        group = lru_cache(maxsize=None)(group)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_group", group)
         object.__setattr__(self, "_module", lru_cache(maxsize=None)(
-            lambda: ModuleChar(group, values())))
+            lambda: ModuleChar(group(), values())))
 
     def __setattr__(self, *args):
         raise AttributeError("ParsedSpec is immutable")
 
-    @property
-    def module(self) -> ModuleChar:
-        return self._module()
+    group = property(lambda self: self._group())
+    module = property(lambda self: self._module())
 
     @property
     def steinberg(self) -> bool:
@@ -532,8 +544,6 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         while cur.try_word(","):
             conn.append(cur.integer())
         cur.expect(")")
-        if r < 2:
-            raise SpecError("circulant modulus must be at least 2")
         return _circulant_spec(r, conn)
     if cur.try_word("hypercube"):
         cur.expect("(")

@@ -141,6 +141,38 @@ def test_nothing_reads_a_module_it_does_not_need(capsys, monkeypatch):
         parse_spec_full(text)
 
 
+def test_nothing_builds_a_group_it_does_not_need(capsys, monkeypatch):
+    # every refusal runs on params alone, and egf and diagalg print the
+    # spec's name: none of them builds the group or reads the module
+    from tensorwalks.groups import ParsedSpec
+
+    refused = REFUSED_SPECS + ("circulant(1;1)", "Z1", "Z2xZ1", "Z1wrS2", "Z2wrS9")
+    queries = [(verb, "--group", spec, *rest) for spec in refused
+               for verb, *rest in (("invariants", "--k", "2"), ("egf", "--order", "3"),
+                                   ("diagalg", "--k", "2"),
+                                   ("walks", "--k", "2", "--method", "closed"))]
+    built_free = [("egf", "--group", "Z4wrS6", "--order", "26"),
+                  ("egf", "--group", "hypercube(3)", "--order", "10"),
+                  ("egf", "--group", "Z4xZ2", "--order", "8", "--target", "1,1"),
+                  ("diagalg", "--group", "hypercube(3)", "--k", "4"),
+                  ("diagalg", "--group", "hypercube(3)", "--k", "2", "--list")]
+    unpatched = {argv: run(capsys, *argv) for argv in queries + built_free}
+
+    def forbidden(self):
+        raise AssertionError(f"the group or module of a {self.kind} spec was read")
+
+    monkeypatch.setattr(ParsedSpec, "group", property(forbidden))
+    monkeypatch.setattr(ParsedSpec, "module", property(forbidden))
+    for argv in queries:
+        code, out, err = unpatched[argv]
+        assert code == 2 and out == "" and err.startswith("error: "), (argv, err)
+        assert run(capsys, *argv) == (code, out, err), argv
+    for argv in built_free:
+        code, out, _ = unpatched[argv]
+        assert code == 0 and out, argv
+        assert run(capsys, *argv) == unpatched[argv], argv
+
+
 def test_invariants_call_the_kernel_once(capsys, monkeypatch):
     # the character route's whole sequence is one certified evaluation
     import tensorwalks.quiver as quiver_mod
@@ -749,7 +781,7 @@ def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
 
     spec = parse_spec_full("Z5")
     values = (spec.module.values[0], CycNum(5, [1, 1, 0, 0]), *spec.module.values[2:])
-    planted = ParsedSpec(spec.kind, spec.params, spec.group, lambda: values)
+    planted = ParsedSpec(spec.kind, spec.name, spec.params, lambda: spec.group, lambda: values)
     monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: planted)
     for argv in (("walks", "--group", "Z5", "--k", "3"),
                  ("walks", "--group", "Z5", "--k", "3", "--method", "character"),

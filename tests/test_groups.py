@@ -368,6 +368,7 @@ def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():
         group = spec.group  # read before the module is built
         assert spec.module is spec.module, text
         assert group is spec.group is spec.module.group, text
+        assert spec.name == spec.group.name, text
         assert spec.steinberg == text.endswith("@steinberg"), text
 
 
@@ -428,6 +429,40 @@ def test_parser_errors_carry_positions():
     with pytest.raises(SpecError) as exc:
         parse_spec_full("Z4xZ2 trailing")
     assert exc.value.position is not None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Z1", "cyclic order must be at least 2"),
+    ("Z2xZ1", "each factor must have order at least 2"),
+    ("Z2048", "abelian group too large to enumerate: |G| * (phi(lcm of the orders) + "
+              "number of factors) must be at most 2097152"),
+    ("hypercube(0)", "hypercube dimension must be positive"),
+    ("circulant(1;1)", "circulant modulus must be at least 2"),
+    ("circulant(5;7)", "connection residue 7 out of range 1..4"),
+    ("paley(9)", "Paley parameter must be an odd prime, got 9"),
+    ("S13", "symmetric group supported for 2 <= n <= 12"),
+    ("Z1wrS2", "wreath cyclic order must be at least 2"),
+    ("Z2wrS9", "wreath symmetric degree supported for 1 <= n <= 8"),
+    ("Z30wrS8", "wreath product too large to enumerate: its number of classes times r "
+                "must be at most 5000000"),
+    ("GL2(15)", "field sizes above 13 not supported at desk scale"),
+    ("SL2(4)", "field size must be an odd prime power, got 4"),
+    ("Z5@steinberg", "@steinberg applies only to GL2/SL2 specs"),
+])
+def test_each_refusal_keeps_its_wording(text, message):
+    with pytest.raises(SpecError) as exc:
+        parse_spec_full(text)
+    assert str(exc.value) == message and exc.value.position is None
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (coordinate_module, ((),), "need at least one cyclic factor"),
+    (circulant_module, (5, []), "connection set must be nonempty"),
+])
+def test_library_refusals_keep_their_wording(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
 
 
 def test_group_serialization_roundtrip(capsys):

@@ -114,7 +114,7 @@ def test_abelian_rows_are_characters_and_modules_sum_them(query):
     validate_group(g)
     assert _orthogonality_ok(g)
     index = {e: i for i, e in enumerate(abelian_elements(radii))}
-    v = _step_spec("abelian", g, radii, steps).module
+    v = _step_spec("abelian", radii, steps).module
     for b, value in zip(index, v.values):
         assert value == sum((g.chi(index[s], index[b]) for s in steps), CycNum(1, ()))
 

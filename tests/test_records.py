@@ -82,7 +82,7 @@ def _trivial_group() -> GroupData:
 def test_holders_are_immutable():
     spec = parse_spec_full("S3")
     for obj, field in ((spec.group, "order"), (spec.module, "values"), (spec, "kind"),
-                       (spec, "group"), (spec, "module"), (spec, "steinberg"),
+                       (spec, "name"), (spec, "group"), (spec, "module"), (spec, "steinberg"),
                        (spec.group.classes[0], "size")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
