@@ -11,7 +11,8 @@ from .errors import exact_count
 from .numbertheory import divisors
 
 # A partition is a weakly decreasing tuple of positive ints; () is the
-# partition of 0.  A multipartition is a tuple of partitions.
+# partition of 0.  An r-multipartition is its nonempty slots: a tuple of
+# (colour, partition) pairs, colours ascending in range(r).
 Partition = tuple
 MultiPartition = tuple
 
@@ -31,15 +32,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n))
-
-
-def parts_equal_to(lam: Partition, j: int) -> int:
-    return sum(1 for p in lam if p == j)
-
-
-def fixed_point_count(lam: Partition) -> int:
-    """Number of fixed points of a permutation with cycle type lam."""
-    return parts_equal_to(lam, 1)
 
 
 def stirling2(k: int, l: int) -> int:
@@ -95,37 +87,37 @@ def z_lambda(lam: Partition) -> int:
     """Centralizer order of a permutation of cycle type lam in S_|lam|."""
     z = 1
     for j in set(lam):
-        pj = parts_equal_to(lam, j)
+        pj = lam.count(j)
         z *= j**pj * factorial(pj)
     return z
 
 
 def z_multipartition(alpha: MultiPartition, r: int) -> int:
     """Centralizer order of the class labeled by an r-multipartition in the
-    wreath product of a cyclic group of order r with S_n."""
-    total_parts = sum(len(a) for a in alpha)
-    z = r**total_parts
-    for a in alpha:
-        z *= z_lambda(a)
+    wreath product of a cyclic group of order r with S_n: the product of
+    r^len(lam) z_lam over its (colour, lam) pairs."""
+    z = 1
+    for _, lam in alpha:
+        z *= r ** len(lam) * z_lambda(lam)
     return z
 
 
 def multipartitions_of(n: int, r: int) -> list[MultiPartition]:
-    """All r-tuples of partitions with total size n, deterministic order: by
-    the first slot's size, descending, then its partition in `partitions_of`
-    order, then likewise slot by slot.  Each call places the next nonempty
-    slot after a run of empty ones, so the recursion is at most n + 1 deep."""
+    """All r-multipartitions of n, each as its nonempty slots, in the order
+    of the r-tuples of partitions they stand for: by the first slot's size,
+    descending, then its partition in `partitions_of` order, then likewise
+    slot by slot.  Each call places the next nonempty slot, so the recursion
+    is at most n + 1 deep and no empty slot is visited."""
     out: list[MultiPartition] = []
 
     def gen(i: int, remaining: int, acc: tuple):
         if remaining == 0:
-            out.append(acc + ((),) * (r - i))
+            out.append(acc)
             return
         for j in range(i, r):  # the next nonempty slot; the last takes the rest
-            gap = acc + ((),) * (j - i)
             for size in range(remaining, 0, -1) if j < r - 1 else (remaining,):
                 for lam in partitions_of(size):
-                    gen(j + 1, remaining - size, gap + (lam,))
+                    gen(j + 1, remaining - size, acc + ((j, lam),))
 
     gen(0, n, ())
     return out

@@ -16,7 +16,6 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .combinatorics import (
-    fixed_point_count,
     multipartition_count,
     multipartitions_of,
     partitions_of,
@@ -293,7 +292,7 @@ def _symmetric_spec(n: int) -> ParsedSpec:
         return GroupData(name, order, classes, 1, irreps, row)
 
     return ParsedSpec("symmetric", name, {"n": n}, group, lambda: tuple(
-        CycNum.from_int(fixed_point_count(mu)) for mu in reversed(partitions_of(n))))
+        CycNum.from_int(mu.count(1)) for mu in reversed(partitions_of(n))))
 
 
 def build_symmetric(n: int) -> GroupData:
@@ -311,20 +310,21 @@ def permutation_module(n: int) -> ModuleChar:
 
 
 # Most class slots, classes times r, that a wreath spec builds: each class of
-# Z_r wr S_n is an r-multipartition of n, and the class list, the class sizes
-# and the module character each walk all r slots of every class.
+# Z_r wr S_n is an r-multipartition of n, and its label spells all r slots,
+# so the text of the class list grows as classes times r.
 WREATH_LIMIT = 5 * 10**6
 
 
 @lru_cache(maxsize=None)
 def _wreath_classes(r: int, n: int) -> tuple[tuple, ...]:
-    identity = ((1,) * n,) + ((),) * (r - 1)  # sorted first; the sort is stable
+    identity = ((0, (1,) * n),)  # sorted first; the sort is stable
     return tuple(sorted(multipartitions_of(n, r), key=lambda a: a != identity))
 
 
 def _wreath_spec(r: int, n: int) -> ParsedSpec:
     """Z_r wr S_n with its monomial module, chi_V(alpha) = sum_i f_i zeta_r^i,
-    f_i the fixed points of alpha_i; classes with equal f share one value."""
+    f_i the fixed points of alpha's slot of colour i: classes with equal
+    nonzero (i, f_i) pairs share one value, built from at most n exponents."""
     if r < 2:
         raise ValueError("wreath cyclic order must be at least 2")
     if not 1 <= n <= 8:
@@ -334,20 +334,27 @@ def _wreath_spec(r: int, n: int) -> ParsedSpec:
                          f"times r must be at most {WREATH_LIMIT}")
     name = f"Z{r}wrS{n}"
 
+    def label(alpha) -> str:
+        slots = ["()"] * r
+        for i, lam in alpha:
+            slots[i] = str(lam)
+        return f"({', '.join(slots)})"
+
     def group():
         order = r**n * factorial(n)
-        classes = tuple(ClassInfo(str(alpha), order // z_multipartition(alpha, r))
+        classes = tuple(ClassInfo(label(alpha), order // z_multipartition(alpha, r))
                         for alpha in _wreath_classes(r, n))
         return GroupData(name, order, classes, r)
 
     def values():
-        shared: dict[tuple[int, ...], CycNum] = {}
+        shared: dict[tuple[tuple[int, int], ...], CycNum] = {}
         out = []
         for alpha in _wreath_classes(r, n):
-            fixed = tuple(map(fixed_point_count, alpha))
+            fixed = tuple((i, lam.count(1)) for i, lam in alpha if 1 in lam)
             value = shared.get(fixed)
             if value is None:
-                value = shared[fixed] = CycNum(r, fixed)
+                value = shared[fixed] = CycNum.from_exponents(
+                    r, [i for i, f in fixed for _ in range(f)])
             out.append(value)
         return tuple(out)
 

@@ -419,6 +419,25 @@ def test_group_serialization(capsys):
     assert doc["order"] == "24" and doc["tier"] == "full"
 
 
+def test_group_prints_every_slot_of_a_wreath_class(capsys):
+    classes = [("((1, 1), (), ())", 1), ("((2,), (), ())", 3), ("((1,), (1,), ())", 2),
+               ("((1,), (), (1,))", 2), ("((), (2,), ())", 3), ("((), (1, 1), ())", 1),
+               ("((), (1,), (1,))", 2), ("((), (), (2,))", 3), ("((), (), (1, 1))", 1)]
+    chi_v = ["2", "0", "1 + 1*z", "-1*z", "0", "2*z", "-1", "0", "-2 + -2*z"]
+    want = {"name": "Z3wrS2", "order": "18", "tier": "invariant",
+            "classes": [{"label": label, "size": str(size)} for label, size in classes],
+            "chi_V": [f"{v}; conductor=3" for v in chi_v]}
+    code, out, _ = run(capsys, "group", "--group", "Z3wrS2")
+    assert code == 0 and out == json.dumps(want, indent=2) + "\n"
+    doc = run_json(capsys, "group", "--group", "Z4wrS8")
+    labels = [(c["label"], int(c["size"])) for c in doc["classes"]]
+    assert len(labels) == 2580
+    assert labels[:3] == [("((1, 1, 1, 1, 1, 1, 1, 1), (), (), ())", 1),
+                          ("((8,), (), (), ())", 82575360), ("((7, 1), (), (), ())", 23592960)]
+    assert labels[-1] == ("((), (), (), (1, 1, 1, 1, 1, 1, 1, 1))", 1)
+    assert sum(size for _, size in labels) == int(doc["order"]) == 4**8 * 40320
+
+
 # sha256 of the exact stdout of each verb whose payload is built in cli.py
 PINNED_STDOUT = {
     "quiver --group S4": "541c9d917e98a3d00619d7757570101a94b6d8d0ddaac50729b82e6610f69595",

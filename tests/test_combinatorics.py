@@ -155,8 +155,8 @@ def test_centralizer_orders():
 
 
 def test_multipartition_centralizers():
-    assert z_multipartition(((1,), (1,)), 2) == 4
-    for r in (2, 3):
+    assert z_multipartition(((0, (1,)), (1, (1,))), 2) == 4
+    for r in (2, 3, 11, 40):  # at r = 11 and 40 most slots are empty
         for n in (1, 2, 3, 4):
             order = r**n * factorial(n)
             total = sum(order // z_multipartition(a, r) for a in multipartitions_of(n, r))
@@ -185,10 +185,11 @@ def test_multipartitions_keep_the_slot_by_slot_order_and_count():
     for r in range(1, 7):
         for n in range(7):
             listed = multipartitions_of(n, r)
-            assert listed == _multipartitions_by_slot(n, r), (r, n)
+            padded = _multipartitions_by_slot(n, r)
+            assert listed == [tuple((i, lam) for i, lam in enumerate(a) if lam) for a in padded], (r, n)
             assert multipartition_count(n, r) == len(listed), (r, n)
     # deeper than the recursion limit in slots, n + 1 deep in calls
-    assert multipartitions_of(1, 1200) == [((),) * i + ((1,),) + ((),) * (1199 - i) for i in range(1200)]
+    assert multipartitions_of(1, 1200) == [((i, (1,)),) for i in range(1200)]
     assert multipartition_count(2, 1200) == 2 * 1200 + comb(1200, 2)
     assert multipartition_count(8, 4) == 2580
     assert multipartition_count(1, 10**12) == 10**12
