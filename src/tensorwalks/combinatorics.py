@@ -83,6 +83,7 @@ def rencontres(n: int, m: int) -> int:
     return comb(n, m) * derangements(n - m)
 
 
+@lru_cache(maxsize=None)
 def z_lambda(lam: Partition) -> int:
     """Centralizer order of a permutation of cycle type lam in S_|lam|."""
     z = 1

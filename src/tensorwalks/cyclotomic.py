@@ -1,19 +1,21 @@
 """Exact arithmetic in the rings of cyclotomic integers Z[zeta_N].
 
-A value is an int coefficient vector over the power basis 1, z, ...,
-z^(phi(N)-1) where z = zeta_N, reduced modulo the N-th cyclotomic polynomial
-Phi_N.  Every character value is a sum of roots of unity, so it lies in
-Z[zeta_N]; the ring operations keep it there, and a count is divided out of
-a rational integer by `errors.exact_count`.  `reduce_mod_phi` is the one
-reduction: it reads (exponent, count) terms, each exponent mod N, and adds
-one row of a cached table of z^e mod Phi_N, phi(N) <= e < N, per distinct
-exponent at or above phi(N).  Every value is built through it; a sum of
-roots of unity is built by `CycNum.from_exponents` from its exponents alone.
+A value is held as its terms: the (exponent, count) pairs, exponents in
+range(N), of an element of Z[x]/(x^N - 1) that x -> zeta_N maps onto it.
+Every character value is a sum of roots of unity, built from its exponents
+by `CycNum.from_exponents`; `embed`, `galois`, `conj` and sums map or
+collect terms and never reduce.  `CycNum.coeffs`, the canonical int vector
+over the power basis 1, z, ..., z^(phi(N)-1), z = zeta_N, modulo the N-th
+cyclotomic polynomial Phi_N, is reduced on first read: where a value is
+compared, printed, tested for rationality or deduplicated.  The one
+reduction, `reduce_mod_phi`, is called from `coeffs` and from the one
+product loop, `sum_of_products`, so a product comes back reduced.
 
-`class_sums`, the kernel of every certified character sum, reads each value
-in the basis of its own conductor d, zeta_d as a power of zeta_N for N the
-lcm of the table's conductors, through ring maps zeta_N -> 2^B onto the
-integers mod Phi_N(2^B); it never embeds or reduces a value.
+`class_sums`, the kernel of every certified character sum, reads each value's
+terms as they stand, zeta_d as a power of zeta_N for N the lcm of the
+table's conductors, through ring maps zeta_N -> 2^B onto the integers mod
+Phi_N(2^B), which are defined on Z[x]/(x^N - 1); it never embeds or reduces
+a value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime, unit_generators
@@ -56,45 +58,51 @@ def _high_powers(n: int) -> tuple[tuple[int, ...], ...]:
 def reduce_mod_phi(terms, n: int) -> tuple:
     """Reduce sum c z^e over the (exponent, count) pairs `terms` modulo
     Phi_n: each exponent is read mod n, one below phi(n) is added in place,
-    and the counts of each one at or above are summed first, so that one row
-    of `_high_powers` is added per distinct such exponent."""
+    and one at or above adds its row of `_high_powers`."""
     deg, rows = euler_phi(n), _high_powers(n)
     out = [0] * deg
-    high: dict[int, int] = {}
     for e, c in terms:
         e %= n
         if e < deg:
             out[e] += c
-        else:
-            high[e] = high.get(e, 0) + c
-    for e, c in high.items():
-        if c:
+        elif c:
             out = [x + c * r for x, r in zip(out, rows[e - deg])]
     return tuple(out)
 
 
+def _collect(terms, n: int) -> tuple:
+    """The (exponent, count) pairs `terms` as a value holds them: each
+    exponent read mod n, one pair per exponent, sorted, no count 0."""
+    out: dict[int, int] = {}
+    for e, c in terms:
+        e %= n
+        out[e] = out.get(e, 0) + c
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
 def sum_of_products(xs, ys, n: int) -> tuple:
-    """sum_i xs[i] * ys[i] over power-basis coefficient tuples in Q(zeta_n);
-    the products are added unreduced, then reduced once.  The one product
-    loop: `CycNum.__mul__` is its one-term case, and it is the reference dot
-    product of the checks that stay independent of `class_sums`."""
-    raw = [0] * (2 * euler_phi(n) - 1)
+    """sum_i xs[i] * ys[i] over term tuples in Q(zeta_n), as a reduced
+    power-basis tuple: the products are added unreduced, then reduced once.
+    The one product loop: `CycNum.__mul__` is its one-term case, and it is
+    the reference dot product of the checks that stay independent of `class_sums`."""
+    raw = [0] * (2 * n - 1)
     for x, y in zip(xs, ys):
-        terms = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in enumerate(x):
-            if a:
-                for j, c in terms:
-                    raw[i + j] += a * c
+        for i, a in x:
+            for j, c in y:
+                raw[i + j] += a * c
     return reduce_mod_phi(enumerate(raw), n)
 
 
 class CycNum:
-    """An element of Z[zeta_N], canonical modulo Phi_N.  Immutable.
+    """An element of Z[zeta_N], held as `terms`: its (exponent, count) pairs,
+    exponents in range(N), sorted, one pair per exponent, no count 0.
+    `coeffs`, its canonical vector modulo Phi_N, is reduced on first read.
+    Immutable.
 
     Coefficients are ints; any other coefficient type, bool among them,
     raises TypeError."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "terms", "_coeffs")
 
     def __init__(self, conductor: int, coeffs):
         if conductor < 1:
@@ -103,19 +111,29 @@ class CycNum:
         if not set(map(type, coeffs)) <= {int}:
             raise TypeError("cyclotomic coefficients must be ints")
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", reduce_mod_phi(enumerate(coeffs), conductor))
+        object.__setattr__(self, "terms", _collect(enumerate(coeffs), conductor))
+        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
-    def _of(cls, conductor: int, coeffs: tuple) -> "CycNum":
-        """The value with the reduced int tuple `coeffs`, which the caller, a
-        method of this class, built itself: no check and no reduction."""
+    def _of(cls, conductor: int, terms: tuple, coeffs: tuple | None = None) -> "CycNum":
+        """The value held as the int `terms`, with its reduced `coeffs` if known,
+        both built by the caller, a method of this class: no check, no reduction."""
         x = object.__new__(cls)
         object.__setattr__(x, "conductor", conductor)
-        object.__setattr__(x, "coeffs", coeffs)
+        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "_coeffs", coeffs)
         return x
 
     def __setattr__(self, *args):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The canonical power-basis vector, reduced modulo Phi_N on first
+        read: where a value is compared, printed or deduplicated."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", reduce_mod_phi(self.terms, self.conductor))
+        return self._coeffs
 
     # -- construction helpers ------------------------------------------------
 
@@ -125,13 +143,13 @@ class CycNum:
         counted once per occurrence: the one build of a value from roots."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        return cls._of(n, reduce_mod_phi(zip(exponents, repeat(1)), n))
+        return cls._of(n, _collect(zip(exponents, repeat(1)), n))
 
     @staticmethod
     def from_int(value: int) -> "CycNum":
         if type(value) is not int:
             raise TypeError(f"a CycNum scalar is an int, not {type(value).__name__}")
-        return CycNum._of(1, (value,))
+        return CycNum._of(1, ((0, value),) if value else (), (value,))
 
     # -- conductor handling ---------------------------------------------------
 
@@ -143,7 +161,7 @@ class CycNum:
         if m % n != 0:
             raise ValueError(f"cannot embed conductor {n} into {m}")
         step = m // n
-        return CycNum._of(m, reduce_mod_phi(((i * step, c) for i, c in enumerate(self.coeffs)), m))
+        return CycNum._of(m, tuple((e * step, c) for e, c in self.terms))
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
@@ -163,12 +181,12 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b, n = self._common(other)
-        return CycNum._of(n, tuple(map(add, a.coeffs, b.coeffs)))
+        return CycNum._of(n, _collect(a.terms + b.terms, n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._of(self.conductor, tuple(-c for c in self.coeffs))
+        return CycNum._of(self.conductor, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -186,14 +204,9 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.conductor == 1:  # scalar fast path
-            s = other.coeffs[0]
-            return CycNum._of(self.conductor, tuple(c * s for c in self.coeffs))
-        if self.conductor == 1:
-            s = self.coeffs[0]
-            return CycNum._of(other.conductor, tuple(c * s for c in other.coeffs))
         a, b, n = self._common(other)
-        return CycNum._of(n, sum_of_products([a.coeffs], [b.coeffs], n))
+        coeffs = sum_of_products([a.terms], [b.terms], n)
+        return CycNum._of(n, tuple((e, c) for e, c in enumerate(coeffs) if c), coeffs)
 
     __rmul__ = __mul__
 
@@ -216,7 +229,7 @@ class CycNum:
         n = self.conductor
         if gcd(a, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        return CycNum._of(n, reduce_mod_phi(((i * a, c) for i, c in enumerate(self.coeffs)), n))
+        return CycNum._of(n, tuple(sorted((e * a % n, c) for e, c in self.terms)))
 
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta_N -> zeta_N^(-1)."""
@@ -268,7 +281,7 @@ class CycNum:
 
 
 def root_of_unity(n: int, m: int) -> CycNum:
-    """zeta_n^m as a canonical CycNum with conductor n.  One instance is
+    """zeta_n^m, the one term (m mod n, 1), with conductor n.  One instance is
     shared per (n, m mod n): `class_sums` interns values by identity first."""
     if n < 1:
         raise ValueError("order must be positive")
@@ -321,7 +334,7 @@ def _images(values, n: int, b: int, units) -> tuple[int, list[list[int]]]:
         images = []
         for x in values:
             step = n // x.conductor * a
-            images.append(sum(c * powers[i * step % n] for i, c in enumerate(x.coeffs) if c) % m)
+            images.append(sum(c * powers[e * step % n] for e, c in x.terms) % m)
         out.append(images)
     return m, out
 
@@ -338,12 +351,15 @@ def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]
     column c is a tuple of CycNums (a_c0, a_c1, ..., x_c), its last entry
     x_c, and w_c is its int weight.
 
-    The distinct values are interned by equality, as (conductor, coeffs),
-    and read through ring maps h: zeta_N -> 2^B onto Z/M, M = Phi_N(2^B),
-    N the lcm of their conductors.  Each value's L1 norm |x|_1, the sum of
-    the absolute values of its coefficients in the power basis of its own
-    conductor, bounds |tau(x)| and |tau(sigma_a(x))| under every embedding
-    tau.
+    The distinct values are interned as (conductor, terms) and read through
+    ring maps h: zeta_N -> 2^B onto Z/M, M = Phi_N(2^B), N the lcm of their
+    conductors.  Phi_N(y) divides y^N - 1, so M divides 2^(BN) - 1 and h is
+    defined on Z[x]/(x^N - 1): it reads the terms as they stand, and sends
+    them where it sends the value they name.  Each value's L1 norm |x|_1,
+    the sum of the absolute counts of its terms, bounds |tau(x)| and
+    |tau(sigma_a(x))| under every embedding tau.  Equal values held as
+    different terms, such as 1 + zeta_p + ... + zeta_p^(p-1) and 0, are
+    two interned values whose images agree.
 
     Certificate: on the map with 2^B - 1 > 2 max |x|_1, a nonzero z =
     sigma_a(x) - y has 0 < |norm(z)| <= (|x|_1 + |y|_1)^phi(N) <
@@ -369,13 +385,13 @@ def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]
     for col in columns:
         for x in col:
             if id(x) not in at:
-                key = (x.conductor, x.coeffs)
+                key = (x.conductor, x.terms)
                 j = index.get(key)
                 if j is None:
                     j = index[key] = len(values)
                     values.append(x)
                 at[id(x)] = j
-    l1 = [sum(map(abs, x.coeffs)) for x in values]
+    l1 = [sum(abs(c) for _, c in x.terms) for x in values]
     n = lcm(*(x.conductor for x in values))
     gens = unit_generators(n)
     _, (ident, *moved) = _images(values, n, (2 * max(l1, default=0) + 1).bit_length(), (1, *gens))

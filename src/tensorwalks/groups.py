@@ -120,10 +120,11 @@ class ModuleChar:
 # multiset of elements: cyclic, product, hypercube, circulant and Paley specs
 # ---------------------------------------------------------------------------
 
-# Most integers in the elements and the module character of an abelian spec,
-# |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing builds
-# nothing, the first read of `.group` builds the elements, and a query that reads
-# the module builds its values.
+# Most integers in the elements and the reduced module character of an abelian
+# spec, |G| * (phi(N) + number of factors) for N the lcm of the orders; parsing
+# builds nothing, the first read of `.group` builds the elements, and a query that
+# reads the module builds its values, each held as at most one term per step.  A
+# query that compares or prints the values reduces each to its phi(N) coefficients.
 # The reduction table of Z[zeta_N] holds at most (N - phi(N)) * phi(N) more, within
 # |G| * phi(N) since N <= |G|.
 ABELIAN_LIMIT = 2**21
@@ -153,7 +154,8 @@ def _step_spec(kind: str, radii: tuple[int, ...], steps, **params) -> ParsedSpec
     chi_V(b) = sum_s zeta_N^<s,b> over the multiset `steps`, whose quiver steps
     from b to b + s; the params carry the radii and the steps.  The rows of
     exponents <s,b> are built one coordinate at a time, b in
-    `abelian_elements` order, and each value is reduced once from its row."""
+    `abelian_elements` order, and each value holds its row as its terms,
+    unreduced."""
     _check_abelian_size(radii)
     name, n, steps = "x".join(f"Z{r}" for r in radii), lcm(*radii), tuple(steps)
     label = str if kind == "abelian" else lambda e: str(e[0])  # a tuple, or its one coordinate

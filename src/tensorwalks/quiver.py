@@ -159,10 +159,10 @@ def eigen_check(g: GroupData, v: ModuleChar, a):
     for mu in range(n):
         col = [g.chi(lam, mu) for lam in range(n)]
         m = lcm(*(x.conductor for x in col))
-        columns.append((m, col, [x.embed(m).coeffs for x in col]))
+        columns.append((m, col, [x.embed(m).terms for x in col]))
     for nu in range(n):
-        row = [(e,) for e in a[nu]]
-        for mu, (m, col, coeffs) in enumerate(columns):
-            if CycNum(m, sum_of_products(row, coeffs, m)) != v.values[mu] * col[nu]:
+        row = [((0, e),) for e in a[nu]]
+        for mu, (m, col, terms) in enumerate(columns):
+            if CycNum(m, sum_of_products(row, terms, m)) != v.values[mu] * col[nu]:
                 return False, (nu, mu)
     return True, None

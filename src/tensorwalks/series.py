@@ -14,10 +14,12 @@ from collections import namedtuple
 from math import comb
 
 from .cyclotomic import CycNum, class_sums
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UnsupportedQueryError
 from .groups import GroupData, ModuleChar
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
 from .quiver import walk_counts_character
+
+DEGREE_LIMIT = 1000  # most distinct values of chi_V, the character series' degree
 
 
 class RatFunc:
@@ -113,11 +115,14 @@ def poincare_cramer(a, lam: int) -> RatFunc:
 
 def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
     """Poincare series of walks from the trivial node to `lam`: over the d
-    distinct values x of chi_V, (1/|G|) sum_c |c| conj(chi_lam(c)) /
-    (1 - chi_V(c) t) = N / D with D = prod_x (1 - x t), so N is D times the
-    walk counts for k < d, truncated mod t^d."""
+    distinct values x of chi_V, told apart by `coeffs`, at most DEGREE_LIMIT,
+    (1/|G|) sum_c |c| conj(chi_lam(c)) / (1 - chi_V(c) t) = N / D with
+    D = prod_x (1 - x t), so N is D times the walk counts for k < d, mod t^d."""
     values = list({x.embed(g.conductor).coeffs: x for x in v.values}.values())
     d = len(values)
+    if d > DEGREE_LIMIT:
+        raise UnsupportedQueryError(f"the character series of {g.name} has degree {d}, the number "
+                                    f"of distinct values of chi_V, above {DEGREE_LIMIT}")
     counts = walk_counts_character(g, v, range(d), 0, lam)
     den = _linear_factor_product(values)
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]

@@ -390,9 +390,9 @@ def _orthogonality_ok(g: GroupData) -> bool:
     Q(zeta_conductor)."""
     n, m = g.n_classes, g.conductor
     sizes = g.class_sizes()
-    weighted = [[tuple(size * c for c in x.embed(m).coeffs) for size, x in zip(sizes, g.row(nu))]
-                for nu in range(n)]
-    conj = [[x.conj().embed(m).coeffs for x in g.row(nu)] for nu in range(n)]
+    weighted = [[tuple((e, size * c) for e, c in x.embed(m).terms)
+                 for size, x in zip(sizes, g.row(nu))] for nu in range(n)]
+    conj = [[x.conj().embed(m).terms for x in g.row(nu)] for nu in range(n)]
 
     def is_delta(xs, ys, same):
         total = sum_of_products(xs, ys, m)

@@ -373,6 +373,26 @@ def test_poincare_wreath_character(capsys):
     assert doc["den"] == "1 - 4t^2"
 
 
+def test_character_series_past_the_degree_limit_exits_3(capsys, monkeypatch):
+    # the degree, the number of distinct values of chi_V, is counted before
+    # any class sum, so a series that would run for hours is refused at once
+    import tensorwalks.series as series_mod
+
+    for spec, degree in (("Z214wrS2", 22899), ("Z40wrS3", 10721), ("Z60wrS2", 1801),
+                         ("Z20wrS3", 1361)):
+        code, out, err = run(capsys, "poincare", "--group", spec)
+        assert (code, out) == (3, ""), spec
+        assert err == (f"unsupported: the character series of {spec} has degree {degree}, the "
+                       f"number of distinct values of chi_V, above 1000\n"), err
+    # Z10 takes 6 distinct values: answered at the limit, refused below it
+    monkeypatch.setattr(series_mod, "DEGREE_LIMIT", 6)
+    assert run_json(capsys, "poincare", "--group", "Z10")["den"]
+    monkeypatch.setattr(series_mod, "DEGREE_LIMIT", 5)
+    code, out, err = run(capsys, "poincare", "--group", "Z10", "--method", "character")
+    assert (code, out) == (3, "") and "degree 6" in err, err
+    assert run_json(capsys, "poincare", "--group", "Z10", "--method", "cramer")["den"]
+
+
 def test_egf_abelian(capsys):
     doc = run_json(capsys, "egf", "--group", "Z4xZ2", "--order", "6", "--target", "3,1")
     assert doc["coeffs"] == ["0", "0", "0", "0", "4", "0", "20"]

@@ -322,6 +322,36 @@ def test_class_sums_neither_embed_nor_reduce(monkeypatch):
     assert class_sums(columns, weights, range(5), [1, 3], [0, 2]) == want
 
 
+def test_class_sums_merge_equal_values_held_as_different_terms():
+    # the kernel reads terms as they stand and merges equal values by their
+    # identity images: the full sum of roots next to 0, two exponent sets of
+    # one Gauss period, and each value next to its canonical terms
+    p, one = 7, CycNum.from_int(1)
+    residues = quadratic_residues(p)
+    full, zero = CycNum.from_exponents(p, range(p)), CycNum(p, ())
+    eta = CycNum.from_exponents(p, residues)
+    eta_too = CycNum.from_exponents(p, [*residues, *range(p)])
+    other = CycNum.from_exponents(p, [c for c in range(1, p) if c not in residues])
+    assert full == zero and full.terms != zero.terms
+    assert eta_too == eta and eta_too.terms != eta.terms
+    assert CycNum(p, other.coeffs).terms != other.terms  # zeta^6 is reduced away
+    # zeta -> zeta^3 swaps the two periods, so the first two columns are one
+    # orbit only if full merges with zero and eta_too with eta
+    columns = [(eta, full, eta_too), (other, zero, other), (one, eta, other), (one, other, eta)]
+    canonical = [tuple(CycNum(p, x.coeffs) for x in col) for col in columns]
+    weights, ks, both = [2, 2, 1, 1], range(4), [0, 1]
+    want = plain_class_sums(canonical, weights, ks, both, both)
+    assert class_sums(canonical, weights, ks, both, both) == want
+    assert class_sums(columns, weights, ks, both, both) == want
+    assert class_sums(columns + canonical, weights * 2, ks, both, both) == [
+        [[2 * e for e in row] for row in matrix] for matrix in want]
+    # a column of terms whose conjugate is missing is still irrational
+    with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+        class_sums(columns[:1] + columns[2:], [2, 1, 1], ks, both, both)
+    with pytest.raises(ConsistencyError, match="Galois-incomplete"):
+        class_sums([(one, eta_too)], [1], range(1), [0], [0])
+
+
 def plain_class_sums(columns, weights, ks, left, right):
     """The sums of `class_sums` in plain cyclotomic arithmetic."""
     return [[[sum((w * col[-1] ** k * col[i] * col[j].conj() for col, w in zip(columns, weights)),

@@ -339,26 +339,20 @@ def test_circulant_and_paley_modules():
 
 @pytest.mark.parametrize("text, steps", [("Z1001", 2), ("hypercube(12)", 12), ("paley(199)", 99)])
 def test_step_specs_reduce_one_term_per_step(monkeypatch, text, steps):
-    # each value of an abelian spec is built from its exponents, one per
-    # step, never from a count list of length N
+    # each value of an abelian spec is held as the sum of its steps' roots, at
+    # most one term per step, and neither parsing nor the module build reduces
     from tensorwalks import cyclotomic
 
-    real = cyclotomic.reduce_mod_phi
-    lengths = []
+    def refuse(terms, n):
+        raise AssertionError(f"{text} reduced a value")
 
-    def counting(terms, n):
-        terms = list(terms)
-        lengths.append(len(terms))
-        return real(terms, n)
-
-    monkeypatch.setattr(cyclotomic, "reduce_mod_phi", counting)
+    monkeypatch.setattr(cyclotomic, "reduce_mod_phi", refuse)
     spec = parse_spec_full(text)
-    assert lengths == [], text  # parsing reduces no value
     module = spec.module
-    assert len(lengths) >= spec.group.order
-    assert max(lengths) <= steps, text
-    built = len(lengths)
-    assert spec.module is module and len(lengths) == built, text  # a second read reduces nothing
+    assert len(module.values) == spec.group.order, text
+    assert max(len(x.terms) for x in module.values) <= steps, text
+    assert {sum(c for _, c in x.terms) for x in module.values} == {steps}, text
+    assert spec.module is module, text  # a second read builds nothing
 
 
 def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():

@@ -99,6 +99,35 @@ def test_cyclotomic_integer_arithmetic_stays_integral(x, y, e):
 
 
 @st.composite
+def held_terms(draw):
+    """A value held as random unreduced terms: roots added minus roots taken
+    away, exponents anywhere in Z, so every residue mod n can carry a count."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 21)))
+    exponents = st.lists(st.integers(-3 * n, 3 * n), max_size=3 * n)
+    return CycNum.from_exponents(n, draw(exponents)) - CycNum.from_exponents(n, draw(exponents))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=held_terms(), y=held_terms(), a=st.integers(1, 200), e=st.integers(0, 5))
+def test_arithmetic_on_terms_then_reduction_is_reduction_then_arithmetic(x, y, a, e):
+    # every operation on held terms names the value the same operation on the
+    # canonical vectors gives, across conductors
+    cx, cy = (CycNum(v.conductor, v.coeffs) for v in (x, y))
+    n = x.conductor
+    a = a if gcd(a, n) == 1 else 1
+    ops = {"add": lambda u, v: u + v, "sub": lambda u, v: u - 2 * v, "mul": lambda u, v: u * v,
+           "neg": lambda u, v: -u, "conj": lambda u, v: u.conj() * v.conj(),
+           "galois": lambda u, v: u.galois(a), "embed": lambda u, v: u.embed(3 * n),
+           "pow": lambda u, v: u**e + v}
+    for name, op in ops.items():
+        held, reduced = op(x, y), op(cx, cy)
+        assert held.conductor == reduced.conductor, name
+        assert held.coeffs == reduced.coeffs, name
+        assert held.is_rational() == reduced.is_rational(), name
+        assert held == reduced and held.to_text() == reduced.to_text(), name
+
+
+@st.composite
 def abelian_step_sets(draw):
     radii = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4)
                  .filter(lambda radii: prod(radii) <= 64))
