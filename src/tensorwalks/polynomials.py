@@ -2,9 +2,12 @@
 solves of polynomial matrices.
 
 Coefficients are ints; any other coefficient type raises TypeError.
-Determinants and solves run one kernel: the matrix evaluated at t = 2^B, one
-Bareiss elimination over the integers, and the results read back as signed
-base-2^B digits, with B set by a Hadamard bound on every minor.
+Determinants, solves and gcds all run through one map, t -> 2^B: a polynomial
+is packed into the integer of its value at 2^B (`_pack`), the work is done on
+integers, and the result is read back as signed base-2^B digits (`_decode`).
+A determinant or solve is one Bareiss elimination of the packed matrix, with
+B set by a Hadamard bound on every minor; a gcd is one integer gcd of the
+packed pair, with B doubled until the digits read back divide both.
 """
 
 from __future__ import annotations
@@ -211,16 +214,7 @@ def _evaluate(rows) -> tuple[int, list[list[int]]]:
         if s:
             h *= isqrt(s - 1) + 1
     b = h.bit_length() + 1
-    out = []
-    for row in rows:
-        line = []
-        for e in row:
-            v = 0
-            for c in reversed(e):
-                v = (v << b) + c
-            line.append(v)
-        out.append(line)
-    return b, out
+    return b, [[_pack(e, b) for e in row] for row in rows]
 
 
 def _eliminate(m: list[list[int]], n: int) -> int:
@@ -251,6 +245,14 @@ def _eliminate(m: list[list[int]], n: int) -> int:
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
+
+
+def _pack(coeffs, b: int) -> int:
+    """The value at t = 2^b of the polynomial with these ascending coefficients."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << b) + c
+    return v
 
 
 def _decode(v: int, b: int) -> list[int]:
@@ -294,33 +296,31 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Primitive pseudo-remainder sequence: the gcd behind lowest_terms.
+# The heuristic gcd behind lowest_terms (GCDHEU: Char, Geddes and Gonnet;
+# Geddes, Czapor and Labahn, Algorithms for Computer Algebra, Thm 7.7).
 # ---------------------------------------------------------------------------
 
 
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd in Z[t] of two int coefficient lists, primitive and up to sign."""
+    """gcd in Z[t] of two int coefficient lists, primitive and up to sign.
+    With 2^B > 2 min(|a|_inf, |b|_inf) + 2 the polynomial of smaller norm has
+    no root at 2^B, and a primitive G read back from gcd(a(2^B), b(2^B)) that
+    divides a and b is their gcd (GCL Thm 7.7); else B doubles.  The digits
+    are c * gcd(a, b) with c | res(a / gcd, b / gcd), so they are exact, and
+    G is accepted, once 2^B is large enough."""
     a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
+    if not a or not b:
+        return a or b
+    bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    while True:
+        g = _primitive(_decode(gcd(_pack(a, bits), _pack(b, bits)), bits))
+        try:
+            _exact_div(a, g), _exact_div(b, g)
+            return g
+        except ArithmeticError:
+            bits *= 2
 
 
 def _primitive(a: list[int]) -> list[int]:
     content = gcd(*a)
     return [c // content for c in a] if content > 1 else a
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b: lead(b)^e * a mod b, with no division."""
-    rem, db, lead = list(a), len(b) - 1, b[-1]
-    while len(rem) > db:
-        c, shift = rem[-1], len(rem) - 1 - db
-        rem = [x * lead for x in rem]
-        for j, y in enumerate(b, shift):
-            rem[j] -= c * y
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem

@@ -48,18 +48,19 @@ def walk_routes(spec: ParsedSpec, ks: range, frm: int, to: int, methods) -> list
     past node 0; "closed" runs every family closed form that applies.
     When none applies, the rows of `frm` and `to` are read before the
     generic refusal, so a row an invariant-tier group lacks is named.  Only
-    the matrix and character routes read the spec's module.
+    the matrix and character routes and the refusal read the spec's group
+    and module; the closed forms read its params.
     Returns (route label, counts) pairs in the order above."""
-    g = spec.group
     results: list[tuple[str, list[int]]] = []
-    if "matrix" in methods and g.tier == FULL:
-        rows = power_rows(mckay_adjacency(g, spec.module), frm, ks)
+    if "matrix" in methods and spec.group.tier == FULL:
+        rows = power_rows(mckay_adjacency(spec.group, spec.module), frm, ks)
         results.append(("matrix", [row[to] for row in rows]))
     if "character" in methods:
-        results.append(("character", walk_counts_character(g, spec.module, ks, frm, to)))
+        results.append(("character", walk_counts_character(spec.group, spec.module, ks, frm, to)))
     if "closed" in methods:
         results.extend(closed_walks(spec, ks, frm, to))
     if not results:
+        g = spec.group
         g.row(frm), g.row(to)  # an invariant-tier group names the row it lacks
         raise UnsupportedQueryError(
             f"no route among {', '.join(methods)} applies to {g.name} "

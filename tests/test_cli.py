@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,7 +156,9 @@ def test_nothing_builds_a_group_it_does_not_need(capsys, monkeypatch):
                   ("egf", "--group", "hypercube(3)", "--order", "10"),
                   ("egf", "--group", "Z4xZ2", "--order", "8", "--target", "1,1"),
                   ("diagalg", "--group", "hypercube(3)", "--k", "4"),
-                  ("diagalg", "--group", "hypercube(3)", "--k", "2", "--list")]
+                  ("diagalg", "--group", "hypercube(3)", "--k", "2", "--list"),
+                  ("walks", "--group", "hypercube(12)", "--k", "4", "--to", "5", "--method", "closed"),
+                  ("walks", "--group", "Z1001", "--k", "5", "--to", "3", "--method", "closed")]
     unpatched = {argv: run(capsys, *argv) for argv in queries + built_free}
 
     def forbidden(self):
@@ -171,6 +174,25 @@ def test_nothing_builds_a_group_it_does_not_need(capsys, monkeypatch):
         code, out, _ = unpatched[argv]
         assert code == 0 and out, argv
         assert run(capsys, *argv) == unpatched[argv], argv
+
+
+def test_walks_auto_skips_the_matrix_route_above_the_node_bound(capsys):
+    from tensorwalks.cli import AUTO_MATRIX_NODES
+
+    start = time.perf_counter()
+    doc = run_json(capsys, "walks", "--group", "Z1001", "--k", "5", "--to", "3")
+    assert time.perf_counter() - start < 2
+    assert doc["count"] == "5" and doc["methods"] == ["character", "closed:binomial"]
+    # at the bound the matrix route still runs; one node past it, auto leaves
+    # it out and agrees with an explicit --method matrix
+    assert AUTO_MATRIX_NODES == 2**7
+    doc = run_json(capsys, "walks", "--group", "hypercube(7)", "--k", "6", "--to", "3")
+    assert doc["methods"] == ["matrix", "character", "closed:multinomial"]
+    spec = f"Z{AUTO_MATRIX_NODES + 1}"
+    auto = run_json(capsys, "walks", "--group", spec, "--k", "9", "--to", "5")
+    matrix = run_json(capsys, "walks", "--group", spec, "--k", "9", "--to", "5", "--method", "matrix")
+    assert auto["methods"] == ["character", "closed:binomial"] and matrix["methods"] == ["matrix"]
+    assert auto["count"] == matrix["count"] == "36"  # C(9, 2): 7 steps up, 2 down
 
 
 def test_invariants_call_the_kernel_once(capsys, monkeypatch):
@@ -482,6 +504,9 @@ PINNED_STDOUT = {
     "diagalg --group hypercube(3) --k 5 --list":
         "f7760529c1ad66fa443b3d72b1d16238394f8e309c63e287d05b76dde6457565",
     "verify --suite paley": "815e3dd591d4a440ff947a0176ea05f11f3c19d5804d0344b6a4b8ccbcb45e64",
+    # a degree-330 character series with coefficients of up to 126 digits,
+    # pinned as printed when its gcd was a pseudo-remainder sequence
+    "poincare --group Z5wrS6": "c76b561cc6a6e2d19da9ed6c38c689c7880d0b732294c34b99fa50447c56d32e",
 }
 
 

@@ -88,6 +88,55 @@ def test_gcd_of_planted_common_factors():
     assert gcd_over_z(Polynomial((3,)), p) == Polynomial((1,))
 
 
+def test_gcd_retries_with_a_doubled_base(monkeypatch):
+    # primitive parts 2 + 3t + 2t^3 and 1 - t: at B = 3 the values are 1050
+    # and -7, whose gcd 7 reads back as t - 1; that divides 1 - t but not
+    # 2 + 3t + 2t^3, so B doubles; at B = 6 the gcd 7 reads back as the
+    # constant 7, whose primitive part 1 divides both
+    import tensorwalks.polynomials as poly
+
+    reads = []
+    real = poly._decode
+    monkeypatch.setattr(poly, "_decode", lambda v, b: reads.append(real(v, b)) or reads[-1])
+    assert _primitive_gcd([4, 6, 0, 4], [4, -4]) in ([1], [-1])
+    assert reads == [[-1, 1], [7]]
+
+
+def _resultant(a, b):
+    """The Sylvester determinant of a and b, nonzero exactly when they have
+    no common factor of positive degree."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * j + b + [0] * (m - 1 - j) for j in range(m)]
+    return poly_det(rows)
+
+
+def test_gcd_of_planted_factors_with_large_coefficients():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=5).filter(any).map(Polynomial)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(g=big, p=big, q=big)
+    def check(g, p, q):
+        a, b = g * p, g * q
+        got = Polynomial(_primitive_gcd(list(a.coeffs), list(b.coeffs)))
+        # primitive, a divisor of both, and leaving coprime cofactors: the gcd
+        assert content(got) == 1
+        cofactors = [Polynomial(_exact_div(list(x.coeffs), list(got.coeffs))) for x in (a, b)]
+        assert not _resultant(*cofactors).is_zero()
+        if not _resultant(p, q).is_zero():
+            g_part = Polynomial([c // content(g) for c in g.coeffs])
+            assert positive(got) == positive(g_part)
+        num, den = lowest_terms(a, b)  # the same ratio, reduced, jointly primitive
+        assert num * b == den * a
+        assert content(num, den) == 1
+        assert not _resultant(num, den).is_zero()
+
+    check()
+
+
 def test_det_small_cases():
     one, t = Polynomial((1,)), lin(0, 1)
     assert poly_det([[one, -t], [-t, one]]) == Polynomial((1, 0, -1))
