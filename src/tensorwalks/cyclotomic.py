@@ -14,8 +14,9 @@ product loop, `sum_of_products`, so a product comes back reduced.
 `class_sums`, the kernel of every certified character sum, reads each value's
 terms as they stand, zeta_d as a power of zeta_N for N the lcm of the
 table's conductors, through ring maps zeta_N -> 2^B onto the integers mod
-Phi_N(2^B), which are defined on Z[x]/(x^N - 1); it never embeds or reduces
-a value.
+M = Phi_N(2^B), which are defined on Z[x]/(x^N - 1); it never embeds or
+reduces a value.  M is read through `polynomials._pack`, the one value of a
+polynomial at 2^B.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import mul
 
 from .errors import ConsistencyError
 from .numbertheory import divisors, euler_phi, is_prime, unit_generators
-from .polynomials import _exact_div
+from .polynomials import _exact_div, _pack
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -311,24 +312,16 @@ def gauss_sum_check(p: int) -> bool:
 # -- certified evaluation: character sums as rational integers ----------------
 
 
-def _ring_map(n: int, b: int) -> tuple[int, list[int]]:
-    """M = Phi_n(2^b) and the images 2^(b j) mod M of zeta_n^j, j < n."""
-    m = 0
-    for c in reversed(cyclotomic_polynomial(n)):
-        m = (m << b) + c
-    powers = [1 % m]
-    for _ in range(n - 1):
-        powers.append((powers[-1] << b) % m)
-    return m, powers
-
-
 def _images(values, n: int, b: int, units) -> tuple[int, list[list[int]]]:
     """M = Phi_n(2^b) and, for each unit a in `units`, the list of
     h(sigma_a(x)) mod M over `values`, for the ring map h: Z[zeta_n] -> Z/M,
-    zeta_n -> 2^b.  A CycNum of conductor d | n is read in its own power
-    basis, zeta_d as zeta_n^(n/d), and sigma_a sends zeta_n^j to
-    zeta_n^(a j)."""
-    m, powers = _ring_map(n, b)
+    zeta_n -> 2^b, which sends zeta_n^j to 2^(b j) mod M.  A CycNum of
+    conductor d | n is read in its own power basis, zeta_d as zeta_n^(n/d),
+    and sigma_a sends zeta_n^j to zeta_n^(a j)."""
+    m = _pack(cyclotomic_polynomial(n), b)
+    powers = [1 % m]
+    for _ in range(n - 1):
+        powers.append((powers[-1] << b) % m)
     out = []
     for a in units:
         images = []
@@ -416,7 +409,8 @@ def class_sums(columns, weights, ks: range, left, right) -> list[list[list[int]]
         return []
     cols, weights = list(merged), list(merged.values())
     bound = sum(abs(w) * max(l1[c[-1]] ** ks[0], l1[c[-1]] ** ks[-1])
-                * max(l1[c[i]] for i in left) * max(l1[c[j]] for j in right)
+                * max((l1[c[i]] for i in left), default=0)
+                * max((l1[c[j]] for j in right), default=0)
                 for c, w in zip(cols, weights))
     deg = euler_phi(n)
     b = max(1, (2 * bound).bit_length() // deg)

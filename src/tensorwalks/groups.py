@@ -509,6 +509,13 @@ class _Cursor:
             raise SpecError("expected an integer", start)
         return int(self.text[start : self.pos])
 
+    def argument(self) -> int:
+        """The integer of a parenthesised argument, "(" integer ")"."""
+        self.expect("(")
+        value = self.integer()
+        self.expect(")")
+        return value
+
     def at_end(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
@@ -536,15 +543,10 @@ def parse_spec_full(text: str) -> ParsedSpec:
 def _parse_body(cur: _Cursor) -> ParsedSpec:
     for word in ("GL2", "SL2"):
         if cur.try_word(word):
-            cur.expect("(")
-            q = cur.integer()
-            cur.expect(")")
+            q = cur.argument()
             return _linear_spec(word.lower(), q, STEINBERG if cur.try_word("@steinberg") else INDUCED)
     if cur.try_word("paley"):
-        cur.expect("(")
-        p = cur.integer()
-        cur.expect(")")
-        return _paley_spec(p)
+        return _paley_spec(cur.argument())
     if cur.try_word("circulant"):
         cur.expect("(")
         r = cur.integer()
@@ -555,9 +557,7 @@ def _parse_body(cur: _Cursor) -> ParsedSpec:
         cur.expect(")")
         return _circulant_spec(r, conn)
     if cur.try_word("hypercube"):
-        cur.expect("(")
-        n = cur.integer()
-        cur.expect(")")
+        n = cur.argument()
         if n < 1:
             raise SpecError("hypercube dimension must be positive")
         # past ABELIAN_LIMIT.bit_length() factors the order alone is above the limit

@@ -5,6 +5,8 @@ Coefficients are ints; any other coefficient type raises TypeError.
 Determinants, solves and gcds all run through one map, t -> 2^B: a polynomial
 is packed into the integer of its value at 2^B (`_pack`), the work is done on
 integers, and the result is read back as signed base-2^B digits (`_decode`).
+`_pack` also gives the modulus Phi_N(2^B) of the class-sum ring map
+(`cyclotomic._images`).
 A determinant or solve is one Bareiss elimination of the packed matrix, with
 B set by a Hadamard bound on every minor; a gcd is one integer gcd of the
 packed pair, with B doubled until the digits read back divide both.

@@ -505,8 +505,9 @@ def suite_diagram() -> list[CheckResult]:
         basis = enumerate_basis((4, 2), 4)
         for _ in range(4000):
             e1, e2, e3 = (rng.choice(basis) for _ in range(3))
-            left = compose(compose(e1, e2), e3) if compose(e1, e2) else None
-            right = compose(e1, compose(e2, e3)) if compose(e2, e3) else None
+            e12, e23 = compose(e1, e2), compose(e2, e3)
+            left = compose(e12, e3) if e12 else None
+            right = compose(e1, e23) if e23 else None
             if left != right:
                 raise ConsistencyError(f"associativity failed {e1} {e2} {e3}")
 

@@ -352,6 +352,19 @@ def test_class_sums_merge_equal_values_held_as_different_terms():
         class_sums([(one, eta_too)], [1], range(1), [0], [0])
 
 
+@pytest.mark.parametrize("n", (1, 2, 12, 101, 1001))
+@pytest.mark.parametrize("b", (1, 3, 11))
+def test_ring_map_modulus_is_phi_at_a_power_of_two(n, b):
+    # M = Phi_n(2^b), summed term by term, and zeta_n^j -> 2^(b j) mod M
+    from tensorwalks.cyclotomic import _images
+
+    m = sum(c * 2 ** (b * i) for i, c in enumerate(cyclotomic_polynomial(n)))
+    assert _images([], n, b, ())[0] == m
+    exponents = sorted({0, 1, n // 2, n - 1})
+    assert _images([root_of_unity(n, j) for j in exponents], n, b, (1,)) == \
+        (m, [[pow(2, b * j, m) for j in exponents]])
+
+
 def plain_class_sums(columns, weights, ks, left, right):
     """The sums of `class_sums` in plain cyclotomic arithmetic."""
     return [[[sum((w * col[-1] ** k * col[i] * col[j].conj() for col, w in zip(columns, weights)),

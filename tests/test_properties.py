@@ -359,31 +359,35 @@ def test_ring_map_equals_plain_sums_on_registry_modules(module, k):
 
 @st.composite
 def galois_stable_forms(draw):
-    """Triples (x, a, w), x and a in Z[zeta_n] and w an int: the Galois
-    orbits of a few random pairs (x, a), each orbit at one weight w."""
+    """Columns (a0, a1, x) over Z[zeta_n] and their int weights: the Galois
+    orbits of a few random columns, each orbit at one weight."""
     n = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15]))
     phi = euler_phi(n)
     values = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi).map(lambda c: CycNum(n, c))
-    triples = []
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    columns, weights = [], []
     for _ in range(draw(st.integers(1, 3))):
-        x, a, w = draw(values), draw(values), draw(st.integers(-9, 9))
-        triples += [(x.galois(u), a.galois(u), w) for u in range(1, n + 1) if gcd(u, n) == 1]
-    return triples
+        column, w = (draw(values), draw(values), draw(values)), draw(st.integers(-9, 9))
+        columns += [tuple(v.galois(u) for v in column) for u in units]
+        weights += [w] * len(units)
+    return columns, weights
 
 
 @settings(max_examples=60, deadline=None)
-@given(triples=galois_stable_forms(), start=st.integers(0, 12), length=st.integers(0, 6),
+@given(forms=galois_stable_forms(), start=st.integers(0, 12), length=st.integers(0, 6),
        step=st.integers(1, 3))
-def test_ring_map_equals_plain_sums_on_galois_stable_forms(triples, start, length, step):
-    # sum_c w_c x_c^k a_c conj(a_c) over the columns (a, x): a strided range
-    # of k, and orbits that repeat a column merge their weights
+def test_ring_map_equals_plain_sums_on_galois_stable_forms(forms, start, length, step):
+    # sum_c w_c x_c^k a_ci conj(a_cj) over the columns (a_c0, a_c1, x_c), for
+    # each (i, j) in {0, 1}^2 and for no j: a strided range of k, and orbits
+    # that repeat a column merge their weights
+    columns, weights = forms
     ks = range(start, start + step * length, step)
-    columns, weights = [(a, x) for x, a, _ in triples], [w for _, _, w in triples]
-    plain = [sum((w * x**k * a * a.conj() for x, a, w in triples), CycNum(1, ())).as_integer()
-             for k in ks]
-    assert [s[0][0] for s in class_sums(columns, weights, ks, [0], [0])] == plain
+    for left, right in [([i], [j]) for i in (0, 1) for j in (0, 1)] + [([0], [])]:
+        plain = [[[sum((w * col[-1] ** k * col[i] * col[j].conj() for col, w in zip(columns, weights)),
+                       CycNum(1, ())).as_integer() for j in right] for i in left] for k in ks]
+        assert class_sums(columns, weights, ks, left, right) == plain, (left, right)
     # one more copy of an irrational column leaves the table Galois-incomplete
-    extra = next(((a, x) for x, a, _ in triples if not (x.is_rational() and a.is_rational())), None)
+    extra = next((col for col in columns if not all(v.is_rational() for v in col)), None)
     if extra is not None:
         with pytest.raises(ConsistencyError, match="Galois-incomplete"):
             class_sums(columns + [extra], weights + [1], ks, [0], [0])
