@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tensorwalks.cli import VERBS, build_parser, main, parse_args
+from test_golden import CORPUS, corpus_argv, corpus_line
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -477,6 +478,35 @@ def test_group_prints_every_slot_of_a_wreath_class(capsys):
                           ("((8,), (), (), ())", 82575360), ("((7, 1), (), (), ())", 23592960)]
     assert labels[-1] == ("((), (), (), (1, 1, 1, 1, 1, 1, 1, 1))", 1)
     assert sum(size for _, size in labels) == int(doc["order"]) == 4**8 * 40320
+
+
+# the verbs whose payload is built in cli.py, each checked under its own name
+# against its line of tests/golden.txt (exit code, stdout and stderr digests)
+PINNED_STDOUT = (
+    "quiver --group S4",
+    "quiver --group S4 --format dot",
+    "bratteli --group Z4xZ2 --levels 3",
+    "bratteli --group Z4xZ2 --levels 3 --format dot",
+    "group --group Z5",
+    "group --group GL2(3)",
+    "poincare --group S4 --lambda 1 --method cramer",
+    "poincare --group SL2(3)@steinberg --method paper",
+    "egf --group Z4xZ2 --order 6 --target 3,1",
+    "egf --group Z4wrS6 --order 26",
+    "egf --group Z2xZ2xZ2xZ2xZ2xZ2 --order 25 --target 1,0,1,0,0,0",
+    "diagalg --group hypercube(3) --k 5 --list",
+    "verify --suite paley",
+    # a degree-330 character series with coefficients of up to 126 digits
+    "poincare --group Z5wrS6",
+)
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT)
+def test_stdout_bytes_are_pinned(command):
+    argv = command.split()
+    lines = [line for line in CORPUS.read_text().splitlines() if corpus_argv(line) == argv]
+    assert len(lines) == 1, f"{command!r} is on {len(lines)} lines of {CORPUS.name}"
+    assert corpus_line(argv) == lines[0]
 
 
 def test_diagalg(capsys):

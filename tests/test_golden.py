@@ -41,7 +41,7 @@ def corpus_line(argv: list[str]) -> str:
     return f"{code} {_digest(out)} {_digest(err)} {shlex.join(argv)}"
 
 
-def _argv(line: str) -> list[str] | None:
+def corpus_argv(line: str) -> list[str] | None:
     """The argv of a query line, None on a comment line."""
     return None if line.startswith("#") else shlex.split(line.split(" ", 3)[3])
 
@@ -54,7 +54,7 @@ def _digests(line: str) -> str:
 def test_output_matches_the_golden_corpus():
     changed = []
     for line in CORPUS.read_text().splitlines():
-        argv = _argv(line)
+        argv = corpus_argv(line)
         if argv is not None and (now := corpus_line(argv)) != line:
             changed.append(f"{shlex.join(argv)}\n  was {_digests(line)}\n  now {_digests(now)}")
     assert not changed, f"{len(changed)} queries changed:\n" + "\n".join(changed)
@@ -62,8 +62,8 @@ def test_output_matches_the_golden_corpus():
 
 def write() -> None:
     lines = CORPUS.read_text().splitlines()
-    CORPUS.write_text("".join(f"{line if (argv := _argv(line)) is None else corpus_line(argv)}\n"
-                              for line in lines))
+    CORPUS.write_text("".join(
+        f"{line if (argv := corpus_argv(line)) is None else corpus_line(argv)}\n" for line in lines))
 
 
 if __name__ == "__main__":
