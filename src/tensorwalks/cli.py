@@ -91,11 +91,10 @@ def _node_index(spec: ParsedSpec, token: str) -> int:
 AUTO_MATRIX_NODES = 128
 
 
-def cmd_walks(args) -> int:
+def cmd_walks(args, spec: ParsedSpec) -> int:
     from .routes import ROUTES, walk_routes
 
     _require_nonnegative("--k", args.k)
-    spec = parse_spec_full(args.group)
     frm = _node_index(spec, args.frm)
     to = _node_index(spec, args.to)
     methods = ROUTES if args.method == "auto" else (args.method,)
@@ -107,9 +106,8 @@ def cmd_walks(args) -> int:
     return 0
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args, spec: ParsedSpec) -> int:
     _require_nonnegative("--k", args.k)
-    spec = parse_spec_full(args.group)
     g, v = spec.group, spec.module
     row = power_rows(mckay_adjacency(g, v), 0, range(args.k, args.k + 1))[0]
     labels = [i.label for i in g.irreps]
@@ -121,11 +119,10 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args, spec: ParsedSpec) -> int:
     from .routes import walk_routes
 
     _require_nonnegative("--k", args.k)
-    spec = parse_spec_full(args.group)
     # the character sum against the closed forms only: the matrix route would
     # build an n^3-cost adjacency matrix to read one entry of each power
     counts = walk_routes(spec, range(args.k + 1), 0, 0, ("character", "closed"))[0][1]
@@ -136,8 +133,7 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def cmd_poincare(args) -> int:
-    spec = parse_spec_full(args.group)
+def cmd_poincare(args, spec: ParsedSpec) -> int:
     g = spec.group
     lam = _node_index(spec, args.lam)
     if args.method == "cramer":
@@ -160,9 +156,8 @@ def cmd_poincare(args) -> int:
     return 0
 
 
-def cmd_egf(args) -> int:
+def cmd_egf(args, spec: ParsedSpec) -> int:
     _require_nonnegative("--order", args.order)
-    spec = parse_spec_full(args.group)
     if spec.kind == "abelian":
         radii = spec.params["radii"]
         target = _parse_target(args.target, radii) if args.target else (0,) * len(radii)
@@ -196,8 +191,7 @@ def _parse_target(text: str, radii) -> tuple[int, ...]:
     return parts
 
 
-def cmd_bratteli(args) -> int:
-    spec = parse_spec_full(args.group)
+def cmd_bratteli(args, spec: ParsedSpec) -> int:
     bd = bratteli(spec.group, spec.module, args.levels)
     labels = [i.label for i in spec.group.irreps]
     if args.format == "dot":
@@ -212,8 +206,7 @@ def cmd_bratteli(args) -> int:
     return 0
 
 
-def cmd_quiver(args) -> int:
-    spec = parse_spec_full(args.group)
+def cmd_quiver(args, spec: ParsedSpec) -> int:
     a = mckay_adjacency(spec.group, spec.module)
     labels = [i.label for i in spec.group.irreps]
     if args.format == "dot":
@@ -224,8 +217,7 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def cmd_group(args) -> int:
-    spec = parse_spec_full(args.group)
+def cmd_group(args, spec: ParsedSpec) -> int:
     g = spec.group
     emit({"name": spec.name, "order": str(g.order), "tier": g.tier,
           "classes": [{"label": c.label, "size": str(c.size)} for c in g.classes],
@@ -296,10 +288,9 @@ def emit_basis(name: str, k: int, elements) -> None:
 LIST_LIMIT = 10**6
 
 
-def cmd_diagalg(args) -> int:
+def cmd_diagalg(args, spec: ParsedSpec) -> int:
     from .diagrams import basis_count, enumerate_basis
 
-    spec = parse_spec_full(args.group)
     if spec.kind != "abelian":
         raise UnsupportedQueryError(
             "the diagram basis is defined for abelian groups with the "
@@ -322,7 +313,7 @@ def cmd_diagalg(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _spec: None) -> int:
     from .verify import run_suite
 
     results = run_suite(args.suite)
@@ -344,7 +335,7 @@ _K = ("--k", {"type": int, "required": True})
 _CSV = ("--csv", {"action": "store_true"})
 _FORMAT = ("--format", {"choices": ("json", "dot"), "default": "json"})
 
-# verb -> (help, command, options), in the order of the usage line
+# verb -> (help, command(args, spec), options), in the order of the usage line
 VERBS = {
     "walks": ("count k-step walks between quiver nodes", cmd_walks,
               (_GROUP, _K, ("--from", {"dest": "frm", "default": "0"}),
@@ -443,7 +434,8 @@ def main(argv=None) -> int:
     digit_cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        spec = parse_spec_full(args.group) if hasattr(args, "group") else None
+        return args.func(args, spec)
     except UnsupportedQueryError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 3

@@ -3,13 +3,15 @@ independent routes and compared exactly.  The CLI `verify` verb and the
 acceptance tests both run these.  Walk counts go through the route engine
 that `walks` and `invariants` run, `routes.walk_routes`, on parsed spec
 strings, and every other sequence is held to its reference by
-`routes.agree`.  `Suite.check` runs each check inside one guard: a fault
-(`errors.FAULTS`) fails that check, and the run goes on."""
+`routes.agree`.  Each suite yields its checks, and `run_suite` runs each
+one the moment it is yielded, inside one guard: a fault (`errors.FAULTS`)
+fails that check, and the run goes on."""
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import cache
 
 from . import closedforms as cf
@@ -60,18 +62,8 @@ from .series import (
 CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
-class Suite(list):
-    """The results of a suite's checks, in order."""
-
-    def check(self, name: str, body):
-        """Record `name` by running the zero-argument `body`: PASS when it
-        returns, FAIL with the message of the fault it raises."""
-        try:
-            body()
-        except FAULTS as exc:
-            self.append(CheckResult(name, False, str(exc)))
-        else:
-            self.append(CheckResult(name, True))
+# A suite yields its checks as (name, zero-argument body) pairs
+Checks = Iterator[tuple[str, Callable[[], object]]]
 
 
 def _holds(ok: bool, detail: str = "") -> None:
@@ -82,27 +74,24 @@ def _holds(ok: bool, detail: str = "") -> None:
 # -- 1. cyclic fixtures -------------------------------------------------------
 
 
-def suite_z10() -> list[CheckResult]:
-    s = Suite()
+def suite_z10() -> Checks:
     spec = parse_spec_full("Z10")
     for (k, frm, to, expected) in [(6, 0, 8, 15), (12, 0, 0, 948)]:
         ks = range(k, k + 1)
         for method, label in (("matrix", "matrix"), ("character", "character"),
                               ("closed", "binomial")):
-            s.check(f"Z10 {label} ({k},{frm}->{to})",
-                    lambda: agree(walk_routes(spec, ks, frm, to, (method,))
-                                  + [("expected", [expected])], ks))
-    s.check("Z10 centralizer dim at depth 6",
-            lambda: agree([("centralizer dim", [centralizer_dim(spec.group, spec.module, 6)]),
-                           ("expected", [948])], range(6, 7)))
-    return s
+            yield (f"Z10 {label} ({k},{frm}->{to})",
+                   lambda: agree(walk_routes(spec, ks, frm, to, (method,))
+                                 + [("expected", [expected])], ks))
+    yield ("Z10 centralizer dim at depth 6",
+           lambda: agree([("centralizer dim", [centralizer_dim(spec.group, spec.module, 6)]),
+                          ("expected", [948])], range(6, 7)))
 
 
 # -- 2. Z4 x Z2 fixtures ------------------------------------------------------
 
 
-def suite_z4xz2() -> list[CheckResult]:
-    s = Suite()
+def suite_z4xz2() -> Checks:
     spec = parse_spec_full("Z4xZ2")
     g = spec.group
     # built in the first check that reads it: a fault fails each such check
@@ -113,22 +102,21 @@ def suite_z4xz2() -> list[CheckResult]:
         got = {labels[i]: m for i, m in diagram().levels[6]}
         _holds(got == {"(2, 0)": 16, "(1, 1)": 12, "(0, 0)": 16, "(3, 1)": 20}, f"got {got}")
 
-    s.check("level-6 multiplicities", level6)
-    s.check("centralizer dims per level",
-            lambda: agree([("bratteli", diagram().algebra_dims),
-                           ("class sum", [centralizer_dim(g, spec.module, k) for k in range(7)]),
-                           ("expected", [1, 2, 6, 20, 72, 272, 1056])], range(7)))
+    yield ("level-6 multiplicities", level6)
+    yield ("centralizer dims per level",
+           lambda: agree([("bratteli", diagram().algebra_dims),
+                          ("class sum", [centralizer_dim(g, spec.module, k) for k in range(7)]),
+                          ("expected", [1, 2, 6, 20, 72, 272, 1056])], range(7)))
     ks = range(1, 7)
-    s.check("dims follow 2^(k-1) + 4^(k-1)",
-            lambda: agree([("bratteli", diagram().algebra_dims[1:]),
-                           ("2^(k-1) + 4^(k-1)", [2 ** (k - 1) + 4 ** (k - 1) for k in ks])], ks))
+    yield ("dims follow 2^(k-1) + 4^(k-1)",
+           lambda: agree([("bratteli", diagram().algebra_dims[1:]),
+                          ("2^(k-1) + 4^(k-1)", [2 ** (k - 1) + 4 ** (k - 1) for k in ks])], ks))
 
     def every_target():
         for to in range(g.n_classes):
             walk_routes(spec, range(7), 0, to, ROUTES)
 
-    s.check("three routes agree for every target, k <= 6", every_target)
-    return s
+    yield ("three routes agree for every target, k <= 6", every_target)
 
 
 # -- 3. S4 fixtures -----------------------------------------------------------
@@ -152,18 +140,17 @@ _S4_FORMS = {
 }
 
 
-def suite_s4() -> list[CheckResult]:
+def suite_s4() -> Checks:
     from .combinatorics import stirling2
 
-    s = Suite()
     spec = parse_spec_full("S4")
     g = spec.group
-    s.check("character table matches the reference entry-for-entry", lambda: _holds(all(
+    yield ("character table matches the reference entry-for-entry", lambda: _holds(all(
         tuple(g.chi(i, j).as_integer() for j in range(5)) == _S4_TABLE[info.label]
         for i, info in enumerate(g.irreps)
     )))
-    s.check("class sizes", lambda: _holds(tuple(g.class_sizes()) == (1, 6, 3, 8, 6),
-                                          f"got {g.class_sizes()}"))
+    yield ("class sizes", lambda: _holds(tuple(g.class_sizes()) == (1, 6, 3, 8, 6),
+                                         f"got {g.class_sizes()}"))
 
     def forms():
         # the engine compares matrix, character and Stirling-Kostka
@@ -176,25 +163,22 @@ def suite_s4() -> list[CheckResult]:
                      ("stirling", [sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
                                    for k in ks])], ks, f"lam={info.label}")
 
-    s.check("five closed forms == matrix == character == Stirling/Kostka, k <= 10", forms)
-    return s
+    yield ("five closed forms == matrix == character == Stirling/Kostka, k <= 10", forms)
 
 
 # -- 4. S_n multiplicity identities -------------------------------------------
 
 
-def suite_sn() -> list[CheckResult]:
-    s = Suite()
-
+def suite_sn() -> Checks:
     def stirling_kostka():
         for n in (2, 3, 4, 5):
             spec = parse_spec_full(f"S{n}")
             for to in range(spec.group.n_classes):
                 walk_routes(spec, range(7), 0, to, ("character", "closed"))
 
-    s.check("character sums equal Stirling-Kostka sums (n <= 5, k <= 6)", stirling_kostka)
-    s.check("Bell numbers", lambda: _holds((bell_number(2), bell_number(4)) == (2, 15),
-                                           "expected B(2), B(4) = 2, 15"))
+    yield ("character sums equal Stirling-Kostka sums (n <= 5, k <= 6)", stirling_kostka)
+    yield ("Bell numbers", lambda: _holds((bell_number(2), bell_number(4)) == (2, 15),
+                                          "expected B(2), B(4) = 2, 15"))
 
     def bell():
         for n in (2, 3, 4, 5):
@@ -203,16 +187,13 @@ def suite_sn() -> list[CheckResult]:
             agree([("centralizer dim", [centralizer_dim(v.group, v, k) for k in ks]),
                    ("Bell", [bell_number(2 * k) for k in ks])], ks, f"n={n}")
 
-    s.check("centralizer dim equals Bell number when n >= 2k", bell)
-    return s
+    yield ("centralizer dim equals Bell number when n >= 2k", bell)
 
 
 # -- 5. Paley graphs ----------------------------------------------------------
 
 
-def suite_paley() -> list[CheckResult]:
-    s = Suite()
-
+def suite_paley() -> Checks:
     def forms():
         ks = range(9)
         for p in (5, 7, 11, 13, 17):
@@ -227,24 +208,22 @@ def suite_paley() -> list[CheckResult]:
                        ("multinomial", cf.group_ring_walks((p,), steps, ks, (c,)))],
                       ks, f"p={p} c={c}")
 
-    s.check("derived closed form == multinomial sum == adjacency powers", forms)
+    yield ("derived closed form == multinomial sum == adjacency powers", forms)
 
     def discrepancy():
         printed = cf.paley_printed_form(7, 1, 1)
         true_count = cf.paley_bruteforce(7, range(1, 2), 1)[0]
         _holds(printed != true_count, f"printed form gave {printed}, matching {true_count}")
 
-    s.check("discrepancy report: displayed residue case fails at p=7, k=1", discrepancy)
-    return s
+    yield ("discrepancy report: displayed residue case fails at p=7, k=1", discrepancy)
 
 
 # -- 6. wreath products -------------------------------------------------------
 
 
-def suite_wreath() -> list[CheckResult]:
+def suite_wreath() -> Checks:
     from math import factorial
 
-    s = Suite()
     ks = range(9)
 
     def evaluators():
@@ -253,7 +232,7 @@ def suite_wreath() -> list[CheckResult]:
                 spec = parse_spec_full(f"Z{r}wrS{n}")
                 walk_routes(spec, ks, 0, 0, ("character", "closed"))
 
-    s.check("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", evaluators)
+    yield ("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", evaluators)
 
     def averaging():
         for r in (2, 3, 4):
@@ -264,7 +243,7 @@ def suite_wreath() -> list[CheckResult]:
                        ("closed", cf.wreath_invariants(r, n, ks))],
                       ks, f"r={r} n={n}")
 
-    s.check("group-element averaging agrees where the order is <= 200", averaging)
+    yield ("group-element averaging agrees where the order is <= 200", averaging)
 
     def egf():
         for r in (2, 3, 4):
@@ -274,14 +253,14 @@ def suite_wreath() -> list[CheckResult]:
                        ("closed", cf.wreath_invariants(r, n, ks))],
                       ks, f"r={r} n={n}")
 
-    s.check("EGF coefficients reproduce the invariant dimensions", egf)
+    yield ("EGF coefficients reproduce the invariant dimensions", egf)
 
     def signed_pair():
         mod = monomial_module(2, 2)
         rf = poincare_character(mod.group, mod, 0)
         _holds(rf == RatFunc(Polynomial((1, 0, -3)), Polynomial((1, 0, -4))), f"got {rf}")
 
-    s.check("signed-permutation pair Poincare series", signed_pair)
+    yield ("signed-permutation pair Poincare series", signed_pair)
 
     def even_blocks():
         half = range(1, 6)
@@ -290,16 +269,13 @@ def suite_wreath() -> list[CheckResult]:
                    ("invariants at 2k", cf.wreath_invariants(2, n, range(2, 2 * half.stop, 2)))],
                   half, f"n={n}")
 
-    s.check("even-block partition sums equal 2k-step invariants", even_blocks)
-    return s
+    yield ("even-block partition sums equal 2k-step invariants", even_blocks)
 
 
 # -- 7. GL2 / SL2 -------------------------------------------------------------
 
 
-def suite_gl2sl2() -> list[CheckResult]:
-    s = Suite()
-
+def suite_gl2sl2() -> Checks:
     def closed_forms():
         for q in (3, 5, 7):
             for gname, dims, poin in (("GL2", cf.gl2_dims, cf.gl2_poincare),
@@ -315,8 +291,7 @@ def suite_gl2sl2() -> list[CheckResult]:
                            ("dims", [dims(q, k, which) for k in range(13)])],
                           range(13), f"{gname}({q}) {which}")
 
-    s.check("closed forms == character sums == Poincare coefficients", closed_forms)
-    return s
+    yield ("closed forms == character sums == Poincare coefficients", closed_forms)
 
 
 # -- 8. generic engines over the built-in modules -----------------------------
@@ -338,15 +313,14 @@ def builtin_modules() -> list[tuple[str, ModuleChar]]:
     return [(name, parse_spec_full(spec).module) for name, spec in BUILTIN_SPECS]
 
 
-def suite_generic() -> list[CheckResult]:
-    s = Suite()
+def suite_generic() -> Checks:
     for name, mod in builtin_modules():
         g = mod.group
         adjacency = cache(lambda: mckay_adjacency(g, mod))  # as `diagram` in suite_z4xz2
-        s.check(f"{name}: orthogonality",
-                lambda: _holds(_orthogonality_ok(g), "row/column relations failed"))
-        s.check(f"{name}: det(I - tA) factors over the module character",
-                lambda: _holds(det_factorization_check(g, mod, adjacency())))
+        yield (f"{name}: orthogonality",
+               lambda: _holds(_orthogonality_ok(g), "row/column relations failed"))
+        yield (f"{name}: det(I - tA) factors over the module character",
+               lambda: _holds(det_factorization_check(g, mod, adjacency())))
 
         def eigenvalues():
             ok, bad = eigen_check(g, mod, adjacency())
@@ -360,8 +334,8 @@ def suite_generic() -> list[CheckResult]:
                 agree([("Cramer series", RatFunc(num, den).series(12)),
                        ("power rows", [row[lam] for row in walks])], ks, f"lam={lam}")
 
-        s.check(f"{name}: adjacency eigenvalue identity", eigenvalues)
-        s.check(f"{name}: Cramer series equals walk counts to t^12 for every node", cramer)
+        yield (f"{name}: adjacency eigenvalue identity", eigenvalues)
+        yield (f"{name}: Cramer series equals walk counts to t^12 for every node", cramer)
 
     def digraphs():
         rng = random.Random(20250810)
@@ -379,9 +353,8 @@ def suite_generic() -> list[CheckResult]:
                            ("powers", [p[alpha][gamma] for p in powers])],
                           ks, f"trial {trial} ({alpha}->{gamma})")
 
-    s.check("general digraph generating functions match adjacency powers "
-            "(20 random digraphs)", digraphs)
-    return s
+    yield ("general digraph generating functions match adjacency powers "
+           "(20 random digraphs)", digraphs)
 
 
 def _orthogonality_ok(g: GroupData) -> bool:
@@ -408,8 +381,7 @@ def _orthogonality_ok(g: GroupData) -> bool:
 # -- 9. abelian exponential generating functions ------------------------------
 
 
-def suite_genfnc() -> list[CheckResult]:
-    s = Suite()
+def suite_genfnc() -> Checks:
     ks = range(11)
 
     def products():
@@ -424,7 +396,7 @@ def suite_genfnc() -> list[CheckResult]:
                        ("group ring", [power.get(c, 0) for power in ring])],
                       ks, f"radii={radii} c={c}")
 
-    s.check("EGF products equal walk counts for every target (k <= 10)", products)
+    yield ("EGF products equal walk counts for every target (k <= 10)", products)
 
     def hypercube():
         radii = (2,) * 5
@@ -438,16 +410,13 @@ def suite_genfnc() -> list[CheckResult]:
             agree([("EGF", [egf.coefficient(k) for k in ks]),
                    ("matrix", [row[idx] for row in powers])], ks, f"c={c}")
 
-    s.check("hypercube EGFs follow the cosh/sinh weight pattern", hypercube)
-    return s
+    yield ("hypercube EGFs follow the cosh/sinh weight pattern", hypercube)
 
 
 # -- 10. diagram algebra ------------------------------------------------------
 
 
-def suite_diagram() -> list[CheckResult]:
-    s = Suite()
-
+def suite_diagram() -> Checks:
     def cardinality():
         ks = range(7)
         for radii in ((2,), (4,), (2, 2), (4, 2), (2, 3), (2, 2, 2), (4, 4)):
@@ -459,10 +428,10 @@ def suite_diagram() -> list[CheckResult]:
             agree([("basis", [basis_count(radii, k) for k in ks]),
                    ("squared multiplicities", squares)], ks, f"radii={radii}")
 
-    s.check("basis cardinality equals the sum of squared multiplicities", cardinality)
-    s.check("[4,2] depth-6 basis size",
-            lambda: agree([("basis", [len(enumerate_basis((4, 2), 6))]), ("expected", [1056])],
-                          range(6, 7)))
+    yield ("basis cardinality equals the sum of squared multiplicities", cardinality)
+    yield ("[4,2] depth-6 basis size",
+           lambda: agree([("basis", [len(enumerate_basis((4, 2), 6))]), ("expected", [1056])],
+                         range(6, 7)))
 
     def worked_example():
         radii = (2, 3, 2, 5)
@@ -475,7 +444,7 @@ def suite_diagram() -> list[CheckResult]:
         _holds(is_valid(lower) and is_valid(upper) and product is not None
                and product.bottom == gamma and product.top == eta, f"got {product}")
 
-    s.check("worked 12-letter composition reproduces the printed top word", worked_example)
+    yield ("worked 12-letter composition reproduces the printed top word", worked_example)
 
     def exhaustive():
         for radii in ((2,), (4,), (2, 2)):
@@ -498,7 +467,7 @@ def suite_diagram() -> list[CheckResult]:
                             raise ConsistencyError(
                                 f"associativity failed {basis[i]} {basis[j]} {e3}")
 
-    s.check("composition closure and associativity (exhaustive, small ranks)", exhaustive)
+    yield ("composition closure and associativity (exhaustive, small ranks)", exhaustive)
 
     def randomized():
         rng = random.Random(1056)
@@ -511,21 +480,18 @@ def suite_diagram() -> list[CheckResult]:
             if left != right:
                 raise ConsistencyError(f"associativity failed {e1} {e2} {e3}")
 
-    s.check("composition associativity (randomized, depth 4)", randomized)
-    return s
+    yield ("composition associativity (randomized, depth 4)", randomized)
 
 
 # -- 11. Gauss sums -----------------------------------------------------------
 
 
-def suite_gauss() -> list[CheckResult]:
-    s = Suite()
+def suite_gauss() -> Checks:
     for p in (5, 7, 13):
-        s.check(f"g(1)^2 = {'+' if p % 4 == 1 else '-'}{p} in the {p}-th cyclotomic field",
-                lambda: _holds(gauss_sum_check(p)))
-    s.check("quadratic arithmetic embeds through the Gauss sum",
-            lambda: _holds(gauss_sum(5).embed(20) ** 2 == 5))
-    return s
+        yield (f"g(1)^2 = {'+' if p % 4 == 1 else '-'}{p} in the {p}-th cyclotomic field",
+               lambda: _holds(gauss_sum_check(p)))
+    yield ("quadratic arithmetic embeds through the Gauss sum",
+           lambda: _holds(gauss_sum(5).embed(20) ** 2 == 5))
 
 
 SUITES = {
@@ -544,11 +510,19 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
+    """The result of each check of suite `name` (every suite for "all"), in
+    order: PASS when its body returns, FAIL with the message of the fault it
+    raises.  A fault outside every check, in a suite's own setup, ends the run."""
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key))
-        return out
+        return [result for key in SUITES for result in run_suite(key)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    return SUITES[name]()
+    results = []
+    for check, body in SUITES[name]():
+        try:
+            body()
+        except FAULTS as exc:
+            results.append(CheckResult(check, False, str(exc)))
+        else:
+            results.append(CheckResult(check, True))
+    return results

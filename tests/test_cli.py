@@ -702,6 +702,75 @@ def test_gauss_suite_fails_the_embedding_check_alone_on_an_embed_fault(monkeypat
     assert len(results) == 3 and all(results.values())
 
 
+def test_verify_runs_each_check_before_the_next_is_named(monkeypatch):
+    # the z10 checks read their loop's variables: each runs at its own (k, method)
+    import tensorwalks.verify as verify_mod
+
+    real = verify_mod.walk_routes
+    asked = []
+
+    def recorder(spec, ks, frm, to, methods):
+        asked.append((list(ks), frm, to, methods))
+        return real(spec, ks, frm, to, methods)
+
+    monkeypatch.setattr(verify_mod, "walk_routes", recorder)
+    assert all(r.ok for r in verify_mod.run_suite("z10"))
+    assert asked == [([k], frm, to, (method,))
+                     for k, frm, to in ((6, 0, 8), (12, 0, 0))
+                     for method in ("matrix", "character", "closed")]
+
+
+def test_a_fault_outside_every_check_ends_verify(capsys, monkeypatch):
+    # the guard holds each check's body only: a suite's own spec read is not a check
+    import tensorwalks.verify as verify_mod
+    from tensorwalks.errors import ConsistencyError
+
+    real = verify_mod.parse_spec_full
+
+    def planted(text):
+        if text == "Z4xZ2":
+            raise ConsistencyError("planted")
+        return real(text)
+
+    monkeypatch.setattr(verify_mod, "parse_spec_full", planted)
+    assert run(capsys, "verify", "--suite", "z4xz2") == (4, "", "consistency failure: planted\n")
+
+
+def test_verify_check_names_are_distinct():
+    from tensorwalks.verify import run_suite
+
+    names = [r.name for r in run_suite("all")]
+    assert len(set(names)) == len(names) == 109
+
+
+def readme_verbs() -> list[list[str]]:
+    """The argv of each verb example of the README, as the CI smoke step reads them."""
+    import shlex
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\nVerbs:\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("tensorwalks ")]
+
+
+def test_main_reads_each_spec_once(capsys, monkeypatch):
+    import tensorwalks.cli as cli_mod
+
+    real = cli_mod.parse_spec_full
+    calls = []
+    monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: calls.append(text) or real(text))
+    examples = [argv for argv in readme_verbs() if "--group" in argv]
+    assert len(examples) >= 9
+    for argv in examples:
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert calls == [argv[argv.index("--group") + 1]], argv
+    calls.clear()
+    assert run(capsys, "verify", "--suite", "gauss")[0] == 0
+    assert calls == []
+
+
 def test_kernel_fault_exits_4_without_a_traceback(capsys, monkeypatch):
     import tensorwalks.polynomials as poly_mod
 
