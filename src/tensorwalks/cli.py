@@ -221,7 +221,7 @@ def cmd_group(args, spec: ParsedSpec) -> int:
     g = spec.group
     emit({"name": spec.name, "order": str(g.order), "tier": g.tier,
           "classes": [{"label": c.label, "size": str(c.size)} for c in g.classes],
-          "chi_V": [v.to_text() for v in spec.module.values]})
+          "chi_V": [v.to_text() for v in spec.module]})
     return 0
 
 

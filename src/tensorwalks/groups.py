@@ -1,9 +1,10 @@
 """Conjugacy-class and character data for the supported group families.
 
 Two tiers: "full" groups carry a character table, each row built when first
-read; "invariant" groups carry only class sizes and the module character,
-which is all the invariant-dimension formulas consume, and are one-row
-tables: the trivial row, all ones.  Values are CycNum.
+read; "invariant" groups carry only class sizes, which with the module
+character is all the invariant-dimension formulas consume, and are one-row
+tables: the trivial row, all ones.  A module is its character, a tuple of
+CycNum values, one per class, the identity class first.
 """
 
 from __future__ import annotations
@@ -97,22 +98,6 @@ def _trivial_row(name: str, n_classes: int) -> Callable[[int], tuple[CycNum, ...
                 "the trivial irrep, has a character row")
         return (CycNum.from_int(1),) * n_classes
     return row
-
-
-class ModuleChar:
-    """Character of a module over `group`: its values, one per conjugacy
-    class, the identity class first, so values[0] is its dimension.  Which
-    module a spec names is a spec parameter, not part of the character.
-    Immutable; equal only to itself."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: GroupData, values: tuple[CycNum, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ModuleChar is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +211,22 @@ def build_abelian(radii) -> GroupData:
     return _product_spec(tuple(radii)).group
 
 
-def standard_module_cyclic(r: int) -> ModuleChar:
+def standard_module_cyclic(r: int) -> tuple[CycNum, ...]:
     """The two-character module whose quiver is the circular graph on r nodes."""
     return _cyclic_spec(r).module
 
 
-def circulant_module(r: int, connection) -> ModuleChar:
+def circulant_module(r: int, connection) -> tuple[CycNum, ...]:
     """Module over Z_r summing the characters in `connection`."""
     return _circulant_spec(r, connection).module
 
 
-def paley_module(p: int) -> ModuleChar:
+def paley_module(p: int) -> tuple[CycNum, ...]:
     """Module over Z_p whose quiver is the Paley (di)graph on p nodes."""
     return _paley_spec(p).module
 
 
-def coordinate_module(radii) -> ModuleChar:
+def coordinate_module(radii) -> tuple[CycNum, ...]:
     """V = direct sum of the n coordinate characters of Z_r1 x ... x Z_rn."""
     return _product_spec(tuple(radii)).module
 
@@ -301,7 +286,7 @@ def build_symmetric(n: int) -> GroupData:
     return _symmetric_spec(n).group
 
 
-def permutation_module(n: int) -> ModuleChar:
+def permutation_module(n: int) -> tuple[CycNum, ...]:
     """The n-dimensional permutation module; its character counts fixed points."""
     return _symmetric_spec(n).module
 
@@ -367,7 +352,7 @@ def build_wreath_invariant(r: int, n: int) -> GroupData:
     return _wreath_spec(r, n).group
 
 
-def monomial_module(r: int, n: int) -> ModuleChar:
+def monomial_module(r: int, n: int) -> tuple[CycNum, ...]:
     """The defining n-dimensional monomial-matrix module of Z_r wr S_n."""
     return _wreath_spec(r, n).module
 
@@ -432,12 +417,12 @@ def build_sl2(q: int) -> GroupData:
     return _linear_spec("sl2", q, INDUCED).group
 
 
-def both_modules_gl2(q: int) -> tuple[ModuleChar, ModuleChar]:
+def both_modules_gl2(q: int) -> tuple[tuple[CycNum, ...], tuple[CycNum, ...]]:
     """(induced, Steinberg) for GL2(F_q)."""
     return _linear_spec("gl2", q, INDUCED).module, _linear_spec("gl2", q, STEINBERG).module
 
 
-def both_modules_sl2(q: int) -> tuple[ModuleChar, ModuleChar]:
+def both_modules_sl2(q: int) -> tuple[tuple[CycNum, ...], tuple[CycNum, ...]]:
     """(induced, Steinberg) for SL2(F_q)."""
     return _linear_spec("sl2", q, INDUCED).module, _linear_spec("sl2", q, STEINBERG).module
 
@@ -452,21 +437,20 @@ class ParsedSpec:
     before making it: `kind` is one of cyclic, abelian, symmetric, wreath, gl2, sl2,
     paley, circulant; `name` is its group's name; `params` holds what the family's
     closed forms read: its numbers (r, n, q, p, radii, steps) and, for GL2/SL2,
-    `which` module, INDUCED or STEINBERG.  `group` and `module`, the module the spec
-    names over it, are built on their first read, once, by the zero-argument `group`
-    and `values`.  Immutable; equal only to itself."""
+    `which` module, INDUCED or STEINBERG.  `group`, and `module`, the character of
+    the module the spec names over it: its values, one per class, the identity class
+    first, so module[0] is its dimension, are each built on their first read, once,
+    by the zero-argument `group` and `values`.  Immutable; equal only to itself."""
 
     __slots__ = ("kind", "name", "params", "_group", "_module")
 
     def __init__(self, kind: str, name: str, params: dict, group: Callable[[], GroupData],
                  values: Callable[[], tuple[CycNum, ...]]):
-        group = lru_cache(maxsize=None)(group)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_group", group)
-        object.__setattr__(self, "_module", lru_cache(maxsize=None)(
-            lambda: ModuleChar(group(), values())))
+        object.__setattr__(self, "_group", lru_cache(maxsize=None)(group))
+        object.__setattr__(self, "_module", lru_cache(maxsize=None)(values))
 
     def __setattr__(self, *args):
         raise AttributeError("ParsedSpec is immutable")

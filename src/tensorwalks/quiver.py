@@ -8,7 +8,7 @@ from math import lcm
 
 from .cyclotomic import CycNum, class_sums, sum_of_products
 from .errors import exact_count
-from .groups import GroupData, ModuleChar
+from .groups import GroupData
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -74,7 +74,8 @@ def power_rows(a, frm: int, ks: range) -> list[list[int]]:
     return [kept[k] for k in ks]
 
 
-def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list[list[list[int]]]:
+def _character_sums(g: GroupData, v: tuple[CycNum, ...], ks: range,
+                    left, right) -> list[list[list[int]]]:
     """For each k in `ks`, the matrix over nu in `left` and lam in `right` of
     (1/|G|) sum_c |c| chi_V(c)^k chi_nu(c) conj(chi_lam(c)), each entry
     checked to be a count.
@@ -88,43 +89,43 @@ def _character_sums(g: GroupData, v: ModuleChar, ks: range, left, right) -> list
     nodes = sorted({*left, *right})
     rows = [g.row(nu) for nu in nodes]
     at = {nu: i for i, nu in enumerate(nodes)}
-    sums = class_sums(zip(*rows, v.values), g.class_sizes(), ks,
+    sums = class_sums(zip(*rows, v), g.class_sizes(), ks,
                       [at[nu] for nu in left], [at[lam] for lam in right])
     return [[[exact_count(s, g.order, "character sum") for s in row] for row in matrix]
             for matrix in sums]
 
 
-def mckay_adjacency(g: GroupData, v: ModuleChar) -> list[list[int]]:
+def mckay_adjacency(g: GroupData, v: tuple[CycNum, ...]) -> list[list[int]]:
     """Adjacency rows: a[nu][lam] = multiplicity of irrep lam in (irrep nu)
     tensor V, the character sum at k = 1."""
     nodes = range(g.n_classes)
     return _character_sums(g, v, range(1, 2), nodes, nodes)[0]
 
 
-def character_walk_counts(g: GroupData, v: ModuleChar, k: int) -> list[list[int]]:
+def character_walk_counts(g: GroupData, v: tuple[CycNum, ...], k: int) -> list[list[int]]:
     """All (from, to) k-step walk counts at once, by character sums."""
     nodes = range(g.n_classes)
     return _character_sums(g, v, range(k, k + 1), nodes, nodes)[0]
 
 
-def walk_counts_character(g: GroupData, v: ModuleChar, ks: range, frm: int, to: int) -> list[int]:
+def walk_counts_character(g: GroupData, v: tuple[CycNum, ...], ks: range,
+                          frm: int, to: int) -> list[int]:
     """Walk counts from irrep `frm` to irrep `to` for every k in `ks`, by the
     character sum, with chi_V(c)^k carried from one k to the next."""
     return [matrix[0][0] for matrix in _character_sums(g, v, ks, [frm], [to])]
 
 
-def walk_count_character(g: GroupData, v: ModuleChar, k: int, frm: int, to: int) -> int:
+def walk_count_character(g: GroupData, v: tuple[CycNum, ...], k: int, frm: int, to: int) -> int:
     """k-step walk count from irrep `frm` to irrep `to` by the character sum."""
     return _character_sums(g, v, range(k, k + 1), [frm], [to])[0][0][0]
 
 
-def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:
+def centralizer_dim(g: GroupData, v: tuple[CycNum, ...], k: int) -> int:
     """Dimension of the centralizer algebra of the k-th tensor power, the sum
     of the squared multiplicities, (1/|G|) sum_c |c| |chi_V(c)|^(2k), for any
     module: the closed k-step walks at the trivial irrep, node 0, for the
     module V tensor V*, whose character is chi_V conj(chi_V)."""
-    squares = ModuleChar(g, tuple(x * x.conj() for x in v.values))
-    return walk_count_character(g, squares, k, 0, 0)
+    return walk_count_character(g, tuple(x * x.conj() for x in v), k, 0, 0)
 
 
 # Levels 0..K of the branching diagram: per level the (irrep index,
@@ -134,7 +135,7 @@ def centralizer_dim(g: GroupData, v: ModuleChar, k: int) -> int:
 BratteliDiagram = namedtuple("BratteliDiagram", "levels edges algebra_dims")
 
 
-def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
+def bratteli(g: GroupData, v: tuple[CycNum, ...], levels: int) -> BratteliDiagram:
     """Build the diagram from the level recurrence m_k = m_{k-1} * A: level k
     is row 0 of A^k, and each level's edges are the nonzero a[nu][lam] out of
     its nodes nu.  The matrix comes first, so a group without one is
@@ -149,7 +150,7 @@ def bratteli(g: GroupData, v: ModuleChar, levels: int) -> BratteliDiagram:
     return BratteliDiagram(out_levels, edges, tuple(sum(m * m for m in row) for row in rows))
 
 
-def eigen_check(g: GroupData, v: ModuleChar, a):
+def eigen_check(g: GroupData, v: tuple[CycNum, ...], a):
     """Verify sum_lam a[nu][lam] chi_lam(c_mu) = chi_V(c_mu) chi_nu(c_mu) for
     all nu, mu in exact arithmetic.  Returns (ok, first failing (nu, mu)).
     The left side is `sum_of_products` over the column's field, independent
@@ -163,6 +164,6 @@ def eigen_check(g: GroupData, v: ModuleChar, a):
     for nu in range(n):
         row = [((0, e),) for e in a[nu]]
         for mu, (m, col, terms) in enumerate(columns):
-            if CycNum(m, sum_of_products(row, terms, m)) != v.values[mu] * col[nu]:
+            if CycNum(m, sum_of_products(row, terms, m)) != v[mu] * col[nu]:
                 return False, (nu, mu)
     return True, None

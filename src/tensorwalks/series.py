@@ -15,7 +15,7 @@ from math import comb
 
 from .cyclotomic import CycNum, class_sums
 from .errors import ConsistencyError, UnsupportedQueryError
-from .groups import GroupData, ModuleChar
+from .groups import GroupData
 from .polynomials import Polynomial, lowest_terms, poly_det, poly_solve
 from .quiver import walk_counts_character
 
@@ -113,12 +113,12 @@ def poincare_cramer(a, lam: int) -> RatFunc:
     return walk_generating_function(a, 0, lam)
 
 
-def poincare_character(g: GroupData, v: ModuleChar, lam: int) -> RatFunc:
+def poincare_character(g: GroupData, v: tuple[CycNum, ...], lam: int) -> RatFunc:
     """Poincare series of walks from the trivial node to `lam`: over the d
     distinct values x of chi_V, told apart by `coeffs`, at most DEGREE_LIMIT,
     (1/|G|) sum_c |c| conj(chi_lam(c)) / (1 - chi_V(c) t) = N / D with
     D = prod_x (1 - x t), so N is D times the walk counts for k < d, mod t^d."""
-    values = list({x.embed(g.conductor).coeffs: x for x in v.values}.values())
+    values = list({x.embed(g.conductor).coeffs: x for x in v}.values())
     d = len(values)
     if d > DEGREE_LIMIT:
         raise UnsupportedQueryError(f"the character series of {g.name} has degree {d}, the number "
@@ -153,11 +153,11 @@ def _newton_product(sums: list[int]) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def det_factorization_check(g: GroupData, v: ModuleChar, a) -> bool:
+def det_factorization_check(g: GroupData, v: tuple[CycNum, ...], a) -> bool:
     """det(I - tA) over Z[t] must equal the product of (1 - chi_V(c_mu) t)
     over all classes, built from the power sums of the class values."""
     det = poly_det(_identity_minus_t(a))
-    return det == _linear_factor_product(list(v.values))
+    return det == _linear_factor_product(list(v))
 
 
 def dynkin_quotient(a, remove: int) -> RatFunc:

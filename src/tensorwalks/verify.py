@@ -27,12 +27,10 @@ from .diagrams import (
 from .errors import FAULTS, ConsistencyError, exact_count
 from .groups import (
     GroupData,
-    ModuleChar,
+    ParsedSpec,
+    _product_spec,
     abelian_elements,
-    coordinate_module,
-    monomial_module,
     parse_spec_full,
-    permutation_module,
     unit_steps,
 )
 from .quiver import (
@@ -182,9 +180,9 @@ def suite_sn() -> Checks:
 
     def bell():
         for n in (2, 3, 4, 5):
-            v = permutation_module(n)
+            spec = parse_spec_full(f"S{n}")
             ks = [k for k in (1, 2) if n >= 2 * k]
-            agree([("centralizer dim", [centralizer_dim(v.group, v, k) for k in ks]),
+            agree([("centralizer dim", [centralizer_dim(spec.group, spec.module, k) for k in ks]),
                    ("Bell", [bell_number(2 * k) for k in ks])], ks, f"n={n}")
 
     yield ("centralizer dim equals Bell number when n >= 2k", bell)
@@ -256,8 +254,8 @@ def suite_wreath() -> Checks:
     yield ("EGF coefficients reproduce the invariant dimensions", egf)
 
     def signed_pair():
-        mod = monomial_module(2, 2)
-        rf = poincare_character(mod.group, mod, 0)
+        spec = parse_spec_full("Z2wrS2")
+        rf = poincare_character(spec.group, spec.module, 0)
         _holds(rf == RatFunc(Polynomial((1, 0, -3)), Polynomial((1, 0, -4))), f"got {rf}")
 
     yield ("signed-permutation pair Poincare series", signed_pair)
@@ -307,15 +305,14 @@ BUILTIN_SPECS = (
 )
 
 
-def builtin_modules() -> list[tuple[str, ModuleChar]]:
-    """(check label, module) for each of `BUILTIN_SPECS`; the group is
-    `module.group`."""
-    return [(name, parse_spec_full(spec).module) for name, spec in BUILTIN_SPECS]
+def builtin_specs() -> list[tuple[str, ParsedSpec]]:
+    """(check label, parsed spec) for each of `BUILTIN_SPECS`."""
+    return [(name, parse_spec_full(spec)) for name, spec in BUILTIN_SPECS]
 
 
 def suite_generic() -> Checks:
-    for name, mod in builtin_modules():
-        g = mod.group
+    for name, spec in builtin_specs():
+        g, mod = spec.group, spec.module
         adjacency = cache(lambda: mckay_adjacency(g, mod))  # as `diagram` in suite_z4xz2
         yield (f"{name}: orthogonality",
                lambda: _holds(_orthogonality_ok(g), "row/column relations failed"))
@@ -386,8 +383,8 @@ def suite_genfnc() -> Checks:
 
     def products():
         for radii in ((4, 2), (2, 2, 2), (3, 3), (2, 3), (4, 4, 4)):
-            mod = coordinate_module(radii)
-            powers = power_rows(mckay_adjacency(mod.group, mod), 0, ks)
+            spec = _product_spec(radii)
+            powers = power_rows(mckay_adjacency(spec.group, spec.module), 0, ks)
             ring = group_ring_power(radii, unit_steps(radii), ks)
             for idx, c in enumerate(abelian_elements(radii)):
                 egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
@@ -400,8 +397,8 @@ def suite_genfnc() -> Checks:
 
     def hypercube():
         radii = (2,) * 5
-        mod = coordinate_module(radii)
-        powers = power_rows(mckay_adjacency(mod.group, mod), 0, ks)
+        spec = _product_spec(radii)
+        powers = power_rows(mckay_adjacency(spec.group, spec.module), 0, ks)
         cosh = egf_hyperbolic(1, 2, 10)
         sinh = egf_hyperbolic(2, 2, 10)
         for idx, c in enumerate(abelian_elements(radii)):
@@ -420,10 +417,11 @@ def suite_diagram() -> Checks:
     def cardinality():
         ks = range(7)
         for radii in ((2,), (4,), (2, 2), (4, 2), (2, 3), (2, 2, 2), (4, 4)):
-            # the character route, not the group ring that basis_count uses
-            mod = coordinate_module(radii)
-            multiplicities = [walk_counts_character(mod.group, mod, ks, 0, to)
-                              for to in range(mod.group.n_classes)]
+            # the character route, not the group ring that basis_count uses;
+            # the coordinate module, which no spec string names when radii has one factor
+            spec = _product_spec(radii)
+            multiplicities = [walk_counts_character(spec.group, spec.module, ks, 0, to)
+                              for to in range(spec.group.n_classes)]
             squares = [sum(m[k] ** 2 for m in multiplicities) for k in ks]
             agree([("basis", [basis_count(radii, k) for k in ks]),
                    ("squared multiplicities", squares)], ks, f"radii={radii}")

@@ -905,7 +905,7 @@ def test_galois_incomplete_table_exits_4(capsys, monkeypatch):
     from tensorwalks.groups import ParsedSpec, parse_spec_full
 
     spec = parse_spec_full("Z5")
-    values = (spec.module.values[0], CycNum(5, [1, 1, 0, 0]), *spec.module.values[2:])
+    values = (spec.module[0], CycNum(5, [1, 1, 0, 0]), *spec.module[2:])
     planted = ParsedSpec(spec.kind, spec.name, spec.params, lambda: spec.group, lambda: values)
     monkeypatch.setattr(cli_mod, "parse_spec_full", lambda text: planted)
     for argv in (("walks", "--group", "Z5", "--k", "3"),

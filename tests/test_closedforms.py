@@ -6,13 +6,7 @@ import pytest
 
 from tensorwalks import closedforms as cf
 from tensorwalks.combinatorics import partitions_of, rencontres
-from tensorwalks.groups import (
-    both_modules_gl2,
-    both_modules_sl2,
-    monomial_module,
-    parse_spec_full,
-    permutation_module,
-)
+from tensorwalks.groups import parse_spec_full
 from tensorwalks.numbertheory import is_prime, legendre_symbol, quadratic_residues
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import character_walk_counts, walk_count_character, walk_counts_character
@@ -148,9 +142,9 @@ def test_sn_formula_examples():
 
 def test_sn_formula_matches_character_sums():
     for n in (2, 3, 4, 5):
-        v = permutation_module(n)
+        spec = parse_spec_full(f"S{n}")
         for k in range(7):
-            counts = character_walk_counts(v.group, v, k)
+            counts = character_walk_counts(spec.group, spec.module, k)
             for i, lam in enumerate(partitions_of(n)):
                 assert counts[0][i] == cf.sn_irrep_dim_formula(n, k, lam), (n, k, lam)
 
@@ -193,10 +187,10 @@ def test_wreath_convolution_equals_composition_sum():
 def test_wreath_evaluators_and_bruteforce():
     for r in (2, 3, 4):
         for n in (1, 2, 3, 4):
-            v = monomial_module(r, n)
+            spec = parse_spec_full(f"Z{r}wrS{n}")
             dims = cf.wreath_invariants(r, n, range(9))
             for k in range(9):
-                assert dims[k] == walk_count_character(v.group, v, k, 0, 0), (r, n, k)
+                assert dims[k] == walk_count_character(spec.group, spec.module, k, 0, 0), (r, n, k)
             if r**n * factorial(n) <= 200:
                 assert cf.wreath_invariants_bruteforce(r, n, range(9)) == dims, (r, n)
                 assert (cf.wreath_invariants_bruteforce(r, n, range(8, 0, -3))
@@ -212,9 +206,9 @@ def test_wreath_invariants_over_a_range_match_the_egf_and_the_character_route():
     # its order and with its stride
     for r in (2, 3, 4):
         for n in (1, 2, 3, 4):
-            v = monomial_module(r, n)
+            spec = parse_spec_full(f"Z{r}wrS{n}")
             e = cf.wreath_invariants_egf(r, n, 40)
-            character = walk_counts_character(v.group, v, range(41), 0, 0)
+            character = walk_counts_character(spec.group, spec.module, range(41), 0, 0)
             for ks in (range(41), range(3, 40, 3), range(40, -1, -7), range(5, 5)):
                 dims = cf.wreath_invariants(r, n, ks)
                 assert dims == [e.coefficient(k) for k in ks], (r, n, ks)
@@ -225,10 +219,10 @@ def test_wreath_invariants_over_a_range_match_the_egf_and_the_character_route():
 
 def test_wreath_matches_group_model_character_route():
     for r, n in ((2, 2), (2, 3), (3, 2), (4, 2)):
-        v = monomial_module(r, n)
+        spec = parse_spec_full(f"Z{r}wrS{n}")
         dims = cf.wreath_invariants(r, n, range(9))
         for k in range(9):
-            assert walk_count_character(v.group, v, k, 0, 0) == dims[k]
+            assert walk_count_character(spec.group, spec.module, k, 0, 0) == dims[k]
 
 
 def test_wreath_egf():
@@ -293,11 +287,12 @@ def test_gl2_sl2_dims_examples():
 
 def test_gl2_sl2_match_character_route():
     for q in (3, 5, 7):
-        for build, dims in ((both_modules_gl2, cf.gl2_dims), (both_modules_sl2, cf.sl2_dims)):
-            induced, steinberg = build(q)
-            for k in range(9):
-                assert walk_count_character(induced.group, induced, k, 0, 0) == dims(q, k, cf.INDUCED)
-                assert walk_count_character(steinberg.group, steinberg, k, 0, 0) == dims(q, k, cf.STEINBERG)
+        for family, dims in (("GL2", cf.gl2_dims), ("SL2", cf.sl2_dims)):
+            for suffix, which in (("", cf.INDUCED), ("@steinberg", cf.STEINBERG)):
+                spec = parse_spec_full(f"{family}({q}){suffix}")
+                g, v = spec.group, spec.module
+                for k in range(9):
+                    assert walk_count_character(g, v, k, 0, 0) == dims(q, k, which)
 
 
 def test_linear_group_module_names_are_the_closed_forms_which():

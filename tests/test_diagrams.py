@@ -12,7 +12,7 @@ from tensorwalks.diagrams import (
     is_valid,
     word_target,
 )
-from tensorwalks.groups import coordinate_module
+from tensorwalks.groups import _product_spec
 from tensorwalks.quiver import walk_counts_character
 
 RADII = (2, 3, 2, 5)
@@ -57,9 +57,10 @@ def test_basis_sizes():
 @pytest.mark.parametrize("radii", [(2,), (4,), (2, 2), (4, 2), (2, 3), (2, 2, 2)])
 def test_basis_count_equals_squared_walk_counts(radii):
     # walk counts by the character route: basis_count itself is a group-ring power
-    v = coordinate_module(radii)
-    multiplicities = [walk_counts_character(v.group, v, range(7), 0, to)
-                      for to in range(v.group.n_classes)]
+    spec = _product_spec(radii)
+    g = spec.group
+    multiplicities = [walk_counts_character(g, spec.module, range(7), 0, to)
+                      for to in range(g.n_classes)]
     for k in range(7):
         assert basis_count(radii, k) == sum(m[k] ** 2 for m in multiplicities)
 

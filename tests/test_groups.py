@@ -29,7 +29,7 @@ from tensorwalks.groups import (
     permutation_module,
     standard_module_cyclic,
 )
-from tensorwalks.verify import builtin_modules
+from tensorwalks.verify import builtin_specs
 
 from oracles import validate_group
 
@@ -47,9 +47,9 @@ def test_cyclic_group():
     validate_group(g)
     assert g.order == 10 and g.tier == FULL
     v = standard_module_cyclic(10)
-    assert v.values[0] == 2
-    assert v.values[1] == root_of_unity(10, 1) + root_of_unity(10, 9)
-    assert all(x == x.conj() for x in v.values)
+    assert v[0] == 2
+    assert v[1] == root_of_unity(10, 1) + root_of_unity(10, 9)
+    assert all(x == x.conj() for x in v)
     with pytest.raises(ValueError):
         build_cyclic(1)
 
@@ -65,8 +65,8 @@ def test_abelian_group():
     assert g.order == 8 and g.n_classes == 8 and g.conductor == 4
     v = coordinate_module([4, 2])
     idx = [c.label for c in g.classes].index("(1, 1)")
-    assert v.values[idx] == root_of_unity(4, 1) - 1
-    assert any(x != x.conj() for x in v.values)
+    assert v[idx] == root_of_unity(4, 1) - 1
+    assert any(x != x.conj() for x in v)
     with pytest.raises(ValueError):
         build_abelian([])
 
@@ -79,12 +79,12 @@ def test_abelian_single_factor_matches_cyclic():
         g.chi(a, b) == g2.chi(a, b) for a in range(2) for b in range(2)
     )
     v = coordinate_module([2])
-    assert v.values[0] == 1  # one-summand module
+    assert v[0] == 1  # one-summand module
 
 
 def test_hypercube_character_values():
     v = coordinate_module([2, 2, 2])
-    vals = sorted(x.as_integer() for x in v.values)
+    vals = sorted(x.as_integer() for x in v)
     assert vals == [-3, -1, -1, -1, 1, 1, 1, 3]
 
 
@@ -162,15 +162,15 @@ def test_dimensions_match_hook_length_formula():
 
 def test_permutation_module_counts_fixed_points():
     v = permutation_module(4)
-    assert [x.as_integer() for x in v.values] == [4, 2, 0, 1, 0]
-    assert all(x == x.conj() for x in v.values)
+    assert [x.as_integer() for x in v] == [4, 2, 0, 1, 0]
+    assert all(x == x.conj() for x in v)
 
 
 def test_orthogonality_for_all_builtins():
     from tensorwalks.verify import _orthogonality_ok
 
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g = spec.group
         assert _orthogonality_ok(g), name
         assert sum(c.size for c in g.classes) == g.order, name
         assert g.classes[0].size == 1, name
@@ -200,10 +200,10 @@ def test_wreath_group():
     assert sum(g.class_sizes()) == 8
     assert g.classes[0].size == 1
     v = monomial_module(2, 2)
-    assert v.values[0] == 2
-    assert all(x == x.conj() for x in v.values)  # entries are signs
+    assert v[0] == 2
+    assert all(x == x.conj() for x in v)  # entries are signs
     v1 = monomial_module(2, 1)
-    assert sorted(x.as_integer() for x in v1.values) == [-1, 1]
+    assert sorted(x.as_integer() for x in v1) == [-1, 1]
 
 
 def test_tier_is_whether_irreps_are_given():
@@ -234,14 +234,15 @@ def test_tier_is_whether_irreps_are_given():
 def test_wreath_identity_value_is_n():
     for r, n in ((2, 3), (3, 2), (4, 2)):
         v = monomial_module(r, n)
-        assert v.values[0].as_integer() == n
+        assert v[0].as_integer() == n
 
 
 def test_wreath_r3_character_value():
-    v = monomial_module(3, 2)
-    labels = [c.label for c in v.group.classes]
+    spec = parse_spec_full("Z3wrS2")
+    g, v = spec.group, spec.module
+    labels = [c.label for c in g.classes]
     idx = labels.index(str(((1,), (1,), ())))
-    assert v.values[idx] == 1 + root_of_unity(3, 1)
+    assert v[idx] == 1 + root_of_unity(3, 1)
 
 
 def test_gl2_class_accounting():
@@ -259,9 +260,9 @@ def test_gl2_class_accounting():
 
 def test_gl2_module_values():
     v, st = both_modules_gl2(5)
-    assert v.values[0].as_integer() == 6  # q + 1 on the identity
-    assert st.values[0].as_integer() == 5
-    assert all(x == x.conj() for x in v.values + st.values)
+    assert v[0].as_integer() == 6  # q + 1 on the identity
+    assert st[0].as_integer() == 5
+    assert all(x == x.conj() for x in v + st)
 
 
 def test_sl2_class_accounting():
@@ -270,7 +271,7 @@ def test_sl2_class_accounting():
     assert g.n_classes == 7  # q + 4
     assert sum(g.class_sizes()) == 24
     _, st = both_modules_sl2(3)
-    assert sorted(x.as_integer() for x in st.values) == sorted([3, 3, 0, 0, 0, 0, -1])
+    assert sorted(x.as_integer() for x in st) == sorted([3, 3, 0, 0, 0, 0, -1])
 
 
 def test_gl2_rejects_bad_parameters():
@@ -325,10 +326,10 @@ def test_circulant_and_paley_modules():
 
     assert quadratic_residues(13) == [1, 3, 4, 9, 10, 12]
     assert quadratic_residues(7) == [1, 2, 4]
-    assert paley_module(7).values[0].as_integer() == 3
+    assert paley_module(7)[0].as_integer() == 3
     m5 = circulant_module(5, [1, 4])
     std = standard_module_cyclic(5)
-    assert all(a == b for a, b in zip(m5.values, std.values))
+    assert all(a == b for a, b in zip(m5, std))
     with pytest.raises(ValueError):
         circulant_module(5, [0])
     with pytest.raises(ValueError):
@@ -349,41 +350,46 @@ def test_step_specs_reduce_one_term_per_step(monkeypatch, text, steps):
     monkeypatch.setattr(cyclotomic, "reduce_mod_phi", refuse)
     spec = parse_spec_full(text)
     module = spec.module
-    assert len(module.values) == spec.group.order, text
-    assert max(len(x.terms) for x in module.values) <= steps, text
-    assert {sum(c for _, c in x.terms) for x in module.values} == {steps}, text
+    assert len(module) == spec.group.order, text
+    assert max(len(x.terms) for x in module) <= steps, text
+    assert {sum(c for _, c in x.terms) for x in module} == {steps}, text
     assert spec.module is module, text  # a second read builds nothing
 
 
-def test_spec_reads_its_group_from_its_module_and_steinberg_from_params():
+def test_spec_builds_its_module_without_its_group_and_reads_steinberg_from_params(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a group")
+
     for text in ("Z10", "Z4xZ2", "hypercube(3)", "circulant(10;1,9)", "paley(13)", "S4",
                  "Z2wrS3", "GL2(3)", "SL2(5)@steinberg"):
         spec = parse_spec_full(text)
-        group = spec.group  # read before the module is built
-        assert spec.module is spec.module, text
-        assert group is spec.group is spec.module.group, text
+        with monkeypatch.context() as m:
+            m.setattr(groups, "GroupData", unbuilt)
+            module = spec.module
+        assert spec.module is module and spec.group is spec.group, text
+        assert len(module) == spec.group.n_classes, text
         assert spec.name == spec.group.name, text
         assert spec.steinberg == text.endswith("@steinberg"), text
 
 
 def test_parser_valid_specs():
     spec = parse_spec_full("Z4xZ2")
-    assert spec.group.name == "Z4xZ2" and spec.module.values[0] == 2
+    assert spec.group.name == "Z4xZ2" and spec.module[0] == 2
     spec = parse_spec_full(" Z10 ")
-    assert spec.group.name == "Z10" and spec.module.values[0] == 2
+    assert spec.group.name == "Z10" and spec.module[0] == 2
     spec = parse_spec_full("SL2(3)@steinberg")
-    assert spec.steinberg and spec.module.values[0] == 3
+    assert spec.steinberg and spec.module[0] == 3
     assert parse_spec_full("SL2(5)@steinberg").params == {"q": 5, "which": "steinberg"}
     spec = parse_spec_full("hypercube(3)")
-    assert spec.group.order == 8 and spec.module.values[0] == 3
+    assert spec.group.order == 8 and spec.module[0] == 3
     spec = parse_spec_full("Z2wrS2")
     assert spec.group.order == 8
     spec = parse_spec_full("circulant(10; 1, 9)")
-    assert spec.module.values[0] == 2
+    assert spec.module[0] == 2
     spec = parse_spec_full("paley(13)")
-    assert spec.module.values[0] == 6
+    assert spec.module[0] == 6
     spec = parse_spec_full("GL2(3)")
-    assert spec.module.values[0] == 4
+    assert spec.module[0] == 4
     spec = parse_spec_full("S4")
     assert spec.group.order == 24
 

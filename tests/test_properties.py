@@ -20,13 +20,12 @@ from tensorwalks.cyclotomic import CycNum, class_sums, reduce_mod_phi
 from tensorwalks.errors import ConsistencyError
 from tensorwalks.groups import (
     FULL,
+    _circulant_spec,
+    _product_spec,
     _step_spec,
     abelian_elements,
     build_abelian,
     build_cyclic,
-    circulant_module,
-    coordinate_module,
-    monomial_module,
     parse_spec_full,
 )
 from tensorwalks.numbertheory import euler_phi, is_prime, quadratic_residues
@@ -39,7 +38,7 @@ from tensorwalks.quiver import (
     walk_count_character,
     walk_counts_character,
 )
-from tensorwalks.verify import _orthogonality_ok, builtin_modules
+from tensorwalks.verify import _orthogonality_ok, builtin_specs
 from tensorwalks.series import (
     RatFunc,
     cramer_numerators,
@@ -56,9 +55,9 @@ K_MAX = 12
 @settings(max_examples=80, deadline=None)
 @given(r=st.integers(2, 4), n=st.integers(1, 4), k=st.integers(0, K_MAX))
 def test_wreath_fixed_point_character_and_egf_agree(r, n, k):
-    v = monomial_module(r, n)
+    spec = parse_spec_full(f"Z{r}wrS{n}")
     [fixed_point] = cf.wreath_invariants(r, n, range(k, k + 1))
-    assert walk_count_character(v.group, v, k, 0, 0) == fixed_point
+    assert walk_count_character(spec.group, spec.module, k, 0, 0) == fixed_point
     assert cf.wreath_invariants_egf(r, n, K_MAX).coefficient(k) == fixed_point
 
 
@@ -128,10 +127,10 @@ def test_arithmetic_on_terms_then_reduction_is_reduction_then_arithmetic(x, y, a
 
 
 @st.composite
-def abelian_step_sets(draw):
-    radii = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4)
-                 .filter(lambda radii: prod(radii) <= 64))
-    steps = draw(st.lists(st.sampled_from(abelian_elements(radii)), min_size=1, max_size=6))
+def abelian_step_sets(draw, max_factors=4, max_order=64, max_steps=6):
+    radii = draw(st.lists(st.integers(2, 8), min_size=1, max_size=max_factors)
+                 .filter(lambda radii: prod(radii) <= max_order))
+    steps = draw(st.lists(st.sampled_from(abelian_elements(radii)), min_size=1, max_size=max_steps))
     return tuple(radii), steps
 
 
@@ -143,9 +142,24 @@ def test_abelian_rows_are_characters_and_modules_sum_them(query):
     validate_group(g)
     assert _orthogonality_ok(g)
     index = {e: i for i, e in enumerate(abelian_elements(radii))}
-    v = _step_spec("abelian", radii, steps).module
-    for b, value in zip(index, v.values):
+    for b, value in zip(index, _step_spec("abelian", radii, steps).module):
         assert value == sum((g.chi(index[s], index[b]) for s in steps), CycNum(1, ()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(abelian_step_sets(max_factors=3, max_order=48, max_steps=4))
+def test_abelian_mckay_matrix_is_row_zero_translated(query):
+    # chi_nu conj(chi_lam) = conj(chi_(lam - nu)), so a[nu][lam] = a[0][lam - nu];
+    # row 0 is V itself, whose irreps are its steps, repeats and zero among them
+    radii, steps = query
+    spec = _step_spec("abelian", radii, steps)
+    a = mckay_adjacency(spec.group, spec.module)
+    elements = abelian_elements(radii)
+    index = {e: i for i, e in enumerate(elements)}
+    for nu, x in enumerate(elements):
+        for lam, y in enumerate(elements):
+            assert a[nu][lam] == a[0][index[tuple((b - c) % r for b, c, r in zip(y, x, radii))]]
+    assert a[0] == [steps.count(e) for e in elements]
 
 
 @st.composite
@@ -159,10 +173,11 @@ def circulant_queries(draw):
 @given(circulant_queries())
 def test_circulant_multinomial_character_and_matrix_agree(query):
     r, conn, k, c = query
-    v = circulant_module(r, conn)
+    spec = _circulant_spec(r, conn)
+    g, v = spec.group, spec.module
     closed, = cf.group_ring_walks((r,), [(s,) for s in conn], range(k, k + 1), (c,))
-    assert walk_count_character(v.group, v, k, 0, c) == closed
-    assert power_rows(mckay_adjacency(v.group, v), 0, range(k, k + 1))[0][c] == closed
+    assert walk_count_character(g, v, k, 0, c) == closed
+    assert power_rows(mckay_adjacency(g, v), 0, range(k, k + 1))[0][c] == closed
 
 
 @settings(max_examples=20, deadline=None)
@@ -170,10 +185,11 @@ def test_circulant_multinomial_character_and_matrix_agree(query):
 def test_circulant_character_series_equals_cramer(query):
     # repeated, zero and zero-weight spectral values all occur here
     r, conn, _, _ = query
-    v = circulant_module(r, conn)
-    a = mckay_adjacency(v.group, v)
+    spec = _circulant_spec(r, conn)
+    g, v = spec.group, spec.module
+    a = mckay_adjacency(g, v)
     for lam in range(r):
-        assert poincare_character(v.group, v, lam) == poincare_cramer(a, lam), (r, conn, lam)
+        assert poincare_character(g, v, lam) == poincare_cramer(a, lam), (r, conn, lam)
 
 
 ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]
@@ -192,17 +208,18 @@ def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
 @given(radii=st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple),
        k=st.integers(0, 10), data=st.data())
 def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
-    v = coordinate_module(radii)
+    spec = _product_spec(radii)
+    g, v = spec.group, spec.module
     c = tuple(data.draw(st.integers(0, r - 1)) for r in radii)
     node = 0  # c's place in the character table: the last coordinate varies fastest
     for ci, r in zip(c, radii):
         node = node * r + ci
     units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
     walks, = cf.group_ring_walks(radii, units, range(k, k + 1), c)
-    assert walk_count_character(v.group, v, k, 0, node) == walks
+    assert walk_count_character(g, v, k, 0, node) == walks
     # basis_count runs the same group-ring kernel, so its reference is the
     # character route over every target
-    multiplicities = (walk_count_character(v.group, v, k, 0, t) for t in range(v.group.n_classes))
+    multiplicities = (walk_count_character(g, v, k, 0, t) for t in range(g.n_classes))
     assert basis_count(radii, k) == sum(m * m for m in multiplicities)
 
 
@@ -233,7 +250,7 @@ def digraphs(draw):
     return [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
 
 
-REGISTRY = [mckay_adjacency(v.group, v) for _, v in builtin_modules()]
+REGISTRY = [mckay_adjacency(spec.group, spec.module) for _, spec in builtin_specs()]
 
 
 @st.composite
@@ -344,15 +361,15 @@ def test_ratfunc_cancels_a_common_factor_to_one_primitive_form(p, q, r):
 
 
 @settings(max_examples=30, deadline=None)
-@given(module=st.sampled_from(builtin_modules()), k=st.integers(0, 8))
-def test_ring_map_equals_plain_sums_on_registry_modules(module, k):
-    _, v = module
-    g = v.group
+@given(entry=st.sampled_from(builtin_specs()), k=st.integers(0, 8))
+def test_ring_map_equals_plain_sums_on_registry_modules(entry, k):
+    _, spec = entry
+    g, v = spec.group, spec.module
     counts = character_walk_counts(g, v, k)
     for nu in range(g.n_classes):
         for lam in range(g.n_classes):
             plain = sum((c.size * x**k * g.chi(nu, mu) * g.chi(lam, mu).conj()
-                         for mu, (c, x) in enumerate(zip(g.classes, v.values))), CycNum(1, ()))
+                         for mu, (c, x) in enumerate(zip(g.classes, v))), CycNum(1, ()))
             assert plain.as_integer() == counts[nu][lam] * g.order, (nu, lam)
             assert walk_count_character(g, v, k, nu, lam) == counts[nu][lam], (nu, lam)
 

@@ -2,16 +2,9 @@ import json
 
 import pytest
 
+from tensorwalks.combinatorics import partitions_of
 from tensorwalks.errors import ConsistencyError, UnsupportedQueryError
-from tensorwalks.groups import (
-    build_cyclic,
-    circulant_module,
-    coordinate_module,
-    monomial_module,
-    parse_spec_full,
-    permutation_module,
-    standard_module_cyclic,
-)
+from tensorwalks.groups import build_cyclic, circulant_module, parse_spec_full
 from tensorwalks.cli import bratteli_dot, main, quiver_dot
 from tensorwalks.quiver import (
     bratteli,
@@ -23,12 +16,17 @@ from tensorwalks.quiver import (
     power_rows,
     walk_count_character,
 )
-from tensorwalks.verify import builtin_modules
+from tensorwalks.verify import builtin_specs
+
+
+def group_and_module(text):
+    spec = parse_spec_full(text)
+    return spec.group, spec.module
 
 
 def s4_setup():
-    v = permutation_module(4)
-    return v.group, v, mckay_adjacency(v.group, v)
+    g, v = group_and_module("S4")
+    return g, v, mckay_adjacency(g, v)
 
 
 def test_s4_quiver_edges():
@@ -43,9 +41,32 @@ def test_s4_quiver_edges():
     assert e[idx["(2, 2)"]][idx["(4,)"]] == 0
 
 
+def remove_and_add(n):
+    """The branching rule's matrix on the partitions of n, in `partitions_of`
+    order: a[nu][lam] counts the ways to remove one box from nu and add one
+    box to reach lam, so the diagonal counts nu's removable corners."""
+    parts = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    a = [[0] * len(parts) for _ in parts]
+    for i, nu in enumerate(parts):
+        for r in range(len(nu)):
+            if r + 1 < len(nu) and nu[r] == nu[r + 1]:
+                continue  # no removable box in row r
+            mu = [*nu[:r], nu[r] - 1, *nu[r + 1:], 0]
+            for s in range(len(mu)):
+                if s == 0 or mu[s - 1] > mu[s]:  # a box fits at the end of row s
+                    lam = tuple(x + (j == s) for j, x in enumerate(mu))
+                    a[i][index[tuple(x for x in lam if x)]] += 1
+    return a
+
+
+def test_symmetric_quiver_is_the_remove_and_add_rule():
+    for n in range(2, 11):
+        assert mckay_adjacency(*group_and_module(f"S{n}")) == remove_and_add(n), n
+
+
 def test_z10_quiver_is_the_cycle():
-    v = standard_module_cyclic(10)
-    a = mckay_adjacency(v.group, v)
+    a = mckay_adjacency(*group_and_module("Z10"))
     for i in range(10):
         for j in range(10):
             assert a[i][j] == (1 if (i - j) % 10 in (1, 9) else 0)
@@ -59,18 +80,18 @@ def test_single_character_module_quiver():
 
 
 def test_row_dimension_identity():
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
         dims = [g.chi(i, 0).as_integer() for i in range(g.n_classes)]
         for nu in range(g.n_classes):
             total = sum(a[nu][lam] * dims[lam] for lam in range(g.n_classes))
-            assert total == dims[nu] * v.values[0].as_integer(), (name, nu)
+            assert total == dims[nu] * v[0].as_integer(), (name, nu)
 
 
 def test_walk_matrix_power_basics():
-    v = standard_module_cyclic(10)
-    a = mckay_adjacency(v.group, v)
+    g, v = group_and_module("Z10")
+    a = mckay_adjacency(g, v)
     assert power_rows(a, 3, range(1))[0][3] == 1
     assert power_rows(a, 3, range(1))[0][4] == 0
     assert power_rows(a, 0, range(6, 7))[0][8] == 15
@@ -80,12 +101,12 @@ def test_walk_matrix_power_basics():
     with pytest.raises(ValueError):
         mat_pow(a, -1)
     with pytest.raises(ValueError):
-        character_walk_counts(v.group, v, -1)
+        character_walk_counts(g, v, -1)
 
 
 def test_matrix_equals_character_for_all_builtins():
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
         for k in range(13):
             assert character_walk_counts(g, v, k) == mat_pow(a, k), (name, k)
@@ -112,37 +133,37 @@ def test_single_pair_character_sum_matches_batch():
 
 
 def test_invariant_tier_walks():
-    v = monomial_module(2, 2)
-    assert [walk_count_character(v.group, v, k, 0, 0) for k in range(7)] == [1, 0, 1, 0, 4, 0, 16]
+    g, v = group_and_module("Z2wrS2")
+    assert [walk_count_character(g, v, k, 0, 0) for k in range(7)] == [1, 0, 1, 0, 4, 0, 16]
     with pytest.raises(UnsupportedQueryError):
-        walk_count_character(v.group, v, 2, 0, 1)
+        walk_count_character(g, v, 2, 0, 1)
     with pytest.raises(UnsupportedQueryError):
-        mckay_adjacency(v.group, v)
+        mckay_adjacency(g, v)
     with pytest.raises(UnsupportedQueryError):
-        bratteli(v.group, v, 3)
+        bratteli(g, v, 3)
 
 
 def test_centralizer_dim():
-    v = standard_module_cyclic(10)
-    assert centralizer_dim(v.group, v, 6) == 948
-    s4 = permutation_module(4)
-    assert centralizer_dim(s4.group, s4, 2) == 15
-    coord = coordinate_module([4, 2])  # not self-dual: the class sum applies all the same
-    assert [centralizer_dim(coord.group, coord, k) for k in range(7)] == [
+    assert centralizer_dim(*group_and_module("Z10"), 6) == 948
+    s4 = group_and_module("S4")
+    assert centralizer_dim(*s4, 2) == 15
+    coord = group_and_module("Z4xZ2")  # not self-dual: the class sum applies all the same
+    assert [centralizer_dim(*coord, k) for k in range(7)] == [
         1, 2, 6, 20, 72, 272, 1056]
     with pytest.raises(ValueError):
-        centralizer_dim(s4.group, s4, -1)
+        centralizer_dim(*s4, -1)
 
 
 def test_centralizer_dim_is_the_sum_of_squared_multiplicities():
-    paley7 = parse_spec_full("paley(7)").module
-    assert [centralizer_dim(paley7.group, paley7, k) for k in range(7)] == [
+    paley7 = group_and_module("paley(7)")
+    assert [centralizer_dim(*paley7, k) for k in range(7)] == [
         1, 3, 15, 111, 951, 8463, 75975]
     # the built-in modules include Z4xZ2, Z3xZ3 and paley(7), none of them self-dual
-    circulant = parse_spec_full("circulant(10;1,3)").module
-    for v in [circulant, *(mod for _, mod in builtin_modules())]:
-        dims = [centralizer_dim(v.group, v, k) for k in range(7)]
-        assert dims == list(bratteli(v.group, v, 6).algebra_dims), v.group.name
+    circulant = parse_spec_full("circulant(10;1,3)")
+    for spec in [circulant, *(spec for _, spec in builtin_specs())]:
+        g, v = spec.group, spec.module
+        dims = [centralizer_dim(g, v, k) for k in range(7)]
+        assert dims == list(bratteli(g, v, 6).algebra_dims), g.name
 
 
 def test_centralizer_dim_of_a_self_dual_module_counts_closed_2k_walks():
@@ -155,26 +176,27 @@ def test_centralizer_dim_of_a_self_dual_module_counts_closed_2k_walks():
 
 
 def test_symmetry_for_self_dual_modules():
-    for mod in (standard_module_cyclic(6), permutation_module(4), permutation_module(5)):
-        a = mckay_adjacency(mod.group, mod)
-        assert all(x == x.conj() for x in mod.values)
+    for text in ("Z6", "S4", "S5"):
+        g, v = group_and_module(text)
+        a = mckay_adjacency(g, v)
+        assert all(x == x.conj() for x in v)
         assert a == [list(r) for r in zip(*a)]
 
 
 def test_bratteli_z4xz2():
-    mod = coordinate_module([4, 2])
-    bd = bratteli(mod.group, mod, 6)
-    labels = [i.label for i in mod.group.irreps]
+    g, v = group_and_module("Z4xZ2")
+    bd = bratteli(g, v, 6)
+    labels = [i.label for i in g.irreps]
     assert {labels[i]: m for i, m in bd.levels[6]} == {
         "(2, 0)": 16, "(1, 1)": 12, "(0, 0)": 16, "(3, 1)": 20}
     assert bd.algebra_dims == (1, 2, 6, 20, 72, 272, 1056)
 
 
 def test_bratteli_recurrence_equals_matrix_powers():
-    for mod in (permutation_module(4), coordinate_module([4, 2]), standard_module_cyclic(5)):
-        g = mod.group
-        a = mckay_adjacency(g, mod)
-        bd = bratteli(g, mod, 8)
+    for text in ("S4", "Z4xZ2", "Z5"):
+        g, v = group_and_module(text)
+        a = mckay_adjacency(g, v)
+        bd = bratteli(g, v, 8)
         for k in range(9):
             row = mat_pow(a, k)[0]
             assert dict(bd.levels[k]) == {i: m for i, m in enumerate(row) if m}
@@ -190,8 +212,7 @@ def test_bratteli_z10_appendix_values():
     # squared sums
     from tensorwalks.closedforms import cyclic_walks
 
-    mod = standard_module_cyclic(10)
-    bd = bratteli(mod.group, mod, 6)
+    bd = bratteli(*group_and_module("Z10"), 6)
     for k in range(7):
         expected = {c: cyclic_walks(10, k, 0, c) for c in range(10)}
         expected = {c: m for c, m in expected.items() if m}
@@ -200,23 +221,22 @@ def test_bratteli_z10_appendix_values():
 
 
 def test_bratteli_level_zero():
-    mod = permutation_module(3)
-    bd = bratteli(mod.group, mod, 0)
+    bd = bratteli(*group_and_module("S3"), 0)
     assert bd.levels == (((0, 1),),)
     assert bd.algebra_dims == (1,)
 
 
 def test_eigen_check():
-    for mod in (permutation_module(4), standard_module_cyclic(5), coordinate_module([4, 2])):
-        a = mckay_adjacency(mod.group, mod)
-        ok, failure = eigen_check(mod.group, mod, a)
+    for text in ("S4", "Z5", "Z4xZ2"):
+        g, v = group_and_module(text)
+        ok, failure = eigen_check(g, v, mckay_adjacency(g, v))
         assert ok and failure is None
     # a corrupted adjacency must be caught and located
-    mod = standard_module_cyclic(5)
-    a = mckay_adjacency(mod.group, mod)
+    g, v = group_and_module("Z5")
+    a = mckay_adjacency(g, v)
     bad = [list(r) for r in a]
     bad[0][0] += 1
-    ok, failure = eigen_check(mod.group, mod, bad)
+    ok, failure = eigen_check(g, v, bad)
     assert not ok and failure == (0, 0)
     # moving an edge keeps every row sum, so class 0 passes and the first
     # failing class is located by its irrational characters
@@ -224,7 +244,7 @@ def test_eigen_check():
     target = bad[2].index(1)
     bad[2][target] -= 1
     bad[2][(target + 2) % 5] += 1
-    assert eigen_check(mod.group, mod, bad) == (False, (2, 1))
+    assert eigen_check(g, v, bad) == (False, (2, 1))
 
 
 def corrupted_row(g, irrep, cls, change):
@@ -240,17 +260,15 @@ def corrupted_row(g, irrep, cls, change):
 def test_bad_table_is_a_loud_diagnostic():
     # corrupting one character value must make the integrality assertion fail
     # rather than silently rounding
-    from tensorwalks.groups import GroupData, ModuleChar
+    from tensorwalks.groups import GroupData
 
-    g = build_cyclic(3)
+    g, v = group_and_module("Z3")
     bad = GroupData(g.name, g.order, g.classes, g.conductor,
                     g.irreps, corrupted_row(g, 1, 1, lambda x: x + 1))
-    v = standard_module_cyclic(3)
-    bad_v = ModuleChar(bad, v.values)
     with pytest.raises(ConsistencyError):
-        mckay_adjacency(bad, bad_v)
+        mckay_adjacency(bad, v)
     with pytest.raises(ConsistencyError):
-        walk_count_character(bad, bad_v, 3, 1, 2)
+        walk_count_character(bad, v, 3, 1, 2)
 
 
 def test_serialization_and_dot(capsys):
@@ -272,24 +290,21 @@ def test_serialization_and_dot(capsys):
 
 
 def test_paley_directed_quiver():
-    from tensorwalks.groups import paley_module
-
-    mod = paley_module(7)  # 3 mod 4: directed
-    a = mckay_adjacency(mod.group, mod)
+    g, v = group_and_module("paley(7)")  # 3 mod 4: directed
+    a = mckay_adjacency(g, v)
     assert a != [list(r) for r in zip(*a)]
-    assert any(x != x.conj() for x in mod.values)
-    dot = quiver_dot([i.label for i in mod.group.irreps], a)
+    assert any(x != x.conj() for x in v)
+    dot = quiver_dot([i.label for i in g.irreps], a)
     assert "dir=none" not in dot
 
 
-def literal_sums(mod, k):
+def literal_sums(g, v, k):
     """(1/|G|) sum_c |c| chi_V(c)^k chi_nu(c) conj(chi_lam(c)) for every
     (nu, lam), in plain cyclotomic arithmetic."""
     from tensorwalks.cyclotomic import CycNum
 
-    g = mod.group
     n = g.n_classes
-    weights = [c.size * x**k for c, x in zip(g.classes, mod.values)]
+    weights = [c.size * x**k for c, x in zip(g.classes, v)]
     conj = [[x.conj() for x in g.row(lam)] for lam in range(n)]
     out = []
     for nu in range(n):
@@ -304,20 +319,20 @@ def literal_sums(mod, k):
 
 
 def test_packed_adjacency_equals_literal_character_sums():
-    mods = [mod for _, mod in builtin_modules()]
-    mods += [parse_spec_full(s).module for s in ("S6", "Z12", "paley(13)", "hypercube(4)")]
-    for mod in mods:
-        a = mckay_adjacency(mod.group, mod)
-        assert a == literal_sums(mod, 1), mod.group.name
+    specs = [spec for _, spec in builtin_specs()]
+    specs += [parse_spec_full(s) for s in ("S6", "Z12", "paley(13)", "hypercube(4)")]
+    for spec in specs:
+        g, v = spec.group, spec.module
+        assert mckay_adjacency(g, v) == literal_sums(g, v, 1), g.name
 
 
 def test_packed_walk_counts_with_wide_digits():
     # k = 40 makes the sums, and so the ring map's modulus, far wider than
     # the adjacency build's
     for spec in ("Z12", "paley(13)"):
-        mod = parse_spec_full(spec).module
+        g, v = group_and_module(spec)
         for k in (0, 1, 7, 40):
-            assert character_walk_counts(mod.group, mod, k) == literal_sums(mod, k), (spec, k)
+            assert character_walk_counts(g, v, k) == literal_sums(g, v, k), (spec, k)
 
 
 def test_fraction_coefficient_is_bad_table_data():
@@ -326,14 +341,13 @@ def test_fraction_coefficient_is_bad_table_data():
     from fractions import Fraction
 
     from tensorwalks.cyclotomic import CycNum
-    from tensorwalks.groups import GroupData, ModuleChar
+    from tensorwalks.groups import GroupData
 
-    g = build_cyclic(3)
+    g, v = group_and_module("Z3")
     bad = GroupData(g.name, g.order, g.classes, g.conductor, g.irreps,
                     corrupted_row(g, 2, 1, lambda x: CycNum(x.conductor, map(Fraction, x.coeffs))))
-    v = standard_module_cyclic(3)
     with pytest.raises(TypeError, match="must be ints"):
-        mckay_adjacency(bad, ModuleChar(bad, v.values))
+        mckay_adjacency(bad, v)
 
 
 def test_weights_scaled_by_huge_factors_lift_exactly():
@@ -343,10 +357,9 @@ def test_weights_scaled_by_huge_factors_lift_exactly():
 
     scale = 10**40
     for spec in ("S5", "Z12", "paley(13)", "Z4xZ2"):
-        v = parse_spec_full(spec).module
-        g = v.group
+        g, v = group_and_module(spec)
         nodes = range(g.n_classes)
-        columns = zip(*(g.row(nu) for nu in nodes), v.values)
+        columns = zip(*(g.row(nu) for nu in nodes), v)
         weights = [c.size * scale for c in g.classes]
         want = [[e * g.order * scale for e in row] for row in mckay_adjacency(g, v)]
         assert class_sums(columns, weights, range(1, 2), nodes, nodes) == [want], spec
@@ -356,12 +369,10 @@ def test_galois_incomplete_table_is_a_consistency_failure():
     # Z5 with chi_V(1) = zeta + 1 in place of zeta + zeta^4: every value is
     # an algebraic integer, but zeta -> zeta^2 moves zeta + 1 off the table
     from tensorwalks.cyclotomic import CycNum
-    from tensorwalks.groups import ModuleChar
     from tensorwalks.series import det_factorization_check, poincare_character
 
-    sound = standard_module_cyclic(5)
-    g = sound.group
-    v = ModuleChar(g, (sound.values[0], CycNum(5, [1, 1, 0, 0]), *sound.values[2:]))
+    g, sound = group_and_module("Z5")
+    v = (sound[0], CycNum(5, [1, 1, 0, 0]), *sound[2:])
     for call in (lambda: mckay_adjacency(g, v),
                  lambda: character_walk_counts(g, v, 3),
                  lambda: walk_count_character(g, v, 3, 0, 2),

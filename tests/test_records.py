@@ -18,7 +18,6 @@ from tensorwalks.groups import (
     ClassInfo,
     GroupData,
     IrrepInfo,
-    ModuleChar,
     parse_spec_full,
 )
 from tensorwalks.series import EgfTruncation
@@ -81,9 +80,8 @@ def _trivial_group() -> GroupData:
 
 def test_holders_are_immutable():
     spec = parse_spec_full("S3")
-    for obj, field in ((spec.group, "order"), (spec.module, "values"), (spec, "kind"),
-                       (spec, "name"), (spec, "group"), (spec, "module"), (spec, "steinberg"),
-                       (spec.group.classes[0], "size")):
+    for obj, field in ((spec.group, "order"), (spec, "kind"), (spec, "name"), (spec, "group"),
+                       (spec, "module"), (spec, "steinberg"), (spec.group.classes[0], "size")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
 
@@ -91,8 +89,6 @@ def test_holders_are_immutable():
 def test_holders_are_equal_only_to_themselves():
     g, h = _trivial_group(), _trivial_group()
     assert g == g and g != h
-    one = (CycNum.from_int(1),)
-    assert ModuleChar(g, one) != ModuleChar(g, one)
 
 
 def test_value_records_compare_and_hash_by_value():

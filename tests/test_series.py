@@ -7,17 +7,12 @@ from tensorwalks.groups import (
     ClassInfo,
     GroupData,
     IrrepInfo,
-    ModuleChar,
-    coordinate_module,
-    monomial_module,
     parse_spec_full,
-    permutation_module,
-    standard_module_cyclic,
 )
 from tensorwalks.cyclotomic import CycNum
 from tensorwalks.polynomials import Polynomial
 from tensorwalks.quiver import mat_pow, mckay_adjacency, power_rows
-from tensorwalks.verify import builtin_modules
+from tensorwalks.verify import builtin_specs
 from tensorwalks.series import (
     RatFunc,
     _newton_product,
@@ -41,7 +36,7 @@ def lin(c0, c1):
 def trivial_group_with_module(d):
     g = GroupData("trivial", 1, (ClassInfo("e", 1),), 1,
                   (IrrepInfo("0"),), lambda i: (CycNum.from_int(1),))
-    return g, ModuleChar(g, (CycNum.from_int(d),))
+    return g, (CycNum.from_int(d),)
 
 
 def test_ratfunc_normalization():
@@ -74,8 +69,8 @@ def test_cramer_k2_graph():
 
 
 def test_cramer_s4():
-    v = permutation_module(4)
-    a = mckay_adjacency(v.group, v)
+    spec = parse_spec_full("S4")
+    a = mckay_adjacency(spec.group, spec.module)
     coeffs = poincare_cramer(a, 0).series(10)
     assert coeffs[0] == 1
     for k in range(1, 11):
@@ -83,14 +78,14 @@ def test_cramer_s4():
 
 
 def test_cramer_z10_t12():
-    v = standard_module_cyclic(10)
-    a = mckay_adjacency(v.group, v)
+    spec = parse_spec_full("Z10")
+    a = mckay_adjacency(spec.group, spec.module)
     assert poincare_cramer(a, 0).series(12)[12] == 948
 
 
 def test_character_equals_cramer_everywhere():
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
         for lam in range(g.n_classes):
             assert poincare_character(g, v, lam) == poincare_cramer(a, lam), (name, lam)
@@ -136,8 +131,8 @@ def test_newton_product_checks_every_division():
 
 
 def test_cramer_numerators_on_every_registry_module():
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
         den, nums = cramer_numerators(a)
         assert len(nums) == g.n_classes
@@ -146,11 +141,12 @@ def test_cramer_numerators_on_every_registry_module():
 
 
 def test_character_series_for_invariant_tier():
-    v = monomial_module(2, 2)
-    rf = poincare_character(v.group, v, 0)
+    spec = parse_spec_full("Z2wrS2")
+    g, v = spec.group, spec.module
+    rf = poincare_character(g, v, 0)
     assert rf == RatFunc(Polynomial((1, 0, -3)), Polynomial((1, 0, -4)))
     with pytest.raises(UnsupportedQueryError):
-        poincare_character(v.group, v, 1)
+        poincare_character(g, v, 1)
 
 
 def test_trivial_group_series():
@@ -162,18 +158,19 @@ def test_trivial_group_series():
 
 
 def test_det_factorization_for_builtins():
-    for name, v in builtin_modules():
-        g = v.group
+    for name, spec in builtin_specs():
+        g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
         assert det_factorization_check(g, v, a), name
 
 
 def test_det_factorization_rejects_a_perturbed_character():
-    v = permutation_module(4)
-    a = mckay_adjacency(v.group, v)
-    values = list(v.values)
+    spec = parse_spec_full("S4")
+    g = spec.group
+    a = mckay_adjacency(g, spec.module)
+    values = list(spec.module)
     values[1] = values[1] + 1
-    assert not det_factorization_check(v.group, ModuleChar(v.group, tuple(values)), a)
+    assert not det_factorization_check(g, tuple(values), a)
 
 
 def test_dynkin_quotient_matrix_level():
@@ -186,10 +183,11 @@ def test_dynkin_quotient_matrix_level():
 
 def test_dynkin_quotient_matches_invariant_series():
     for r in (2, 3, 5, 10):
-        v = standard_module_cyclic(r)
-        a = mckay_adjacency(v.group, v)
+        spec = parse_spec_full(f"Z{r}")
+        g, v = spec.group, spec.module
+        a = mckay_adjacency(g, v)
         lhs = dynkin_quotient(a, 0)
-        rhs = poincare_character(v.group, v, 0)
+        rhs = poincare_character(g, v, 0)
         assert lhs == rhs, r
         assert lhs.series(20) == rhs.series(20)
 
@@ -236,14 +234,14 @@ def test_irrational_series_is_rejected():
     # never combine to a rational series
     g = GroupData("broken", 1, (ClassInfo("e", 1),), 3,
                   (IrrepInfo("0"),), lambda i: (CycNum.from_int(1),))
-    v = ModuleChar(g, (root_of_unity(3, 1),))
+    v = (root_of_unity(3, 1),)
     with pytest.raises(ConsistencyError):
         poincare_character(g, v, 0)
 
 
 def test_egf_square_matches_quiver_walks():
-    mod = coordinate_module([2, 2])
-    a = mckay_adjacency(mod.group, mod)
+    spec = parse_spec_full("Z2xZ2")
+    a = mckay_adjacency(spec.group, spec.module)
     sq = egf_product([egf_hyperbolic(1, 2, 8), egf_hyperbolic(1, 2, 8)])
     for k in range(9):
         assert sq.coefficient(k) == mat_pow(a, k)[0][0]
