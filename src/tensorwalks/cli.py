@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from .errors import FAULTS, SpecError, UnsupportedQueryError
 from .groups import ParsedSpec, parse_spec_full
 from .quiver import bratteli, mckay_adjacency, power_rows
-from .series import egf_hyperbolic, egf_product, poincare_character, poincare_cramer
+from .series import coordinate_egf, poincare_character, poincare_cramer
 
 # Every query is a fresh process, so the modules of one verb alone (routes
 # and closedforms, diagrams, verify) are imported inside the commands that
@@ -161,8 +161,7 @@ def cmd_egf(args, spec: ParsedSpec) -> int:
     if spec.kind == "abelian":
         radii = spec.params["radii"]
         target = _parse_target(args.target, radii) if args.target else (0,) * len(radii)
-        egf = egf_product([egf_hyperbolic(1 + c, r, args.order)
-                           for c, r in zip(target, radii)])
+        egf = coordinate_egf(radii, target, args.order)
     elif spec.kind == "wreath" and not args.target:
         from .closedforms import wreath_invariants_egf
 

@@ -153,7 +153,7 @@ def _newton_product(sums: list[int]) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def det_factorization_check(g: GroupData, v: tuple[CycNum, ...], a) -> bool:
+def det_factorization_check(v: tuple[CycNum, ...], a) -> bool:
     """det(I - tA) over Z[t] must equal the product of (1 - chi_V(c_mu) t)
     over all classes, built from the power sums of the class values."""
     det = poly_det(_identity_minus_t(a))
@@ -218,6 +218,13 @@ def egf_product(factors) -> EgfTruncation:
                         for i in range(k + 1) if acc[i] and b[k - i])
                     for k in range(order + 1))
     return EgfTruncation(order, acc)
+
+
+def coordinate_egf(radii, target, order: int) -> EgfTruncation:
+    """EGF of the walks from 0 to `target` on the coordinate module of
+    Z_r1 x ... x Z_rm: the product over the factors j of the generalized
+    hyperbolic series of index 1 + target_j and period r_j."""
+    return egf_product([egf_hyperbolic(1 + c, r, order) for c, r in zip(target, radii)])
 
 
 def egf_scale_arg(e: EgfTruncation, s: int) -> EgfTruncation:

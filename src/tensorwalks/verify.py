@@ -1,11 +1,13 @@
 """Cross-validation suites: every headline quantity computed by at least two
-independent routes and compared exactly.  The CLI `verify` verb and the
-acceptance tests both run these.  Walk counts go through the route engine
-that `walks` and `invariants` run, `routes.walk_routes`, on parsed spec
-strings, and every other sequence is held to its reference by
-`routes.agree`.  Each suite yields its checks, and `run_suite` runs each
-one the moment it is yielded, inside one guard: a fault (`errors.FAULTS`)
-fails that check, and the run goes on."""
+independent routes and compared exactly, for the CLI `verify` verb and the
+acceptance tests.  Every walk count, the Paley, wreath and GL2/SL2 closed
+forms among them, comes from the route engine that `walks` and `invariants`
+run, `routes.walk_routes`, on parsed spec strings, except in `suite_genfnc`:
+it reads every target from one McKay matrix and one group-ring power per
+group, where the engine would rebuild the matrix for each target.
+`routes.agree` holds each count to its references.  Each suite yields its
+checks, and `run_suite` runs each one the moment it is yielded, inside one
+guard: a fault (`errors.FAULTS`) fails that check, and the run goes on."""
 
 from __future__ import annotations
 
@@ -41,12 +43,12 @@ from .quiver import (
     mat_mul,
     mckay_adjacency,
     power_rows,
-    walk_counts_character,
 )
 from .routes import ROUTES, agree, walk_routes
 from .polynomials import Polynomial
 from .series import (
     RatFunc,
+    coordinate_egf,
     cramer_numerators,
     det_factorization_check,
     egf_hyperbolic,
@@ -195,16 +197,11 @@ def suite_paley() -> Checks:
     def forms():
         ks = range(9)
         for p in (5, 7, 11, 13, 17):
-            steps = parse_spec_full(f"paley({p})").params["steps"]
-            if p <= 13:
-                targets = range(p)
-            else:
-                targets = (0, 1, 3)  # one representative per kind
+            spec = parse_spec_full(f"paley({p})")
+            targets = range(p) if p <= 13 else (0, 1, 3)  # (0, 1, 3): one of each kind
             for c in targets:
-                agree([("brute", cf.paley_bruteforce(p, ks, c)),
-                       ("closed", cf.paley_closed_form(p, c, ks)),
-                       ("multinomial", cf.group_ring_walks((p,), steps, ks, (c,)))],
-                      ks, f"p={p} c={c}")
+                agree(walk_routes(spec, ks, 0, c, ("closed",))
+                      + [("brute", cf.paley_bruteforce(p, ks, c))], ks, f"p={p} c={c}")
 
     yield ("derived closed form == multinomial sum == adjacency powers", forms)
 
@@ -224,11 +221,13 @@ def suite_wreath() -> Checks:
 
     ks = range(9)
 
+    def invariants(r, n, ks, methods=("closed",)):
+        return walk_routes(parse_spec_full(f"Z{r}wrS{n}"), ks, 0, 0, methods)
+
     def evaluators():
         for r in (2, 3, 4):
             for n in (1, 2, 3, 4):
-                spec = parse_spec_full(f"Z{r}wrS{n}")
-                walk_routes(spec, ks, 0, 0, ("character", "closed"))
+                invariants(r, n, ks, ("character", "closed"))
 
     yield ("fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)", evaluators)
 
@@ -237,8 +236,8 @@ def suite_wreath() -> Checks:
             for n in (1, 2, 3, 4):
                 if r**n * factorial(n) > 200:
                     continue
-                agree([("brute force", cf.wreath_invariants_bruteforce(r, n, ks)),
-                       ("closed", cf.wreath_invariants(r, n, ks))],
+                agree(invariants(r, n, ks)
+                      + [("brute force", cf.wreath_invariants_bruteforce(r, n, ks))],
                       ks, f"r={r} n={n}")
 
     yield ("group-element averaging agrees where the order is <= 200", averaging)
@@ -246,9 +245,7 @@ def suite_wreath() -> Checks:
     def egf():
         for r in (2, 3, 4):
             for n in (1, 2, 3, 4):
-                e = cf.wreath_invariants_egf(r, n, 8)
-                agree([("EGF", [e.coefficient(k) for k in ks]),
-                       ("closed", cf.wreath_invariants(r, n, ks))],
+                agree(invariants(r, n, ks) + [("EGF", cf.wreath_invariants_egf(r, n, 8).coeffs)],
                       ks, f"r={r} n={n}")
 
     yield ("EGF coefficients reproduce the invariant dimensions", egf)
@@ -261,11 +258,11 @@ def suite_wreath() -> Checks:
     yield ("signed-permutation pair Poincare series", signed_pair)
 
     def even_blocks():
-        half = range(1, 6)
+        even = range(2, 12, 2)
         for n in (1, 2, 3, 4):
-            agree([("even-block", [cf.weyl_bc_centralizer(n, k) for k in half]),
-                   ("invariants at 2k", cf.wreath_invariants(2, n, range(2, 2 * half.stop, 2)))],
-                  half, f"n={n}")
+            agree(invariants(2, n, even)
+                  + [("even-block", [cf.weyl_bc_centralizer(n, k // 2) for k in even])],
+                  even, f"n={n}")
 
     yield ("even-block partition sums equal 2k-step invariants", even_blocks)
 
@@ -276,18 +273,15 @@ def suite_wreath() -> Checks:
 def suite_gl2sl2() -> Checks:
     def closed_forms():
         for q in (3, 5, 7):
-            for gname, dims, poin in (("GL2", cf.gl2_dims, cf.gl2_poincare),
-                                      ("SL2", cf.sl2_dims, cf.sl2_poincare)):
+            for gname, poin in (("GL2", cf.gl2_poincare), ("SL2", cf.sl2_poincare)):
                 for which, suffix in ((cf.INDUCED, ""), (cf.STEINBERG, "@steinberg")):
                     spec = parse_spec_full(f"{gname}({q}){suffix}")
                     g = spec.group
                     _holds(sum(g.class_sizes()) == g.order,
                            f"{gname}({q}): class sizes do not sum to the order")
-                    # the engine compares the closed forms with the character sums
-                    walk_routes(spec, range(9), 0, 0, ("character", "closed"))
-                    agree([("series", poin(q, which).series(12)),
-                           ("dims", [dims(q, k, which) for k in range(13)])],
-                          range(13), f"{gname}({q}) {which}")
+                    ks = range(13)
+                    agree(walk_routes(spec, ks, 0, 0, ("character", "closed"))
+                          + [("series", poin(q, which).series(12))], ks, f"{gname}({q}) {which}")
 
     yield ("closed forms == character sums == Poincare coefficients", closed_forms)
 
@@ -317,7 +311,7 @@ def suite_generic() -> Checks:
         yield (f"{name}: orthogonality",
                lambda: _holds(_orthogonality_ok(g), "row/column relations failed"))
         yield (f"{name}: det(I - tA) factors over the module character",
-               lambda: _holds(det_factorization_check(g, mod, adjacency())))
+               lambda: _holds(det_factorization_check(mod, adjacency())))
 
         def eigenvalues():
             ok, bad = eigen_check(g, mod, adjacency())
@@ -387,9 +381,8 @@ def suite_genfnc() -> Checks:
             powers = power_rows(mckay_adjacency(spec.group, spec.module), 0, ks)
             ring = group_ring_power(radii, unit_steps(radii), ks)
             for idx, c in enumerate(abelian_elements(radii)):
-                egf = egf_product([egf_hyperbolic(1 + cj, rj, 10) for cj, rj in zip(c, radii)])
                 agree([("matrix", [row[idx] for row in powers]),
-                       ("EGF", [egf.coefficient(k) for k in ks]),
+                       ("EGF", coordinate_egf(radii, c, 10).coeffs),
                        ("group ring", [power.get(c, 0) for power in ring])],
                       ks, f"radii={radii} c={c}")
 
@@ -420,7 +413,7 @@ def suite_diagram() -> Checks:
             # the character route, not the group ring that basis_count uses;
             # the coordinate module, which no spec string names when radii has one factor
             spec = _product_spec(radii)
-            multiplicities = [walk_counts_character(spec.group, spec.module, ks, 0, to)
+            multiplicities = [walk_routes(spec, ks, 0, to, ("character",))[0][1]
                               for to in range(spec.group.n_classes)]
             squares = [sum(m[k] ** 2 for m in multiplicities) for k in ks]
             agree([("basis", [basis_count(radii, k) for k in ks]),

@@ -660,6 +660,35 @@ def test_verify_runs_the_cli_routes(capsys, monkeypatch):
     assert "k=2" in failed["fixed-point and class-sum evaluators agree (r,n <= 4, k <= 8)"]
 
 
+def test_verify_reads_its_walk_counts_from_the_engine(monkeypatch):
+    # a fault planted in the route engine alone fails each check that holds a
+    # closed form or a character count to its reference; `egf` prints the EGF
+    # that the genfnc suite checks
+    import tensorwalks.cli as cli_mod
+    import tensorwalks.routes as routes_mod
+    import tensorwalks.verify as verify_mod
+
+    real_closed = routes_mod.closed_walks
+    monkeypatch.setattr(routes_mod, "closed_walks", lambda spec, ks, frm, to: [
+        (label, [x + (k == 2) for k, x in zip(ks, counts)])
+        for label, counts in real_closed(spec, ks, frm, to)])
+    failed = {r.name: r.detail for suite in ("paley", "wreath")
+              for r in verify_mod.run_suite(suite) if not r.ok}
+    for name in ("derived closed form == multinomial sum == adjacency powers",
+                 "group-element averaging agrees where the order is <= 200",
+                 "EGF coefficients reproduce the invariant dimensions",
+                 "even-block partition sums equal 2k-step invariants"):
+        assert "k=2" in failed.get(name, ""), name
+    monkeypatch.undo()
+
+    real_character = routes_mod.walk_counts_character
+    monkeypatch.setattr(routes_mod, "walk_counts_character",
+                        lambda *args: [x + 1 for x in real_character(*args)])
+    failed = {r.name for r in verify_mod.run_suite("diagram") if not r.ok}
+    assert failed == {"basis cardinality equals the sum of squared multiplicities"}
+    assert cli_mod.coordinate_egf is verify_mod.coordinate_egf
+
+
 def test_verify_reports_every_check_under_a_fault(capsys, monkeypatch):
     # a fault in the one class-sum kernel fails each check that reads it, on
     # its own line, and the run goes on to the summary

@@ -377,6 +377,6 @@ def test_galois_incomplete_table_is_a_consistency_failure():
                  lambda: character_walk_counts(g, v, 3),
                  lambda: walk_count_character(g, v, 3, 0, 2),
                  lambda: poincare_character(g, v, 0),
-                 lambda: det_factorization_check(g, v, mckay_adjacency(g, sound))):
+                 lambda: det_factorization_check(v, mckay_adjacency(g, sound))):
         with pytest.raises(ConsistencyError, match="Galois-incomplete"):
             call()

@@ -154,14 +154,14 @@ def test_trivial_group_series():
     rf = poincare_character(g, v, 0)
     assert rf == RatFunc(Polynomial((1,)), Polynomial((1, -3)))
     a = mckay_adjacency(g, v)
-    assert det_factorization_check(g, v, a)
+    assert det_factorization_check(v, a)
 
 
 def test_det_factorization_for_builtins():
     for name, spec in builtin_specs():
         g, v = spec.group, spec.module
         a = mckay_adjacency(g, v)
-        assert det_factorization_check(g, v, a), name
+        assert det_factorization_check(v, a), name
 
 
 def test_det_factorization_rejects_a_perturbed_character():
@@ -170,7 +170,7 @@ def test_det_factorization_rejects_a_perturbed_character():
     a = mckay_adjacency(g, spec.module)
     values = list(spec.module)
     values[1] = values[1] + 1
-    assert not det_factorization_check(g, tuple(values), a)
+    assert not det_factorization_check(tuple(values), a)
 
 
 def test_dynkin_quotient_matrix_level():
