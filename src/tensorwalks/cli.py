@@ -100,7 +100,7 @@ def cmd_walks(args, spec: ParsedSpec) -> int:
     methods = ROUTES if args.method == "auto" else (args.method,)
     if args.method == "auto" and prod(spec.params.get("radii", ())) > AUTO_MATRIX_NODES:
         methods = ("character", "closed")
-    results = walk_routes(spec, range(args.k, args.k + 1), frm, to, methods)
+    results, = walk_routes(spec, range(args.k, args.k + 1), frm, [to], methods)
     emit({"group": spec.name, "k": args.k, "from": frm, "to": to,
           "count": str(results[0][1][0]), "methods": [m for m, _ in results]})
     return 0
@@ -125,7 +125,7 @@ def cmd_invariants(args, spec: ParsedSpec) -> int:
     _require_nonnegative("--k", args.k)
     # the character sum against the closed forms only: the matrix route would
     # build an n^3-cost adjacency matrix to read one entry of each power
-    counts = walk_routes(spec, range(args.k + 1), 0, 0, ("character", "closed"))[0][1]
+    counts = walk_routes(spec, range(args.k + 1), 0, [0], ("character", "closed"))[0][0][1]
     if args.csv:
         emit_csv([("k", "count")] + list(enumerate(counts)))
     else:

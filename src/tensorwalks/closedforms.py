@@ -51,19 +51,20 @@ def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
     return total
 
 
-def group_ring_walks(radii, steps, ks: range, c) -> list[int]:
-    """Walks of k steps from 0 to c, for each k in `ks`, on the Cayley graph
-    of Z_r1 x ... x Z_rn with the given steps: the coefficient of c in
-    (sum of the steps)^k in the integer group ring.  Unit steps give products
-    of cyclic groups and hypercubes; one factor gives circulant and Paley
-    graphs.  A repeated step counts as often as it appears."""
-    radii, c, steps = tuple(radii), tuple(c), [tuple(s) for s in steps]
-    for x in (c, *steps):
+def group_ring_walks(radii, steps, ks: range, targets) -> list[list[int]]:
+    """Walks of k steps from 0 to each c in `targets`, for each k in `ks`, on the
+    Cayley graph of Z_r1 x ... x Z_rn with the given steps: the coefficient of c
+    in (sum of the steps)^k in the integer group ring, one power for all targets.
+    Unit steps give products of cyclic groups and hypercubes; one factor gives
+    circulant and Paley graphs.  A repeated step counts as often as it appears."""
+    radii, targets, steps = tuple(radii), [tuple(c) for c in targets], [tuple(s) for s in steps]
+    for x in (*targets, *steps):
         if len(x) != len(radii) or not all(0 <= xi < ri for xi, ri in zip(x, radii)):
             raise ValueError(f"{x} is not an element of {radii}")
     if not all(any(s) for s in steps):
         raise ValueError("a step is the zero element")
-    return [power.get(c, 0) for power in group_ring_power(radii, steps, ks)]
+    powers = group_ring_power(radii, steps, ks)
+    return [[power.get(c, 0) for power in powers] for c in targets]
 
 
 # ---------------------------------------------------------------------------

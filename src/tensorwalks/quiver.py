@@ -109,10 +109,11 @@ def character_walk_counts(g: GroupData, v: tuple[CycNum, ...], k: int) -> list[l
 
 
 def walk_counts_character(g: GroupData, v: tuple[CycNum, ...], ks: range,
-                          frm: int, to: int) -> list[int]:
-    """Walk counts from irrep `frm` to irrep `to` for every k in `ks`, by the
-    character sum, with chi_V(c)^k carried from one k to the next."""
-    return [matrix[0][0] for matrix in _character_sums(g, v, ks, [frm], [to])]
+                          frm: int, targets) -> list[list[int]]:
+    """Walk counts from irrep `frm` to each irrep of `targets`, over every k
+    in `ks`, by one character sum, with chi_V(c)^k carried from k to k."""
+    sums = _character_sums(g, v, ks, [frm], targets)
+    return [[matrix[0][j] for matrix in sums] for j in range(len(targets))]
 
 
 def walk_count_character(g: GroupData, v: tuple[CycNum, ...], k: int, frm: int, to: int) -> int:

@@ -123,7 +123,7 @@ def poincare_character(g: GroupData, v: tuple[CycNum, ...], lam: int) -> RatFunc
     if d > DEGREE_LIMIT:
         raise UnsupportedQueryError(f"the character series of {g.name} has degree {d}, the number "
                                     f"of distinct values of chi_V, above {DEGREE_LIMIT}")
-    counts = walk_counts_character(g, v, range(d), 0, lam)
+    counts, = walk_counts_character(g, v, range(d), 0, [lam])
     den = _linear_factor_product(values)
     num = [sum(den.coefficient(i) * counts[k - i] for i in range(k + 1)) for k in range(d)]
     return RatFunc(Polynomial(num), den)

@@ -2,12 +2,11 @@
 independent routes and compared exactly, for the CLI `verify` verb and the
 acceptance tests.  Every walk count, the Paley, wreath and GL2/SL2 closed
 forms among them, comes from the route engine that `walks` and `invariants`
-run, `routes.walk_routes`, on parsed spec strings, except in `suite_genfnc`:
-it reads every target from one McKay matrix and one group-ring power per
-group, where the engine would rebuild the matrix for each target.
-`routes.agree` holds each count to its references.  Each suite yields its
-checks, and `run_suite` runs each one the moment it is yielded, inside one
-guard: a fault (`errors.FAULTS`) fails that check, and the run goes on."""
+run, `routes.walk_routes`, on parsed spec strings, in one call per spec that
+runs each route once for every target.  `routes.agree` holds each count to
+its references.  Each suite yields its checks, and `run_suite` runs each one
+the moment it is yielded, inside one guard: a fault (`errors.FAULTS`) fails
+that check, and the run goes on."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from collections.abc import Callable, Iterator
 from functools import cache
 
 from . import closedforms as cf
-from .combinatorics import bell_number, group_ring_power
+from .combinatorics import bell_number
 from .cyclotomic import gauss_sum, gauss_sum_check, sum_of_products
 from .diagrams import (
     DiagramElement,
@@ -33,7 +32,6 @@ from .groups import (
     _product_spec,
     abelian_elements,
     parse_spec_full,
-    unit_steps,
 )
 from .quiver import (
     bratteli,
@@ -81,7 +79,7 @@ def suite_z10() -> Checks:
         for method, label in (("matrix", "matrix"), ("character", "character"),
                               ("closed", "binomial")):
             yield (f"Z10 {label} ({k},{frm}->{to})",
-                   lambda: agree(walk_routes(spec, ks, frm, to, (method,))
+                   lambda: agree(walk_routes(spec, ks, frm, [to], (method,))[0]
                                  + [("expected", [expected])], ks))
     yield ("Z10 centralizer dim at depth 6",
            lambda: agree([("centralizer dim", [centralizer_dim(spec.group, spec.module, 6)]),
@@ -111,12 +109,8 @@ def suite_z4xz2() -> Checks:
     yield ("dims follow 2^(k-1) + 4^(k-1)",
            lambda: agree([("bratteli", diagram().algebra_dims[1:]),
                           ("2^(k-1) + 4^(k-1)", [2 ** (k - 1) + 4 ** (k - 1) for k in ks])], ks))
-
-    def every_target():
-        for to in range(g.n_classes):
-            walk_routes(spec, range(7), 0, to, ROUTES)
-
-    yield ("three routes agree for every target, k <= 6", every_target)
+    yield ("three routes agree for every target, k <= 6",
+           lambda: walk_routes(spec, range(7), 0, range(g.n_classes), ROUTES))
 
 
 # -- 3. S4 fixtures -----------------------------------------------------------
@@ -155,13 +149,12 @@ def suite_s4() -> Checks:
     def forms():
         # the engine compares matrix, character and Stirling-Kostka
         ks = range(1, 11)
-        for i, info in enumerate(g.irreps):
+        for info, pairs in zip(g.irreps, walk_routes(spec, ks, 0, range(g.n_classes), ROUTES)):
             closed, stir = _S4_FORMS[info.label]
-            agree(walk_routes(spec, ks, 0, i, ROUTES)
-                  + [("closed form", [exact_count(closed(k), 24, f"S4 closed form {info.label}")
-                                      for k in ks]),
-                     ("stirling", [sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
-                                   for k in ks])], ks, f"lam={info.label}")
+            agree(pairs + [("closed form", [exact_count(closed(k), 24, f"S4 closed form {info.label}")
+                                            for k in ks]),
+                           ("stirling", [sum(c * stirling2(k, l + 1) for l, c in enumerate(stir))
+                                         for k in ks])], ks, f"lam={info.label}")
 
     yield ("five closed forms == matrix == character == Stirling/Kostka, k <= 10", forms)
 
@@ -173,8 +166,7 @@ def suite_sn() -> Checks:
     def stirling_kostka():
         for n in (2, 3, 4, 5):
             spec = parse_spec_full(f"S{n}")
-            for to in range(spec.group.n_classes):
-                walk_routes(spec, range(7), 0, to, ("character", "closed"))
+            walk_routes(spec, range(7), 0, range(spec.group.n_classes), ("character", "closed"))
 
     yield ("character sums equal Stirling-Kostka sums (n <= 5, k <= 6)", stirling_kostka)
     yield ("Bell numbers", lambda: _holds((bell_number(2), bell_number(4)) == (2, 15),
@@ -199,9 +191,8 @@ def suite_paley() -> Checks:
         for p in (5, 7, 11, 13, 17):
             spec = parse_spec_full(f"paley({p})")
             targets = range(p) if p <= 13 else (0, 1, 3)  # (0, 1, 3): one of each kind
-            for c in targets:
-                agree(walk_routes(spec, ks, 0, c, ("closed",))
-                      + [("brute", cf.paley_bruteforce(p, ks, c))], ks, f"p={p} c={c}")
+            for c, pairs in zip(targets, walk_routes(spec, ks, 0, targets, ("closed",))):
+                agree(pairs + [("brute", cf.paley_bruteforce(p, ks, c))], ks, f"p={p} c={c}")
 
     yield ("derived closed form == multinomial sum == adjacency powers", forms)
 
@@ -222,7 +213,7 @@ def suite_wreath() -> Checks:
     ks = range(9)
 
     def invariants(r, n, ks, methods=("closed",)):
-        return walk_routes(parse_spec_full(f"Z{r}wrS{n}"), ks, 0, 0, methods)
+        return walk_routes(parse_spec_full(f"Z{r}wrS{n}"), ks, 0, [0], methods)[0]
 
     def evaluators():
         for r in (2, 3, 4):
@@ -280,7 +271,7 @@ def suite_gl2sl2() -> Checks:
                     _holds(sum(g.class_sizes()) == g.order,
                            f"{gname}({q}): class sizes do not sum to the order")
                     ks = range(13)
-                    agree(walk_routes(spec, ks, 0, 0, ("character", "closed"))
+                    agree(walk_routes(spec, ks, 0, [0], ("character", "closed"))[0]
                           + [("series", poin(q, which).series(12))], ks, f"{gname}({q}) {which}")
 
     yield ("closed forms == character sums == Poincare coefficients", closed_forms)
@@ -377,28 +368,25 @@ def suite_genfnc() -> Checks:
 
     def products():
         for radii in ((4, 2), (2, 2, 2), (3, 3), (2, 3), (4, 4, 4)):
-            spec = _product_spec(radii)
-            powers = power_rows(mckay_adjacency(spec.group, spec.module), 0, ks)
-            ring = group_ring_power(radii, unit_steps(radii), ks)
-            for idx, c in enumerate(abelian_elements(radii)):
-                agree([("matrix", [row[idx] for row in powers]),
-                       ("EGF", coordinate_egf(radii, c, 10).coeffs),
-                       ("group ring", [power.get(c, 0) for power in ring])],
+            elements = abelian_elements(radii)
+            by_target = walk_routes(_product_spec(radii), ks, 0, range(len(elements)),
+                                    ("matrix", "closed"))
+            for c, pairs in zip(elements, by_target):
+                agree(pairs + [("EGF", coordinate_egf(radii, c, 10).coeffs)],
                       ks, f"radii={radii} c={c}")
 
     yield ("EGF products equal walk counts for every target (k <= 10)", products)
 
     def hypercube():
         radii = (2,) * 5
-        spec = _product_spec(radii)
-        powers = power_rows(mckay_adjacency(spec.group, spec.module), 0, ks)
+        elements = abelian_elements(radii)
         cosh = egf_hyperbolic(1, 2, 10)
         sinh = egf_hyperbolic(2, 2, 10)
-        for idx, c in enumerate(abelian_elements(radii)):
+        by_target = walk_routes(_product_spec(radii), ks, 0, range(len(elements)), ("matrix",))
+        for c, pairs in zip(elements, by_target):
             h = sum(c)
             egf = egf_product([egf_pow(cosh, 5 - h), egf_pow(sinh, h)] if h else [egf_pow(cosh, 5)])
-            agree([("EGF", [egf.coefficient(k) for k in ks]),
-                   ("matrix", [row[idx] for row in powers])], ks, f"c={c}")
+            agree([("EGF", [egf.coefficient(k) for k in ks])] + pairs, ks, f"c={c}")
 
     yield ("hypercube EGFs follow the cosh/sinh weight pattern", hypercube)
 
@@ -413,8 +401,8 @@ def suite_diagram() -> Checks:
             # the character route, not the group ring that basis_count uses;
             # the coordinate module, which no spec string names when radii has one factor
             spec = _product_spec(radii)
-            multiplicities = [walk_routes(spec, ks, 0, to, ("character",))[0][1]
-                              for to in range(spec.group.n_classes)]
+            multiplicities = [pairs[0][1] for pairs in walk_routes(
+                spec, ks, 0, range(spec.group.n_classes), ("character",))]
             squares = [sum(m[k] ** 2 for m in multiplicities) for k in ks]
             agree([("basis", [basis_count(radii, k) for k in ks]),
                    ("squared multiplicities", squares)], ks, f"radii={radii}")

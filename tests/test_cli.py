@@ -215,8 +215,14 @@ def test_invariants_call_the_kernel_once(capsys, monkeypatch):
 
 
 def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
+    # and each route runs once for all the targets of a call
+    from collections import Counter
+
+    import tensorwalks.closedforms as cf_mod
+    import tensorwalks.quiver as quiver_mod
     import tensorwalks.routes as routes_mod
     from tensorwalks.closedforms import cyclic_walks
+    from tensorwalks.errors import ConsistencyError
     from tensorwalks.groups import parse_spec_full
 
     calls = []
@@ -227,9 +233,49 @@ def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(routes_mod, "power_rows", counting)
-    results = routes_mod.walk_routes(parse_spec_full("Z10"), range(7), 0, 2, ("matrix",))
-    assert results == [("matrix", [cyclic_walks(10, k, 0, 2) for k in range(7)])]
+    results = routes_mod.walk_routes(parse_spec_full("Z10"), range(7), 0, [2], ("matrix",))
+    assert results == [[("matrix", [cyclic_walks(10, k, 0, 2) for k in range(7)])]]
     assert calls == [(0, range(7))]
+    monkeypatch.undo()
+
+    spec = parse_spec_full("Z4xZ2")
+    ks, targets = range(7), range(spec.group.n_classes)
+    one_target = [routes_mod.walk_routes(spec, ks, 0, [to], routes_mod.ROUTES)[0] for to in targets]
+    adjacency = routes_mod.mckay_adjacency(spec.group, spec.module)  # its own class sum, not counted
+    counts = Counter()
+
+    def counted(name, body):
+        def wrapper(*args):
+            counts[name] += 1
+            return body(*args)
+        return wrapper
+
+    monkeypatch.setattr(routes_mod, "mckay_adjacency", counted("mckay_adjacency", lambda g, v: adjacency))
+    monkeypatch.setattr(routes_mod, "power_rows", counted("power_rows", real))
+    monkeypatch.setattr(quiver_mod, "_character_sums",
+                        counted("_character_sums", quiver_mod._character_sums))
+    monkeypatch.setattr(cf_mod, "group_ring_power", counted("group_ring_power", cf_mod.group_ring_power))
+    assert len(targets) == 8
+    assert routes_mod.walk_routes(spec, ks, 0, targets, routes_mod.ROUTES) == one_target
+    assert counts == dict.fromkeys(("mckay_adjacency", "power_rows", "_character_sums",
+                                    "group_ring_power"), 1)
+    monkeypatch.undo()
+
+    # a fault at one target alone names its node and k, and a one-target call only its k
+    real_character = routes_mod.walk_counts_character
+
+    def planted(g, v, ks, frm, targets):  # one count off, at node 5 and k = 3
+        counts = real_character(g, v, ks, frm, targets)
+        if 5 in targets:
+            counts[targets.index(5)][3] += 1
+        return counts
+
+    monkeypatch.setattr(routes_mod, "walk_counts_character", planted)
+    with pytest.raises(ConsistencyError, match=r"^node 5: routes disagree at k=3: "):
+        routes_mod.walk_routes(spec, ks, 0, targets, routes_mod.ROUTES)
+    routes_mod.walk_routes(spec, ks, 0, [0, 1, 2, 3, 4, 6, 7], routes_mod.ROUTES)
+    with pytest.raises(ConsistencyError, match=r"^routes disagree at k=3: \[\('matrix', "):
+        routes_mod.walk_routes(spec, ks, 0, [5], routes_mod.ROUTES)
 
 
 def test_agree_raises_at_the_first_k_where_routes_differ():
@@ -669,21 +715,29 @@ def test_verify_reads_its_walk_counts_from_the_engine(monkeypatch):
     import tensorwalks.verify as verify_mod
 
     real_closed = routes_mod.closed_walks
-    monkeypatch.setattr(routes_mod, "closed_walks", lambda spec, ks, frm, to: [
-        (label, [x + (k == 2) for k, x in zip(ks, counts)])
-        for label, counts in real_closed(spec, ks, frm, to)])
-    failed = {r.name: r.detail for suite in ("paley", "wreath")
+    monkeypatch.setattr(routes_mod, "closed_walks", lambda spec, ks, frm, targets: [
+        (label, [[x + (k == 2) for k, x in zip(ks, counts)] for counts in per_target])
+        for label, per_target in real_closed(spec, ks, frm, targets)])
+    failed = {r.name: r.detail for suite in ("paley", "wreath", "genfnc")
               for r in verify_mod.run_suite(suite) if not r.ok}
     for name in ("derived closed form == multinomial sum == adjacency powers",
                  "group-element averaging agrees where the order is <= 200",
                  "EGF coefficients reproduce the invariant dimensions",
-                 "even-block partition sums equal 2k-step invariants"):
+                 "even-block partition sums equal 2k-step invariants",
+                 "EGF products equal walk counts for every target (k <= 10)"):
         assert "k=2" in failed.get(name, ""), name
     monkeypatch.undo()
 
+    real_rows = routes_mod.power_rows
+    monkeypatch.setattr(routes_mod, "power_rows", lambda a, frm, ks: [
+        [x + (k == 2) for x in row] for k, row in zip(ks, real_rows(a, frm, ks))])
+    failed = {r.name: r.detail for r in verify_mod.run_suite("genfnc") if not r.ok}
+    assert "k=2" in failed.get("hypercube EGFs follow the cosh/sinh weight pattern", "")
+    monkeypatch.undo()
+
     real_character = routes_mod.walk_counts_character
-    monkeypatch.setattr(routes_mod, "walk_counts_character",
-                        lambda *args: [x + 1 for x in real_character(*args)])
+    monkeypatch.setattr(routes_mod, "walk_counts_character", lambda *args: [
+        [x + 1 for x in counts] for counts in real_character(*args)])
     failed = {r.name for r in verify_mod.run_suite("diagram") if not r.ok}
     assert failed == {"basis cardinality equals the sum of squared multiplicities"}
     assert cli_mod.coordinate_egf is verify_mod.coordinate_egf
@@ -738,13 +792,13 @@ def test_verify_runs_each_check_before_the_next_is_named(monkeypatch):
     real = verify_mod.walk_routes
     asked = []
 
-    def recorder(spec, ks, frm, to, methods):
-        asked.append((list(ks), frm, to, methods))
-        return real(spec, ks, frm, to, methods)
+    def recorder(spec, ks, frm, targets, methods):
+        asked.append((list(ks), frm, targets, methods))
+        return real(spec, ks, frm, targets, methods)
 
     monkeypatch.setattr(verify_mod, "walk_routes", recorder)
     assert all(r.ok for r in verify_mod.run_suite("z10"))
-    assert asked == [([k], frm, to, (method,))
+    assert asked == [([k], frm, [to], (method,))
                      for k, frm, to in ((6, 0, 8), (12, 0, 0))
                      for method in ("matrix", "character", "closed")]
 

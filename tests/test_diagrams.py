@@ -59,8 +59,7 @@ def test_basis_count_equals_squared_walk_counts(radii):
     # walk counts by the character route: basis_count itself is a group-ring power
     spec = _product_spec(radii)
     g = spec.group
-    multiplicities = [walk_counts_character(g, spec.module, range(7), 0, to)
-                      for to in range(g.n_classes)]
+    multiplicities = walk_counts_character(g, spec.module, range(7), 0, range(g.n_classes))
     for k in range(7):
         assert basis_count(radii, k) == sum(m[k] ** 2 for m in multiplicities)
 

@@ -175,7 +175,7 @@ def test_circulant_multinomial_character_and_matrix_agree(query):
     r, conn, k, c = query
     spec = _circulant_spec(r, conn)
     g, v = spec.group, spec.module
-    closed, = cf.group_ring_walks((r,), [(s,) for s in conn], range(k, k + 1), (c,))
+    (closed,), = cf.group_ring_walks((r,), [(s,) for s in conn], range(k, k + 1), [(c,)])
     assert walk_count_character(g, v, k, 0, c) == closed
     assert power_rows(mckay_adjacency(g, v), 0, range(k, k + 1))[0][c] == closed
 
@@ -201,7 +201,7 @@ def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
     c = data.draw(st.integers(0, p - 1))
     steps = [(s,) for s in quadratic_residues(p)]
     ks = range(k, k + data.draw(st.integers(1, 4)))
-    assert cf.paley_closed_form(p, c, ks) == cf.group_ring_walks((p,), steps, ks, (c,))
+    assert [cf.paley_closed_form(p, c, ks)] == cf.group_ring_walks((p,), steps, ks, [(c,)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,7 +215,7 @@ def test_abelian_multinomial_character_and_diagram_basis_agree(radii, k, data):
     for ci, r in zip(c, radii):
         node = node * r + ci
     units = [tuple(int(i == j) for i in range(len(radii))) for j in range(len(radii))]
-    walks, = cf.group_ring_walks(radii, units, range(k, k + 1), c)
+    (walks,), = cf.group_ring_walks(radii, units, range(k, k + 1), [c])
     assert walk_count_character(g, v, k, 0, node) == walks
     # basis_count runs the same group-ring kernel, so its reference is the
     # character route over every target
@@ -235,7 +235,7 @@ def test_character_sum_consumers_agree(spec, big_k, data):
     g, v = parsed.group, parsed.module
     lam = data.draw(st.integers(0, g.n_classes - 1)) if g.tier == FULL else 0
     ks = range(big_k + 1)
-    counts = walk_counts_character(g, v, ks, 0, lam)
+    counts, = walk_counts_character(g, v, ks, 0, [lam])
     assert counts == [walk_count_character(g, v, k, 0, lam) for k in ks]
     assert poincare_character(g, v, lam).series(big_k) == counts
     if parsed.kind == "symmetric":
