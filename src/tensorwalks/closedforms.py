@@ -1,19 +1,21 @@
 """Family-specific closed formulas for walk counts and invariant dimensions,
 implemented independently of the generic matrix/character engines so each
-route cross-checks the others.
+route cross-checks the others.  The cyclic, group-ring, Paley and S_n forms
+answer every target over all of `ks` in one call, one count list per target.
 
 The Paley-walk evaluator follows the derivation (split the class sum by
-residue type, then use the quadratic Gauss-sum values); the commonly
+residue type; the quadratic Gauss sum s enters only through s^2 = p*); the
 printed case formulas contain three sign/exponent misprints, so those are
-implemented separately as `paley_printed_form` purely to document the
-discrepancy.  Likewise the wreath-product invariant formula is implemented
-with the weights that survive brute-force checking (the printed form fails
-for three or more letters); see the README notes.
+implemented separately as `paley_printed_form` to document the discrepancy.
+The wreath-product invariant formula is implemented with the weights that
+survive brute-force checking (the printed form fails for three or more
+letters); see the README notes.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import mul
 
 from .combinatorics import (
     even_block_partitions,
@@ -36,19 +38,22 @@ from .series import EgfTruncation, RatFunc, egf_from_ints, egf_hyperbolic, egf_p
 # ---------------------------------------------------------------------------
 
 
-def cyclic_walks(r: int, k: int, a: int, c: int) -> int:
-    """Walks of k steps from a to c on the circular graph with r nodes:
-    sum of C(k, l) over l with k - 2l = c - a (mod r)."""
+def cyclic_walks(r: int, ks: range, a: int, targets) -> list[list[int]]:
+    """Walks of k steps from a to each c in `targets`, for each k in `ks`, on the
+    circular graph with r nodes: sum of C(k, l) over l with k - 2l = c - a
+    (mod r), one pass over l per k for every end node."""
     if r < 2:
         raise ValueError("need at least two nodes")
-    if not (0 <= a < r and 0 <= c < r):
+    if not all(0 <= x < r for x in (a, *targets)):
         raise ValueError("node out of range")
-    total, binom = 0, 1  # binom = C(k, l), carried from l to l + 1
-    for l in range(k + 1):
-        if (k - 2 * l - (c - a)) % r == 0:
-            total += binom
-        binom = binom * (k - l) // (l + 1)
-    return total
+    rows = []
+    for k in ks:
+        row, binom = [0] * r, 1  # binom = C(k, l), carried from l to l + 1
+        for l in range(k + 1):
+            row[(a + k - 2 * l) % r] += binom
+            binom = binom * (k - l) // (l + 1)
+        rows.append([row[c] for c in targets])
+    return [[row[i] for row in rows] for i in range(len(targets))]
 
 
 def group_ring_walks(radii, steps, ks: range, targets) -> list[list[int]]:
@@ -71,39 +76,33 @@ def group_ring_walks(radii, steps, ks: range, targets) -> list[list[int]]:
 # Paley (di)graphs via quadratic Gauss sums
 # ---------------------------------------------------------------------------
 
-def _legendre_of_target(p: int, c: int) -> int:
-    """The Legendre symbol (c / p) of the target node c, for an odd prime p:
-    0 at the zero node, 1 on the residues and -1 on the nonresidues."""
+def _check_paley_prime(p: int) -> None:
     if p % 2 == 0 or not is_prime(p):
         raise ValueError("Paley parameter must be an odd prime")
-    return legendre_symbol(c, p)
 
 
-def paley_closed_form(p: int, c: int, ks: range) -> list[int]:
-    """Exact k-step walk counts from 0 to c on the Paley (di)graph of the
-    prime p, for every k in `ks`, evaluated from the split class sum in
-    Z[zeta_p] through the quadratic Gauss sum s.  The module character is
-    (p-1)/2 at 0, (s - 1)/2 on the residues and -(s + 1)/2 on the
-    nonresidues, so p 2^(k+1) times the count is 2 (p-1)^k + c_u u^k + c_w w^k
-    with u = s - 1, w = -s - 1 and integral weights c_u, c_w set by the
-    Legendre symbol of c; the two powers are carried from k to the next k."""
-    symbol = _legendre_of_target(p, c)
-    s = gauss_sum(p)  # sqrt(p) or i*sqrt(p), exactly, in Z[zeta_p]
-    roots = (s - 1, -s - 1)
-    if symbol == 0:
-        weights = (p - 1, p - 1)
-    elif (symbol == 1) == (p % 4 == 1):
-        weights = roots
-    else:
-        weights = roots[::-1]
-    terms = [w * x ** ks.start for w, x in zip(weights, roots)]
-    steps = [x ** ks.step for x in roots]
-    counts = []
-    for k in ks:
-        total = (2 * (p - 1) ** k + terms[0] + terms[1]).as_integer()
-        counts.append(exact_count(total, p * 2 ** (k + 1), "Paley walk count"))
-        terms = [t * x for t, x in zip(terms, steps)]
-    return counts
+def paley_closed_form(p: int, ks: range, targets) -> list[list[int]]:
+    """Walk counts from 0 to each c in `targets` on the Paley (di)graph of the
+    prime p, for every k in `ks`, from the split class sum: the module character
+    is (p-1)/2 at 0, (s - 1)/2 on the residues and -(s + 1)/2 on the nonresidues,
+    s the quadratic Gauss sum, so p 2^(k+1) times the count is 2 (p-1)^k + a_k,
+    a_k = c_u u^k + c_w w^k with u = s - 1, w = -s - 1 and weights set by the
+    Legendre symbol of c.  As u + w = -2 and uw = 1 - s^2 = 1 - p*, with
+    p* = (-1)^((p-1)/2) p, a_k = -2 a_(k-1) - (1 - p*) a_(k-2) runs on integers."""
+    _check_paley_prime(p)
+    if min(ks, default=0) < 0:
+        raise ValueError("step count must be nonnegative")
+    pstar = p if p % 4 == 1 else -p
+    # (a_0, a_1) of each class: the weights are (p - 1, p - 1), (u, w) or (w, u)
+    pairs = {0: (2 * (p - 1), -2 * (p - 1)), pstar // p: (-2, 2 + 2 * pstar),
+             -pstar // p: (-2, 2 - 2 * pstar)}
+    rows = []
+    for k in range(max(ks, default=-1) + 1):
+        if k in ks:
+            rows.append({symbol: exact_count(2 * (p - 1) ** k + a, p * 2 ** (k + 1), "Paley walk count")
+                         for symbol, (a, _) in pairs.items()})
+        pairs = {symbol: (b, -2 * b - (1 - pstar) * a) for symbol, (a, b) in pairs.items()}
+    return [[row[symbol] for row in rows] for symbol in [legendre_symbol(c, p) for c in targets]]
 
 
 def paley_printed_form(p: int, c: int, k: int):
@@ -118,7 +117,8 @@ def paley_printed_form(p: int, c: int, k: int):
     when it is irrational, which is exactly the point."""
     from fractions import Fraction
 
-    symbol = _legendre_of_target(p, c)
+    _check_paley_prime(p)
+    symbol = legendre_symbol(c, p)
     if k < 1:
         raise ValueError("displayed forms assume k >= 1")
     s = gauss_sum(p)
@@ -155,13 +155,15 @@ def paley_bruteforce(p: int, ks: range, c: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def sn_irrep_dim_formula(n: int, k: int, lam) -> int:
-    """Multiplicity of the irrep labeled by lam in the k-th tensor power of
-    the permutation module: sum_l {k, l} K_{lam,(n-l,1^l)}."""
-    lam = tuple(lam)
-    if sum(lam) != n:
+def sn_irrep_dim_formula(n: int, ks: range, shapes) -> list[list[int]]:
+    """Multiplicity of the irrep labeled by each lam in `shapes` in the k-th
+    tensor power of the permutation module, for each k in `ks`:
+    sum_l {k, l} K_{lam,(n-l,1^l)}, each {k, l} computed once for all shapes."""
+    if any(sum(lam) != n for lam in shapes):
         raise ValueError("shape must be a partition of n")
-    return sum(stirling2(k, l) * kostka_hook_content(lam, l) for l in range(n + 1))
+    kostkas = [[kostka_hook_content(tuple(lam), l) for l in range(n + 1)] for lam in shapes]
+    stirlings = [[stirling2(k, l) for l in range(n + 1)] for k in ks]
+    return [[sum(map(mul, row, kostka)) for row in stirlings] for kostka in kostkas]
 
 
 # ---------------------------------------------------------------------------

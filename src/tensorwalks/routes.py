@@ -17,8 +17,7 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, targets) -> list[tuple[s
     out = []
     kind, params = spec.kind, spec.params
     if kind == "cyclic":
-        out.append(("closed:binomial", [[cf.cyclic_walks(params["r"], k, frm, to) for k in ks]
-                                        for to in targets]))
+        out.append(("closed:binomial", cf.cyclic_walks(params["r"], ks, frm, targets)))
     elif kind in ("abelian", "circulant", "paley"):
         radii = params["radii"]
         elements = abelian_elements(radii)
@@ -26,12 +25,11 @@ def closed_walks(spec: ParsedSpec, ks: range, frm: int, targets) -> list[tuple[s
                  for to in targets]
         out.append(("closed:multinomial", cf.group_ring_walks(radii, params["steps"], ks, diffs)))
         if kind == "paley":
-            out.append(("closed:gauss-sum", [cf.paley_closed_form(params["p"], to - frm, ks)
-                                             for to in targets]))
+            out.append(("closed:gauss-sum",
+                        cf.paley_closed_form(params["p"], ks, [to - frm for to in targets])))
     elif kind == "symmetric" and frm == 0:
         n, shapes = params["n"], partitions_of(params["n"])
-        out.append(("closed:stirling-kostka", [[cf.sn_irrep_dim_formula(n, k, shapes[to]) for k in ks]
-                                               for to in targets]))
+        out.append(("closed:stirling-kostka", cf.sn_irrep_dim_formula(n, ks, [shapes[to] for to in targets])))
     elif kind == "wreath" and frm == 0 and targets == [0]:
         out.append(("closed:wreath", [cf.wreath_invariants(params["r"], params["n"], ks)]))
     elif kind in ("gl2", "sl2") and frm == 0 and targets == [0]:

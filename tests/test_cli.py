@@ -234,7 +234,7 @@ def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
 
     monkeypatch.setattr(routes_mod, "power_rows", counting)
     results = routes_mod.walk_routes(parse_spec_full("Z10"), range(7), 0, [2], ("matrix",))
-    assert results == [[("matrix", [cyclic_walks(10, k, 0, 2) for k in range(7)])]]
+    assert results == [[("matrix", cyclic_walks(10, range(7), 0, [2])[0])]]
     assert calls == [(0, range(7))]
     monkeypatch.undo()
 
@@ -259,6 +259,15 @@ def test_matrix_route_takes_every_k_from_one_power_rows_call(monkeypatch):
     assert routes_mod.walk_routes(spec, ks, 0, targets, routes_mod.ROUTES) == one_target
     assert counts == dict.fromkeys(("mckay_adjacency", "power_rows", "_character_sums",
                                     "group_ring_power"), 1)
+    monkeypatch.undo()
+
+    # each target-taking closed form runs once for every target of its family
+    for name in ("cyclic_walks", "paley_closed_form", "sn_irrep_dim_formula"):
+        monkeypatch.setattr(cf_mod, name, counted(name, getattr(cf_mod, name)))
+    counts.clear()
+    for family in map(parse_spec_full, ("Z10", "paley(13)", "S5")):
+        routes_mod.walk_routes(family, ks, 0, range(family.group.n_classes), routes_mod.ROUTES)
+    assert counts == dict.fromkeys(("cyclic_walks", "paley_closed_form", "sn_irrep_dim_formula"), 1)
     monkeypatch.undo()
 
     # a fault at one target alone names its node and k, and a one-target call only its k
@@ -920,7 +929,8 @@ def test_exit_code_consistency_failure(capsys, monkeypatch):
     # they disagree; force a bad closed form to trip the gate
     import tensorwalks.closedforms as cf_mod
 
-    monkeypatch.setattr(cf_mod, "cyclic_walks", lambda r, k, a, c: 10**6)
+    monkeypatch.setattr(cf_mod, "cyclic_walks",
+                        lambda r, ks, a, targets: [[10**6] * len(ks) for _ in targets])
     code, _, err = run(capsys, "walks", "--group", "Z10", "--k", "6",
                        "--from", "0", "--to", "8")
     assert code == 4 and "disagree" in err
@@ -1099,7 +1109,7 @@ def test_process_entry_keeps_exit_codes_and_piped_output(capsys, tmp_path):
     # routes that disagree: a wrong binomial closed form, planted at start-up
     (tmp_path / "sitecustomize.py").write_text(
         "import tensorwalks.closedforms as cf\n"
-        "cf.cyclic_walks = lambda r, k, a, c: 10**6\n")
+        "cf.cyclic_walks = lambda r, ks, a, targets: [[10**6] * len(ks) for _ in targets]\n")
     out = process("walks", "--group", "Z10", "--k", "6", "--to", "8", path=tmp_path)
     assert out.returncode == 4 and out.stdout == "" and "disagree" in out.stderr
     # the process entry skips the interpreter's teardown, not the atexit

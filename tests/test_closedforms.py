@@ -16,12 +16,12 @@ from oracles import compositions, multinomial
 
 
 def test_cyclic_walks():
-    assert cf.cyclic_walks(10, 6, 0, 8) == 15
-    assert cf.cyclic_walks(10, 12, 0, 0) == 948
+    assert cf.cyclic_walks(10, range(6, 7), 0, [8]) == [[15]]
+    assert cf.cyclic_walks(10, range(12, 13), 0, [0]) == [[948]]
     for r in (3, 7):
         for a in range(r):
-            assert cf.cyclic_walks(r, 0, a, a) == 1
-            assert cf.cyclic_walks(r, 0, a, (a + 1) % r) == 0
+            assert cf.cyclic_walks(r, range(1), a, [a]) == [[1]]
+            assert cf.cyclic_walks(r, range(1), a, [(a + 1) % r]) == [[0]]
 
 
 def test_cyclic_walks_equal_the_binomial_sum():
@@ -33,7 +33,7 @@ def test_cyclic_walks_equal_the_binomial_sum():
             for a, c in itertools.product(range(r), repeat=2):
                 expected = sum(comb(k, l) for l in range(k + 1)
                                if (k - 2 * l - (c - a)) % r == 0)
-                assert cf.cyclic_walks(r, k, a, c) == expected, (r, k, a, c)
+                assert cf.cyclic_walks(r, range(k, k + 1), a, [c]) == [[expected]], (r, k, a, c)
 
 
 def test_circulant_walks():
@@ -42,7 +42,7 @@ def test_circulant_walks():
     assert cf.group_ring_walks((13,), conn13, range(2, 3), [(1,)]) == [[2]]
     for c in range(7):
         assert (cf.group_ring_walks((7,), [(1,), (6,)], range(9), [(c,)])
-                == [[cf.cyclic_walks(7, k, 0, c) for k in range(9)]])
+                == cf.cyclic_walks(7, range(9), 0, [c]))
     # a strided range is honoured: row 0 of A^k on the 5-cycle, k = 3, 5, 7
     assert cf.group_ring_walks((5,), [(1,), (4,)], range(3, 9, 2), [(0,)]) == [[0, 2, 14]]
     for bad_steps in ([(0,)], [(5,)], [(1, 0)]):
@@ -70,22 +70,22 @@ def test_circulant_walks():
 
 def test_paley_targets():
     # a target is read mod p, and its Legendre symbol picks the case
-    assert cf.paley_closed_form(13, 16, range(4)) == cf.paley_closed_form(13, 3, range(4))
-    assert cf.paley_closed_form(13, -1, range(4)) == cf.paley_bruteforce(13, range(4), 12)
+    assert cf.paley_closed_form(13, range(4), [16]) == cf.paley_closed_form(13, range(4), [3])
+    assert cf.paley_closed_form(13, range(4), [-1]) == [cf.paley_bruteforce(13, range(4), 12)]
     assert cf.paley_printed_form(7, 8, 1) == cf.paley_printed_form(7, 1, 1)
     for p in (0, 1, 2, 9, 15):
         with pytest.raises(ValueError, match="odd prime"):
-            cf.paley_closed_form(p, 1, range(3))
+            cf.paley_closed_form(p, range(3), [1])
         with pytest.raises(ValueError, match="odd prime"):
             cf.paley_printed_form(p, 1, 1)
 
 
 def test_paley_closed_form_examples():
-    assert cf.paley_closed_form(13, 3, range(2, 3)) == [2]
-    assert cf.paley_closed_form(7, 3, range(2, 3)) == [2]
-    assert cf.paley_closed_form(13, 0, range(3)) == [1, 0, 6]
-    assert cf.paley_closed_form(13, 3, range(0, 3, 2)) == [0, 2]
-    assert cf.paley_closed_form(13, 3, range(0)) == []
+    assert cf.paley_closed_form(13, range(2, 3), [3]) == [[2]]
+    assert cf.paley_closed_form(7, range(2, 3), [3]) == [[2]]
+    assert cf.paley_closed_form(13, range(3), [0]) == [[1, 0, 6]]
+    assert cf.paley_closed_form(13, range(0, 3, 2), [3]) == [[0, 2]]
+    assert cf.paley_closed_form(13, range(0), [3]) == [[]]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -95,12 +95,12 @@ def test_paley_three_routes_agree(p):
     for c in range(p):
         brute = cf.paley_bruteforce(p, ks, c)
         assert len(brute) == len(ks)
-        assert cf.paley_closed_form(p, c, ks) == brute, (p, c)
+        assert cf.paley_closed_form(p, ks, [c]) == [brute], (p, c)
         assert cf.group_ring_walks((p,), conn, ks, [(c,)]) == [brute], (p, c)
         # a sub-range, strided or not, starts its powers at its own start
         for sub in (range(4, 5), range(3, 9, 2)):
             want = brute[sub.start:sub.stop:sub.step]
-            assert cf.paley_closed_form(p, c, sub) == want == cf.paley_bruteforce(p, sub, c)
+            assert cf.paley_closed_form(p, sub, [c]) == [want] == [cf.paley_bruteforce(p, sub, c)]
 
 
 def test_paley_printed_form_discrepancies():
@@ -133,11 +133,11 @@ def test_paley_printed_forms_fail_exactly_in_the_three_misprinted_cases(p):
 
 
 def test_sn_formula_examples():
-    assert cf.sn_irrep_dim_formula(4, 3, (1, 1, 1, 1)) == 1
-    assert cf.sn_irrep_dim_formula(4, 2, (4,)) == 2
-    assert cf.sn_irrep_dim_formula(2, 1, (1, 1)) == 1
+    assert cf.sn_irrep_dim_formula(4, range(3, 4), [(1, 1, 1, 1)]) == [[1]]
+    assert cf.sn_irrep_dim_formula(4, range(2, 3), [(4,)]) == [[2]]
+    assert cf.sn_irrep_dim_formula(2, range(1, 2), [(1, 1)]) == [[1]]
     with pytest.raises(ValueError):
-        cf.sn_irrep_dim_formula(4, 2, (3, 2))
+        cf.sn_irrep_dim_formula(4, range(2, 3), [(3, 2)])
 
 
 def test_sn_formula_matches_character_sums():
@@ -146,7 +146,8 @@ def test_sn_formula_matches_character_sums():
         for k in range(7):
             counts = character_walk_counts(spec.group, spec.module, k)
             for i, lam in enumerate(partitions_of(n)):
-                assert counts[0][i] == cf.sn_irrep_dim_formula(n, k, lam), (n, k, lam)
+                assert (cf.sn_irrep_dim_formula(n, range(k, k + 1), [lam])
+                        == [[counts[0][i]]]), (n, k, lam)
 
 
 def test_wreath_invariants_examples():

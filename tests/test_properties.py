@@ -196,12 +196,15 @@ ODD_PRIMES = [p for p in range(3, 104) if is_prime(p)]
 
 
 @settings(max_examples=30, deadline=None)
-@given(p=st.sampled_from(ODD_PRIMES), k=st.integers(0, 40), data=st.data())
-def test_paley_gauss_sum_form_equals_multinomial(p, k, data):
-    c = data.draw(st.integers(0, p - 1))
+@given(p=st.sampled_from(ODD_PRIMES), k=st.integers(0, 40), step=st.integers(1, 7), data=st.data())
+def test_paley_gauss_sum_form_equals_multinomial(p, k, step, data):
+    # one call for a list of targets, with repeats, negatives and values >= p,
+    # read mod p; a strided range reaches k = 60
+    targets = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=8))
     steps = [(s,) for s in quadratic_residues(p)]
-    ks = range(k, k + data.draw(st.integers(1, 4)))
-    assert [cf.paley_closed_form(p, c, ks)] == cf.group_ring_walks((p,), steps, ks, [(c,)])
+    ks = range(k, min(k + step * data.draw(st.integers(1, 4)), 61), step)
+    assert (cf.paley_closed_form(p, ks, targets)
+            == cf.group_ring_walks((p,), steps, ks, [(c % p,) for c in targets]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +244,7 @@ def test_character_sum_consumers_agree(spec, big_k, data):
     if parsed.kind == "symmetric":
         n = parsed.params["n"]
         shape = partitions_of(n)[lam]
-        assert counts == [cf.sn_irrep_dim_formula(n, k, shape) for k in ks]
+        assert [counts] == cf.sn_irrep_dim_formula(n, ks, [shape])
 
 
 @st.composite

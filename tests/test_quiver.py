@@ -214,7 +214,7 @@ def test_bratteli_z10_appendix_values():
 
     bd = bratteli(*group_and_module("Z10"), 6)
     for k in range(7):
-        expected = {c: cyclic_walks(10, k, 0, c) for c in range(10)}
+        expected = {c: m for c, (m,) in enumerate(cyclic_walks(10, range(k, k + 1), 0, range(10)))}
         expected = {c: m for c, m in expected.items() if m}
         assert dict(bd.levels[k]) == expected, k
     assert bd.algebra_dims == (1, 2, 6, 20, 70, 254, 948)
